@@ -1,0 +1,145 @@
+"""CLI output pinned byte for byte.
+
+Each case runs one command in-process on seeded random inputs and compares
+the exit code and the sha256 of stdout with recorded values.  The digests
+see what expansion-based checks cannot: node numbering, pruning, and the
+``unpruned_nodes`` and ``per_degree`` sizes of a product.  Re-record them
+(``PYTHONPATH=src python tests/test_cli_pinned.py`` prints the table) only
+for an intended change of output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+
+import pytest
+
+from hadamard.cli import main
+from hadamard.fields import PrimeField, RationalField
+from helpers import cancelling_abp, random_abp, random_circuit
+
+FIELDS = {"q": RationalField(), "f5": PrimeField(5)}
+
+
+def _nonzero(tag: str, field, **kw):
+    """The first program under seeds tag:0, tag:1, ... that is not zero."""
+    for salt in range(100):
+        abp = random_abp(random.Random(f"{tag}:{salt}"), field, **kw)
+        if not abp.expand().is_zero():
+            return abp
+    raise AssertionError(f"no nonzero program for {tag}")
+
+
+def _circuit(tag: str, abp):
+    """The first circuit under seeds tag:0, tag:1, ... sharing a word of
+    degree at least 2 with the program, so their product is not constant."""
+    words = {w for w in abp.expand().terms if len(w) >= 2}
+    for salt in range(100):
+        c = random_circuit(random.Random(f"{tag}:{salt}"), abp.field, n_gates=10, max_degree=4)
+        if words & set(c.expand().terms):
+            return c
+    raise AssertionError(f"no matching circuit for {tag}")
+
+
+def _inputs() -> dict:
+    """Name -> JSON object, all drawn from fixed seeds."""
+    out = {}
+    for fname, field in FIELDS.items():
+        for depth in (3, 4, 5):
+            out[f"{fname}{depth}"] = _nonzero(f"{fname}:{depth}", field, depth=depth)
+        rng = random.Random(f"{fname}:zero")
+        out[f"{fname}zero"] = cancelling_abp(rng, field, depth=3, width=2)
+        out[f"{fname}hom"] = _nonzero(f"{fname}:hom", field, n_vars=2, depth=3, affine=False)
+        out[f"{fname}circ"] = _circuit(f"{fname}:circuit", out[f"{fname}3"])
+    return {name: obj.to_json() for name, obj in out.items()}
+
+
+# case name -> (argv with input names in braces, exit code, sha256 of stdout)
+CASES = {
+    "hadamard-abp-q3-q4": (["hadamard", "abp", "{q3}", "{q4}"], 0,
+        "2cdfd4aa3842496f0af6464a3945f6d3709a09b5a28eb889f93b931634d06b81"),
+    "hadamard-abp-q5-q5": (["hadamard", "abp", "{q5}", "{q5}"], 0,
+        "9ee6c4a51a402b47244f3a842be266cabe0e12059efa396bc8aa05cf2b2c8ef4"),
+    "hadamard-abp-f4-f5": (["hadamard", "abp", "{f54}", "{f55}"], 0,
+        "03b86c2b678a44acf92d4c9ebc73a1ccedbeb190ea1a8e0eb4f3de41425a7275"),
+    "hadamard-abp-f3-f3": (["hadamard", "abp", "{f53}", "{f53}"], 0,
+        "691a822dfce1d3c6068331f68da97b77834943e77c6a4f12a25bdcfc9586ac27"),
+    "hadamard-abp-qzero": (["hadamard", "abp", "{qzero}", "{q3}"], 0,
+        "9a4f964c9c058772f104a4aef8a2d9cd25488fee1cc2a918dab695db8ba6414c"),
+    "circuit-abp-q3": (["hadamard", "circuit-abp", "{qcirc}", "{q3}"], 0,
+        "3b86c72fabd7e6343797a90e5445271282ba760fbb62ef18ed96e63036c85fe8"),
+    "circuit-abp-f3": (["hadamard", "circuit-abp", "{f5circ}", "{f53}"], 0,
+        "5669d43565f695ac430bc978f0c5895114109d4760cde66807a940c41af9a6e4"),
+    "pit-det-q3": (["pit", "det", "{q3}"], 0,
+        "1a86129202a53ea23bb4c95162d5b444ec2805b82360a81e5b3851e0613057d6"),
+    "pit-det-q5": (["pit", "det", "{q5}"], 0,
+        "f653a90a13179326dfe8521259bd52387d767d3fc6598cf343c6c0ff8a786769"),
+    "pit-det-qzero": (["pit", "det", "{qzero}"], 0,
+        "d14f421ffb83d3f50f00f95825a7d97275895fe7228fd0056950e48a6989a1c2"),
+    "pit-span-q4": (["pit", "span", "{q4}"], 0,
+        "78d6f805e3b65781b64f404dd103492184d4e62b3711cd1bfc89b385915b3db6"),
+    "pit-span-q5": (["pit", "span", "{q5}"], 0,
+        "efb21b06ad929b9863c9d783e06930dcaa81d155c40156b2d1f4bd0be186cdd0"),
+    "pit-span-f5": (["pit", "span", "{f55}"], 0,
+        "02c87999f1cd850f7d61ebdd49566c088f4936ccbc026212ea53715bf79c5517"),
+    "pit-span-qzero": (["pit", "span", "{qzero}"], 0,
+        "cee950a1362d8c4ce484b8394557428259512e403385b24bb081e8094a0a6cbf"),
+    "pit-span-f5zero": (["pit", "span", "{f5zero}"], 0,
+        "cee950a1362d8c4ce484b8394557428259512e403385b24bb081e8094a0a6cbf"),
+    "pit-rand-f4": (["pit", "rand", "{f54}", "--trials", "5", "--seed", "7"], 0,
+        "1706fc542e2d09fa7b76f3f88632e21a04c61bd3762aa839316592ada0aa5a91"),
+    "pit-rand-f5zero": (["pit", "rand", "{f5zero}", "--trials", "5"], 0,
+        "2c53f694da9b512e76cecc2106eb499a583b96dc891a72cbc31d46ccc94778fa"),
+    "expand-q4": (["expand", "{q4}"], 0,
+        "6c1e7f106f01b7418e69729b77e2ebf2db8e4c4ed2c175129ccd109db23e8bd2"),
+    "expand-f5": (["expand", "{f55}"], 0,
+        "2165b851030bce99b15be027074481a915f898a609a91afe4a88062aef29743b"),
+    "nisan-qhom": (["nisan", "{qhom}"], 0,
+        "7b7dbaef65bb2b361c14504cf192183d68daf2c0322ff4a5e9ba02b09e31fbaa"),
+    "nisan-f5hom": (["nisan", "{f5hom}"], 0,
+        "b77620673186a80968dab574d9121de30d89028baa7d3647e8af3027d6869a34"),
+    "nisan-q3": (["nisan", "{q3}"], 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def _run(argv: list[str], paths: dict) -> tuple[int, str]:
+    argv = [paths[a[1:-1]] if a.startswith("{") else a for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def _write_inputs(directory) -> dict:
+    paths = {}
+    for name, obj in _inputs().items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def input_paths(tmp_path_factory):
+    return _write_inputs(tmp_path_factory.mktemp("pinned"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_pinned(case, input_paths):
+    argv, code, digest = CASES[case]
+    assert _run(argv, input_paths) == (code, digest)
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write_inputs(pathlib.Path(tmp))
+        for name in sorted(CASES):
+            print(name, *_run(CASES[name][0], paths))
