@@ -7,13 +7,22 @@ of the ordered product of the labels, a noncommutative polynomial of degree
 at most d.  Parallel edges are not represented: ingesting two labels on the
 same node pair means adding them.
 
+The edge map ``ABP.edges``, keyed (layer, from, to), is the stored form:
+JSON, equality and validation read it.  Everything that walks a program
+layer by layer reads the derived view ``ABP.layers`` instead.  Per layer it
+holds the sparse constant matrix and one sparse coefficient matrix per
+variable, each a list of (from, to, coefficient) entries; it is built once
+per program, in one pass over the edges.
+
 ``homogeneous_parts`` splits a program into one degree-homogeneous program
 per degree by degree-tracking node duplication: a node of the part for
 degree k remembers which original node it is and how much degree has been
 accumulated, and each new edge bundles a run of constant-labeled original
 edges followed by exactly one variable-carrying step.  The parts therefore
 have only homogeneous linear forms on their edges and their path length
-equals their degree.
+equals their degree.  Constant runs are propagated sparsely: a backward
+pass gives each node's constant weight to the sink, and the steps out of
+each node are walked forward once and shared by every degree.
 
 ``normalize_edges`` further splits internal nodes per arriving variable so
 that every edge except those into the sink mentions a single variable.  The
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -73,9 +83,6 @@ class LinearForm:
     def is_homogeneous(self) -> bool:
         return not self.const
 
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
     def single_variable(self) -> Optional[tuple[int, object]]:
         if not self.const and len(self.coeffs) == 1:
             return next(iter(self.coeffs.items()))
@@ -97,30 +104,6 @@ class LinearForm:
             return LinearForm(field.zero(), {})
         return LinearForm(c * self.const, {v: c * a for v, a in self.coeffs.items()})
 
-    def constant_part(self):
-        return self.const
-
-    def linear_part(self, field: Field) -> "LinearForm":
-        return LinearForm(field.zero(), dict(self.coeffs))
-
-    def variable_product(self, other: "LinearForm", field: Field) -> "LinearForm":
-        """Match variables pointwise: sum of a_v b_v x_v over shared v."""
-        coeffs = {}
-        small, big = (self.coeffs, other.coeffs) if len(self.coeffs) <= len(other.coeffs) else (other.coeffs, self.coeffs)
-        for v, a in small.items():
-            b = big.get(v)
-            if b is not None:
-                prod = a * b
-                if prod:
-                    coeffs[v] = prod
-        return LinearForm(field.zero(), coeffs)
-
-    def evaluate(self, point: Sequence):
-        total = self.const
-        for v, a in self.coeffs.items():
-            total = total + a * point[v]
-        return total
-
     def to_json(self, field: Field) -> dict:
         return {
             "const": field.coeff_to_json(self.const),
@@ -137,6 +120,36 @@ class LinearForm:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearForm) and self.const == other.const and self.coeffs == other.coeffs
+
+
+@dataclass
+class Layer:
+    """Sparse coefficient matrices of one layer, entries (from, to, coefficient)."""
+
+    const: list
+    by_var: dict  # variable -> entries of its coefficient matrix
+
+    def map(self, fn) -> "Layer":
+        """The same layer with every coefficient replaced by fn(coefficient)."""
+        return Layer(
+            [(a, c, fn(k)) for a, c, k in self.const],
+            {v: [(a, c, fn(k)) for a, c, k in es] for v, es in self.by_var.items()},
+        )
+
+    def times(self, vec: list, point: Sequence, width: int, zero) -> list:
+        """The row vector vec times this layer's matrix evaluated at point."""
+        out = [zero] * width
+        for a, c, k in self.const:
+            if vec[a]:
+                out[c] = out[c] + vec[a] * k
+        for v, entries in self.by_var.items():
+            x = point[v]
+            if not x:
+                continue
+            for a, c, k in entries:
+                if vec[a]:
+                    out[c] = out[c] + vec[a] * k * x
+        return out
 
 
 @dataclass
@@ -158,6 +171,22 @@ class ABP:
 
     def label(self, layer: int, a: int, c: int) -> Optional[LinearForm]:
         return self.edges.get((layer, a, c))
+
+    @cached_property
+    def layers(self) -> list[Layer]:
+        """Per layer, the sparse constant and per-variable coefficient matrices.
+
+        Built on first use in one pass over ``edges``, in insertion order.
+        Programs are not changed after ``build``, so it is built at most once.
+        """
+        out = [Layer([], {}) for _ in range(self.depth)]
+        for (layer, a, c), form in self.edges.items():
+            lay = out[layer]
+            if form.const:
+                lay.const.append((a, c, form.const))
+            for v, k in form.coeffs.items():
+                lay.by_var.setdefault(v, []).append((a, c, k))
+        return out
 
     @classmethod
     def build(cls, n_vars: int, field: Field, layer_sizes: Sequence[int], edges: dict) -> "ABP":
@@ -187,26 +216,18 @@ class ABP:
         """Path-by-path expansion into an explicit polynomial."""
         zero = self.field.zero()
         current = [{(): self.field.one()}]  # polynomials per node of layer 0
-        for layer in range(self.depth):
+        for layer, lay in enumerate(self.layers):
             nxt = [dict() for _ in range(self.layer_sizes[layer + 1])]
-            live = 0
-            for (lyr, a, c), form in self.edges.items():
-                if lyr != layer:
-                    continue
-                src = current[a]
-                if not src:
-                    continue
-                dst = nxt[c]
-                for word, coeff in src.items():
-                    if form.const:
-                        s = dst.get(word, zero) + coeff * form.const
-                        if s:
-                            dst[word] = s
-                        else:
-                            dst.pop(word, None)
-                    for v, av in form.coeffs.items():
-                        w = word + (v,)
-                        s = dst.get(w, zero) + coeff * av
+            steps = [((), lay.const)] + [((v,), es) for v, es in lay.by_var.items()]
+            for suffix, entries in steps:
+                for a, c, k in entries:
+                    src = current[a]
+                    if not src:
+                        continue
+                    dst = nxt[c]
+                    for word, coeff in src.items():
+                        w = word + suffix
+                        s = dst.get(w, zero) + coeff * k
                         if s:
                             dst[w] = s
                         else:
@@ -224,21 +245,9 @@ class ABP:
         point = [self.field.coerce(x) for x in point]
         zero = self.field.zero()
         vec = [self.field.one()]
-        for layer in range(self.depth):
-            nxt = [zero] * self.layer_sizes[layer + 1]
-            for (lyr, a, c), form in self.edges.items():
-                if lyr != layer:
-                    continue
-                if vec[a]:
-                    nxt[c] = nxt[c] + vec[a] * form.evaluate(point)
-            vec = nxt
+        for layer, lay in enumerate(self.layers):
+            vec = lay.times(vec, point, self.layer_sizes[layer + 1], zero)
         return vec[0]
-
-    def edges_in_layer(self, layer: int) -> list:
-        return sorted(
-            ((key, form) for key, form in self.edges.items() if key[0] == layer),
-            key=lambda kv: kv[0],
-        )
 
     def to_json(self) -> dict:
         out_edges = []
@@ -329,60 +338,6 @@ def constant_abp(n_vars: int, field: Field, c) -> ABP:
 # homogenization
 
 
-def _constant_matrices(abp: ABP) -> list[list[list]]:
-    """Per layer, the matrix of constant parts of the labels."""
-    out = []
-    zero = abp.field.zero()
-    for layer in range(abp.depth):
-        rows = [[zero] * abp.layer_sizes[layer + 1] for _ in range(abp.layer_sizes[layer])]
-        out.append(rows)
-    for (layer, a, c), form in abp.edges.items():
-        out[layer][a][c] = form.const
-    return out
-
-
-def _linear_matrices(abp: ABP) -> list[list[list]]:
-    """Per layer, the matrix of homogeneous linear parts of the labels."""
-    field = abp.field
-    out = []
-    for layer in range(abp.depth):
-        rows = [
-            [LinearForm(field.zero(), {}) for _ in range(abp.layer_sizes[layer + 1])]
-            for _ in range(abp.layer_sizes[layer])
-        ]
-        out.append(rows)
-    for (layer, a, c), form in abp.edges.items():
-        if form.coeffs:
-            out[layer][a][c] = form.linear_part(field)
-    return out
-
-
-def _const_products(abp: ABP, cons: list[list[list]]) -> dict:
-    """C[(i, j)][a][b]: sum over constant-only walks from layer i node a to layer j node b."""
-    field = abp.field
-    zero, one = field.zero(), field.one()
-    prods: dict = {}
-    for i in range(abp.depth + 1):
-        n = abp.layer_sizes[i]
-        prods[(i, i)] = [[one if a == b else zero for b in range(n)] for a in range(n)]
-    for i in range(abp.depth + 1):
-        for j in range(i + 1, abp.depth + 1):
-            prev = prods[(i, j - 1)]
-            step = cons[j - 1]
-            rows = []
-            for a in range(abp.layer_sizes[i]):
-                row = []
-                for b in range(abp.layer_sizes[j]):
-                    s = zero
-                    for m in range(abp.layer_sizes[j - 1]):
-                        if prev[a][m] and step[m][b]:
-                            s = s + prev[a][m] * step[m][b]
-                    row.append(s)
-                rows.append(row)
-            prods[(i, j)] = rows
-    return prods
-
-
 def homogeneous_parts(abp: ABP) -> list[ABP]:
     """Degree-homogeneous programs (one per degree 0..depth) summing to the input.
 
@@ -391,14 +346,65 @@ def homogeneous_parts(abp: ABP) -> list[ABP]:
     steps; an edge bundles a constant-only walk followed by one
     variable-carrying original edge, and edges into the sink also absorb the
     trailing constant-only walk.  Every label is a homogeneous linear form.
+
+    Constant-only walks are propagated sparsely over ``abp.layers``.  One
+    backward pass gives each node's constant weight to the sink.  The steps
+    out of a node (i, a) — a constant walk to layer j-1, then one variable
+    entry into layer j, for every later j — are walked forward from (i, a)
+    once and shared by every degree, as is their sum weighted by the
+    constant walks on to the sink, which labels the edges into a part's sink.
     """
     field = abp.field
+    zero, one = field.zero(), field.one()
     d = abp.depth
-    cons = _constant_matrices(abp)
-    lins = _linear_matrices(abp)
-    cprod = _const_products(abp, cons)
+    layers = abp.layers
 
-    parts = [constant_abp(abp.n_vars, field, cprod[(0, d)][0][0])]
+    # to_sink[j][b]: sum over constant-only walks from node b of layer j to the sink
+    to_sink: list[dict] = [dict() for _ in range(d + 1)]
+    to_sink[d][0] = one
+    for j in range(d - 1, -1, -1):
+        here, after = to_sink[j], to_sink[j + 1]
+        for a, c, k in layers[j].const:
+            t = after.get(c)
+            if t:
+                here[a] = here.get(a, zero) + k * t
+
+    @cache
+    def steps(i: int, a: int) -> tuple[dict, LinearForm]:
+        """({j: {b: form}}, sink form) for the steps out of node a of layer i."""
+        by_layer: dict[int, dict[int, LinearForm]] = {}
+        sink: dict = {}
+        reach = {a: one}  # constant-only walks from (i, a) into layer j-1
+        for j in range(i + 1, d + 1):
+            lay = layers[j - 1]
+            coeffs: dict[int, dict] = {}
+            for v, entries in lay.by_var.items():
+                for m, b, k in entries:
+                    w = reach.get(m)
+                    if w:
+                        per_b = coeffs.setdefault(b, {})
+                        per_b[v] = per_b.get(v, zero) + w * k
+            forms = {}
+            for b, cs in coeffs.items():
+                cs = {v: x for v, x in cs.items() if x}
+                if cs:
+                    forms[b] = LinearForm(zero, cs)
+                    t = to_sink[j].get(b)
+                    if t:
+                        for v, x in cs.items():
+                            sink[v] = sink.get(v, zero) + x * t
+            by_layer[j] = forms
+            nxt: dict = {}
+            for m, c, k in lay.const:
+                w = reach.get(m)
+                if w:
+                    nxt[c] = nxt.get(c, zero) + w * k
+            reach = nxt
+            if not reach:
+                break
+        return by_layer, LinearForm(zero, {v: x for v, x in sink.items() if x})
+
+    parts = [constant_abp(abp.n_vars, field, to_sink[0].get(0, zero))]
 
     for k in range(1, d + 1):
         # layer w of part k holds original pairs (i, a), w <= i <= d-(k-w)
@@ -417,44 +423,17 @@ def homogeneous_parts(abp: ABP) -> list[ABP]:
         ]
 
         edges = {}
-
-        def composite_step(i: int, a: int, j: int):
-            """Forms into layer-j nodes: constant walk i->j-1, then one variable edge."""
-            reach = cprod[(i, j - 1)][a]
-            out = {}
-            for m in range(abp.layer_sizes[j - 1]):
-                w_am = reach[m]
-                if not w_am:
-                    continue
-                for b in range(abp.layer_sizes[j]):
-                    lf = lins[j - 1][m][b]
-                    if lf.coeffs:
-                        scaled = lf.scale(w_am, field)
-                        if not scaled.is_zero():
-                            out[b] = scaled.add(out[b], field) if b in out else scaled
-            return {b: lf for b, lf in out.items() if not lf.is_zero()}
-
-        for w in range(k):
-            for (i, a) in node_lists[w]:
-                src = index[w][(i, a)]
-                if w + 1 < k:
-                    for j in range(i + 1, d - (k - w - 1) + 1):
-                        for b, lf in composite_step(i, a, j).items():
-                            dst = index[w + 1][(j, b)]
-                            key = (w, src, dst)
-                            edges[key] = lf.add(edges[key], field) if key in edges else lf
-                else:
-                    # final step: variable edge at any remaining position, then constants to the sink
-                    total = None
-                    for j in range(i + 1, d + 1):
-                        for b, lf in composite_step(i, a, j).items():
-                            tail = cprod[(j, d)][b][0]
-                            if tail:
-                                scaled = lf.scale(tail, field)
-                                if not scaled.is_zero():
-                                    total = scaled if total is None else total.add(scaled, field)
-                    if total is not None and not total.is_zero():
-                        edges[(w, src, 0)] = total
+        for w in range(k - 1):
+            for src, (i, a) in enumerate(node_lists[w]):
+                by_layer = steps(i, a)[0]
+                for j in range(i + 1, d - (k - w - 1) + 1):
+                    for b, lf in by_layer.get(j, {}).items():
+                        edges[(w, src, index[w + 1][(j, b)])] = lf
+        # final step: variable edge at any remaining position, then constants to the sink
+        for src, (i, a) in enumerate(node_lists[k - 1]):
+            sink = steps(i, a)[1]
+            if sink.coeffs:
+                edges[(k - 1, src, 0)] = sink
 
         layer_sizes = [len(nodes) for nodes in node_lists]
         parts.append(ABP.build(abp.n_vars, field, layer_sizes, edges))
@@ -626,7 +605,7 @@ def abp_sum(parts: Sequence[ABP]) -> ABP:
                 dst = 0
             else:
                 dst = offsets[pi][layer + 1] + c
-            add_edge((gl, src, dst), LinearForm.make(field, form.const, form.coeffs))
+            add_edge((gl, src, dst), form)
 
     return ABP.build(n_vars, field, layer_nodes, edges)
 
@@ -636,18 +615,17 @@ def prune(abp: ABP) -> ABP:
     d = abp.depth
     if d == 0:
         return abp
+    arcs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for (layer, a, c) in abp.edges:
+        arcs[layer].append((a, c))
     fwd = [set() for _ in range(d + 1)]
     fwd[0].add(0)
     for layer in range(d):
-        for (lyr, a, c) in abp.edges:
-            if lyr == layer and a in fwd[layer]:
-                fwd[layer + 1].add(c)
+        fwd[layer + 1].update(c for a, c in arcs[layer] if a in fwd[layer])
     bwd = [set() for _ in range(d + 1)]
     bwd[d].add(0)
     for layer in range(d - 1, -1, -1):
-        for (lyr, a, c) in abp.edges:
-            if lyr == layer and c in bwd[layer + 1]:
-                bwd[layer].add(a)
+        bwd[layer].update(a for a, c in arcs[layer] if c in bwd[layer + 1])
     alive = [sorted(fwd[w] & bwd[w]) for w in range(d + 1)]
     if any(not nodes for nodes in alive):
         return zero_abp(abp.n_vars, abp.field)
@@ -673,21 +651,15 @@ def coefficient_matrices(abp: ABP) -> list[dict[int, Matrix]]:
         raise ValidationError("coefficient matrices require homogeneous edge labels")
     field = abp.field
     out = []
-    for layer in range(abp.depth):
+    for layer, lay in enumerate(abp.layers):
         r, c = abp.layer_sizes[layer], abp.layer_sizes[layer + 1]
-        per_var: dict[int, list[list]] = {}
-        for (lyr, a, b), form in abp.edges.items():
-            if lyr != layer:
-                continue
-            for v, coeff in form.coeffs.items():
-                grid = per_var.setdefault(v, [[field.zero()] * c for _ in range(r)])
-                grid[a][b] = grid[a][b] + coeff
-        out.append(
-            {
-                v: Matrix.from_rows(field, grid)
-                for v, grid in sorted(per_var.items())
-            }
-        )
+        mats = {}
+        for v, entries in sorted(lay.by_var.items()):
+            grid = [[field.zero()] * c for _ in range(r)]
+            for a, b, k in entries:
+                grid[a][b] = k
+            mats[v] = Matrix.from_rows(field, grid)
+        out.append(mats)
     return out
 
 

@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lab.add_argument("--battery", type=int, default=5, help="corr battery size")
     p_lab.add_argument("--seed", type=int, default=0, help="corr battery seed")
-    p_lab.add_argument("--threads", type=int, default=1)
+    p_lab.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p_lab.set_defaults(handler=cmd_lab)
 
     return top

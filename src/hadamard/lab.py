@@ -17,7 +17,6 @@ the permanent as a coefficient-wise product of row and column polynomials.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -89,25 +88,11 @@ def build_f(
 ) -> CPoly:
     """The full sign polynomial: all 2^n multilinear monomials, coefficients +-1.
 
-    With ``threads`` > 1 the subsets are processed in fixed-size chunks on a
-    thread pool; chunks are merged in order, so the result is identical to
-    the single-threaded one."""
+    ``threads`` is accepted for compatibility and has no effect."""
     n = params.n
     if 2**n > max_terms:
         raise ResourceCapError(f"2^{n} terms exceed the cap of {max_terms}")
-    subsets = list(_all_subsets(n))
-
-    def run(chunk):
-        return [(m, Fraction(f_coefficient(params, m))) for m in chunk]
-
-    if threads <= 1:
-        pairs = run(subsets)
-    else:
-        size = max(64, (len(subsets) + 4 * threads - 1) // (4 * threads))
-        chunks = [subsets[i : i + size] for i in range(0, len(subsets), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = [pair for part in pool.map(run, chunks) for pair in part]
-    return CPoly(n, _Q, dict(pairs))
+    return CPoly(n, _Q, {m: Fraction(f_coefficient(params, m)) for m in _all_subsets(n)})
 
 
 def build_f_prime(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) -> CPoly:

@@ -131,7 +131,11 @@ def pit_span_basis(p: ABP) -> PitVerdict:
         for word, mat in basis:
             c = mat.entry(0, 0)
             if c:
-                assert coefficient_of(p, word) == c
+                if coefficient_of(p, word) != c:
+                    raise RuntimeError(
+                        f"span basis witness {list(word)} disagrees with the "
+                        "program's coefficient"
+                    )
                 return PitVerdict(
                     is_zero=False,
                     method="span_basis",
@@ -199,9 +203,7 @@ def pit_randomized(p: ABP, trials: int = 20, seed: int = 0) -> PitVerdict:
     big, embed = _extension_with_embedding(p.field, max(2 * d, 2))
     bound = Fraction(d, big.order) if d else Fraction(0)
     zero, one = big.zero(), big.one()
-    edges_by_layer: list[list] = [[] for _ in range(d)]
-    for key, form in p.edges.items():
-        edges_by_layer[key[0]].append((key, form))
+    layers = [lay.map(embed) for lay in p.layers]
     for trial in range(trials):
         # each trial gets its own stream keyed by (seed, trial), so trial t
         # draws the same points no matter how many trials run before it
@@ -210,16 +212,8 @@ def pit_randomized(p: ABP, trials: int = 20, seed: int = 0) -> PitVerdict:
             [big.random(rng) for _ in range(p.n_vars)] for _ in range(d)
         ]
         vec = [one]
-        for layer in range(d):
-            nxt = [zero] * p.layer_sizes[layer + 1]
-            for (lyr, a, c), form in edges_by_layer[layer]:
-                if not vec[a]:
-                    continue
-                val = embed(form.const)
-                for v, coeff in form.coeffs.items():
-                    val = val + embed(coeff) * points[layer][v]
-                nxt[c] = nxt[c] + vec[a] * val
-            vec = nxt
+        for layer, lay in enumerate(layers):
+            vec = lay.times(vec, points[layer], p.layer_sizes[layer + 1], zero)
         if vec[0]:
             return PitVerdict(
                 is_zero=False,

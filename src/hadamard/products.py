@@ -71,21 +71,19 @@ def hadamard_homogeneous(p: ABP, q: ABP) -> ABP:
     if p.depth != q.depth:
         raise ArityMismatchError(f"depth mismatch: {p.depth} vs {q.depth}")
     field = p.field
+    zero = field.zero()
     sizes = [pw * qw for pw, qw in zip(p.layer_sizes, q.layer_sizes)]
-    q_edges_by_layer: list[list[tuple[tuple[int, int, int], LinearForm]]] = [
-        [] for _ in range(q.depth)
-    ]
-    for key, form in q.edges.items():
-        q_edges_by_layer[key[0]].append((key, form))
-    edges = {}
-    for (layer, a, c), pform in p.edges.items():
-        for (_, b, e), qform in q_edges_by_layer[layer]:
-            label = pform.variable_product(qform, field)
-            if label.is_zero():
-                continue
-            src = a * q.layer_sizes[layer] + b
-            dst = c * q.layer_sizes[layer + 1] + e
-            edges[(layer, src, dst)] = label
+    # entries of the same variable pair up: coefficient of x_v is the product
+    coeffs: dict[tuple[int, int, int], dict] = {}
+    for layer, (pl, ql) in enumerate(zip(p.layers, q.layers)):
+        q_from, q_to = q.layer_sizes[layer], q.layer_sizes[layer + 1]
+        for v, p_entries in pl.by_var.items():
+            q_entries = ql.by_var.get(v, ())
+            for a, c, x in p_entries:
+                for b, e, y in q_entries:
+                    key = (layer, a * q_from + b, c * q_to + e)
+                    coeffs.setdefault(key, {})[v] = x * y
+    edges = {key: LinearForm(zero, cs) for key, cs in coeffs.items()}
     return ABP.build(p.n_vars, field, sizes, edges)
 
 

@@ -63,6 +63,15 @@ def test_span_basis_witness_is_real():
     assert found_nonzero >= 10
 
 
+def test_span_basis_witness_mismatch_is_an_internal_error(monkeypatch):
+    import hadamard.pit as pit
+
+    p = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): lf(Q, x0=1), (1, 0, 0): lf(Q, x1=3)})
+    monkeypatch.setattr(pit, "coefficient_of", lambda abp, word: abp.field.zero())
+    with pytest.raises(RuntimeError, match=r"witness \[0, 1\]"):
+        pit.pit_span_basis(p)
+
+
 def test_testers_unanimous_on_engineered_cancellations():
     rng = random.Random(41)
     for _ in range(15):
