@@ -1,6 +1,6 @@
 """CLI output pinned byte for byte.
 
-Each case runs one command in-process on seeded random inputs and compares
+Each case runs one command in-process on seeded random or fixed inputs and compares
 the exit code and the sha256 of stdout with recorded values.  The digests
 see what expansion-based checks cannot: node numbering, pruning, and the
 ``unpruned_nodes`` and ``per_degree`` sizes of a product.  Re-record them
@@ -18,8 +18,10 @@ import random
 
 import pytest
 
+from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
 from hadamard.cli import main
 from hadamard.fields import PrimeField, RationalField
+from hadamard.grammars import build_mirror_suffix_grammar
 from helpers import cancelling_abp, random_abp, random_circuit
 
 FIELDS = {"q": RationalField(), "f5": PrimeField(5)}
@@ -45,6 +47,18 @@ def _circuit(tag: str, abp):
     raise AssertionError(f"no matching circuit for {tag}")
 
 
+def _zero_const_circuit(zero_output: bool) -> Circuit:
+    """A monotone circuit over Q with zero constants in sums and products;
+    with zero_output its output gate is a product with zero."""
+    gates = [
+        InputGate(0), ConstGate(0), AddGate(0, 1), InputGate(1), MulGate(3, 1),
+        AddGate(4, 2), ConstGate(2), MulGate(5, 6), MulGate(3, 7), AddGate(8, 5),
+    ]
+    if zero_output:
+        gates.append(MulGate(9, 4))
+    return Circuit.build(2, RationalField(), gates, len(gates) - 1)
+
+
 def _inputs() -> dict:
     """Name -> JSON object, all drawn from fixed seeds."""
     out = {}
@@ -55,6 +69,10 @@ def _inputs() -> dict:
         out[f"{fname}zero"] = cancelling_abp(rng, field, depth=3, width=2)
         out[f"{fname}hom"] = _nonzero(f"{fname}:hom", field, n_vars=2, depth=3, affine=False)
         out[f"{fname}circ"] = _circuit(f"{fname}:circuit", out[f"{fname}3"])
+    out["qpoly"] = out["qhom"].expand()
+    out["mirror"] = build_mirror_suffix_grammar(2)
+    out["zcirc"] = _zero_const_circuit(False)
+    out["zcirc0"] = _zero_const_circuit(True)
     return {name: obj.to_json() for name, obj in out.items()}
 
 
@@ -104,6 +122,22 @@ CASES = {
         "b77620673186a80968dab574d9121de30d89028baa7d3647e8af3027d6869a34"),
     "nisan-q3": (["nisan", "{q3}"], 2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nisan-qpoly": (["nisan", "{qpoly}"], 0,
+        "7b7dbaef65bb2b361c14504cf192183d68daf2c0322ff4a5e9ba02b09e31fbaa"),
+    "expand-qcirc": (["expand", "{qcirc}"], 0,
+        "a17ddf2c2d68fafdf10ec661b116c1b3975df3debcdc07c54090963976bd81e5"),
+    "expand-f5circ": (["expand", "{f5circ}"], 0,
+        "79232dd582f9985aa1beecbe333ba8513c70ff6b117820e13464738e8c749068"),
+    "lab-perm-n3": (["lab", "perm", "--n", "3"], 0,
+        "2484af084ef427ed7f0763578b7baad2a053e539b234c90794411bb32a2cbc76"),
+    "lab-corr-t2-p2": (["lab", "corr", "--t", "2", "--p", "2"], 0,
+        "398e5f58d9933f0f034c4dc7b195cc2f99108695d1f9bf237a6b541357d7ff66"),
+    "cfg-to-circuit-mirror": (["cfg", "to-circuit", "{mirror}"], 0,
+        "b943853d7f83ad4bfc81cb858c5d8d289382b9c7a5be5d065c80e52ffca7dab0"),
+    "cfg-from-circuit-zcirc": (["cfg", "from-circuit", "{zcirc}"], 0,
+        "01601e2786965fa3e04b13417d0bfc4c86b0950591c7429dcf45a7174ffad025"),
+    "cfg-from-circuit-zcirc0": (["cfg", "from-circuit", "{zcirc0}"], 0,
+        "318af5f3c089dc190be2aac744661eaae79d97366e011421761cd6a8dc1e746c"),
 }
 
 
