@@ -695,17 +695,7 @@ def prefix_subprogram(abp: ABP, layer: int, node: int) -> ABP:
     """The program computed from the source into the given node."""
     if not 0 <= layer <= abp.depth or not 0 <= node < abp.layer_sizes[layer]:
         raise ValidationError("node out of range")
-    sizes = list(abp.layer_sizes[: layer + 1])
-    sizes[-1] = 1
-    edges = {}
-    for (lyr, a, c), form in abp.edges.items():
-        if lyr < layer - 1:
-            edges[(lyr, a, c)] = form
-        elif lyr == layer - 1 and c == node:
-            edges[(lyr, a, 0)] = form
-    if layer == 0:
-        return ABP.build(abp.n_vars, abp.field, (1, 1), {(0, 0, 0): LinearForm.constant(abp.field, 1)})
-    return ABP.build(abp.n_vars, abp.field, sizes, edges)
+    return subprogram(abp, 0, 0, layer, node)
 
 
 def subprogram(abp: ABP, i: int, a: int, j: int, b: int) -> ABP:

@@ -199,40 +199,20 @@ def validate_circuit(c: Circuit) -> Optional[str]:
 
 def propagate_zeros(c: Circuit) -> Circuit:
     """Eliminate zero constants: a*0 = 0, a+0 = a.  Output zero becomes a
-    single zero-constant circuit."""
-    alias: list[Optional[int]] = []  # gate -> surviving gate id, None if identically zero
-    gates: list[Gate] = []
-
-    def emit(g: Gate) -> int:
-        gates.append(g)
-        return len(gates) - 1
-
+    single zero-constant circuit.  The gates are replayed through
+    ``CircuitBuilder``, which does the folding."""
+    builder = CircuitBuilder(c.n_vars, c.field)
+    ids: list[Optional[int]] = []  # gate -> surviving gate id, None if identically zero
     for g in c.gates:
         if isinstance(g, InputGate):
-            alias.append(emit(g))
+            ids.append(builder.input(g.var))
         elif isinstance(g, ConstGate):
-            alias.append(None if not g.value else emit(g))
+            ids.append(builder.const(g.value))
         elif isinstance(g, AddGate):
-            l, r = alias[g.left], alias[g.right]
-            if l is None and r is None:
-                alias.append(None)
-            elif l is None:
-                alias.append(r)
-            elif r is None:
-                alias.append(l)
-            else:
-                alias.append(emit(AddGate(l, r)))
+            ids.append(builder.add(ids[g.left], ids[g.right]))
         else:
-            l, r = alias[g.left], alias[g.right]
-            if l is None or r is None:
-                alias.append(None)
-            else:
-                alias.append(emit(MulGate(l, r)))
-
-    out = alias[c.output]
-    if out is None:
-        return Circuit.build(c.n_vars, c.field, [ConstGate(c.field.zero())], 0)
-    return Circuit.build(c.n_vars, c.field, gates, out)
+            ids.append(builder.mul(ids[g.left], ids[g.right]))
+    return builder.finish(ids[c.output])
 
 
 class CircuitBuilder:

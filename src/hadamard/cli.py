@@ -79,33 +79,55 @@ def _emit(obj, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+_DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _parse(source: str, decode, *args):
+    """decode(*args), with a malformed value reported as a ValidationError
+    that names the file or flag it came from."""
+    try:
+        return decode(*args)
+    except _DECODE_ERRORS as exc:
+        raise ValidationError(f"{source}: malformed input ({type(exc).__name__}: {exc})") from None
+
+
 def _default_field(args) -> Optional[Field]:
     spec = getattr(args, "field", None)
-    return parse_field_spec(spec) if spec else None
+    return _parse("--field", parse_field_spec, spec) if spec else None
+
+
+def _load(path: str, args, cls, what: str, key: str):
+    """A ``cls`` decoded from a JSON object that has ``key``, over the field
+    the file names or else the --field fallback."""
+    obj = _read_json(path)
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValidationError(f"{path}: not a {what} (no {key!r})")
+    field = None
+    if "field" not in obj:
+        field = _default_field(args)
+        if field is None:
+            raise ValidationError(f"{path}: no field in file; pass --field")
+    return _parse(path, cls.from_json, obj, field)
 
 
 def _load_abp(path: str, args) -> ABP:
-    obj = _read_json(path)
-    if "layers" not in obj:
-        raise ValidationError(f"{path}: not a branching program (no 'layers')")
-    if "field" in obj:
-        return ABP.from_json(obj)
-    fallback = _default_field(args)
-    if fallback is None:
-        raise ValidationError(f"{path}: no field in file; pass --field")
-    return ABP.from_json(obj, field=fallback)
+    return _load(path, args, ABP, "branching program", "layers")
 
 
 def _load_circuit(path: str, args) -> Circuit:
+    return _load(path, args, Circuit, "circuit", "gates")
+
+
+def _load_grammar(path: str) -> AcyclicCFG:
+    return _parse(path, AcyclicCFG.from_json, _read_json(path))
+
+
+def _load_rows(path: str, what: str) -> list:
+    """A rational matrix given as a JSON array of rows."""
     obj = _read_json(path)
-    if "gates" not in obj:
-        raise ValidationError(f"{path}: not a circuit (no 'gates')")
-    if "field" in obj:
-        return Circuit.from_json(obj)
-    fallback = _default_field(args)
-    if fallback is None:
-        raise ValidationError(f"{path}: no field in file; pass --field")
-    return Circuit.from_json(obj, field=fallback)
+    if not isinstance(obj, list):
+        raise ValidationError(f"{what} input must be a JSON array of rows")
+    return _parse(path, lambda: [[Fraction(str(x)) for x in row] for row in obj])
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +185,10 @@ def cmd_hadamard_circuit(args) -> dict:
 
 def cmd_nisan(args) -> dict:
     obj = _read_json(args.input)
-    if "layers" in obj:
+    if isinstance(obj, dict) and "layers" in obj:
         f = _load_abp(args.input, args).expand(max_terms=args.max_terms)
     else:
-        fallback = None if "field" in obj else _default_field(args)
-        if "field" not in obj and fallback is None:
-            raise ValidationError(f"{args.input}: no field in file; pass --field")
-        f = NCPoly.from_json(obj, field=fallback)
+        f = _load(args.input, args, NCPoly, "polynomial", "terms")
     if f.is_zero():
         return {"degree": None, "ranks": [], "total": 0}
     d = f.degree()
@@ -179,9 +198,9 @@ def cmd_nisan(args) -> dict:
 
 def cmd_expand(args) -> dict:
     obj = _read_json(args.input)
-    if "layers" in obj:
+    if isinstance(obj, dict) and "layers" in obj:
         f = _load_abp(args.input, args).expand(max_terms=args.max_terms)
-    elif "gates" in obj:
+    elif isinstance(obj, dict) and "gates" in obj:
         f = _load_circuit(args.input, args).expand(
             max_degree=args.max_degree, max_terms=args.max_terms
         )
@@ -195,20 +214,19 @@ def cmd_cfg(args) -> dict:
     if args.action in needs_input and not args.input:
         raise ValidationError(f"cfg {args.action} needs an input file")
     if args.action == "to-circuit":
-        g = AcyclicCFG.from_json(_read_json(args.input))
-        return cfg_to_circuit(g).to_json()
+        return cfg_to_circuit(_load_grammar(args.input)).to_json()
     if args.action == "from-circuit":
         c = _load_circuit(args.input, args)
         return circuit_to_cfg(c).to_json()
     if args.action == "count":
-        g = AcyclicCFG.from_json(_read_json(args.input))
-        word = [int(x) for x in args.word.split(",")] if args.word else []
+        g = _load_grammar(args.input)
+        word = _parse("--word", lambda: [int(x) for x in args.word.split(",")]) if args.word else []
         return {"word": word, "count": count_derivations(g, word)}
     if args.action == "intersect":
         if not args.other:
             raise ValidationError("cfg intersect needs two grammar files")
-        g1 = AcyclicCFG.from_json(_read_json(args.input))
-        g2 = AcyclicCFG.from_json(_read_json(args.other))
+        g1 = _load_grammar(args.input)
+        g2 = _load_grammar(args.other)
         words = sorted(intersect_bruteforce(g1, g2, max_len=args.max_len))
         return {"words": [list(w) for w in words], "count": len(words)}
     if args.action == "gen-mirror-suffix":
@@ -219,23 +237,16 @@ def cmd_cfg(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
-    obj = _read_json(args.input)
     if args.kind == "det2abp":
-        if not isinstance(obj, list):
-            raise ValidationError("determinant input must be a JSON array of rows")
-        rows = [[Fraction(str(x)) for x in row] for row in obj]
-        return det_to_abp(rows).to_json()
-    g = Digraph.from_json(obj)
+        return det_to_abp(_load_rows(args.input, "determinant")).to_json()
+    g = _parse(args.input, Digraph.from_json, _read_json(args.input))
     return reach_to_abp(g).to_json()
 
 
 def cmd_lab(args) -> dict:
     if args.action == "perm":
         if args.input:
-            obj = _read_json(args.input)
-            if not isinstance(obj, list):
-                raise ValidationError("permanent input must be a JSON array of rows")
-            rows = [[Fraction(str(x)) for x in row] for row in obj]
+            rows = _load_rows(args.input, "permanent")
             return {"n": len(rows), "permanent": str(permanent_via_hadamard(rows))}
         # no matrix: emit the symbolic product, one monomial per permutation
         if args.n is None:
@@ -276,7 +287,7 @@ def cmd_lab(args) -> dict:
     if args.action == "expsum":
         sets = None
         if args.sets is not None:
-            sets = [_decode_set(params.field, group) for group in args.sets.split(";")]
+            sets = _parse("--sets", lambda: [_decode_set(params.field, g) for g in args.sets.split(";")])
         value = exp_sum(params, z=args.z, sets=sets, max_terms=args.max_terms)
         return {"t": args.t, "p": args.p, "z": args.z, "value": value}
     raise ValidationError(f"unknown lab action {args.action!r}")

@@ -145,47 +145,47 @@ def validate_grammar(g: AcyclicCFG) -> Optional[str]:
 
 
 def topo_order(g: AcyclicCFG) -> Optional[list[str]]:
-    """Dependencies-first order of the nonterminals, or None on a cycle."""
+    """Dependencies-first order of the nonterminals, or None on a cycle.
+
+    A depth-first search from each nonterminal in declaration order, visiting
+    dependencies in sorted order, with an explicit stack so that deep
+    grammars need no recursion."""
     deps = {
-        nt: {s for rhss in (g.productions.get(nt, ()),) for rhs in rhss for s in rhs if isinstance(s, str)}
+        nt: sorted({s for rhs in g.productions.get(nt, ()) for s in rhs if isinstance(s, str)})
         for nt in g.nonterminals
     }
     order: list[str] = []
     state: dict[str, int] = {}  # 1 = visiting, 2 = done
-
-    def visit(nt: str) -> bool:
-        if state.get(nt) == 2:
-            return True
-        if state.get(nt) == 1:
-            return False
-        state[nt] = 1
-        for dep in sorted(deps[nt]):
-            if not visit(dep):
-                return False
-        state[nt] = 2
-        order.append(nt)
-        return True
-
-    for nt in g.nonterminals:
-        if not visit(nt):
-            return None
+    for root in g.nonterminals:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(deps[root]))]
+        while stack:
+            nt, pending = stack[-1]
+            for dep in pending:
+                if state.get(dep) == 1:
+                    return None
+                if dep not in state:
+                    state[dep] = 1
+                    stack.append((dep, iter(deps[dep])))
+                    break
+            else:
+                stack.pop()
+                state[nt] = 2
+                order.append(nt)
     return order
 
 
 def strip_useless(g: AcyclicCFG) -> AcyclicCFG:
     """Keep only nonterminals that derive some word and are reachable."""
     productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for nt, rhss in g.productions.items():
-            if nt in productive:
-                continue
-            for rhs in rhss:
-                if all(not isinstance(s, str) or s in productive for s in rhs):
-                    productive.add(nt)
-                    changed = True
-                    break
+    for nt in topo_order(g):
+        if any(
+            all(not isinstance(s, str) or s in productive for s in rhs)
+            for rhs in g.productions.get(nt, ())
+        ):
+            productive.add(nt)
     reachable = {g.start}
     frontier = [g.start]
     while frontier:
@@ -197,12 +197,13 @@ def strip_useless(g: AcyclicCFG) -> AcyclicCFG:
                 if isinstance(s, str) and s not in reachable:
                     reachable.add(s)
                     frontier.append(s)
-    keep = [nt for nt in g.nonterminals if nt in (productive & reachable) or nt == g.start]
+    useful = productive & reachable
+    keep = [nt for nt in g.nonterminals if nt in useful or nt == g.start]
     prods = {
         nt: tuple(
             rhs
             for rhs in g.productions.get(nt, ())
-            if all(not isinstance(s, str) or (s in productive and s in reachable) for s in rhs)
+            if all(not isinstance(s, str) or s in useful for s in rhs)
         )
         for nt in keep
     }

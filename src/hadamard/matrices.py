@@ -4,7 +4,8 @@ Determinants over the rationals use fraction-free (Bareiss) elimination so
 integer inputs stay integral throughout; finite fields use plain Gaussian
 elimination.  ``independent_subset`` performs first-come greedy selection:
 scanning the inputs in order, a vector is kept exactly when it is outside
-the span of the vectors kept so far.
+the span of the vectors kept so far.  ``Matrix.rank`` is the number of rows
+it keeps.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class Matrix:
         return not any(self.entries)
 
     def rank(self) -> int:
-        return _rank(self.to_lists(), self.field)
+        return len(independent_subset([self.row(i) for i in range(self.rows)], self.field))
 
     def det(self):
         if self.rows != self.cols:
@@ -138,34 +139,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
-
-
-def _rank(m: list[list], field: Field) -> int:
-    if not m or not m[0]:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    pivot_row = 0
-    for col in range(cols):
-        sel = None
-        for r in range(pivot_row, rows):
-            if m[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[pivot_row], m[sel] = m[sel], m[pivot_row]
-        inv = field.one() / m[pivot_row][col]
-        m[pivot_row] = [inv * x for x in m[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == rows:
-            break
-    return rank
 
 
 def _det_gauss(m: list[list], field: Field):

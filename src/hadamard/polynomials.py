@@ -6,6 +6,14 @@ repeats meaning powers, so the multilinear case is exactly the tuples with
 distinct entries.  Coefficients live in one of the fields from
 ``hadamard.fields`` and zero coefficients are never stored.
 
+Both kinds share one body, ``_TermMap``: construction, the ring operations
+other than multiplication, the Hadamard product, evaluation, queries and
+JSON.  A class adds only its key rule (``NCPoly`` keeps a word as given,
+``CPoly`` sorts it), the noun and JSON key of a term (``word``, or
+``monomial`` and ``support``), its own ``mul`` and its own queries.  Keys
+that coincide under the rule have their coefficients added.  Equality is
+class-strict: an ``NCPoly`` never equals a ``CPoly``.
+
 The Hadamard product f o g keeps the monomials common to both operands and
 multiplies their coefficients pointwise.
 """
@@ -39,8 +47,10 @@ def word_key(word: tuple[int, ...]):
 
 
 @dataclass
-class NCPoly:
-    """Noncommutative polynomial: a map from words to nonzero coefficients."""
+class _TermMap:
+    """Monomial keys to nonzero coefficients.  A subclass sets the key rule
+    ``_key`` (variable indices to the stored tuple), ``_noun``, ``_json_key``
+    and ``mul``."""
 
     n_vars: int
     field: Field
@@ -49,56 +59,154 @@ class NCPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, n_vars: int, field: Field) -> "NCPoly":
+    def zero(cls, n_vars: int, field: Field):
         return cls(n_vars, field, {})
 
     @classmethod
-    def const(cls, n_vars: int, field: Field, c) -> "NCPoly":
+    def const(cls, n_vars: int, field: Field, c):
         c = field.coerce(c)
         return cls(n_vars, field, {(): c} if c else {})
 
     @classmethod
-    def var(cls, n_vars: int, field: Field, i: int) -> "NCPoly":
+    def var(cls, n_vars: int, field: Field, i: int):
         if not 0 <= i < n_vars:
             raise ValidationError(f"variable {i} out of range")
         return cls(n_vars, field, {(i,): field.one()})
 
     @classmethod
-    def from_terms(cls, n_vars: int, field: Field, terms: Mapping) -> "NCPoly":
+    def from_terms(cls, n_vars: int, field: Field, terms: Mapping):
+        """Coefficients of keys that coincide under the key rule are added."""
         out = {}
-        for word, c in terms.items():
-            word = tuple(word)
-            if any(not 0 <= v < n_vars for v in word):
-                raise ValidationError(f"word {word} references a variable out of range")
+        for mono, c in terms.items():
+            mono = cls._key(mono)
+            if any(not 0 <= v < n_vars for v in mono):
+                raise ValidationError(f"{cls._noun} {mono} references a variable out of range")
             c = field.coerce(c)
+            if mono in out:
+                c = out[mono] + c
             if c:
-                out[word] = c
+                out[mono] = c
+            else:
+                out.pop(mono, None)
         return cls(n_vars, field, out)
 
     # -- ring operations ----------------------------------------------------
 
-    def add(self, other: "NCPoly") -> "NCPoly":
+    def add(self, other):
         _check_compatible(self, other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, self.field.zero()) + c
+        for m, c in other.terms.items():
+            s = out.get(m, self.field.zero()) + c
             if s:
-                out[w] = s
+                out[m] = s
             else:
-                out.pop(w, None)
-        return NCPoly(self.n_vars, self.field, out)
+                out.pop(m, None)
+        return type(self)(self.n_vars, self.field, out)
 
-    def neg(self) -> "NCPoly":
+    def neg(self):
         return self.scale(self.field.from_int(-1))
 
-    def sub(self, other: "NCPoly") -> "NCPoly":
+    def sub(self, other):
         return self.add(other.neg())
 
-    def scale(self, c) -> "NCPoly":
+    def scale(self, c):
         c = self.field.coerce(c)
         if not c:
-            return NCPoly.zero(self.n_vars, self.field)
-        return NCPoly(self.n_vars, self.field, {w: c * v for w, v in self.terms.items()})
+            return self.zero(self.n_vars, self.field)
+        return type(self)(self.n_vars, self.field, {m: c * v for m, v in self.terms.items()})
+
+    def hadamard(self, other):
+        _check_compatible(self, other)
+        small, big = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
+        out = {}
+        for m, c in small.items():
+            d = big.get(m)
+            if d is not None:
+                prod = c * d
+                if prod:
+                    out[m] = prod
+        return type(self)(self.n_vars, self.field, out)
+
+    # -- queries ------------------------------------------------------------
+
+    def mon_set(self) -> set:
+        return set(self.terms)
+
+    def coeff(self, mono: Iterable[int]):
+        return self.terms.get(self._key(mono), self.field.zero())
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        """Max monomial length; -1 for the zero polynomial."""
+        return max((len(m) for m in self.terms), default=-1)
+
+    def evaluate(self, point: Sequence):
+        """Substitute commuting field values for the variables."""
+        if len(point) != self.n_vars:
+            raise ArityMismatchError(f"expected {self.n_vars} values, got {len(point)}")
+        point = [self.field.coerce(x) for x in point]
+        total = self.field.zero()
+        for m, c in self.terms.items():
+            v = c
+            for i in m:
+                v = v * point[i]
+            total = total + v
+        return total
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
+
+    # -- serialization ------------------------------------------------------
+
+    def to_json(self) -> dict:
+        return {
+            "nvars": self.n_vars,
+            "field": field_to_json(self.field),
+            "terms": [
+                {self._json_key: list(m), "coeff": self.field.coeff_to_json(c)}
+                for m, c in self.sorted_terms()
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict, field: Field | None = None):
+        if field is None:
+            if "field" not in obj:
+                raise ValidationError("polynomial JSON lacks a field descriptor")
+            field = field_from_json(obj["field"])
+        terms = {}
+        for t in obj["terms"]:
+            m = cls._key(int(v) for v in t[cls._json_key])
+            if m in terms:
+                raise ValidationError(f"duplicate {cls._noun} {list(m)}")
+            terms[m] = field.coeff_from_json(t["coeff"])
+        return cls.from_terms(int(obj["nvars"]), field, terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.n_vars == other.n_vars
+            and self.field == other.field
+            and self.terms == other.terms
+        )
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if self.is_zero():
+            return f"{name}(0)"
+        bits = [f"{c!r}*x{list(m)}" for m, c in self.sorted_terms()[:6]]
+        more = "..." if len(self.terms) > 6 else ""
+        return f"{name}({' + '.join(bits)}{more})"
+
+
+class NCPoly(_TermMap):
+    """Noncommutative polynomial: a map from words to nonzero coefficients."""
+
+    _key = staticmethod(tuple)
+    _noun = "word"
+    _json_key = "word"
 
     def mul(self, other: "NCPoly", max_terms: int = DEFAULT_MAX_TERMS) -> "NCPoly":
         """Concatenation product; order of the factors matters."""
@@ -119,33 +227,6 @@ class NCPoly:
                     out.pop(w, None)
         return NCPoly(self.n_vars, self.field, out)
 
-    def hadamard(self, other: "NCPoly") -> "NCPoly":
-        _check_compatible(self, other)
-        small, big = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        out = {}
-        for w, c in small.items():
-            d = big.get(w)
-            if d is not None:
-                prod = c * d
-                if prod:
-                    out[w] = prod
-        return NCPoly(self.n_vars, self.field, out)
-
-    # -- queries ------------------------------------------------------------
-
-    def mon_set(self) -> set:
-        return set(self.terms)
-
-    def coeff(self, word: Sequence[int]):
-        return self.terms.get(tuple(word), self.field.zero())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Max word length; -1 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=-1)
-
     def is_homogeneous(self) -> bool:
         lengths = {len(w) for w in self.terms}
         return len(lengths) <= 1
@@ -153,126 +234,13 @@ class NCPoly:
     def homogeneous_part(self, k: int) -> "NCPoly":
         return NCPoly(self.n_vars, self.field, {w: c for w, c in self.terms.items() if len(w) == k})
 
-    def evaluate(self, point: Sequence):
-        """Substitute commuting field values for the variables."""
-        if len(point) != self.n_vars:
-            raise ArityMismatchError(f"expected {self.n_vars} values, got {len(point)}")
-        point = [self.field.coerce(x) for x in point]
-        total = self.field.zero()
-        for w, c in self.terms.items():
-            v = c
-            for i in w:
-                v = v * point[i]
-            total = total + v
-        return total
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "nvars": self.n_vars,
-            "field": field_to_json(self.field),
-            "terms": [
-                {"word": list(w), "coeff": self.field.coeff_to_json(c)}
-                for w, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict, field: Field | None = None) -> "NCPoly":
-        if field is None:
-            if "field" not in obj:
-                raise ValidationError("polynomial JSON lacks a field descriptor")
-            field = field_from_json(obj["field"])
-        terms = {}
-        for t in obj["terms"]:
-            w = tuple(int(v) for v in t["word"])
-            if w in terms:
-                raise ValidationError(f"duplicate word {list(w)}")
-            terms[w] = field.coeff_from_json(t["coeff"])
-        return cls.from_terms(int(obj["nvars"]), field, terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NCPoly)
-            and self.n_vars == other.n_vars
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "NCPoly(0)"
-        bits = [f"{c!r}*x{list(w)}" for w, c in self.sorted_terms()[:6]]
-        more = "..." if len(self.terms) > 6 else ""
-        return f"NCPoly({' + '.join(bits)}{more})"
-
-
-@dataclass
-class CPoly:
+class CPoly(_TermMap):
     """Commutative polynomial keyed by sorted variable tuples (repeats = powers)."""
 
-    n_vars: int
-    field: Field
-    terms: dict = dc_field(default_factory=dict)
-
-    @classmethod
-    def zero(cls, n_vars: int, field: Field) -> "CPoly":
-        return cls(n_vars, field, {})
-
-    @classmethod
-    def const(cls, n_vars: int, field: Field, c) -> "CPoly":
-        c = field.coerce(c)
-        return cls(n_vars, field, {(): c} if c else {})
-
-    @classmethod
-    def var(cls, n_vars: int, field: Field, i: int) -> "CPoly":
-        if not 0 <= i < n_vars:
-            raise ValidationError(f"variable {i} out of range")
-        return cls(n_vars, field, {(i,): field.one()})
-
-    @classmethod
-    def from_terms(cls, n_vars: int, field: Field, terms: Mapping) -> "CPoly":
-        out = {}
-        for mono, c in terms.items():
-            mono = tuple(sorted(mono))
-            if any(not 0 <= v < n_vars for v in mono):
-                raise ValidationError(f"monomial {mono} references a variable out of range")
-            c = field.coerce(c)
-            if not c:
-                continue
-            s = out.get(mono, field.zero()) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return cls(n_vars, field, out)
-
-    def add(self, other: "CPoly") -> "CPoly":
-        _check_compatible(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, self.field.zero()) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return CPoly(self.n_vars, self.field, out)
-
-    def neg(self) -> "CPoly":
-        return self.scale(self.field.from_int(-1))
-
-    def sub(self, other: "CPoly") -> "CPoly":
-        return self.add(other.neg())
-
-    def scale(self, c) -> "CPoly":
-        c = self.field.coerce(c)
-        if not c:
-            return CPoly.zero(self.n_vars, self.field)
-        return CPoly(self.n_vars, self.field, {m: c * v for m, v in self.terms.items()})
+    _key = staticmethod(lambda mono: tuple(sorted(mono)))
+    _noun = "monomial"
+    _json_key = "support"
 
     def mul(self, other: "CPoly", max_terms: int = DEFAULT_MAX_TERMS) -> "CPoly":
         _check_compatible(self, other)
@@ -292,30 +260,6 @@ class CPoly:
                     out.pop(m, None)
         return CPoly(self.n_vars, self.field, out)
 
-    def hadamard(self, other: "CPoly") -> "CPoly":
-        _check_compatible(self, other)
-        small, big = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        out = {}
-        for m, c in small.items():
-            d = big.get(m)
-            if d is not None:
-                prod = c * d
-                if prod:
-                    out[m] = prod
-        return CPoly(self.n_vars, self.field, out)
-
-    def mon_set(self) -> set:
-        return set(self.terms)
-
-    def coeff(self, mono: Iterable[int]):
-        return self.terms.get(tuple(sorted(mono)), self.field.zero())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=-1)
-
     def is_multilinear(self) -> bool:
         return all(len(set(m)) == len(m) for m in self.terms)
 
@@ -324,60 +268,6 @@ class CPoly:
         for m in self.terms:
             out.update(m)
         return out
-
-    def evaluate(self, point: Sequence):
-        if len(point) != self.n_vars:
-            raise ArityMismatchError(f"expected {self.n_vars} values, got {len(point)}")
-        point = [self.field.coerce(x) for x in point]
-        total = self.field.zero()
-        for m, c in self.terms.items():
-            v = c
-            for i in m:
-                v = v * point[i]
-            total = total + v
-        return total
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
-
-    def to_json(self) -> dict:
-        return {
-            "nvars": self.n_vars,
-            "field": field_to_json(self.field),
-            "terms": [
-                {"support": list(m), "coeff": self.field.coeff_to_json(c)}
-                for m, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict, field: Field | None = None) -> "CPoly":
-        if field is None:
-            if "field" not in obj:
-                raise ValidationError("polynomial JSON lacks a field descriptor")
-            field = field_from_json(obj["field"])
-        terms = {}
-        for t in obj["terms"]:
-            m = tuple(sorted(int(v) for v in t["support"]))
-            if m in terms:
-                raise ValidationError(f"duplicate monomial {list(m)}")
-            terms[m] = field.coeff_from_json(t["coeff"])
-        return cls.from_terms(int(obj["nvars"]), field, terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CPoly)
-            and self.n_vars == other.n_vars
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "CPoly(0)"
-        bits = [f"{c!r}*x{list(m)}" for m, c in self.sorted_terms()[:6]]
-        more = "..." if len(self.terms) > 6 else ""
-        return f"CPoly({' + '.join(bits)}{more})"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from hadamard.abp import ABP, LinearForm
 from hadamard.circuits import CircuitBuilder
+from hadamard.cli import main
 from hadamard.fields import PrimeField, RationalField
 from hadamard.polynomials import NCPoly
 
@@ -255,3 +256,42 @@ def test_missing_positional_inputs(argv, tmp_path):
         )
     code, _, _ = run_cli(*argv)
     assert code == 2
+
+
+def _one_edge_abp(edge):
+    return {"nvars": 1, "field": {"kind": "Q"}, "layers": [1, 1], "edges": [edge]}
+
+
+GRAMMAR = {
+    "nonterminals": ["S"], "terminals": 2, "start": "S",
+    "productions": [{"lhs": "S", "rhs": [{"t": 0}]}],
+}
+
+
+# argv with "{}" standing for a file holding the given JSON
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (("pit", "det", "{}"), _one_edge_abp({"from": [0, 0], "label": {"const": "1", "coeffs": {}}})),
+        (("pit", "det", "{}"), _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": {"const": "x", "coeffs": {}}})),
+        (("expand", "{}", "--field", "fp:x"), {"nvars": 1, "layers": [1, 1], "edges": []}),
+        (("nisan", "{}"), {"nvars": 1, "field": {"kind": "Q"}, "terms": [{"word": [0], "coeff": "1/0"}]}),
+        (("reduce", "det2abp", "{}"), [["a"]]),
+        (("reduce", "det2abp", "{}"), [1, 2]),
+        (("lab", "perm", "{}"), [["a"]]),
+        (("expand", "{}"), {"nvars": 1, "field": {"kind": "Q"}, "gates": [{"op": "in"}], "output": 0}),
+        (("cfg", "to-circuit", "{}"), dict(GRAMMAR, productions=[{"lhs": "S"}])),
+        (("reduce", "reach2abp", "{}"), {"edges": [], "s": 0, "t": 0}),
+        (("cfg", "count", "{}", "--word", "a"), GRAMMAR),
+        (("cfg", "count", "{}", "--word", "0,,1"), GRAMMAR),
+        (("lab", "expsum", "--t", "1", "--p", "2", "--sets", "a"), None),
+        (("expand", "{}"), 5),
+        (("nisan", "{}"), 5),
+    ],
+)
+def test_malformed_input_is_a_validation_error(argv, content, tmp_path, capsys):
+    path = write_json(tmp_path / "in.json", content)
+    code = main([path if a == "{}" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")

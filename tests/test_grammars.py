@@ -78,6 +78,20 @@ def test_topo_order_is_dependency_first():
     assert order.index("B") < order.index("S")
 
 
+def test_deep_chain_needs_no_recursion():
+    # N0 -> 0 N1, ..., N2998 -> 0 N2999, N2999 -> 0: the one word 0^3000,
+    # declared so that a depth-first search from N0 goes 3,000 levels deep
+    n = 3000
+    names = [f"N{i}" for i in range(n)]
+    prods = {names[i]: ((0, names[i + 1]),) for i in range(n - 1)}
+    prods[names[-1]] = ((0,),)
+    g = AcyclicCFG.build(names, 1, "N0", prods)
+    assert topo_order(g) == names[::-1]
+    c = cfg_to_circuit(g)
+    assert c.formal_degree() == n
+    assert c.evaluate([Fraction(2)]) == 2**n
+
+
 def test_strip_useless_preserves_language():
     g = AcyclicCFG.build(
         ("DEAD", "LOOPY", "A", "S"),
