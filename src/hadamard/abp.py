@@ -5,7 +5,7 @@ layer d (the sink).  Every edge goes from a layer to the next and carries an
 affine linear form; the program computes the sum over source-to-sink paths
 of the ordered product of the labels, a noncommutative polynomial of degree
 at most d.  Parallel edges are not represented: ingesting two labels on the
-same node pair means adding them.
+same node pair means adding them, which ``ABP.build`` does.
 
 The edge map ``ABP.edges``, keyed (layer, from, to), is the stored form:
 JSON, equality and validation read it.  Everything that walks a program
@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -189,9 +189,17 @@ class ABP:
         return out
 
     @classmethod
-    def build(cls, n_vars: int, field: Field, layer_sizes: Sequence[int], edges: dict) -> "ABP":
+    def build(
+        cls,
+        n_vars: int,
+        field: Field,
+        layer_sizes: Sequence[int],
+        edges: dict | Iterable[tuple[tuple[int, int, int], LinearForm]],
+    ) -> "ABP":
+        """A validated program from a dict or an iterable of ((layer, from,
+        to), form) pairs; parallel edges merge by addition, zero labels drop."""
         clean = {}
-        for key, form in edges.items():
+        for key, form in edges.items() if isinstance(edges, dict) else edges:
             layer, a, c = key
             if isinstance(form, LinearForm):
                 lf = LinearForm.make(field, form.const, form.coeffs)
@@ -270,20 +278,13 @@ class ABP:
                 raise ValidationError("ABP JSON lacks a field descriptor")
             field = field_from_json(obj["field"])
         layers = [int(s) for s in obj["layers"]]
-        edges = {}
+        edges = []
         for e in obj["edges"]:
             fl, fn = int(e["from"][0]), int(e["from"][1])
             tl, tn = int(e["to"][0]), int(e["to"][1])
             if tl != fl + 1:
                 raise ValidationError(f"edge {e['from']} -> {e['to']} skips layers")
-            form = LinearForm.from_json(e["label"], field)
-            key = (fl, fn, tn)
-            if key in edges:
-                form = edges[key].add(form, field)
-            if form.is_zero():
-                edges.pop(key, None)
-                continue
-            edges[key] = form
+            edges.append(((fl, fn, tn), LinearForm.from_json(e["label"], field)))
         return cls.build(int(obj["nvars"]), field, layers, edges)
 
     def __eq__(self, other) -> bool:
@@ -495,12 +496,10 @@ def normalize_edges(abp: ABP) -> ABP:
     node_lists.append([(0, -1, -1)])
     index = [{node: i for i, node in enumerate(nodes)} for nodes in node_lists]
 
-    edges: dict[tuple[int, int, int], LinearForm] = {}
+    edges: list[tuple[tuple[int, int, int], LinearForm]] = []
 
     def add_edge(layer: int, src: int, dst: int, var: int, coeff) -> None:
-        lf = LinearForm.make(field, coeffs={var: coeff})
-        key = (layer, src, dst)
-        edges[key] = lf.add(edges[key], field) if key in edges else lf
+        edges.append(((layer, src, dst), LinearForm.of_var(field, var, coeff)))
 
     for (layer, a, c), form in abp.edges.items():
         sources = [(0, -1, -1)] if layer == 0 else copies(layer, a)
@@ -570,44 +569,27 @@ def abp_sum(parts: Sequence[ABP]) -> ABP:
             count = 1  # placeholder
         layer_nodes[w] = count
 
-    edges: dict = {}
-
-    def add_edge(key, form):
-        if key in edges:
-            form = edges[key].add(form, field)
-            if form.is_zero():
-                del edges[key]
-                return
-        edges[key] = form
-
     one_form = LinearForm.constant(field, 1)
-    # chain edges: source -> c_1 -> c_2 -> ... as far as needed
-    max_chain = max(chain_positions, default=0)
-    for w in range(max_chain):
-        src = 0 if w == 0 else chain_index[w]
-        if w + 1 == depth:
-            dst = 0
-        elif w + 1 <= max_chain:
-            dst = chain_index[w + 1]
-        else:
-            break
-        add_edge((w, src, dst), one_form)
 
-    for pi, p in enumerate(parts):
-        shift = depth - p.depth
-        for (layer, a, c), form in p.edges.items():
-            gl = layer + shift
-            if layer == 0:
-                src = 0 if shift == 0 else chain_index[shift]
-            else:
-                src = offsets[pi][layer] + a
-            if layer + 1 == p.depth:
-                dst = 0
-            else:
-                dst = offsets[pi][layer + 1] + c
-            add_edge((gl, src, dst), form)
+    def edges():
+        # chain edges: source -> c_1 -> c_2 -> ... as far as needed
+        for w in range(max(chain_positions, default=0)):
+            src = 0 if w == 0 else chain_index[w]
+            yield (w, src, 0 if w + 1 == depth else chain_index[w + 1]), one_form
+        for pi, p in enumerate(parts):
+            shift = depth - p.depth
+            for (layer, a, c), form in p.edges.items():
+                if layer == 0:
+                    src = 0 if shift == 0 else chain_index[shift]
+                else:
+                    src = offsets[pi][layer] + a
+                if layer + 1 == p.depth:
+                    dst = 0
+                else:
+                    dst = offsets[pi][layer + 1] + c
+                yield (layer + shift, src, dst), form
 
-    return ABP.build(n_vars, field, layer_nodes, edges)
+    return ABP.build(n_vars, field, layer_nodes, edges())
 
 
 def prune(abp: ABP) -> ABP:
@@ -663,28 +645,30 @@ def coefficient_matrices(abp: ABP) -> list[dict[int, Matrix]]:
     return out
 
 
+def unit_points(field: Field, n_vars: int) -> list[list]:
+    """The points e_0 .. e_{n-1}.  At e_v a homogeneous layer's matrix is M_v."""
+    zero, one = field.zero(), field.one()
+    return [[one if u == v else zero for u in range(n_vars)] for v in range(n_vars)]
+
+
 def coefficient_of(abp: ABP, word: Sequence[int]):
-    """Coefficient of a word, via the matrix product of its homogeneous part."""
+    """Coefficient of a word: its homogeneous part walked at e_{w_1} .. e_{w_k}."""
     word = tuple(int(v) for v in word)
     if any(not 0 <= v < abp.n_vars for v in word):
         raise ValidationError("word references a variable out of range")
-    k = len(word)
+    zero = abp.field.zero()
     parts = homogeneous_parts(abp)
-    if k >= len(parts):
-        return abp.field.zero()
-    if k == 0:
-        form = parts[0].label(0, 0, 0)
-        return form.const if form else abp.field.zero()
-    mats = coefficient_matrices(parts[k])
-    vec = Matrix.identity(abp.field, 1)
-    for pos, v in enumerate(word):
-        m = mats[pos].get(v)
-        if m is None:
-            return abp.field.zero()
-        vec = vec.matmul(m)
-        if vec.is_zero():
-            return abp.field.zero()
-    return vec.entry(0, 0)
+    if len(word) >= len(parts):
+        return zero
+    part = parts[len(word)]
+    if not word:
+        form = part.label(0, 0, 0)
+        return form.const if form else zero
+    units = unit_points(abp.field, abp.n_vars)
+    vec = [abp.field.one()]
+    for lay, width, v in zip(part.layers, part.layer_sizes[1:], word):
+        vec = lay.times(vec, units[v], width, zero)
+    return vec[0]
 
 
 # ---------------------------------------------------------------------------

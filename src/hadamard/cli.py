@@ -96,10 +96,9 @@ def _default_field(args) -> Optional[Field]:
     return _parse("--field", parse_field_spec, spec) if spec else None
 
 
-def _load(path: str, args, cls, what: str, key: str):
-    """A ``cls`` decoded from a JSON object that has ``key``, over the field
-    the file names or else the --field fallback."""
-    obj = _read_json(path)
+def _load(path: str, obj, args, cls, what: str, key: str):
+    """A ``cls`` decoded from ``obj``, the JSON read from ``path``, which must
+    be an object with ``key``; over the field it names or else --field."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValidationError(f"{path}: not a {what} (no {key!r})")
     field = None
@@ -110,12 +109,12 @@ def _load(path: str, args, cls, what: str, key: str):
     return _parse(path, cls.from_json, obj, field)
 
 
-def _load_abp(path: str, args) -> ABP:
-    return _load(path, args, ABP, "branching program", "layers")
+def _load_abp(path: str, obj, args) -> ABP:
+    return _load(path, obj, args, ABP, "branching program", "layers")
 
 
-def _load_circuit(path: str, args) -> Circuit:
-    return _load(path, args, Circuit, "circuit", "gates")
+def _load_circuit(path: str, obj, args) -> Circuit:
+    return _load(path, obj, args, Circuit, "circuit", "gates")
 
 
 def _load_grammar(path: str) -> AcyclicCFG:
@@ -135,7 +134,7 @@ def _load_rows(path: str, what: str) -> list:
 
 
 def cmd_pit(args) -> dict:
-    p = _load_abp(args.program, args)
+    p = _load_abp(args.program, _read_json(args.program), args)
     if args.tester == "det":
         verdict = pit_rational(p)
     elif args.tester == "span":
@@ -148,8 +147,8 @@ def cmd_pit(args) -> dict:
 
 
 def cmd_hadamard_abp(args) -> dict:
-    p = _load_abp(args.left, args)
-    q = _load_abp(args.right, args)
+    p = _load_abp(args.left, _read_json(args.left), args)
+    q = _load_abp(args.right, _read_json(args.right), args)
     detail = hadamard_abp_detailed(p, q)
     return {
         "abp": detail.abp.to_json(),
@@ -169,8 +168,8 @@ def cmd_hadamard_abp(args) -> dict:
 
 
 def cmd_hadamard_circuit(args) -> dict:
-    c = _load_circuit(args.circuit, args)
-    p = _load_abp(args.program, args)
+    c = _load_circuit(args.circuit, _read_json(args.circuit), args)
+    p = _load_abp(args.program, _read_json(args.program), args)
     detail = hadamard_circuit_abp_detailed(c, p)
     gates, wires = detail.circuit.size()
     return {
@@ -186,9 +185,9 @@ def cmd_hadamard_circuit(args) -> dict:
 def cmd_nisan(args) -> dict:
     obj = _read_json(args.input)
     if isinstance(obj, dict) and "layers" in obj:
-        f = _load_abp(args.input, args).expand(max_terms=args.max_terms)
+        f = _load_abp(args.input, obj, args).expand(max_terms=args.max_terms)
     else:
-        f = _load(args.input, args, NCPoly, "polynomial", "terms")
+        f = _load(args.input, obj, args, NCPoly, "polynomial", "terms")
     if f.is_zero():
         return {"degree": None, "ranks": [], "total": 0}
     d = f.degree()
@@ -199,9 +198,9 @@ def cmd_nisan(args) -> dict:
 def cmd_expand(args) -> dict:
     obj = _read_json(args.input)
     if isinstance(obj, dict) and "layers" in obj:
-        f = _load_abp(args.input, args).expand(max_terms=args.max_terms)
+        f = _load_abp(args.input, obj, args).expand(max_terms=args.max_terms)
     elif isinstance(obj, dict) and "gates" in obj:
-        f = _load_circuit(args.input, args).expand(
+        f = _load_circuit(args.input, obj, args).expand(
             max_degree=args.max_degree, max_terms=args.max_terms
         )
     else:
@@ -216,7 +215,7 @@ def cmd_cfg(args) -> dict:
     if args.action == "to-circuit":
         return cfg_to_circuit(_load_grammar(args.input)).to_json()
     if args.action == "from-circuit":
-        c = _load_circuit(args.input, args)
+        c = _load_circuit(args.input, _read_json(args.input), args)
         return circuit_to_cfg(c).to_json()
     if args.action == "count":
         g = _load_grammar(args.input)

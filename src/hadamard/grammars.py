@@ -27,7 +27,6 @@ from .circuits import (
     CircuitBuilder,
     ConstGate,
     InputGate,
-    MulGate,
     propagate_zeros,
 )
 from .errors import ResourceCapError, ValidationError
@@ -241,33 +240,49 @@ def language(
 
 
 def count_derivations(g: AcyclicCFG, word: Sequence[int]) -> int:
-    """Number of derivation trees of the word from the start symbol."""
+    """Number of derivation trees of the word from the start symbol.
+
+    Counts are memoised per (nonterminal, lo, hi) and computed top-down with
+    an explicit stack, so deep grammars need no recursion: a pending count is
+    a generator that yields each sub-count it needs and is sent its value."""
     word = tuple(int(t) for t in word)
     if any(not 0 <= t < g.terminals for t in word):
         return 0
-    memo: dict = {}
 
-    def count_symbol(s: Symbol, lo: int, hi: int) -> int:
-        if isinstance(s, int):
-            return 1 if hi - lo == 1 and word[lo] == s else 0
-        key = (s, lo, hi)
-        if key in memo:
-            return memo[key]
+    def count(nt: str, lo: int, hi: int):
         total = 0
-        for rhs in g.productions.get(s, ()):
+        for rhs in g.productions.get(nt, ()):
             if len(rhs) == 0:
                 total += 1 if lo == hi else 0
             elif len(rhs) == 1:
-                total += count_symbol(rhs[0], lo, hi)
+                total += yield (rhs[0], lo, hi)
             else:
                 for mid in range(lo, hi + 1):
-                    left = count_symbol(rhs[0], lo, mid)
+                    left = yield (rhs[0], lo, mid)
                     if left:
-                        total += left * count_symbol(rhs[1], mid, hi)
-        memo[key] = total
+                        total += left * (yield (rhs[1], mid, hi))
         return total
 
-    return count_symbol(g.start, 0, len(word))
+    memo: dict = {}
+    root = (g.start, 0, len(word))
+    stack = [(root, count(*root))]
+    value = None
+    while stack:
+        key, pending = stack[-1]
+        try:
+            need = s, lo, hi = pending.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = memo[key] = done.value
+            continue
+        if isinstance(s, int):
+            value = 1 if hi - lo == 1 and word[lo] == s else 0
+        elif need in memo:
+            value = memo[need]
+        else:
+            stack.append((need, count(*need)))
+            value = None
+    return value
 
 
 def intersect_bruteforce(

@@ -11,7 +11,7 @@ it keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import FieldMismatchError, ShapeError, ValidationError
 from .fields import Field, RationalField, field_from_json, field_to_json

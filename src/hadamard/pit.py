@@ -5,10 +5,14 @@ Four testers with different contracts:
 * ``pit_rational``  — deterministic, rationals only.  The squared-coefficient
   sum of f is the product program of f with itself evaluated at all-ones;
   over the rationals it vanishes exactly when f does.
-* ``pit_span_basis`` — deterministic, any field.  Works degree by degree on
-  the coefficient matrices: a divide-and-conquer pass keeps a spanning
-  basis of the interval products, each basis element tagged with the word
-  that produced it, so a nonzero program yields an explicit witness word.
+* ``pit_span_basis`` — deterministic, any field.  Walks each homogeneous
+  part forward, layer by layer, keeping a basis of the row vectors that the
+  words read so far leave at the layer's nodes (at most one vector per
+  node), each tagged with its word.  Words grow in length-then-lexicographic
+  order and a vector is kept only when it leaves the span of those before
+  it, so the first word to reach the sink is the shortest, then
+  lexicographically least, word with a nonzero coefficient: the witness
+  that expanding the program would give.
 * ``pit_randomized`` — finite fields.  Replaces each variable with a fresh
   value per layer, which separates words by position, and evaluates at
   uniform points in an extension large enough for the usual degree-over-
@@ -30,18 +34,15 @@ from typing import Optional, Sequence, Union
 from .abp import (
     ABP,
     LinearForm,
-    coefficient_matrices,
     coefficient_of,
     constant_abp,
     homogeneous_parts,
-    normalize_edges,
-    prune,
+    unit_points,
 )
 from .circuits import Circuit
 from .errors import DEFAULT_MAX_TERMS, ValidationError
 from .fields import ExtField, Field, PrimeField, RationalField
-from .matrices import Matrix, independent_subset
-from .polynomials import NCPoly
+from .matrices import independent_subset
 from .products import hadamard_abp
 
 
@@ -84,63 +85,44 @@ def pit_rational(p: ABP) -> PitVerdict:
     )
 
 
-def _span_basis(
-    mats: list[dict[int, Matrix]], lo: int, hi: int, field: Field
-) -> list[tuple[tuple[int, ...], Matrix]]:
-    """Word-tagged basis spanning all products M[lo][v1] ... M[hi-1][v_k]."""
-    if hi - lo == 1:
-        items = sorted(mats[lo].items())
-        vectors = [m for _, m in items]
-        keep = independent_subset([m.entries for m in vectors], field)
-        return [((items[i][0],), items[i][1]) for i in keep]
-    mid = (lo + hi) // 2
-    left = _span_basis(mats, lo, mid, field)
-    right = _span_basis(mats, mid, hi, field)
-    tagged = []
-    for wl, ml in left:
-        for wr, mr in right:
-            prod = ml.matmul(mr)
-            if not prod.is_zero():
-                tagged.append((wl + wr, prod))
-    keep = independent_subset([m.entries for _, m in tagged], field)
-    return [tagged[i] for i in keep]
-
-
 def pit_span_basis(p: ABP) -> PitVerdict:
-    """Deterministic: per degree, span the interval products of the
-    coefficient matrices; a surviving nonzero scalar names a witness word."""
-    parts = homogeneous_parts(p)
-    for k, part in enumerate(parts):
+    """Deterministic: per degree, a forward word-tagged row basis of the
+    homogeneous part; a word that reaches the sink is the witness."""
+    field = p.field
+    zero, one = field.zero(), field.one()
+    units = unit_points(field, p.n_vars)
+    for k, part in enumerate(homogeneous_parts(p)):
         if k == 0:
             form = part.label(0, 0, 0)
             if form is not None and form.const:
                 return PitVerdict(
                     is_zero=False,
                     method="span_basis",
-                    witness={"word": [], "coeff": p.field.coeff_to_json(form.const)},
+                    witness={"word": [], "coeff": field.coeff_to_json(form.const)},
                 )
             continue
-        part = prune(part)
-        if part.depth != k:
-            continue  # this degree vanished structurally
-        part = normalize_edges(part)
-        mats = coefficient_matrices(part)
-        if any(not layer for layer in mats):
-            continue
-        basis = _span_basis(mats, 0, k, p.field)
-        for word, mat in basis:
-            c = mat.entry(0, 0)
-            if c:
-                if coefficient_of(p, word) != c:
-                    raise RuntimeError(
-                        f"span basis witness {list(word)} disagrees with the "
-                        "program's coefficient"
-                    )
-                return PitVerdict(
-                    is_zero=False,
-                    method="span_basis",
-                    witness={"word": list(word), "coeff": p.field.coeff_to_json(c)},
+        basis = [((), [one])]
+        for lay, width in zip(part.layers, part.layer_sizes[1:]):
+            variables = sorted(lay.by_var)
+            grown = [
+                (word + (v,), lay.times(vec, units[v], width, zero))
+                for word, vec in basis
+                for v in variables
+            ]
+            keep = independent_subset([vec for _, vec in grown], field)
+            basis = [grown[i] for i in keep]
+        if basis:  # the sink has width 1: one kept word, nonzero coefficient
+            word, (c,) = basis[0]
+            if coefficient_of(p, word) != c:
+                raise RuntimeError(
+                    f"span basis witness {list(word)} disagrees with the "
+                    "program's coefficient"
                 )
+            return PitVerdict(
+                is_zero=False,
+                method="span_basis",
+                witness={"word": list(word), "coeff": field.coeff_to_json(c)},
+            )
     return PitVerdict(is_zero=True, method="span_basis")
 
 
@@ -296,17 +278,10 @@ def det_to_abp(rows: Sequence[Sequence], field: Optional[Field] = None) -> ABP:
     states = [(h, u) for h in range(n) for u in range(h, n)]
     index = {s: i for i, s in enumerate(states)}
     sizes = [1] + [len(states)] * (n - 1) + [1]
-    edges: dict = {}
+    edges = []
 
     def add(key, c):
-        if not c:
-            return
-        prev = edges.get(key)
-        c = prev.const + c if prev else c
-        if c:
-            edges[key] = LinearForm.constant(field, c)
-        else:
-            edges.pop(key, None)
+        edges.append((key, LinearForm.constant(field, c)))
 
     # layer 0: open the first walk at head h, take its first step
     for h in range(n):

@@ -32,7 +32,7 @@ from .abp import (
     prune,
     zero_abp,
 )
-from .circuits import AddGate, Circuit, CircuitBuilder, ConstGate, InputGate, MulGate
+from .circuits import AddGate, Circuit, CircuitBuilder, ConstGate, InputGate
 from .errors import ArityMismatchError, FieldMismatchError
 from .fields import Field
 

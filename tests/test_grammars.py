@@ -90,6 +90,7 @@ def test_deep_chain_needs_no_recursion():
     c = cfg_to_circuit(g)
     assert c.formal_degree() == n
     assert c.evaluate([Fraction(2)]) == 2**n
+    assert count_derivations(g, (0,) * n) == 1
 
 
 def test_strip_useless_preserves_language():

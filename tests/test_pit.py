@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hadamard.abp import ABP, coefficient_of, zero_abp
 from hadamard.circuits import Circuit, ConstGate, InputGate, MulGate
@@ -36,6 +37,7 @@ from helpers import (
 Q = RationalField()
 F2 = PrimeField(2)
 F5 = PrimeField(5)
+F4 = ExtField.make(2, 2)
 
 
 def test_rational_square_sum_basics():
@@ -70,6 +72,21 @@ def test_span_basis_witness_mismatch_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(pit, "coefficient_of", lambda abp, word: abp.field.zero())
     with pytest.raises(RuntimeError, match=r"witness \[0, 1\]"):
         pit.pit_span_basis(p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([Q, F2, F5, F4]),
+    st.booleans(),
+)
+def test_span_basis_witness_is_the_bruteforce_witness(rng, field, cancelling):
+    # both name the shortest, then lexicographically least, nonzero word
+    make = cancelling_abp if cancelling else random_abp
+    p = make(rng, field, n_vars=rng.randint(1, 3), depth=rng.randint(1, 4), width=rng.randint(1, 3))
+    span, brute = pit_span_basis(p).to_json(), pit_bruteforce(p).to_json()
+    assert (span.pop("method"), brute.pop("method")) == ("span_basis", "bruteforce")
+    assert span == brute
 
 
 def test_testers_unanimous_on_engineered_cancellations():
