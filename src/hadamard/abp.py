@@ -7,6 +7,13 @@ of the ordered product of the labels, a noncommutative polynomial of degree
 at most d.  Parallel edges are not represented: ingesting two labels on the
 same node pair means adding them, which ``ABP.build`` does.
 
+A label's coefficients are canonical elements of the program's field, and
+only the converting constructors ``LinearForm.make``, ``constant``,
+``of_var`` and ``from_json`` turn other values (plain integers, JSON) into
+such elements.  ``ABP.build`` stores the forms it is given as they are,
+after merging parallel edges and dropping zero forms, and ``validate``
+checks that every label is canonical: it does not convert anything.
+
 The edge map ``ABP.edges``, keyed (layer, from, to), is the stored form:
 JSON, equality and validation read it.  Everything that walks a program
 layer by layer reads the derived view ``ABP.layers`` instead.  Per layer it
@@ -54,7 +61,12 @@ from .polynomials import NCPoly
 
 @dataclass
 class LinearForm:
-    """An affine form: constant + sum of coefficient * variable."""
+    """An affine form: constant + sum of coefficient * variable.
+
+    ``LinearForm(const, coeffs)`` takes elements of the program's field as
+    they are, every coefficient nonzero; ``make``, ``constant``, ``of_var``
+    and ``from_json`` convert plain values and drop zero coefficients.
+    """
 
     const: object
     coeffs: dict  # variable index -> nonzero coefficient
@@ -197,24 +209,20 @@ class ABP:
         edges: dict | Iterable[tuple[tuple[int, int, int], LinearForm]],
     ) -> "ABP":
         """A validated program from a dict or an iterable of ((layer, from,
-        to), form) pairs; parallel edges merge by addition, zero labels drop."""
+        to), form) pairs; parallel edges merge by addition, zero labels drop.
+        Forms are stored as given; ``validate`` rejects a label that is not
+        made of the field's elements with nonzero coefficients."""
         clean = {}
         for key, form in edges.items() if isinstance(edges, dict) else edges:
-            layer, a, c = key
-            if isinstance(form, LinearForm):
-                lf = LinearForm.make(field, form.const, form.coeffs)
-            else:
-                lf = form
-            if lf.is_zero():
+            if form.is_zero():
                 continue
-            k = (int(layer), int(a), int(c))
-            if k in clean:  # parallel edges merge by addition
-                lf = clean[k].add(lf, field)
-                if lf.is_zero():
-                    del clean[k]
+            if key in clean:  # parallel edges merge by addition
+                form = clean[key].add(form, field)
+                if form.is_zero():
+                    del clean[key]
                     continue
-            clean[k] = lf
-        abp = cls(n_vars, field, tuple(int(s) for s in layer_sizes), clean)
+            clean[key] = form
+        abp = cls(n_vars, field, tuple(layer_sizes), clean)
         err = validate(abp)
         if err:
             raise ValidationError(err)
@@ -301,7 +309,7 @@ class ABP:
 
 
 def validate(abp: ABP) -> Optional[str]:
-    """First structural violation as a message, or None if well formed."""
+    """First structural or label violation as a message, or None if well formed."""
     ls = abp.layer_sizes
     if len(ls) < 1:
         return "no layers"
@@ -309,19 +317,27 @@ def validate(abp: ABP) -> Optional[str]:
         return f"empty layer in {list(ls)}"
     if ls[0] != 1 or ls[-1] != 1:
         return "source and sink layers must have exactly one node"
-    if abp.n_vars < 0:
+    depth, n_vars, coerce = abp.depth, abp.n_vars, abp.field.coerce
+    if n_vars < 0:
         return "negative variable count"
     for (layer, a, c), form in abp.edges.items():
-        if not 0 <= layer < abp.depth:
+        if not 0 <= layer < depth:
             return f"edge layer {layer} out of range"
         if not 0 <= a < ls[layer]:
             return f"edge source node {a} out of range in layer {layer}"
         if not 0 <= c < ls[layer + 1]:
             return f"edge target node {c} out of range in layer {layer + 1}"
-        if any(not 0 <= v < abp.n_vars for v in form.coeffs):
-            return f"edge ({layer},{a},{c}) references a variable out of range"
         if form.is_zero():
             return f"edge ({layer},{a},{c}) stores an explicit zero label"
+        # coerce raises FieldMismatchError on another field's element and
+        # returns a new object for a plain number
+        if coerce(form.const) is not form.const:
+            return f"edge ({layer},{a},{c}) has a label that is not canonical"
+        for v, x in form.coeffs.items():
+            if not 0 <= v < n_vars:
+                return f"edge ({layer},{a},{c}) references a variable out of range"
+            if not x or coerce(x) is not x:
+                return f"edge ({layer},{a},{c}) has a label that is not canonical"
     return None
 
 
@@ -468,6 +484,7 @@ def normalize_edges(abp: ABP) -> ABP:
         return abp
 
     field = abp.field
+    zero = field.zero()
     # arriving variables per internal node; departing variables at layer d-1
     arriving: list[dict[int, list[int]]] = [dict() for _ in range(d)]
     for (layer, a, c), form in abp.edges.items():
@@ -499,7 +516,7 @@ def normalize_edges(abp: ABP) -> ABP:
     edges: list[tuple[tuple[int, int, int], LinearForm]] = []
 
     def add_edge(layer: int, src: int, dst: int, var: int, coeff) -> None:
-        edges.append(((layer, src, dst), LinearForm.of_var(field, var, coeff)))
+        edges.append(((layer, src, dst), LinearForm(zero, {var: coeff})))
 
     for (layer, a, c), form in abp.edges.items():
         sources = [(0, -1, -1)] if layer == 0 else copies(layer, a)
@@ -652,23 +669,31 @@ def unit_points(field: Field, n_vars: int) -> list[list]:
 
 
 def coefficient_of(abp: ABP, word: Sequence[int]):
-    """Coefficient of a word: its homogeneous part walked at e_{w_1} .. e_{w_k}."""
+    """Coefficient of a word, read off the program's own layers.
+
+    One row vector per prefix word[:i] is walked forward: at each layer the
+    constant entries keep a prefix and the entries of variable word[i]
+    extend word[:i] by one letter.  The coefficient is the sink entry of the
+    vector for the whole word.
+    """
     word = tuple(int(v) for v in word)
     if any(not 0 <= v < abp.n_vars for v in word):
         raise ValidationError("word references a variable out of range")
     zero = abp.field.zero()
-    parts = homogeneous_parts(abp)
-    if len(word) >= len(parts):
-        return zero
-    part = parts[len(word)]
-    if not word:
-        form = part.label(0, 0, 0)
-        return form.const if form else zero
-    units = unit_points(abp.field, abp.n_vars)
-    vec = [abp.field.one()]
-    for lay, width, v in zip(part.layers, part.layer_sizes[1:], word):
-        vec = lay.times(vec, units[v], width, zero)
-    return vec[0]
+    n = len(word)
+    vecs = [[abp.field.one()]] + [[zero] for _ in range(n)]
+    for lay, width in zip(abp.layers, abp.layer_sizes[1:]):
+        nxt = [[zero] * width for _ in range(n + 1)]
+        for i, vec in enumerate(vecs):
+            steps = [(nxt[i], lay.const)]
+            if i < n:
+                steps.append((nxt[i + 1], lay.by_var.get(word[i], ())))
+            for out, entries in steps:
+                for a, c, k in entries:
+                    if vec[a]:
+                        out[c] = out[c] + vec[a] * k
+        vecs = nxt
+    return vecs[n][0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Exact dense linear algebra over the package's fields.
 
-Determinants over the rationals use fraction-free (Bareiss) elimination so
-integer inputs stay integral throughout; finite fields use plain Gaussian
-elimination.  ``independent_subset`` performs first-come greedy selection:
-scanning the inputs in order, a vector is kept exactly when it is outside
-the span of the vectors kept so far.  ``Matrix.rank`` is the number of rows
-it keeps.
+One incremental Gaussian elimination, ``_Echelon``, serves every query.
+``independent_subset`` performs first-come greedy selection: scanning the
+inputs in order, a vector is kept exactly when it is outside the span of the
+vectors kept so far.  ``Matrix.rank`` is the number of rows it keeps, and
+``Matrix.det`` is the signed product of the pivots met while inserting the
+rows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import FieldMismatchError, ShapeError, ValidationError
-from .fields import Field, RationalField, field_from_json, field_to_json
+from .fields import Field, field_from_json, field_to_json
 
 
 @dataclass
@@ -105,11 +106,17 @@ class Matrix:
     def det(self):
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        if self.rows == 0:
-            return self.field.one()
-        if isinstance(self.field, RationalField):
-            return _det_bareiss(self.to_lists(), self.field)
-        return _det_gauss(self.to_lists(), self.field)
+        ech = _Echelon(self.field)
+        det = self.field.one()
+        for i in range(self.rows):
+            pivot = ech.insert(self.row(i))
+            if pivot is None:
+                return self.field.zero()
+            det = det * pivot
+        # the reduced rows are triangular once their columns are put in
+        # pivot order; each inversion of that order is one transposition
+        inversions = sum(a > b for a, b in itertools.combinations(ech.pivots, 2))
+        return -det if inversions % 2 else det
 
     def to_json(self) -> dict:
         return {
@@ -141,56 +148,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
 
-def _det_gauss(m: list[list], field: Field):
-    n = len(m)
-    sign = field.one()
-    det = field.one()
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if m[r][col]:
-                sel = r
-                break
-        if sel is None:
-            return field.zero()
-        if sel != col:
-            m[col], m[sel] = m[sel], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        det = det * pivot
-        inv = field.one() / pivot
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det * sign
-
-
-def _det_bareiss(m: list[list], field: Field):
-    """Fraction-free elimination; divisions are exact on integer inputs."""
-    n = len(m)
-    sign = 1
-    prev = field.one()
-    for k in range(n - 1):
-        if not m[k][k]:
-            sel = None
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    sel = r
-                    break
-            if sel is None:
-                return field.zero()
-            m[k], m[sel] = m[sel], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = field.zero()
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d if sign > 0 else -d
-
-
 # ---------------------------------------------------------------------------
 # span computations on flattened matrices
 
@@ -198,13 +155,12 @@ def _det_bareiss(m: list[list], field: Field):
 class _Echelon:
     """Incremental row-echelon accumulator over an arbitrary field."""
 
-    def __init__(self, field: Field, dim: int):
+    def __init__(self, field: Field):
         self.field = field
-        self.dim = dim
         self.rows: list[list] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec: list) -> list:
+    def reduce(self, vec: Sequence) -> list:
         v = list(vec)
         for row, piv in zip(self.rows, self.pivots):
             if v[piv]:
@@ -212,35 +168,35 @@ class _Echelon:
                 v = [a - f * b for a, b in zip(v, row)]
         return v
 
-    def insert(self, vec: list) -> bool:
-        """Reduce and keep the vector; returns True if it enlarged the span."""
+    def insert(self, vec: Sequence):
+        """Reduce and keep the vector; returns its pivot value before
+        normalizing if it enlarged the span, else None."""
         v = self.reduce(vec)
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
-            return False
-        inv = self.field.one() / v[piv]
+            return None
+        pivot = v[piv]
+        inv = self.field.one() / pivot
         self.rows.append([inv * x for x in v])
         self.pivots.append(piv)
-        return True
+        return pivot
 
 
 def independent_subset(vectors: Sequence[Sequence], field: Field) -> list[int]:
     """Indices of a maximal independent subsequence, first come first kept."""
-    if not vectors:
-        return []
-    ech = _Echelon(field, len(vectors[0]))
+    ech = _Echelon(field)
     kept = []
     for i, vec in enumerate(vectors):
-        if ech.insert(list(vec)):
+        if ech.insert(vec):
             kept.append(i)
     return kept
 
 
 def in_span(vector: Sequence, basis: Sequence[Sequence], field: Field) -> bool:
-    ech = _Echelon(field, len(vector))
+    ech = _Echelon(field)
     for b in basis:
-        ech.insert(list(b))
-    return not any(ech.reduce(list(vector)))
+        ech.insert(b)
+    return not any(ech.reduce(vector))
 
 
 def basis_of_matrix_set(mats: Sequence[Matrix]) -> list[Matrix]:

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hadamard.abp import (
     ABP,
@@ -26,13 +27,18 @@ from hadamard.abp import (
     validate,
     zero_abp,
 )
-from hadamard.errors import ValidationError
-from hadamard.fields import PrimeField, RationalField
+from hadamard.errors import FieldMismatchError, ValidationError
+from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.matrices import Matrix
 from hadamard.polynomials import NCPoly
+from hadamard.products import hadamard_abp_detailed
+
+from helpers import cancelling_abp
 
 Q = RationalField()
+F2 = PrimeField(2)
 F5 = PrimeField(5)
+F4 = ExtField.make(2, 2)
 
 
 def lf(field, const=0, **kw):
@@ -94,6 +100,41 @@ def test_validate_catches_bad_shapes():
     with pytest.raises(ValidationError):
         ABP.build(1, Q, (1, 1), {(0, 0, 0): lf(Q, x3=1)})
     assert validate(zero_abp(2, Q)) is None
+
+
+def test_build_checks_labels_instead_of_converting():
+    # another field's element is refused, as when build converted labels
+    with pytest.raises(FieldMismatchError):
+        ABP.build(1, F5, (1, 1), {(0, 0, 0): LinearForm.make(PrimeField(7), coeffs={0: 1})})
+    # a raw form with a zero or a plain-number coefficient is not rewritten
+    for form in (
+        LinearForm(F5.zero(), {0: F5.zero()}),
+        LinearForm(F5.zero(), {0: 1}),
+        LinearForm(1, {0: F5.one()}),
+    ):
+        with pytest.raises(ValidationError, match="not canonical"):
+            ABP.build(1, F5, (1, 1), {(0, 0, 0): form})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([Q, F2, F5, F4]),
+    st.booleans(),
+)
+def test_every_stage_returns_canonical_labels(rng, field, cancelling):
+    if cancelling:
+        p = cancelling_abp(rng, field, n_vars=2, depth=3, width=2)
+    else:
+        p = random_abp(rng, field, n_vars=2, depth=3, width=2)
+    q = random_abp(rng, field, n_vars=2, depth=3, width=2)
+    parts = homogeneous_parts(p)
+    product = hadamard_abp_detailed(p, q)
+    stages = parts + [normalize_edges(part) for part in parts[1:]]
+    stages += [product.abp, product.unpruned, abp_sum(parts), prune(p)]
+    for x in stages:
+        assert validate(x) is None
+        assert ABP.from_json(x.to_json()) == x
 
 
 def test_build_merges_parallel_edge_labels():
@@ -234,10 +275,14 @@ def test_coefficient_of_handles_affine_programs():
     assert coefficient_of(p, (2, 1)) == 0
     assert coefficient_of(p, (0, 0, 0)) == 0
     rng = random.Random(11)
-    for _ in range(15):
-        p = random_abp(rng, Q, n_vars=2, depth=3, width=2)
+    programs = [random_abp(rng, Q, n_vars=2, depth=3, width=2) for _ in range(15)]
+    for field in (F5, F4):
+        programs += [random_abp(rng, field, n_vars=2, depth=3, width=2) for _ in range(10)]
+    for field in (Q, F5, F4):
+        programs += [cancelling_abp(rng, field, n_vars=2, depth=3, width=2) for _ in range(5)]
+    for p in programs:
         f = p.expand()
-        for word in [(), (0,), (1, 0), (0, 1, 1)]:
+        for word in [(), (0,), (1, 0), (0, 1, 1), (1, 1, 0, 1)]:
             assert coefficient_of(p, word) == f.coeff(word)
 
 
