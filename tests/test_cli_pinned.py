@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from hadamard.abp import abp_sum, constant_abp
 from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
 from hadamard.cli import main
 from hadamard.fields import PrimeField, RationalField
@@ -27,13 +28,18 @@ from helpers import cancelling_abp, random_abp, random_circuit
 FIELDS = {"q": RationalField(), "f5": PrimeField(5)}
 
 
+def _first(tag: str, field, keep, **kw):
+    """The first program under seeds tag:0, tag:1, ... for which keep holds."""
+    for salt in range(1000):
+        abp = random_abp(random.Random(f"{tag}:{salt}"), field, **kw)
+        if keep(abp):
+            return abp
+    raise AssertionError(f"no program for {tag}")
+
+
 def _nonzero(tag: str, field, **kw):
     """The first program under seeds tag:0, tag:1, ... that is not zero."""
-    for salt in range(100):
-        abp = random_abp(random.Random(f"{tag}:{salt}"), field, **kw)
-        if not abp.expand().is_zero():
-            return abp
-    raise AssertionError(f"no nonzero program for {tag}")
+    return _first(tag, field, lambda abp: not abp.expand().is_zero(), **kw)
 
 
 def _circuit(tag: str, abp):
@@ -70,6 +76,13 @@ def _inputs() -> dict:
         out[f"{fname}hom"] = _nonzero(f"{fname}:hom", field, n_vars=2, depth=3, affine=False)
         out[f"{fname}circ"] = _circuit(f"{fname}:circuit", out[f"{fname}3"])
     out["qpoly"] = out["qhom"].expand()
+    q = FIELDS["q"]
+    # depth 8, affine, with a nonzero constant term
+    out["qconst8"] = _first("q:const8", q, lambda abp: abp.evaluate([0] * abp.n_vars), depth=8)
+    out["qzero6"] = cancelling_abp(random.Random("q:zero6"), q, depth=6)
+    # every homogeneous part of degree >= 1 is zero, the constant is not
+    cancel = cancelling_abp(random.Random("q:deg0"), q, depth=4, width=2)
+    out["qdeg0"] = abp_sum([cancel, constant_abp(cancel.n_vars, q, 7)])
     out["mirror"] = build_mirror_suffix_grammar(2)
     out["zcirc"] = _zero_const_circuit(False)
     out["zcirc0"] = _zero_const_circuit(True)
@@ -98,6 +111,12 @@ CASES = {
         "f653a90a13179326dfe8521259bd52387d767d3fc6598cf343c6c0ff8a786769"),
     "pit-det-qzero": (["pit", "det", "{qzero}"], 0,
         "d14f421ffb83d3f50f00f95825a7d97275895fe7228fd0056950e48a6989a1c2"),
+    "pit-det-qconst8": (["pit", "det", "{qconst8}"], 0,
+        "0c2681afb1872b69fdf22813f6bc6ef0fd394e9ec8434b75e155471e8f08a9d6"),
+    "pit-det-qzero6": (["pit", "det", "{qzero6}"], 0,
+        "d14f421ffb83d3f50f00f95825a7d97275895fe7228fd0056950e48a6989a1c2"),
+    "pit-det-qdeg0": (["pit", "det", "{qdeg0}"], 0,
+        "2be06621ff2bebaf4f265fded3ba34701e93055d5101228b994c44f2d963b00e"),
     "pit-span-q4": (["pit", "span", "{q4}"], 0,
         "78d6f805e3b65781b64f404dd103492184d4e62b3711cd1bfc89b385915b3db6"),
     "pit-span-q5": (["pit", "span", "{q5}"], 0,
