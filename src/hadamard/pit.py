@@ -3,8 +3,10 @@
 Four testers with different contracts:
 
 * ``pit_rational``  — deterministic, rationals only.  The squared-coefficient
-  sum of f is the product program of f with itself evaluated at all-ones;
-  over the rationals it vanishes exactly when f does.
+  sum of f, which is (f∘f)(1, …, 1) and over the rationals vanishes exactly
+  when f does, comes from a Gram iteration over the homogeneous parts of f:
+  per part, X ← Σ_v M_vᵀ X M_v layer by layer from X = e₀e₀ᵀ, read at the
+  sink.  The product program f∘f is never built.
 * ``pit_span_basis`` — deterministic, any field.  Walks each homogeneous
   part forward, layer by layer, keeping a basis of the row vectors that the
   words read so far leave at the layer's nodes (at most one vector per
@@ -26,6 +28,7 @@ s-t reachability of a digraph, so both reduce to identity tests.
 
 from __future__ import annotations
 
+import math
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +36,7 @@ from typing import Optional, Sequence, Union
 
 from .abp import (
     ABP,
+    Layer,
     LinearForm,
     coefficient_of,
     constant_abp,
@@ -43,7 +47,6 @@ from .circuits import Circuit
 from .errors import DEFAULT_MAX_TERMS, ValidationError
 from .fields import ExtField, Field, PrimeField, RationalField
 from .matrices import independent_subset
-from .products import hadamard_abp
 
 
 @dataclass
@@ -72,12 +75,55 @@ class PitVerdict:
         }
 
 
+def _gram_step(x: dict, lay: Layer) -> dict:
+    """Σ_v M_vᵀ X M_v over the layer's integer variable matrices, for a
+    sparse X = {row: {col: value}}: per variable the product M_vᵀ X, then
+    its product with M_v.  Constant entries are not read."""
+    out: dict = {}
+    for entries in lay.by_var.values():
+        left: dict = {}  # M_vᵀ X, by row
+        for a, c, k in entries:
+            row = x.get(a)
+            if row:
+                acc = left.setdefault(c, {})
+                for b, y in row.items():
+                    acc[b] = acc.get(b, 0) + k * y
+        by_row: dict = {}
+        for b, d, k in entries:
+            by_row.setdefault(b, []).append((d, k))
+        for c, row in left.items():
+            acc = out.setdefault(c, {})
+            for b, y in row.items():
+                if y:
+                    for d, k in by_row.get(b, ()):
+                        acc[d] = acc.get(d, 0) + y * k
+    return out
+
+
 def pit_rational(p: ABP) -> PitVerdict:
-    """Zero iff the sum of squared coefficients is zero (rationals only)."""
+    """Zero iff the sum of squared coefficients is zero (rationals only).
+
+    The sum is taken per homogeneous part: the constant part gives its
+    square, and a part of degree k >= 1 with coefficient matrices M_v gives
+    Σ_w c_w² = X[0][0] after X ← Σ_v M_vᵀ X M_v at each of its layers,
+    starting from X = e₀e₀ᵀ.  The product program of p with itself, whose
+    value at all-ones is the same sum, is never built.
+    """
     if not isinstance(p.field, RationalField):
         raise ValidationError("squared-coefficient test needs rational coefficients")
-    square = hadamard_abp(p, p)
-    total = square.evaluate([Fraction(1)] * p.n_vars)
+    parts = homogeneous_parts(p)
+    form = parts[0].label(0, 0, 0)
+    total = form.const * form.const if form else Fraction(0)
+    for part in parts[1:]:
+        # the iteration runs on integers: each layer's matrices are scaled by
+        # the least common denominator of their entries, and the part's value
+        # is divided by the product of the squared scales at the end
+        x, scale = {0: {0: 1}}, 1
+        for lay in part.layers:
+            den = math.lcm(*(k.denominator for es in lay.by_var.values() for _, _, k in es))
+            x = _gram_step(x, lay.map(lambda k: k.numerator * (den // k.denominator)))
+            scale *= den * den
+        total += Fraction(x.get(0, {}).get(0, 0), scale)
     return PitVerdict(
         is_zero=total == 0,
         method="square_sum",

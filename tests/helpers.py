@@ -57,6 +57,41 @@ def cancelling_abp(rng, field, **kw):
     return abp_sum([base, negated])
 
 
+def cancel_join(rng, field, depth, width=2, n_vars=3, zero=True):
+    """A program of fixed width joined, behind a shared source and sink,
+    with a copy of itself whose last layer is negated: zero by
+    cancellation.  With zero false, one internal label of the copy also
+    gains delta * x_v first, so the join computes -(prefix into that edge)
+    * delta x_v * (suffix out of it).  Every edge of the base exists, and
+    its label has a constant with probability 0.4 and each variable with
+    probability 0.45, as in the benchmark's identity inputs."""
+    from hadamard.abp import abp_sum
+
+    def coeff():
+        return rng.choice((-1, 1)) * rng.randint(1, 7)
+
+    sizes = [1] + [width] * (depth - 1) + [1]
+    edges = {}
+    for layer in range(depth):
+        for a in range(sizes[layer]):
+            for c in range(sizes[layer + 1]):
+                const = coeff() if rng.random() < 0.4 else 0
+                coeffs = {v: coeff() for v in range(n_vars) if rng.random() < 0.45}
+                if not const and not coeffs:
+                    coeffs = {rng.randrange(n_vars): coeff()}
+                edges[(layer, a, c)] = LinearForm.make(field, const=const, coeffs=coeffs)
+    base = ABP.build(n_vars, field, sizes, edges)
+    if not zero:
+        key = rng.choice(sorted(k for k in edges if 0 < k[0] < depth - 1))
+        edges[key] = edges[key].add(LinearForm.of_var(field, rng.randrange(n_vars), coeff()), field)
+    minus_one = field.zero() - field.one()
+    copy = {
+        key: form.scale(minus_one, field) if key[0] == depth - 1 else form
+        for key, form in edges.items()
+    }
+    return abp_sum([base, ABP.build(n_vars, field, sizes, copy)])
+
+
 def random_circuit(rng, field, n_vars=3, n_gates=8, max_degree=3):
     gates = [InputGate(rng.randrange(n_vars))]
     degs = [1]

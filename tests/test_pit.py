@@ -26,6 +26,7 @@ from hadamard.pit import (
 
 from helpers import (
     bfs_reachable,
+    cancel_join,
     cancelling_abp,
     cofactor_det,
     lf,
@@ -48,6 +49,41 @@ def test_rational_square_sum_basics():
     assert z.is_zero and z.value_json == "0"
     with pytest.raises(ValidationError):
         pit_rational(zero_abp(1, F5))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(["affine", "homogeneous", "cancelling"]),
+    st.booleans(),
+)
+def test_square_sum_is_the_expanded_square_sum(rng, kind, fractional):
+    kw = dict(n_vars=rng.randint(1, 3), depth=rng.randint(1, 5), width=rng.randint(1, 3))
+    if kind == "cancelling":
+        p = cancelling_abp(rng, Q, **kw)
+    else:
+        p = random_abp(rng, Q, affine=kind == "affine", **kw)
+    if fractional:  # labels with mixed denominators
+        p = ABP.build(p.n_vars, Q, p.layer_sizes, {
+            key: form.scale(Fraction(rng.randint(1, 4), rng.randint(1, 6)), Q)
+            for key, form in p.edges.items()
+        })
+    f = p.expand()
+    v = pit_rational(p)
+    assert v.value_json == str(sum((c * c for c in f.terms.values()), Fraction(0)))
+    assert v.is_zero == f.is_zero()
+
+
+@pytest.mark.parametrize("depth, zero", [(14, True), (16, False)])
+def test_square_sum_agrees_with_span_past_expansion(depth, zero):
+    # 3^depth words: far more than expansion can list
+    p = cancel_join(random.Random(f"deep:{depth}:{zero}"), Q, depth, zero=zero)
+    det, span = pit_rational(p), pit_span_basis(p)
+    assert det.is_zero == span.is_zero == zero
+    if not zero:
+        word, coeff = tuple(span.witness["word"]), Fraction(span.witness["coeff"])
+        assert coefficient_of(p, word) == coeff
+        assert Fraction(det.value_json) >= coeff * coeff > 0
 
 
 def test_span_basis_witness_is_real():
