@@ -151,6 +151,12 @@ CASES = {
         "2484af084ef427ed7f0763578b7baad2a053e539b234c90794411bb32a2cbc76"),
     "lab-corr-t2-p2": (["lab", "corr", "--t", "2", "--p", "2"], 0,
         "398e5f58d9933f0f034c4dc7b195cc2f99108695d1f9bf237a6b541357d7ff66"),
+    "lab-corr-t2-p5": (["lab", "corr", "--t", "2", "--p", "5"], 0,
+        "fd37a7b604673ffa85a88744783d6a4728a744e5c2285b7dc433c0754bb6df54"),
+    "lab-build-f-t1-p7": (["lab", "build-f", "--t", "1", "--p", "7"], 0,
+        "808a6ddf6537dbbf6215e9484690fc2238329b69c2844429db72f819d9e6edb4"),
+    "lab-expsum-t2-p3-z1": (["lab", "expsum", "--t", "2", "--p", "3", "--z", "1"], 0,
+        "fc915102fb3dc0150c0fc15f83b14b12aaac7eb20743819cc630efd4e9214bf4"),
     "cfg-to-circuit-mirror": (["cfg", "to-circuit", "{mirror}"], 0,
         "b943853d7f83ad4bfc81cb858c5d8d289382b9c7a5be5d065c80e52ffca7dab0"),
     "cfg-from-circuit-zcirc": (["cfg", "from-circuit", "{zcirc}"], 0,
