@@ -39,13 +39,13 @@ from .grammars import (
 from .lab import (
     ExplicitParams,
     build_f,
-    build_f_prime,
     correlation_report,
     exp_sum,
     permanent_polynomials,
     permanent_via_hadamard,
     random_product_poly,
     sum_coeffs,
+    zero_one_shift,
 )
 from .pit import (
     Digraph,
@@ -259,7 +259,7 @@ def cmd_lab(args) -> dict:
         return f.to_json()
     if args.action == "corr":
         f = build_f(params, max_terms=args.max_terms)
-        fp = build_f_prime(params, max_terms=args.max_terms)
+        fp = zero_one_shift(f)
         rep = correlation_report(f, fp)
         out = rep.to_json()
         out["t"], out["p"] = args.t, args.p
@@ -287,7 +287,8 @@ def cmd_lab(args) -> dict:
         sets = None
         if args.sets is not None:
             sets = _parse("--sets", lambda: [_decode_set(params.field, g) for g in args.sets.split(";")])
-        value = exp_sum(params, z=args.z, sets=sets, max_terms=args.max_terms)
+        z = _decode_set(params.field, str(args.z))[0]  # --z is one element code
+        value = exp_sum(params, z=z, sets=sets, max_terms=args.max_terms)
         return {"t": args.t, "p": args.p, "z": args.z, "value": value}
     raise ValidationError(f"unknown lab action {args.action!r}")
 
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--n", type=int, default=None, help="grid size (perm)")
     p_lab.add_argument("--t", type=int, default=1, help="number of blocks")
     p_lab.add_argument("--p", type=int, default=2, help="block width (prime)")
-    p_lab.add_argument("--z", type=int, default=1, help="character twist (expsum)")
+    p_lab.add_argument("--z", type=int, default=1, help="character twist (expsum), an element code")
     p_lab.add_argument(
         "--sets",
         help="expsum summation sets: groups split on ';', element codes on ','",

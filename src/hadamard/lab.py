@@ -97,14 +97,19 @@ def build_f(
 
 def build_f_prime(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) -> CPoly:
     """The 0/1 shift (F+1)/2: indicator of the monomials where F is +1."""
-    f = build_f(params, max_terms=max_terms)
+    return zero_one_shift(build_f(params, max_terms=max_terms))
+
+
+def zero_one_shift(f: CPoly) -> CPoly:
+    """(c+1)/2 on each coefficient c of f: for a sign polynomial F, the
+    indicator of the monomials where F is +1."""
     half = Fraction(1, 2)
     terms = {}
     for m, c in f.terms.items():
         shifted = (c + 1) * half
         if shifted:
             terms[m] = shifted
-    return CPoly(params.n, _Q, terms)
+    return CPoly(f.n_vars, _Q, terms)
 
 
 def sum_coeffs(f: CPoly) -> Fraction:
@@ -166,7 +171,12 @@ class CorrelationReport:
 
 def correlation_report(f: CPoly, g: CPoly) -> CorrelationReport:
     c = corr(f, g)
-    nf, ng = norm_sq(f), norm_sq(g)
+    # |f|^2 is kept on f: a lab job reports one F against several
+    # polynomials, and polynomials are not changed in place
+    nf = f.__dict__.get("_norm_sq")
+    if nf is None:
+        nf = f._norm_sq = norm_sq(f)
+    ng = norm_sq(g)
     ratio = c * c / (nf * ng) if nf and ng else Fraction(0)
     return CorrelationReport(c, nf, ng, ratio)
 

@@ -1,7 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
 Everything here is deliberately naive: cofactor expansion for determinants,
-breadth-first search for reachability, permutation sums for permanents.
+breadth-first search for reachability, permutation sums for permanents,
+schoolbook products and repeated powering for extension-field traces.
 The library must agree with these on random instances.
 """
 
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 from hadamard.abp import ABP, LinearForm
 from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
+from hadamard.fields import ExtElement, _poly_mod, _poly_mul
 from hadamard.pit import Digraph
 
 
@@ -182,6 +184,26 @@ def bfs_reachable(g: Digraph) -> bool:
                     nxt.append(v)
         frontier = nxt
     return g.t in seen
+
+
+def schoolbook_mul(a: ExtElement, b: ExtElement) -> ExtElement:
+    """Product in F_p[x]/(modulus) by polynomial multiplication and division."""
+    f = a.field
+    red = _poly_mod(_poly_mul(a.coeffs, b.coeffs, f.p), f.modulus, f.p)
+    return ExtElement(tuple(red + [0] * (f.k - len(red))), f)
+
+
+def powering_trace(a: ExtElement) -> int:
+    """Tr(a) = a + a^p + ... + a^(p^(k-1)), each power by p schoolbook products."""
+    f = a.field
+    total = power = a
+    for _ in range(f.k - 1):
+        prev, power = power, f.one()
+        for _ in range(f.p):
+            power = schoolbook_mul(power, prev)
+        total = ExtElement(tuple((x + y) % f.p for x, y in zip(total.coeffs, power.coeffs)), f)
+    assert not any(total.coeffs[1:]), "trace left the prime field"
+    return total.coeffs[0]
 
 
 def permanent(rows):

@@ -206,6 +206,19 @@ def test_lab_commands(tmp_path):
     assert code == 2 and "element code" in err
 
 
+def test_lab_expsum_z_is_an_element_code():
+    # code 2 is the generator x of F_8, as in corr's exp_sum_samples
+    code, out, _ = run_cli("lab", "corr", "--t", "2", "--p", "3", "--battery", "1")
+    samples = {s["z"]: s["value"] for s in json.loads(out)["exp_sum_samples"]}
+    for z in (0, 1, 2):
+        code, out, _ = run_cli("lab", "expsum", "--t", "2", "--p", "3", "--z", str(z))
+        assert code == 0 and json.loads(out) == {"t": 2, "p": 3, "z": z, "value": samples[z]}
+    assert samples[2] == 8
+    for z in ("8", "-1"):
+        code, _, err = run_cli("lab", "expsum", "--t", "2", "--p", "3", "--z", z)
+        assert code == 2 and "element code" in err
+
+
 def test_exit_codes(tmp_path):
     code, out, err = run_cli("pit", "det", str(tmp_path / "missing.json"))
     assert code == 2 and out == "" and "no such file" in err

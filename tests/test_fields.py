@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from hadamard.errors import FieldMismatchError, ValidationError
 from hadamard.fields import (
+    TABLE_MAX_ORDER,
     ExtField,
     PrimeField,
     RationalField,
@@ -18,10 +19,15 @@ from hadamard.fields import (
     parse_field_spec,
     psi,
 )
+from helpers import powering_trace, schoolbook_mul
 
 Q = RationalField()
 F5 = PrimeField(5)
 F4 = ExtField.make(2, 2)
+# every field F_{p^k} of order at most 32, degree 1 included
+SMALL = [ExtField.make(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)] + [
+    ExtField.make(p, k) for p, k in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5))
+]
 
 
 def test_rational_arithmetic():
@@ -61,6 +67,36 @@ def test_trace_on_f4():
     assert frobenius_trace(one).value == 0
     assert frobenius_trace(x).value == 1
     assert frobenius_trace(x + one).value == 1
+
+
+@pytest.mark.parametrize("f", SMALL, ids=repr)
+def test_table_products_match_schoolbook(f):
+    assert f._log_tables is not None
+    elems = list(f.elements())
+    for a in elems:
+        for b in elems:
+            assert a * b == schoolbook_mul(a, b)
+
+
+@pytest.mark.parametrize("f", SMALL, ids=repr)
+def test_linear_trace_matches_powering(f):
+    for a in f.elements():
+        t = frobenius_trace(a)
+        assert t.value == powering_trace(a) and t.field == PrimeField(f.p)
+        if f.p == 2:
+            assert psi(a) == (-1) ** t.value
+
+
+def test_field_above_table_order_matches_oracles():
+    k = TABLE_MAX_ORDER.bit_length()  # the smallest k with 2^k above the constant
+    f = ExtField.make(2, k)
+    rng = random.Random(3)
+    for _ in range(50):
+        a, b = f.random(rng), f.random(rng)
+        prod = a * b
+        assert prod == schoolbook_mul(a, b)
+        assert frobenius_trace(prod).value == powering_trace(prod)
+    assert f._log_tables is None
 
 
 def test_psi_on_f4():
