@@ -18,11 +18,11 @@ import random
 
 import pytest
 
-from hadamard.abp import abp_sum, constant_abp
+from hadamard.abp import ABP, LinearForm, abp_sum, constant_abp
 from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
 from hadamard.cli import main
 from hadamard.fields import PrimeField, RationalField
-from hadamard.grammars import build_mirror_suffix_grammar
+from hadamard.grammars import build_mirror_suffix_grammar, cfg_to_circuit
 from helpers import cancelling_abp, random_abp, random_circuit
 
 FIELDS = {"q": RationalField(), "f5": PrimeField(5)}
@@ -65,6 +65,30 @@ def _zero_const_circuit(zero_output: bool) -> Circuit:
     return Circuit.build(2, RationalField(), gates, len(gates) - 1)
 
 
+def _only_var(tag: str, field, v: int):
+    """The first program under seeds tag:0, tag:1, ... over x0, x1 that is
+    not zero once every label keeps only its x_v coefficient."""
+
+    def restrict(abp):
+        edges = {
+            key: LinearForm(field.zero(), {v: form.coeffs[v]})
+            for key, form in abp.edges.items()
+            if v in form.coeffs
+        }
+        return ABP.build(abp.n_vars, field, abp.layer_sizes, edges)
+
+    base = _first(tag, field, lambda abp: not restrict(abp).expand().is_zero(), n_vars=2, depth=3)
+    return restrict(base)
+
+
+def _add_chain(n_gates: int) -> Circuit:
+    """x0, x1, 2, then n_gates - 3 additions, each of the previous gate and
+    one of the first three."""
+    gates = [InputGate(0), InputGate(1), ConstGate(2)]
+    gates += [AddGate(i - 1, i % 3) for i in range(3, n_gates)]
+    return Circuit.build(2, RationalField(), gates, n_gates - 1)
+
+
 def _inputs() -> dict:
     """Name -> JSON object, all drawn from fixed seeds."""
     out = {}
@@ -84,6 +108,16 @@ def _inputs() -> dict:
     cancel = cancelling_abp(random.Random("q:deg0"), q, depth=4, width=2)
     out["qdeg0"] = abp_sum([cancel, constant_abp(cancel.n_vars, q, 7)])
     out["mirror"] = build_mirror_suffix_grammar(2)
+    out["mirrorcirc"] = cfg_to_circuit(out["mirror"])
+    mirror_words = set(out["mirrorcirc"].expand().terms)
+    out["qmirror6"] = _first(
+        "q:mirror6", q, lambda abp: mirror_words & set(abp.expand().terms), n_vars=2, depth=6
+    )
+    # depth 1: the constant and the degree-1 part of a product share the lone edge
+    out["qaff1"] = ABP.build(2, q, (1, 1), {(0, 0, 0): LinearForm.make(q, const=3, coeffs={0: 2, 1: -1})})
+    out["qonly0"] = _only_var("q:only0", q, 0)
+    out["qonly1"] = _only_var("q:only1", q, 1)
+    out["chain400"] = _add_chain(400)
     out["zcirc"] = _zero_const_circuit(False)
     out["zcirc0"] = _zero_const_circuit(True)
     return {name: obj.to_json() for name, obj in out.items()}
@@ -105,6 +139,16 @@ CASES = {
         "3b86c72fabd7e6343797a90e5445271282ba760fbb62ef18ed96e63036c85fe8"),
     "circuit-abp-f3": (["hadamard", "circuit-abp", "{f5circ}", "{f53}"], 0,
         "5669d43565f695ac430bc978f0c5895114109d4760cde66807a940c41af9a6e4"),
+    "hadamard-abp-qaff1-qaff1": (["hadamard", "abp", "{qaff1}", "{qaff1}"], 0,
+        "0429c71327bd901a7313488f9772ae1f961f1067e71bb56eeb15f03949a54899"),
+    "hadamard-abp-qdeg0-q3": (["hadamard", "abp", "{qdeg0}", "{q3}"], 0,
+        "48c6f53f33455509726f343dcec1cf06f1f2caa6a1fef908e016c76a8096c8b6"),
+    "hadamard-abp-qonly0-qonly1": (["hadamard", "abp", "{qonly0}", "{qonly1}"], 0,
+        "19157b8bd656d2170e36e3e079f6177eaeb0849aa51693b6bd93eacb9c04e8bf"),
+    "circuit-abp-chain400-qaff1": (["hadamard", "circuit-abp", "{chain400}", "{qaff1}"], 0,
+        "be6548fc9635e73d57ebda74df055d6f7672da4a9329f8b0f6f3202d9320da99"),
+    "circuit-abp-mirror-qmirror6": (["hadamard", "circuit-abp", "{mirrorcirc}", "{qmirror6}"], 0,
+        "337d257a9d63bcc7ae992be5952886bf7fb58101d6a2e21911657ec4f059e4a5"),
     "pit-det-q3": (["pit", "det", "{q3}"], 0,
         "1a86129202a53ea23bb4c95162d5b444ec2805b82360a81e5b3851e0613057d6"),
     "pit-det-q5": (["pit", "det", "{q5}"], 0,
