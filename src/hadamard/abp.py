@@ -124,6 +124,8 @@ class LinearForm:
 
     @classmethod
     def from_json(cls, obj: dict, field: Field) -> "LinearForm":
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs", {}), dict):
+            raise TypeError("a label must be an object whose coeffs are an object")
         return cls.make(
             field,
             const=field.coeff_from_json(obj.get("const", field.coeff_to_json(field.zero()))),
@@ -543,6 +545,42 @@ def normalize_edges(abp: ABP) -> ABP:
 # sums and pruning
 
 
+def sum_layout(part_sizes: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple], list[tuple]]:
+    """Node layout of ``abp_sum`` from the summands' layer sizes alone.
+
+    Returns the layer sizes of the sum, the keys of the delay-chain edges
+    (each labelled 1), and per summand its placement: (shift, node offset
+    per inner layer, depth).  Every summand has depth at least 1.  Node 0
+    of layers 1..(longest shift) is the chain; a summand shifted by s
+    hangs off its node in layer s (the source when s is 0).
+    """
+    depths = [len(sizes) - 1 for sizes in part_sizes]
+    depth = max(depths)
+    chain = depth - min(depths)
+    offsets: list[dict] = [dict() for _ in part_sizes]
+    layer_nodes = [1] * (depth + 1)
+    for w in range(1, depth):
+        count = 1 if w <= chain else 0
+        for pi, (sizes, d) in enumerate(zip(part_sizes, depths)):
+            local = w - (depth - d)
+            if 0 < local < d:
+                offsets[pi][local] = count
+                count += sizes[local]
+        layer_nodes[w] = max(count, 1)  # an empty layer keeps a placeholder node
+    placements = [(depth - d, offsets[pi], d) for pi, d in enumerate(depths)]
+    return layer_nodes, [(w, 0, 0) for w in range(chain)], placements
+
+
+def placed(placement: tuple, items: Iterable[tuple[tuple[int, int, int], object]]):
+    """(key in the sum, value) for each (key in a summand, value), in order,
+    where placement is the summand's entry from ``sum_layout``."""
+    shift, offsets, depth = placement
+    for (layer, a, c), value in items:
+        src = 0 if layer == 0 else offsets[layer] + a
+        dst = 0 if layer + 1 == depth else offsets[layer + 1] + c
+        yield (layer + shift, src, dst), value
+
+
 def abp_sum(parts: Sequence[ABP]) -> ABP:
     """Disjoint union behind a shared source and sink.
 
@@ -562,51 +600,34 @@ def abp_sum(parts: Sequence[ABP]) -> ABP:
             raise FieldMismatchError("summands disagree on field")
     # a single-layer program computes the constant 1; lift it to depth 1
     parts = [constant_abp(n_vars, field, 1) if p.depth == 0 else p for p in parts]
-    depth = max(p.depth for p in parts)
-
-    chain_positions = sorted({depth - p.depth for p in parts if p.depth < depth})
-    # nodes per layer: optional chain node first, then each part's nodes
-    offsets: list[dict] = [dict() for _ in range(len(parts))]
-    layer_nodes = [0] * (depth + 1)
-    layer_nodes[0] = 1
-    layer_nodes[depth] = 1
-    chain_index: dict[int, int] = {}
-    for w in range(1, depth):
-        count = 0
-        if any(pos >= w for pos in chain_positions):
-            chain_index[w] = 0
-            count = 1
-        for pi, p in enumerate(parts):
-            shift = depth - p.depth
-            local = w - shift
-            if 0 < local < p.depth:
-                offsets[pi][local] = count
-                count += p.layer_sizes[local]
-        if count == 0:
-            count = 1  # placeholder
-        layer_nodes[w] = count
-
+    layer_nodes, chain, placements = sum_layout([p.layer_sizes for p in parts])
     one_form = LinearForm.constant(field, 1)
 
     def edges():
-        # chain edges: source -> c_1 -> c_2 -> ... as far as needed
-        for w in range(max(chain_positions, default=0)):
-            src = 0 if w == 0 else chain_index[w]
-            yield (w, src, 0 if w + 1 == depth else chain_index[w + 1]), one_form
-        for pi, p in enumerate(parts):
-            shift = depth - p.depth
-            for (layer, a, c), form in p.edges.items():
-                if layer == 0:
-                    src = 0 if shift == 0 else chain_index[shift]
-                else:
-                    src = offsets[pi][layer] + a
-                if layer + 1 == p.depth:
-                    dst = 0
-                else:
-                    dst = offsets[pi][layer + 1] + c
-                yield (layer + shift, src, dst), form
+        for key in chain:
+            yield key, one_form
+        for placement, p in zip(placements, parts):
+            yield from placed(placement, p.edges.items())
 
     return ABP.build(n_vars, field, layer_nodes, edges())
+
+
+def live_nodes(depth: int, arcs: Iterable[tuple[tuple[int, int, int], object]]) -> Optional[list[list[int]]]:
+    """Per layer, the sorted nodes on some source-to-sink path of the arcs,
+    given as ((layer, from, to), label) pairs; None if no such path exists."""
+    by_layer: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
+    for (layer, a, c), _ in arcs:
+        by_layer[layer].append((a, c))
+    fwd = [set() for _ in range(depth + 1)]
+    fwd[0].add(0)
+    for layer in range(depth):
+        fwd[layer + 1].update(c for a, c in by_layer[layer] if a in fwd[layer])
+    bwd = [set() for _ in range(depth + 1)]
+    bwd[depth].add(0)
+    for layer in range(depth - 1, -1, -1):
+        bwd[layer].update(a for a, c in by_layer[layer] if c in bwd[layer + 1])
+    alive = [sorted(fwd[w] & bwd[w]) for w in range(depth + 1)]
+    return None if any(not nodes for nodes in alive) else alive
 
 
 def prune(abp: ABP) -> ABP:
@@ -614,19 +635,8 @@ def prune(abp: ABP) -> ABP:
     d = abp.depth
     if d == 0:
         return abp
-    arcs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for (layer, a, c) in abp.edges:
-        arcs[layer].append((a, c))
-    fwd = [set() for _ in range(d + 1)]
-    fwd[0].add(0)
-    for layer in range(d):
-        fwd[layer + 1].update(c for a, c in arcs[layer] if a in fwd[layer])
-    bwd = [set() for _ in range(d + 1)]
-    bwd[d].add(0)
-    for layer in range(d - 1, -1, -1):
-        bwd[layer].update(a for a, c in arcs[layer] if c in bwd[layer + 1])
-    alive = [sorted(fwd[w] & bwd[w]) for w in range(d + 1)]
-    if any(not nodes for nodes in alive):
+    alive = live_nodes(d, abp.edges.items())
+    if alive is None:
         return zero_abp(abp.n_vars, abp.field)
     remap = [{node: i for i, node in enumerate(nodes)} for nodes in alive]
     edges = {}

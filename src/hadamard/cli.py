@@ -148,13 +148,14 @@ def cmd_pit(args) -> dict:
 
 def cmd_hadamard_abp(args) -> dict:
     p = _load_abp(args.left, _read_json(args.left), args)
-    q = _load_abp(args.right, _read_json(args.right), args)
+    # a self-product parses its file once, and the product reuses p's parts
+    q = p if args.right == args.left else _load_abp(args.right, _read_json(args.right), args)
     detail = hadamard_abp_detailed(p, q)
     return {
         "abp": detail.abp.to_json(),
         "nodes": detail.abp.node_count(),
         "edges": detail.abp.edge_count(),
-        "unpruned_nodes": detail.unpruned.node_count(),
+        "unpruned_nodes": detail.unpruned_nodes,
         "per_degree": [
             {
                 "degree": rec.degree,

@@ -8,28 +8,36 @@ with multiplied coefficients.  Two constructions are provided:
   node is a pair of factor nodes, and the edge between two pairs matches the
   factor labels variable by variable (the coefficient of x_t is the product
   of the factors' coefficients of x_t).  Within each degree the product
-  layer sizes are exactly the products of the factor layer sizes.
+  layer sizes are exactly the products of the factor layer sizes.  The
+  degree parts are summed as ``abp_sum`` does and pruned as ``prune`` does,
+  but liveness comes before labels: which product nodes lie on a
+  source-to-sink path follows from the arcs alone, so only the live arcs
+  have their coefficients multiplied, and the result is built once.
 
 * circuit x branching program: a circuit for f and a program for g yield a
   circuit for the product, built by running the circuit against every
   interval of the normalized program.  Each memoized sub-result is the
   product of a gate's polynomial with the sub-program between two nodes;
-  multiplication gates split the interval at every intermediate node.
+  multiplication gates split the interval at every intermediate node.  The
+  sub-results are worked out depth first on an explicit stack of
+  generators, not by recursion, so a circuit may be any number of gates
+  deep.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from .abp import (
     ABP,
     LinearForm,
-    abp_sum,
-    constant_abp,
     homogeneous_parts,
+    live_nodes,
     normalize_edges,
+    placed,
     prune,
+    sum_layout,
     zero_abp,
 )
 from .circuits import AddGate, Circuit, CircuitBuilder, ConstGate, InputGate
@@ -50,8 +58,14 @@ class DegreeRecord:
 @dataclass
 class ABPProductResult:
     abp: ABP  # pruned final program
-    unpruned: ABP
     per_degree: list[DegreeRecord]
+    unpruned_nodes: int  # node count of the summed program before pruning
+    build_unpruned: Callable[[], ABP]
+
+    @cached_property
+    def unpruned(self) -> ABP:
+        """The summed program before pruning, built on first use."""
+        return self.build_unpruned()
 
 
 def _check_pair(n1: int, f1: Field, n2: int, f2: Field) -> None:
@@ -59,6 +73,30 @@ def _check_pair(n1: int, f1: Field, n2: int, f2: Field) -> None:
         raise ArityMismatchError(f"operands disagree on variable count: {n1} vs {n2}")
     if f1 != f2:
         raise FieldMismatchError("operands disagree on field")
+
+
+def product_arcs(p: ABP, q: ABP) -> dict:
+    """Arcs of the Cartesian product of two homogeneous programs of equal
+    depth, before any coefficient is multiplied.
+
+    Maps (layer, a * q_from + b, c * q_to + e) to the entries (v, x, y) that
+    pair p's entry x on (a, c) with q's entry y on (b, e) for variable v;
+    the arc's label has x_v coefficient x * y.
+    """
+    arcs: dict[tuple[int, int, int], list] = {}
+    for layer, (pl, ql) in enumerate(zip(p.layers, q.layers)):
+        q_from, q_to = q.layer_sizes[layer], q.layer_sizes[layer + 1]
+        for v, p_entries in pl.by_var.items():
+            q_entries = ql.by_var.get(v, ())
+            for a, c, x in p_entries:
+                for b, e, y in q_entries:
+                    arcs.setdefault((layer, a * q_from + b, c * q_to + e), []).append((v, x, y))
+    return arcs
+
+
+def product_label(zero, entries: list) -> LinearForm:
+    """The label of a product arc from its entries (v, x, y) in ``product_arcs``."""
+    return LinearForm(zero, {v: x * y for v, x, y in entries})
 
 
 def hadamard_homogeneous(p: ABP, q: ABP) -> ABP:
@@ -70,51 +108,75 @@ def hadamard_homogeneous(p: ABP, q: ABP) -> ABP:
     _check_pair(p.n_vars, p.field, q.n_vars, q.field)
     if p.depth != q.depth:
         raise ArityMismatchError(f"depth mismatch: {p.depth} vs {q.depth}")
-    field = p.field
-    zero = field.zero()
+    zero = p.field.zero()
     sizes = [pw * qw for pw, qw in zip(p.layer_sizes, q.layer_sizes)]
-    # entries of the same variable pair up: coefficient of x_v is the product
-    coeffs: dict[tuple[int, int, int], dict] = {}
-    for layer, (pl, ql) in enumerate(zip(p.layers, q.layers)):
-        q_from, q_to = q.layer_sizes[layer], q.layer_sizes[layer + 1]
-        for v, p_entries in pl.by_var.items():
-            q_entries = ql.by_var.get(v, ())
-            for a, c, x in p_entries:
-                for b, e, y in q_entries:
-                    key = (layer, a * q_from + b, c * q_to + e)
-                    coeffs.setdefault(key, {})[v] = x * y
-    edges = {key: LinearForm(zero, cs) for key, cs in coeffs.items()}
-    return ABP.build(p.n_vars, field, sizes, edges)
+    edges = {key: product_label(zero, entries) for key, entries in product_arcs(p, q).items()}
+    return ABP.build(p.n_vars, p.field, sizes, edges)
 
 
 def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
-    """Full pipeline: homogenize, normalize, multiply per degree, sum, prune."""
+    """Homogenize, normalize, multiply per degree, sum and prune.
+
+    The result is what ``prune(abp_sum(...))`` of the per-degree
+    ``hadamard_homogeneous`` products gives, but liveness is worked out on
+    the summed layout's arcs first, and only the live arcs are labelled and
+    built, once.
+    """
     _check_pair(p.n_vars, p.field, q.n_vars, q.field)
-    field = p.field
+    n_vars, field = p.n_vars, p.field
+    zero = field.zero()
     p_parts = homogeneous_parts(p)
-    q_parts = homogeneous_parts(q)
+    q_parts = p_parts if q is p else homogeneous_parts(q)
     records: list[DegreeRecord] = []
-    summands: list[ABP] = []
+    summands: list[tuple[tuple[int, ...], dict]] = []  # layer sizes, arc -> form or entries
     for k in range(min(len(p_parts), len(q_parts))):
         pk, qk = p_parts[k], q_parts[k]
         if k == 0:
             pc = pk.label(0, 0, 0)
             qc = qk.label(0, 0, 0)
-            c = (pc.const if pc else field.zero()) * (qc.const if qc else field.zero())
-            rk = constant_abp(p.n_vars, field, c)
-            records.append(
-                DegreeRecord(0, pk.layer_sizes, qk.layer_sizes, rk.layer_sizes)
-            )
+            c = (pc.const if pc else zero) * (qc.const if qc else zero)
+            records.append(DegreeRecord(0, pk.layer_sizes, qk.layer_sizes, (1, 1)))
             if c:
-                summands.append(rk)
+                summands.append(((1, 1), {(0, 0, 0): LinearForm.constant(field, c)}))
             continue
         pk = normalize_edges(pk)
-        qk = normalize_edges(qk)
-        rk = hadamard_homogeneous(pk, qk)
-        records.append(DegreeRecord(k, pk.layer_sizes, qk.layer_sizes, rk.layer_sizes))
-        summands.append(rk)
-    unpruned = abp_sum(summands) if summands else zero_abp(p.n_vars, field)
-    return ABPProductResult(prune(unpruned), unpruned, records)
+        qk = pk if q is p else normalize_edges(qk)
+        sizes = tuple(pw * qw for pw, qw in zip(pk.layer_sizes, qk.layer_sizes))
+        records.append(DegreeRecord(k, pk.layer_sizes, qk.layer_sizes, sizes))
+        summands.append((sizes, product_arcs(pk, qk)))
+    if not summands:
+        none = zero_abp(n_vars, field)
+        return ABPProductResult(none, records, none.node_count(), lambda: none)
+
+    layer_sizes, chain, placements = sum_layout([sizes for sizes, _ in summands])
+    one_form = LinearForm.constant(field, 1)
+
+    def summed():
+        """(arc, form or product entries) of the sum, in ``abp_sum``'s edge order."""
+        for key in chain:
+            yield key, one_form
+        for placement, (_, arcs) in zip(placements, summands):
+            yield from placed(placement, arcs.items())
+
+    def label(value) -> LinearForm:
+        return product_label(zero, value) if type(value) is list else value
+
+    def unpruned() -> ABP:
+        return ABP.build(n_vars, field, layer_sizes, ((key, label(value)) for key, value in summed()))
+
+    alive = live_nodes(len(layer_sizes) - 1, summed())
+    if alive is None:
+        return ABPProductResult(zero_abp(n_vars, field), records, sum(layer_sizes), unpruned)
+    remap = [{node: i for i, node in enumerate(nodes)} for nodes in alive]
+
+    def live_edges():
+        for (layer, a, c), value in summed():
+            src, dst = remap[layer].get(a), remap[layer + 1].get(c)
+            if src is not None and dst is not None:
+                yield (layer, src, dst), label(value)
+
+    pruned = ABP.build(n_vars, field, [len(nodes) for nodes in alive], live_edges())
+    return ABPProductResult(pruned, records, sum(layer_sizes), unpruned)
 
 
 def hadamard_abp(p: ABP, q: ABP) -> ABP:
@@ -134,9 +196,22 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     field = c.field
     builder = CircuitBuilder(c.n_vars, field)
     parts = homogeneous_parts(p)
+    gates = c.gates
     degrees = c.formal_degrees()
+    # interval length a leaf's sub-result needs to be nonzero; None for add/mul gates
+    leaf_length = [
+        0 if isinstance(g, ConstGate) else 1 if isinstance(g, InputGate) else None for g in gates
+    ]
+    # a missing sub-result of a gate at most `nest` tall is expanded by
+    # delegation (yield from), which nests that deep; taller ones go on the
+    # explicit stack
+    nest = 32
+    height: list[int] = []
+    for g, need in zip(gates, leaf_length):
+        height.append(0 if need is not None else 1 + max(height[g.left], height[g.right]))
     per_degree: list[tuple[int, Optional[int]]] = []
     memo: dict = {}
+    missing = object()
 
     # degree 0: the constant terms multiply
     zeros = [field.zero()] * c.n_vars
@@ -151,32 +226,55 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             continue
         part = normalize_edges(part)
 
-        def result_gate(gi: int, i: int, a: int, j: int, b: int) -> Optional[int]:
-            """Gate id for (gate gi's polynomial) o (sub-program (i,a)->(j,b))."""
-            key = (k, gi, i, a, j, b)
-            if key in memo:
-                return memo[key]
-            gate = c.gates[gi]
-            length = j - i
-            out: Optional[int] = None
+        def leaf(key: tuple) -> Optional[int]:
+            """Gate id for a constant gate over an empty interval or an input
+            gate over one layer, stored in the memo."""
+            _, gi, i, a, j, b = key
+            gate = gates[gi]
+            out = None
             if isinstance(gate, ConstGate):
-                if length == 0 and a == b:
+                if a == b:
                     out = builder.const(gate.value)
-            elif isinstance(gate, InputGate):
-                if length == 1:
-                    form = part.label(i, a, b)
-                    coeff = form.coeffs.get(gate.var) if form else None
-                    if coeff:
-                        out = builder.mul(builder.const(coeff), builder.input(gate.var))
-            elif isinstance(gate, AddGate):
-                out = builder.add(
-                    result_gate(gate.left, i, a, j, b),
-                    result_gate(gate.right, i, a, j, b),
-                )
+            else:
+                form = part.label(i, a, b)
+                coeff = form.coeffs.get(gate.var) if form else None
+                if coeff:
+                    out = builder.mul(builder.const(coeff), builder.input(gate.var))
+            memo[key] = out
+            return out
+
+        def expand(key: tuple):
+            """Gate id for (add or mul gate gi's polynomial) o (sub-program
+            (i,a)->(j,b)), stored in the memo.  The memo is probed here; a
+            missing add/mul sub-result is expanded by delegation if its gate
+            is short, and otherwise yielded as its key to be expanded on the
+            stack, its gate id sent back."""
+            _, gi, i, a, j, b = key
+            gate = gates[gi]
+            if isinstance(gate, AddGate):
+                subs = []
+                for g in (gate.left, gate.right):
+                    need = leaf_length[g]
+                    sub = None
+                    if need is None or need == j - i:
+                        sub_key = (k, g, i, a, j, b)
+                        sub = memo.get(sub_key, missing)
+                        if sub is missing:
+                            if need is not None:
+                                sub = leaf(sub_key)
+                            elif height[g] <= nest:
+                                sub = yield from expand(sub_key)
+                            else:
+                                sub = yield sub_key
+                    subs.append(sub)
+                out = builder.add(*subs)
             else:  # MulGate: split the interval at every node of every split layer
+                left, right = gate.left, gate.right
+                left_need, right_need = leaf_length[left], leaf_length[right]
                 pieces = []
-                for m in range(i, j + 1):
-                    if degrees[gate.left] < m - i or degrees[gate.right] < j - m:
+                # the formal degrees bound the split; an input on the left also needs m > i
+                for m in range(i + 1 if left_need == 1 else i, j + 1):
+                    if degrees[left] < m - i or degrees[right] < j - m:
                         continue
                     if m == i:
                         candidates = [a]
@@ -184,20 +282,54 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                         candidates = [b]
                     else:
                         candidates = range(part.layer_sizes[m])
+                    # the left factor is built even where the right one is zero
+                    right_zero = right_need is not None and right_need != j - m
                     for t in candidates:
-                        left = result_gate(gate.left, i, a, m, t)
-                        if left is None:
+                        sub_key = (k, left, i, a, m, t)
+                        lhs = memo.get(sub_key, missing)
+                        if lhs is missing:
+                            if left_need is not None:
+                                lhs = leaf(sub_key)
+                            elif height[left] <= nest:
+                                lhs = yield from expand(sub_key)
+                            else:
+                                lhs = yield sub_key
+                        if lhs is None or right_zero:
                             continue
-                        right = result_gate(gate.right, m, t, j, b)
-                        pieces.append(builder.mul(left, right))
+                        sub_key = (k, right, m, t, j, b)
+                        rhs = memo.get(sub_key, missing)
+                        if rhs is missing:
+                            if right_need is not None:
+                                rhs = leaf(sub_key)
+                            elif height[right] <= nest:
+                                rhs = yield from expand(sub_key)
+                            else:
+                                rhs = yield sub_key
+                        if rhs is not None:
+                            pieces.append(builder.mul(lhs, rhs))
                 out = builder.add_many(pieces)
             memo[key] = out
             return out
 
-        per_degree.append((k, result_gate(c.output, 0, 0, k, 0)))
+        if leaf_length[c.output] is not None:
+            top = leaf((k, c.output, 0, 0, k, 0)) if leaf_length[c.output] == k else None
+        else:
+            # depth-first over the tall sub-results on an explicit stack of generators
+            stack = [expand((k, c.output, 0, 0, k, 0))]
+            top = None
+            while stack:
+                try:
+                    stack.append(expand(stack[-1].send(top)))
+                    top = None
+                except StopIteration as done:
+                    stack.pop()
+                    top = done.value
+        per_degree.append((k, top))
 
     total = builder.add_many([g for _, g in per_degree])
-    return CircuitProductResult(builder.finish(total), per_degree, len(memo))
+    memo_size = len(memo)
+    memo.clear()  # before the circuit is validated and copied
+    return CircuitProductResult(builder.finish(total), per_degree, memo_size)
 
 
 def hadamard_circuit_abp(c: Circuit, p: ABP) -> Circuit:

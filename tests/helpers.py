@@ -11,10 +11,20 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from hadamard.abp import ABP, LinearForm
-from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
+from hadamard.abp import (
+    ABP,
+    LinearForm,
+    abp_sum,
+    constant_abp,
+    homogeneous_parts,
+    normalize_edges,
+    prune,
+    zero_abp,
+)
+from hadamard.circuits import AddGate, Circuit, CircuitBuilder, ConstGate, InputGate, MulGate
 from hadamard.fields import ExtElement, _poly_mod, _poly_mul
 from hadamard.pit import Digraph
+from hadamard.products import DegreeRecord, hadamard_homogeneous
 
 
 def lf(field, const=0, **kw):
@@ -43,8 +53,6 @@ def random_abp(rng, field, n_vars=3, depth=3, width=3, affine=True, density=0.7)
 def cancelling_abp(rng, field, **kw):
     """A program that computes the zero polynomial non-trivially: a random
     program joined with a copy of itself whose final-layer labels are negated."""
-    from hadamard.abp import abp_sum
-
     while True:
         base = random_abp(rng, field, **kw)
         if not base.expand().is_zero():
@@ -67,7 +75,6 @@ def cancel_join(rng, field, depth, width=2, n_vars=3, zero=True):
     * delta x_v * (suffix out of it).  Every edge of the base exists, and
     its label has a constant with probability 0.4 and each variable with
     probability 0.45, as in the benchmark's identity inputs."""
-    from hadamard.abp import abp_sum
 
     def coeff():
         return rng.choice((-1, 1)) * rng.randint(1, 7)
@@ -114,6 +121,24 @@ def random_circuit(rng, field, n_vars=3, n_gates=8, max_degree=3):
             else:
                 gates.append(AddGate(l, r))
                 degs.append(max(degs[l], degs[r]))
+    return Circuit.build(n_vars, field, gates, len(gates) - 1)
+
+
+def tall_circuit(rng, field, n_vars=2, n_gates=60, max_degree=4):
+    """A circuit in which most gates read the gate just before them, so its
+    height grows with its size."""
+    gates = [InputGate(v) for v in range(n_vars)] + [ConstGate(field.coerce(rng.randint(-2, 2)))]
+    degs = [1] * n_vars + [0]
+    while len(gates) < n_gates:
+        l, r = len(gates) - 1, rng.randrange(len(gates))
+        if rng.random() < 0.5:
+            l, r = r, l
+        if rng.random() < 0.3 and degs[l] + degs[r] <= max_degree:
+            gates.append(MulGate(l, r))
+            degs.append(degs[l] + degs[r])
+        else:
+            gates.append(AddGate(l, r))
+            degs.append(max(degs[l], degs[r]))
     return Circuit.build(n_vars, field, gates, len(gates) - 1)
 
 
@@ -238,3 +263,80 @@ def random_grammar(rng, n_nonterminals=5, terminals=2, max_prods=3):
             rhss.append(tuple(rhs))
         prods[name] = tuple(rhss)
     return AcyclicCFG.build(names, terminals, names[-1], prods)
+
+
+def naive_hadamard_abp(p: ABP, q: ABP) -> tuple[ABP, ABP, list]:
+    """(pruned product, unpruned product, per-degree records) by building
+    every stage in full: per-degree ``hadamard_homogeneous`` products,
+    their ``abp_sum`` and its ``prune``."""
+    field = p.field
+    p_parts, q_parts = homogeneous_parts(p), homogeneous_parts(q)
+    records, summands = [], []
+    for k in range(min(len(p_parts), len(q_parts))):
+        pk, qk = p_parts[k], q_parts[k]
+        if k == 0:
+            pc, qc = pk.label(0, 0, 0), qk.label(0, 0, 0)
+            c = (pc.const if pc else field.zero()) * (qc.const if qc else field.zero())
+            rk = constant_abp(p.n_vars, field, c)
+            records.append(DegreeRecord(0, pk.layer_sizes, qk.layer_sizes, rk.layer_sizes))
+            if c:
+                summands.append(rk)
+            continue
+        pk, qk = normalize_edges(pk), normalize_edges(qk)
+        rk = hadamard_homogeneous(pk, qk)
+        records.append(DegreeRecord(k, pk.layer_sizes, qk.layer_sizes, rk.layer_sizes))
+        summands.append(rk)
+    unpruned = abp_sum(summands) if summands else zero_abp(p.n_vars, field)
+    return prune(unpruned), unpruned, records
+
+
+def recursive_hadamard_circuit_abp(c: Circuit, p: ABP) -> Circuit:
+    """The circuit x program product by plain recursion over (gate,
+    interval) pairs, one memoized call per sub-result; deep circuits exceed
+    Python's recursion limit."""
+    field = c.field
+    builder = CircuitBuilder(c.n_vars, field)
+    parts = homogeneous_parts(p)
+    degrees = c.formal_degrees()
+    memo: dict = {}
+    zeros = [field.zero()] * c.n_vars
+    per_degree = [builder.const(c.evaluate(zeros) * p.evaluate(zeros))]
+    for k in range(1, min(c.formal_degree(), p.depth, len(parts) - 1) + 1):
+        part = prune(parts[k])
+        if part.depth != k:
+            per_degree.append(None)
+            continue
+        part = normalize_edges(part)
+
+        def result_gate(gi, i, a, j, b):
+            key = (k, gi, i, a, j, b)
+            if key in memo:
+                return memo[key]
+            gate = c.gates[gi]
+            out = None
+            if isinstance(gate, ConstGate):
+                if j == i and a == b:
+                    out = builder.const(gate.value)
+            elif isinstance(gate, InputGate):
+                if j == i + 1:
+                    form = part.label(i, a, b)
+                    coeff = form.coeffs.get(gate.var) if form else None
+                    if coeff:
+                        out = builder.mul(builder.const(coeff), builder.input(gate.var))
+            elif isinstance(gate, AddGate):
+                out = builder.add(result_gate(gate.left, i, a, j, b), result_gate(gate.right, i, a, j, b))
+            else:
+                pieces = []
+                for m in range(i, j + 1):
+                    if degrees[gate.left] < m - i or degrees[gate.right] < j - m:
+                        continue
+                    for t in [a] if m == i else [b] if m == j else range(part.layer_sizes[m]):
+                        left = result_gate(gate.left, i, a, m, t)
+                        if left is not None:
+                            pieces.append(builder.mul(left, result_gate(gate.right, m, t, j, b)))
+                out = builder.add_many(pieces)
+            memo[key] = out
+            return out
+
+        per_degree.append(result_gate(c.output, 0, 0, k, 0))
+    return builder.finish(builder.add_many(per_degree))

@@ -1,11 +1,14 @@
 """End-to-end checks of the command-line surface via subprocess."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hadamard.abp import ABP, LinearForm
 from hadamard.circuits import CircuitBuilder
@@ -300,6 +303,8 @@ GRAMMAR = {
         (("lab", "expsum", "--t", "1", "--p", "2", "--sets", "a"), None),
         (("expand", "{}"), 5),
         (("nisan", "{}"), 5),
+        (("pit", "det", "{}"), _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": {"const": "1", "coeffs": 5}})),
+        (("pit", "det", "{}"), _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": "x"})),
     ],
 )
 def test_malformed_input_is_a_validation_error(argv, content, tmp_path, capsys):
@@ -308,3 +313,67 @@ def test_malformed_input_is_a_validation_error(argv, content, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+# keys that the program, circuit and field decoders read
+_FUZZ_KEYS = ["nvars", "field", "kind", "p", "k", "modulus", "layers", "edges", "from", "to",
+              "label", "const", "coeffs", "0", "1", "gates", "op", "var", "value", "l", "r", "output"]
+_FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9)
+    | st.sampled_from(["", "x", "1", "-1/2", "1/0", "Q", "Fp", "in", "mul"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _json_paths(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _json_paths(value, path + (i,))
+
+
+def _fuzz_inputs() -> dict:
+    b = CircuitBuilder(3, Q)
+    x0, x1, two = b.input(0), b.input(1), b.const(2)
+    circuit = b.finish(b.add(b.mul(x0, b.add(x1, two)), b.mul(two, x1)))
+    return {"program": two_path_abp(2).to_json(), "circuit": circuit.to_json()}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_product_inputs_exit_cleanly(data, fuzz_dir):
+    """A product command on a program or circuit file with one value
+    replaced or one key dropped exits 0, 2 or 3, with at most one line on
+    stderr and never a traceback."""
+    inputs = _fuzz_inputs()
+    target = data.draw(st.sampled_from(sorted(inputs)))
+    obj = inputs[target]
+    path = data.draw(st.sampled_from(list(_json_paths(obj))[1:]))
+    node = obj
+    for step in path[:-1]:
+        node = node[step]
+    if isinstance(node, dict) and data.draw(st.booleans()):
+        del node[path[-1]]
+    else:
+        node[path[-1]] = data.draw(_FUZZ_VALUES)
+    paths = {name: write_json(fuzz_dir / f"{name}.json", value) for name, value in inputs.items()}
+    argvs = [
+        ["hadamard", "abp", paths["program"], str(fuzz_dir / "plain.json")],
+        ["hadamard", "circuit-abp", paths["circuit"], paths["program"]],
+    ]
+    write_json(fuzz_dir / "plain.json", two_path_abp(-1).to_json())
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1

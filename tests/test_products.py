@@ -6,11 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import helpers
 from hadamard.abp import ABP, LinearForm, homogeneous_parts, normalize_edges
 from hadamard.circuits import Circuit, InputGate, MulGate, AddGate, ConstGate
 from hadamard.errors import ArityMismatchError, FieldMismatchError
-from hadamard.fields import PrimeField, RationalField
+from hadamard.fields import PrimeField, RationalField, parse_field_spec
 from hadamard.polynomials import NCPoly
 from hadamard.products import (
     hadamard_abp,
@@ -174,3 +176,72 @@ def test_circuit_abp_constant_only_operands():
     p = ABP.build(1, Q, (1, 1), {(0, 0, 0): lf(Q, const=2, x0=1)})
     r = hadamard_circuit_abp(c, p)
     assert r.expand() == NCPoly.const(1, Q, 6)
+
+
+ORACLE_FIELDS = [Q, PrimeField(2), F5, parse_field_spec("fpk:2:2")]
+
+
+def _program(rng, field, depth, cancelling):
+    """Over x0, x1: the constant 1 at depth 0, else a random or a cancelling program."""
+    if depth == 0:
+        return ABP.build(2, field, (1,), {})
+    if cancelling:
+        return helpers.cancelling_abp(rng, field, n_vars=2, depth=depth, width=2)
+    width, density = rng.randint(1, 3), rng.choice((0.4, 0.7, 1.0))
+    return helpers.random_abp(rng, field, n_vars=2, depth=depth, width=width, density=density)
+
+
+@st.composite
+def _program_pairs(draw):
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = _program(rng, field, draw(st.integers(0, 5)), draw(st.booleans()))
+    if draw(st.booleans()):
+        return p, p
+    return p, _program(rng, field, draw(st.integers(0, 5)), draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_program_pairs())
+def test_abp_product_matches_the_full_pipeline(pair):
+    # the product labels only live arcs; building every stage must agree,
+    # edge order included
+    p, q = pair
+    detail = hadamard_abp_detailed(p, q)
+    pruned, unpruned, records = helpers.naive_hadamard_abp(p, q)
+    assert detail.abp.to_json() == pruned.to_json()
+    assert list(detail.abp.edges) == list(pruned.edges)
+    assert detail.per_degree == records
+    assert detail.unpruned_nodes == unpruned.node_count()
+    assert detail.unpruned == unpruned
+    assert list(detail.unpruned.edges) == list(unpruned.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(ORACLE_FIELDS),
+    seed=st.integers(0, 2**32),
+    depth=st.integers(0, 5),
+    cancelling=st.booleans(),
+    tall=st.booleans(),
+)
+def test_circuit_product_matches_the_recursion(field, seed, depth, cancelling, tall):
+    # tall circuits put sub-results on the explicit stack, short ones are delegated
+    rng = random.Random(seed)
+    p = _program(rng, field, depth, cancelling)
+    if tall:
+        c = helpers.tall_circuit(rng, field, n_gates=rng.randint(36, 80))
+    else:
+        c = helpers.random_circuit(rng, field, n_vars=2, n_gates=rng.randint(1, 14), max_degree=5)
+    assert hadamard_circuit_abp(c, p).to_json() == helpers.recursive_hadamard_circuit_abp(c, p).to_json()
+
+
+def test_circuit_product_of_a_deep_chain():
+    # 3,000 gates deep, past Python's recursion limit: additions of x0, x1
+    # and 2, with every third gate a product by 2 on the left
+    gates = [InputGate(0), InputGate(1), ConstGate(Fraction(2))]
+    for g in range(3, 3000):
+        gates.append(MulGate(2, g - 1) if g % 3 == 0 else AddGate(g - 1, g % 3))
+    c = Circuit.build(2, Q, gates, len(gates) - 1)
+    p = ABP.build(2, Q, (1, 1), {(0, 0, 0): lf(Q, const=3, x0=2, x1=-1)})
+    assert hadamard_circuit_abp(c, p).expand() == c.expand().hadamard(p.expand())
