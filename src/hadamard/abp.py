@@ -581,6 +581,16 @@ def placed(placement: tuple, items: Iterable[tuple[tuple[int, int, int], object]
         yield (layer + shift, src, dst), value
 
 
+def sum_edges(chain: Sequence[tuple], placements: Sequence[tuple], item_iters: Sequence[Iterable], one_form):
+    """(key, value) of the sum's edges in ``abp_sum``'s order: the delay
+    chain's keys with ``one_form``, then each summand's items placed as
+    ``sum_layout`` lays them out."""
+    for key in chain:
+        yield key, one_form
+    for placement, items in zip(placements, item_iters):
+        yield from placed(placement, items)
+
+
 def abp_sum(parts: Sequence[ABP]) -> ABP:
     """Disjoint union behind a shared source and sink.
 
@@ -602,14 +612,8 @@ def abp_sum(parts: Sequence[ABP]) -> ABP:
     parts = [constant_abp(n_vars, field, 1) if p.depth == 0 else p for p in parts]
     layer_nodes, chain, placements = sum_layout([p.layer_sizes for p in parts])
     one_form = LinearForm.constant(field, 1)
-
-    def edges():
-        for key in chain:
-            yield key, one_form
-        for placement, p in zip(placements, parts):
-            yield from placed(placement, p.edges.items())
-
-    return ABP.build(n_vars, field, layer_nodes, edges())
+    edges = sum_edges(chain, placements, [p.edges.items() for p in parts], one_form)
+    return ABP.build(n_vars, field, layer_nodes, edges)
 
 
 def live_nodes(depth: int, arcs: Iterable[tuple[tuple[int, int, int], object]]) -> Optional[list[list[int]]]:
@@ -630,6 +634,16 @@ def live_nodes(depth: int, arcs: Iterable[tuple[tuple[int, int, int], object]]) 
     return None if any(not nodes for nodes in alive) else alive
 
 
+def pruned_edges(alive: Sequence[Sequence[int]], items: Iterable[tuple[tuple[int, int, int], object]]):
+    """(key, value) for each item whose two nodes are alive, in order, its
+    nodes renumbered by their rank in ``alive`` (from ``live_nodes``)."""
+    remap = [{node: i for i, node in enumerate(nodes)} for nodes in alive]
+    for (layer, a, c), value in items:
+        src, dst = remap[layer].get(a), remap[layer + 1].get(c)
+        if src is not None and dst is not None:
+            yield (layer, src, dst), value
+
+
 def prune(abp: ABP) -> ABP:
     """Drop nodes not on any source-to-sink edge path; canonical zero if none."""
     d = abp.depth
@@ -638,11 +652,7 @@ def prune(abp: ABP) -> ABP:
     alive = live_nodes(d, abp.edges.items())
     if alive is None:
         return zero_abp(abp.n_vars, abp.field)
-    remap = [{node: i for i, node in enumerate(nodes)} for nodes in alive]
-    edges = {}
-    for (layer, a, c), form in abp.edges.items():
-        if a in remap[layer] and c in remap[layer + 1]:
-            edges[(layer, remap[layer][a], remap[layer + 1][c])] = form
+    edges = pruned_edges(alive, abp.edges.items())
     return ABP.build(abp.n_vars, abp.field, [len(nodes) for nodes in alive], edges)
 
 

@@ -35,8 +35,9 @@ from .abp import (
     homogeneous_parts,
     live_nodes,
     normalize_edges,
-    placed,
     prune,
+    pruned_edges,
+    sum_edges,
     sum_layout,
     zero_abp,
 )
@@ -152,30 +153,22 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
     one_form = LinearForm.constant(field, 1)
 
     def summed():
-        """(arc, form or product entries) of the sum, in ``abp_sum``'s edge order."""
-        for key in chain:
-            yield key, one_form
-        for placement, (_, arcs) in zip(placements, summands):
-            yield from placed(placement, arcs.items())
+        return sum_edges(chain, placements, [arcs.items() for _, arcs in summands], one_form)
 
-    def label(value) -> LinearForm:
-        return product_label(zero, value) if type(value) is list else value
+    def labelled(items):
+        """Items with product entries made into their labels; the chain's
+        and the constant part's values are labels already."""
+        for key, value in items:
+            yield key, value if isinstance(value, LinearForm) else product_label(zero, value)
 
     def unpruned() -> ABP:
-        return ABP.build(n_vars, field, layer_sizes, ((key, label(value)) for key, value in summed()))
+        return ABP.build(n_vars, field, layer_sizes, labelled(summed()))
 
     alive = live_nodes(len(layer_sizes) - 1, summed())
     if alive is None:
         return ABPProductResult(zero_abp(n_vars, field), records, sum(layer_sizes), unpruned)
-    remap = [{node: i for i, node in enumerate(nodes)} for nodes in alive]
-
-    def live_edges():
-        for (layer, a, c), value in summed():
-            src, dst = remap[layer].get(a), remap[layer + 1].get(c)
-            if src is not None and dst is not None:
-                yield (layer, src, dst), label(value)
-
-    pruned = ABP.build(n_vars, field, [len(nodes) for nodes in alive], live_edges())
+    live_sizes = [len(nodes) for nodes in alive]
+    pruned = ABP.build(n_vars, field, live_sizes, labelled(pruned_edges(alive, summed())))
     return ABPProductResult(pruned, records, sum(layer_sizes), unpruned)
 
 
@@ -202,13 +195,6 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     leaf_length = [
         0 if isinstance(g, ConstGate) else 1 if isinstance(g, InputGate) else None for g in gates
     ]
-    # a missing sub-result of a gate at most `nest` tall is expanded by
-    # delegation (yield from), which nests that deep; taller ones go on the
-    # explicit stack
-    nest = 32
-    height: list[int] = []
-    for g, need in zip(gates, leaf_length):
-        height.append(0 if need is not None else 1 + max(height[g.left], height[g.right]))
     per_degree: list[tuple[int, Optional[int]]] = []
     memo: dict = {}
     missing = object()
@@ -226,29 +212,27 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             continue
         part = normalize_edges(part)
 
-        def leaf(key: tuple) -> Optional[int]:
-            """Gate id for a constant gate over an empty interval or an input
-            gate over one layer, stored in the memo."""
+        def leaf(key: tuple) -> None:
+            """Store in the memo the gate id for (constant or input gate gi) o
+            (sub-program (i,a)->(j,b)): None unless the interval has the
+            gate's length (0 for a constant, 1 for an input)."""
             _, gi, i, a, j, b = key
             gate = gates[gi]
-            out = None
-            if isinstance(gate, ConstGate):
-                if a == b:
-                    out = builder.const(gate.value)
+            if j - i != leaf_length[gi]:
+                out = None
+            elif isinstance(gate, ConstGate):
+                out = builder.const(gate.value) if a == b else None
             else:
                 form = part.label(i, a, b)
                 coeff = form.coeffs.get(gate.var) if form else None
-                if coeff:
-                    out = builder.mul(builder.const(coeff), builder.input(gate.var))
+                out = builder.mul(builder.const(coeff), builder.input(gate.var)) if coeff else None
             memo[key] = out
-            return out
 
         def expand(key: tuple):
-            """Gate id for (add or mul gate gi's polynomial) o (sub-program
-            (i,a)->(j,b)), stored in the memo.  The memo is probed here; a
-            missing add/mul sub-result is expanded by delegation if its gate
-            is short, and otherwise yielded as its key to be expanded on the
-            stack, its gate id sent back."""
+            """Store in the memo the gate id for (add or mul gate gi) o
+            (sub-program (i,a)->(j,b)).  The memo is probed here, and a leaf
+            child whose interval length rules it out is zero without a probe;
+            a missing sub-result is yielded as its key."""
             _, gi, i, a, j, b = key
             gate = gates[gi]
             if isinstance(gate, AddGate):
@@ -260,21 +244,18 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                         sub_key = (k, g, i, a, j, b)
                         sub = memo.get(sub_key, missing)
                         if sub is missing:
-                            if need is not None:
-                                sub = leaf(sub_key)
-                            elif height[g] <= nest:
-                                sub = yield from expand(sub_key)
-                            else:
-                                sub = yield sub_key
+                            yield sub_key
+                            sub = memo[sub_key]
                     subs.append(sub)
                 out = builder.add(*subs)
             else:  # MulGate: split the interval at every node of every split layer
                 left, right = gate.left, gate.right
                 left_need, right_need = leaf_length[left], leaf_length[right]
                 pieces = []
-                # the formal degrees bound the split; an input on the left also needs m > i
-                for m in range(i + 1 if left_need == 1 else i, j + 1):
+                for m in range(i, j + 1):
                     if degrees[left] < m - i or degrees[right] < j - m:
+                        continue
+                    if left_need is not None and left_need != m - i:
                         continue
                     if m == i:
                         candidates = [a]
@@ -288,43 +269,37 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                         sub_key = (k, left, i, a, m, t)
                         lhs = memo.get(sub_key, missing)
                         if lhs is missing:
-                            if left_need is not None:
-                                lhs = leaf(sub_key)
-                            elif height[left] <= nest:
-                                lhs = yield from expand(sub_key)
-                            else:
-                                lhs = yield sub_key
+                            yield sub_key
+                            lhs = memo[sub_key]
                         if lhs is None or right_zero:
                             continue
                         sub_key = (k, right, m, t, j, b)
                         rhs = memo.get(sub_key, missing)
                         if rhs is missing:
-                            if right_need is not None:
-                                rhs = leaf(sub_key)
-                            elif height[right] <= nest:
-                                rhs = yield from expand(sub_key)
-                            else:
-                                rhs = yield sub_key
+                            yield sub_key
+                            rhs = memo[sub_key]
                         if rhs is not None:
                             pieces.append(builder.mul(lhs, rhs))
                 out = builder.add_many(pieces)
             memo[key] = out
-            return out
 
+        root = (k, c.output, 0, 0, k, 0)
         if leaf_length[c.output] is not None:
-            top = leaf((k, c.output, 0, 0, k, 0)) if leaf_length[c.output] == k else None
+            leaf(root)
         else:
-            # depth-first over the tall sub-results on an explicit stack of generators
-            stack = [expand((k, c.output, 0, 0, k, 0))]
-            top = None
+            # depth first on an explicit stack of generators: a generator
+            # yields the key of a missing sub-result and reads it from the
+            # memo when resumed; a leaf is worked out at once
+            stack = [expand(root)]
             while stack:
-                try:
-                    stack.append(expand(stack[-1].send(top)))
-                    top = None
-                except StopIteration as done:
+                key = next(stack[-1], None)
+                if key is None:
                     stack.pop()
-                    top = done.value
-        per_degree.append((k, top))
+                elif leaf_length[key[1]] is not None:
+                    leaf(key)
+                else:
+                    stack.append(expand(key))
+        per_degree.append((k, memo[root]))
 
     total = builder.add_many([g for _, g in per_degree])
     memo_size = len(memo)

@@ -226,7 +226,7 @@ def test_abp_product_matches_the_full_pipeline(pair):
     tall=st.booleans(),
 )
 def test_circuit_product_matches_the_recursion(field, seed, depth, cancelling, tall):
-    # tall circuits put sub-results on the explicit stack, short ones are delegated
+    # tall circuits put many sub-results on the explicit stack at once
     rng = random.Random(seed)
     p = _program(rng, field, depth, cancelling)
     if tall:
