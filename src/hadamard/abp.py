@@ -132,9 +132,6 @@ class LinearForm:
             coeffs={int(v): field.coeff_from_json(a) for v, a in obj.get("coeffs", {}).items()},
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearForm) and self.const == other.const and self.coeffs == other.coeffs
-
 
 @dataclass
 class Layer:
@@ -296,15 +293,6 @@ class ABP:
                 raise ValidationError(f"edge {e['from']} -> {e['to']} skips layers")
             edges.append(((fl, fn, tn), LinearForm.from_json(e["label"], field)))
         return cls.build(int(obj["nvars"]), field, layers, edges)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ABP)
-            and self.n_vars == other.n_vars
-            and self.field == other.field
-            and self.layer_sizes == other.layer_sizes
-            and self.edges == other.edges
-        )
 
     def __repr__(self) -> str:
         return f"ABP(layers={list(self.layer_sizes)}, edges={len(self.edges)}, vars={self.n_vars})"
@@ -717,48 +705,10 @@ def coefficient_of(abp: ABP, word: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# sub-programs (useful for testing intermediate semantics)
-
-
-def prefix_subprogram(abp: ABP, layer: int, node: int) -> ABP:
-    """The program computed from the source into the given node."""
-    if not 0 <= layer <= abp.depth or not 0 <= node < abp.layer_sizes[layer]:
-        raise ValidationError("node out of range")
-    return subprogram(abp, 0, 0, layer, node)
-
-
-def subprogram(abp: ABP, i: int, a: int, j: int, b: int) -> ABP:
-    """The program between node a of layer i and node b of layer j."""
-    if not (0 <= i <= j <= abp.depth):
-        raise ValidationError("bad layer interval")
-    if i == j:
-        return constant_abp(abp.n_vars, abp.field, 1 if a == b else 0)
-    sizes = [1] + list(abp.layer_sizes[i + 1 : j]) + [1]
-    edges = {}
-    for (lyr, x, y), form in abp.edges.items():
-        if not (i <= lyr < j):
-            continue
-        if lyr == i and x != a:
-            continue
-        if lyr == j - 1 and y != b:
-            continue
-        src = 0 if lyr == i else x
-        dst = 0 if lyr == j - 1 else y
-        edges[(lyr - i, src, dst)] = form
-    return ABP.build(abp.n_vars, abp.field, sizes, edges)
-
-
-# ---------------------------------------------------------------------------
 # Nisan communication matrices
 
 
-@dataclass
-class NisanMatrix:
-    k: int
-    matrix: Matrix
-
-
-def nisan_matrix(f: NCPoly, k: int, max_entries: int = DEFAULT_MAX_TERMS) -> NisanMatrix:
+def nisan_matrix(f: NCPoly, k: int, max_entries: int = DEFAULT_MAX_TERMS) -> Matrix:
     """Rows are degree-k words, columns degree-(d-k) words, both lexicographic;
     the entry at (m, m') is the coefficient of the concatenation m m'."""
     if not f.is_homogeneous():
@@ -778,7 +728,7 @@ def nisan_matrix(f: NCPoly, k: int, max_entries: int = DEFAULT_MAX_TERMS) -> Nis
         for right in _words(n, d - k):
             row.append(f.terms.get(left + right, zero))
         rows.append(row)
-    return NisanMatrix(k, Matrix.from_rows(f.field, rows))
+    return Matrix.from_rows(f.field, rows)
 
 
 def _words(n_vars: int, length: int):
@@ -790,4 +740,4 @@ def nisan_complexity(f: NCPoly, max_entries: int = DEFAULT_MAX_TERMS) -> int:
     if f.is_zero():
         return 0
     d = f.degree()
-    return sum(nisan_matrix(f, k, max_entries).matrix.rank() for k in range(d + 1))
+    return sum(nisan_matrix(f, k, max_entries).rank() for k in range(d + 1))

@@ -169,15 +169,6 @@ class Circuit:
                 raise ValidationError(f"unknown gate op {op!r}")
         return cls.build(int(obj["nvars"]), field, gates, int(obj["output"]))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Circuit)
-            and self.n_vars == other.n_vars
-            and self.field == other.field
-            and self.gates == other.gates
-            and self.output == other.output
-        )
-
     def __repr__(self) -> str:
         return f"Circuit(gates={len(self.gates)}, vars={self.n_vars}, output={self.output})"
 

@@ -66,15 +66,20 @@ def _read_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror})")
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ValidationError(f"{path}: invalid JSON ({exc})")
 
 
 def _emit(obj, out: Optional[str]) -> None:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"{out}: cannot write ({exc.strerror})")
     else:
         sys.stdout.write(text)
 
@@ -192,7 +197,7 @@ def cmd_nisan(args) -> dict:
     if f.is_zero():
         return {"degree": None, "ranks": [], "total": 0}
     d = f.degree()
-    ranks = [nisan_matrix(f, k, args.max_terms).matrix.rank() for k in range(d + 1)]
+    ranks = [nisan_matrix(f, k, args.max_terms).rank() for k in range(d + 1)]
     return {"degree": d, "ranks": ranks, "total": sum(ranks)}
 
 
@@ -256,7 +261,7 @@ def cmd_lab(args) -> dict:
         return {"n": args.n, "monomials": len(prod.terms), "poly": prod.to_json()}
     params = ExplicitParams(args.t, args.p)
     if args.action == "build-f":
-        f = build_f(params, max_terms=args.max_terms, threads=args.threads)
+        f = build_f(params, max_terms=args.max_terms)
         return f.to_json()
     if args.action == "corr":
         f = build_f(params, max_terms=args.max_terms)
@@ -433,14 +438,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.handler(args)
+        _emit(args.handler(args), args.out)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, HadamardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(result, args.out)
     return 0
 
 

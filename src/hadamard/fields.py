@@ -122,14 +122,6 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 class RationalField:
     """The field of rational numbers; elements are ``Fraction`` values."""
 
-    @property
-    def char(self) -> int:
-        return 0
-
-    @property
-    def is_finite(self) -> bool:
-        return False
-
     def zero(self) -> Fraction:
         return Fraction(0)
 
@@ -232,14 +224,6 @@ class PrimeField:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValidationError(f"{self.p} is not prime")
-
-    @property
-    def char(self) -> int:
-        return self.p
-
-    @property
-    def is_finite(self) -> bool:
-        return True
 
     @property
     def order(self) -> int:
@@ -447,14 +431,6 @@ class ExtField:
                 raise ValidationError("trace did not land in the prime field")
             out.append(total.coeffs[0])
         return tuple(out)
-
-    @property
-    def char(self) -> int:
-        return self.p
-
-    @property
-    def is_finite(self) -> bool:
-        return True
 
     @property
     def order(self) -> int:

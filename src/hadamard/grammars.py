@@ -105,15 +105,6 @@ class AcyclicCFG:
             prods,
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AcyclicCFG)
-            and self.nonterminals == other.nonterminals
-            and self.terminals == other.terminals
-            and self.start == other.start
-            and self.productions == other.productions
-        )
-
 
 def validate_grammar(g: AcyclicCFG) -> Optional[str]:
     declared = set(g.nonterminals)

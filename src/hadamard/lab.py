@@ -81,14 +81,8 @@ def _all_subsets(n: int):
         yield from itertools.combinations(range(n), size)
 
 
-def build_f(
-    params: ExplicitParams,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    threads: int = 1,
-) -> CPoly:
-    """The full sign polynomial: all 2^n multilinear monomials, coefficients +-1.
-
-    ``threads`` is accepted for compatibility and has no effect."""
+def build_f(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) -> CPoly:
+    """The full sign polynomial: all 2^n multilinear monomials, coefficients +-1."""
     n = params.n
     if 2**n > max_terms:
         raise ResourceCapError(f"2^{n} terms exceed the cap of {max_terms}")

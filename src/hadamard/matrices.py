@@ -136,14 +136,6 @@ class Matrix:
             raise ValidationError(f"expected {r * c} entries, got {len(raw)}")
         return cls(r, c, field, tuple(field.coeff_from_json(x) for x in raw))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.field == other.field
-            and self.entries == other.entries
-        )
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
@@ -190,28 +182,3 @@ def independent_subset(vectors: Sequence[Sequence], field: Field) -> list[int]:
         if ech.insert(vec):
             kept.append(i)
     return kept
-
-
-def in_span(vector: Sequence, basis: Sequence[Sequence], field: Field) -> bool:
-    ech = _Echelon(field)
-    for b in basis:
-        ech.insert(b)
-    return not any(ech.reduce(vector))
-
-
-def basis_of_matrix_set(mats: Sequence[Matrix]) -> list[Matrix]:
-    """Maximal linearly independent subsequence of the given matrices.
-
-    All matrices must share one shape and field; each is flattened row-major.
-    """
-    if not mats:
-        return []
-    field = mats[0].field
-    shape = (mats[0].rows, mats[0].cols)
-    for m in mats:
-        if m.field != field:
-            raise FieldMismatchError("mixed fields in matrix set")
-        if (m.rows, m.cols) != shape:
-            raise ShapeError("mixed shapes in matrix set")
-    kept = independent_subset([m.entries for m in mats], field)
-    return [mats[i] for i in kept]

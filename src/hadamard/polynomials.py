@@ -103,18 +103,6 @@ class _TermMap:
                 out.pop(m, None)
         return type(self)(self.n_vars, self.field, out)
 
-    def neg(self):
-        return self.scale(self.field.from_int(-1))
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def scale(self, c):
-        c = self.field.coerce(c)
-        if not c:
-            return self.zero(self.n_vars, self.field)
-        return type(self)(self.n_vars, self.field, {m: c * v for m, v in self.terms.items()})
-
     def hadamard(self, other):
         _check_compatible(self, other)
         small, big = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
@@ -183,14 +171,6 @@ class _TermMap:
                 raise ValidationError(f"duplicate {cls._noun} {list(m)}")
             terms[m] = field.coeff_from_json(t["coeff"])
         return cls.from_terms(int(obj["nvars"]), field, terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.n_vars == other.n_vars
-            and self.field == other.field
-            and self.terms == other.terms
-        )
 
     def __repr__(self) -> str:
         name = type(self).__name__

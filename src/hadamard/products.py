@@ -205,7 +205,7 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     g0 = builder.const(c0)
     per_degree.append((0, g0))
 
-    for k in range(1, min(c.formal_degree(), p.depth, len(parts) - 1) + 1):
+    for k in range(1, min(degrees[c.output], p.depth, len(parts) - 1) + 1):
         part = prune(parts[k])
         if part.depth != k:  # degree-k component is identically zero
             per_degree.append((k, None))

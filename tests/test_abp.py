@@ -21,9 +21,7 @@ from hadamard.abp import (
     nisan_complexity,
     nisan_matrix,
     normalize_edges,
-    prefix_subprogram,
     prune,
-    subprogram,
     validate,
     zero_abp,
 )
@@ -286,24 +284,16 @@ def test_coefficient_of_handles_affine_programs():
             assert coefficient_of(p, word) == f.coeff(word)
 
 
-def test_subprograms():
-    p = mixed_example()
-    pre = prefix_subprogram(p, 1, 1)
-    assert pre.expand() == NCPoly.from_terms(3, Q, {(1,): 1})
-    mid = subprogram(p, 1, 1, 2, 0)
-    assert mid.expand() == NCPoly.from_terms(3, Q, {(): 1, (2,): 1})
-
-
 def test_nisan_matrix_examples():
     # x1*x2 + x2*x1 over two variables named 0 and 1
     f = NCPoly.from_terms(2, Q, {(0, 1): 1, (1, 0): 1})
-    m1 = nisan_matrix(f, 1).matrix
+    m1 = nisan_matrix(f, 1)
     assert (m1.rows, m1.cols) == (2, 2)
     assert m1.rank() == 2
     assert nisan_complexity(f) == 4
     # (x0 + x1)^2 has all four words; middle matrix is all-ones, rank 1
     g = NCPoly.from_terms(2, Q, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
-    assert nisan_matrix(g, 1).matrix.rank() == 1
+    assert nisan_matrix(g, 1).rank() == 1
     assert nisan_complexity(g) == 3
     assert nisan_complexity(NCPoly.zero(2, Q)) == 0
 

@@ -230,9 +230,9 @@ def test_criterion_07_nisan_rank_submultiplicativity():
             continue
         prod = f.hadamard(g)
         for k in range(d + 1):
-            rf = nisan_matrix(f, k).matrix.rank()
-            rg = nisan_matrix(g, k).matrix.rank()
-            rp = nisan_matrix(prod, k).matrix.rank() if not prod.is_zero() else 0
+            rf = nisan_matrix(f, k).rank()
+            rg = nisan_matrix(g, k).rank()
+            rp = nisan_matrix(prod, k).rank() if not prod.is_zero() else 0
             assert rp <= rf * rg
         assert nisan_complexity(prod) <= nisan_complexity(f) * nisan_complexity(g)
         checked_pairs += 1

@@ -233,6 +233,19 @@ def test_exit_codes(tmp_path):
     bad.write_text("{not json")
     code, _, err = run_cli("expand", str(bad))
     assert code == 2 and "invalid JSON" in err
+    # unreadable inputs and unwritable outputs: one error line, exit 2, no stdout
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    good = write_json(tmp_path / "good.json", two_path_abp(1).to_json())
+    for argv, words in [
+        (("pit", "det", str(tmp_path)), str(tmp_path)),
+        (("pit", "det", str(utf16)), "invalid JSON"),
+        (("pit", "det", good, "--out", str(tmp_path / "no" / "dir" / "x.json")), "x.json"),
+        (("pit", "det", good, "--out", str(tmp_path)), str(tmp_path)),
+    ]:
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "" and words in err, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_field_fallback_for_bare_files(tmp_path):

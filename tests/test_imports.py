@@ -1,18 +1,25 @@
-"""Every name a ``hadamard`` module imports is used in that module.
+"""Every name a ``hadamard`` module imports is used in that module, and
+every function, method, property and class it defines is named somewhere.
 
-No linter ships with the project, so this is a standard-library ``ast``
-scan: an imported name counts as used when it appears as a name anywhere in
-the module, inside a quoted annotation, or in ``__all__``.
+No linter ships with the project, so these are standard-library ``ast``
+scans: an imported name counts as used when it appears as a name anywhere in
+the module, inside a quoted annotation, or in ``__all__``.  A definition
+counts as named when the source, the tests or the benchmark name it outside
+its own body, as a bare name, an attribute, an import or a string (the
+benchmark's tracer names the attributes it hooks by string).
 """
 
 from __future__ import annotations
 
 import ast
+import collections
+import functools
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hadamard"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hadamard"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -34,12 +41,16 @@ def _used(tree: ast.Module) -> set[str]:
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             # quoted annotations ("ABP") and __all__ entries name things too
-            try:
-                inner = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+            used.update(n.id for n in _string_nodes(node.value) if isinstance(n, ast.Name))
     return used
+
+
+def _string_nodes(value: str) -> list:
+    """The nodes of a string that parses as an expression, else none."""
+    try:
+        return list(ast.walk(ast.parse(value, mode="eval")))
+    except SyntaxError:
+        return []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -50,3 +61,46 @@ def test_no_unused_imports(path):
         f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used
     )
     assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
+
+
+def _references(tree: ast.AST) -> collections.Counter:
+    """How often each name appears in tree as a name, attribute, import or string."""
+    out = collections.Counter()
+    for node in ast.walk(tree):
+        nodes = [node]
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            nodes = _string_nodes(node.value)
+        for n in nodes:
+            if isinstance(n, ast.Name):
+                out[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                out[n.attr] += 1
+            elif isinstance(n, ast.alias):
+                out.update(n.name.split("."))
+                if n.asname:
+                    out[n.asname] += 1
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _all_references() -> collections.Counter:
+    out = collections.Counter()
+    for top in (SRC, ROOT / "tests", ROOT / "perfbench"):
+        for path in top.rglob("*.py"):
+            out += _references(ast.parse(path.read_text(), filename=str(path)))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_orphaned_definitions(path):
+    everywhere = _all_references()
+    orphans = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if everywhere[name] <= _references(node)[name]:
+            orphans.append(f"{name} (line {node.lineno})")
+    assert not orphans, f"{path.name}: defined but never named: {', '.join(orphans)}"

@@ -138,14 +138,6 @@ def test_exp_sum_agrees_with_bruteforce_definition():
     assert exp_sum(params, z=1) == brute
 
 
-def test_threaded_build_matches_serial():
-    params = ExplicitParams(2, 3)
-    serial = build_f(params, threads=1)
-    threaded = build_f(params, threads=4)
-    assert serial == threaded
-    assert list(serial.terms) == list(threaded.terms)  # same insertion order too
-
-
 def test_suitable_restriction_predicate():
     params = ExplicitParams(2, 3)  # blocks {0,1,2} and {3,4,5}
     all_vars = set(range(6))

@@ -6,7 +6,7 @@ import pytest
 
 from hadamard.errors import ShapeError
 from hadamard.fields import ExtField, PrimeField, RationalField
-from hadamard.matrices import Matrix, basis_of_matrix_set, in_span, independent_subset
+from hadamard.matrices import Matrix, independent_subset
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -112,14 +112,13 @@ def test_rank_one_hadamard_rank_one():
 
 def test_basis_examples():
     z = Matrix.zeros(Q, 2, 2)
-    assert basis_of_matrix_set([z]) == []
+    assert independent_subset([z.entries], Q) == []
     i2 = Matrix.identity(Q, 2)
-    assert basis_of_matrix_set([i2, i2.scale(2)]) == [i2]
+    assert independent_subset([i2.entries, i2.scale(2).entries], Q) == [0]
     e11 = Matrix.from_rows(Q, [[1, 0], [0, 0]])
     e12 = Matrix.from_rows(Q, [[0, 1], [0, 0]])
     mix = e11.add(e12)
-    basis = basis_of_matrix_set([e11, e12, mix])
-    assert basis == [e11, e12]  # first-come pivots
+    assert independent_subset([e11.entries, e12.entries, mix.entries], Q) == [0, 1]  # first-come pivots
 
 
 def test_basis_spans_every_input():
@@ -127,12 +126,13 @@ def test_basis_spans_every_input():
     for field in (Q, F5):
         for _ in range(40):
             mats = [rand_matrix(rng, field, 2, 3) for _ in range(rng.randint(1, 7))]
-            basis = basis_of_matrix_set(mats)
-            vecs = [m.entries for m in basis]
+            vecs = [mats[i].entries for i in independent_subset([m.entries for m in mats], field)]
+            kept = list(range(len(vecs)))
             for m in mats:
-                assert in_span(m.entries, vecs, field)
+                # m lies in the span: appended to the basis, it is not kept
+                assert independent_subset(vecs + [m.entries], field) == kept
             # basis itself is independent
-            assert len(independent_subset(vecs, field)) == len(vecs)
+            assert independent_subset(vecs, field) == kept
 
 
 def test_serialization_round_trip():

@@ -112,6 +112,23 @@ def test_mul_resource_cap():
         f.mul(f, max_terms=3)
 
 
+def test_nc_product_cancellation():
+    # (x0 + x0x0)(x0 - 1): the two x0x0 terms cancel
+    f = nc({(0,): 1, (0, 0): 1})
+    g = nc({(0,): 1, (): -1})
+    assert f.mul(g).terms == {(0,): Fraction(-1), (0, 0, 0): Fraction(1)}
+
+
+def test_equality_is_class_strict_and_unhashable():
+    f = nc({(0,): 1})
+    g = CPoly.from_terms(2, Q, {(0,): 1})
+    assert f.terms == g.terms and f != g and g != f
+    assert f == nc({(0,): 1}) and f != nc({(0,): 1}, field=F5)
+    for p in (f, g):
+        with pytest.raises(TypeError):
+            hash(p)
+
+
 def test_field_mismatch_refused():
     f = nc({(0,): 1})
     g = nc({(0,): 1}, field=F5)
@@ -140,6 +157,20 @@ def test_cpoly_product_merges_monomials():
         (0, 1): Fraction(2),
         (1, 1): Fraction(1),
     }
+
+
+def test_cpoly_from_terms_merges_sorted_keys():
+    assert CPoly.from_terms(2, Q, {(1, 0): 1, (0, 1): 2}).terms == {(0, 1): Fraction(3)}
+    assert CPoly.from_terms(2, Q, {(1, 0): 1, (0, 1): -1}).is_zero()
+
+
+def test_cpoly_product_cancellation_and_cap():
+    # (x0 + x1)(x0 - x1): the two x0x1 terms cancel
+    f = CPoly.from_terms(2, Q, {(0,): 1, (1,): 1})
+    g = CPoly.from_terms(2, Q, {(0,): 1, (1,): -1})
+    assert f.mul(g).terms == {(0, 0): Fraction(1), (1, 1): Fraction(-1)}
+    with pytest.raises(ResourceCapError):
+        f.mul(g, max_terms=3)
 
 
 def test_cpoly_multilinear_flag():
