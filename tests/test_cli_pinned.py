@@ -23,7 +23,7 @@ from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
 from hadamard.cli import main
 from hadamard.fields import PrimeField, RationalField
 from hadamard.grammars import build_mirror_suffix_grammar, cfg_to_circuit
-from helpers import cancelling_abp, random_abp, random_circuit
+from helpers import cancel_join, cancelling_abp, random_abp, random_circuit
 
 FIELDS = {"q": RationalField(), "f5": PrimeField(5)}
 
@@ -81,6 +81,16 @@ def _only_var(tag: str, field, v: int):
     return restrict(base)
 
 
+def _joined(tag: str, field, depth: int, zero: bool):
+    """The first ``cancel_join`` program under seeds tag:0, tag:1, ... that
+    is zero exactly when zero is true (a perturbation can vanish mod p)."""
+    for salt in range(100):
+        abp = cancel_join(random.Random(f"{tag}:{salt}"), field, depth, width=3, zero=zero)
+        if abp.expand().is_zero() == zero:
+            return abp
+    raise AssertionError(f"no program for {tag}")
+
+
 def _add_chain(n_gates: int) -> Circuit:
     """x0, x1, 2, then n_gates - 3 additions, each of the previous gate and
     one of the first three."""
@@ -118,6 +128,11 @@ def _inputs() -> dict:
     out["qonly0"] = _only_var("q:only0", q, 0)
     out["qonly1"] = _only_var("q:only1", q, 1)
     out["chain400"] = _add_chain(400)
+    f2, f101 = PrimeField(2), PrimeField(101)
+    out["f2zero6"] = _joined("f2:zero6", f2, 6, zero=True)
+    out["f2join7"] = _joined("f2:join7", f2, 7, zero=False)
+    out["f101join6"] = _joined("f101:join6", f101, 6, zero=False)
+    out["f2hom"] = _nonzero("f2:hom", f2, depth=4, width=4, affine=False, density=0.9)
     out["zcirc"] = _zero_const_circuit(False)
     out["zcirc0"] = _zero_const_circuit(True)
     return {name: obj.to_json() for name, obj in out.items()}
@@ -171,6 +186,18 @@ CASES = {
         "cee950a1362d8c4ce484b8394557428259512e403385b24bb081e8094a0a6cbf"),
     "pit-span-f5zero": (["pit", "span", "{f5zero}"], 0,
         "cee950a1362d8c4ce484b8394557428259512e403385b24bb081e8094a0a6cbf"),
+    "pit-span-f2zero6": (["pit", "span", "{f2zero6}"], 0,
+        "cee950a1362d8c4ce484b8394557428259512e403385b24bb081e8094a0a6cbf"),
+    "pit-span-f2join7": (["pit", "span", "{f2join7}"], 0,
+        "8381fb3817bdc3ff5166816938e908408bb90fc7ceb17e429d35abb5b4b2344e"),
+    "pit-span-f101join6": (["pit", "span", "{f101join6}"], 0,
+        "d6d3fe11058c5cda93a5ece1b5cb16560eb072c707073ba557166fc65318d4ee"),
+    "pit-rand-f2join7": (["pit", "rand", "{f2join7}", "--trials", "5", "--seed", "3"], 0,
+        "c0adb19927737223fec9ece9396a3d29c92de9c02942dd2bac61fa3f56c081d6"),
+    "pit-rand-f2zero6": (["pit", "rand", "{f2zero6}", "--trials", "3"], 0,
+        "8fc5c9a34d3c22e984eb0221b2f8dc030fa0491f6654455c4d072d2ed938916a"),
+    "nisan-f2hom": (["nisan", "{f2hom}"], 0,
+        "77962886d36d81abba96f6573b2636aa6c9354ee8feaf64ee2a7adba4d5ed8cd"),
     "pit-rand-f4": (["pit", "rand", "{f54}", "--trials", "5", "--seed", "7"], 0,
         "1706fc542e2d09fa7b76f3f88632e21a04c61bd3762aa839316592ada0aa5a91"),
     "pit-rand-f5zero": (["pit", "rand", "{f5zero}", "--trials", "5"], 0,
