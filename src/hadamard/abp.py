@@ -670,12 +670,6 @@ def coefficient_matrices(abp: ABP) -> list[dict[int, Matrix]]:
     return out
 
 
-def unit_points(field: Field, n_vars: int) -> list[list]:
-    """The points e_0 .. e_{n-1}.  At e_v a homogeneous layer's matrix is M_v."""
-    zero, one = field.zero(), field.one()
-    return [[one if u == v else zero for u in range(n_vars)] for v in range(n_vars)]
-
-
 def coefficient_of(abp: ABP, word: Sequence[int]):
     """Coefficient of a word, read off the program's own layers.
 

@@ -17,10 +17,18 @@ lookups and a list index instead of a schoolbook product and division, which
 is 10 to 20 times slower.  The tables are built on a field's first use and
 cost about as much as q/2 to q schoolbook products, so a larger field would
 make a short run pay for tables it never repays; above the constant the
-schoolbook product is the only path.  The trace is F_p-linear: the traces of
-the basis elements x^i are computed once by the definition
+schoolbook product is the only path.  Such a field also adds through a Zech
+table, zech[e] = log(1 + g^e), so that g^a + g^b = g^(a + zech[b - a]); above
+the constant addition is coefficient-wise.  The trace is F_p-linear: the
+traces of the basis elements x^i are computed once by the definition
 a + a^p + ... + a^(p^(k-1)), and every other trace is their dot product with
 the coefficients.
+
+Linear algebra that runs many operations per value it reads or returns
+(the span walk of ``pit`` and the elimination of ``matrices``) works on raw
+values through ``raw_ops``: over F_p a raw value is an int in [0, p), and
+elements are made only on the way out.  Rationals and F_{p^k} elements are
+their own raw values.
 """
 
 from __future__ import annotations
@@ -291,9 +299,22 @@ class ExtElement:
         raise FieldMismatchError(f"cannot mix {other!r} into {self.field}")
 
     def __add__(self, other):
-        o = self._lift(other)
-        p = self.field.p
-        return ExtElement(tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)), self.field)
+        f = self.field
+        o = other if type(other) is ExtElement and other.field is f else self._lift(other)
+        zech = f._zech
+        if zech is None:
+            p = f.p
+            return ExtElement(tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)), f)
+        log, antilog = f._log_tables
+        n = len(zech)  # q - 1; log gives zero the exponent 2n
+        a, b = log[self.coeffs], log[o.coeffs]
+        if a == 2 * n:
+            return o
+        if b == 2 * n:
+            return self
+        # g^a + g^b = g^a (1 + g^(b-a)); when 1 + g^(b-a) = 0 the index
+        # lands past 2n, where antilog holds zero
+        return antilog[a + zech[(b - a) % n]]
 
     __radd__ = __add__
 
@@ -417,6 +438,18 @@ class ExtField:
         return log, antilog + antilog + [zero] * (2 * n + 1)
 
     @cached_property
+    def _zech(self) -> Optional[list[int]]:
+        """``zech[e]`` = log(1 + g^e) for 0 <= e < q-1, with 2(q-1) where
+        1 + g^e = 0; None when the order exceeds ``TABLE_MAX_ORDER``."""
+        tables = self._log_tables
+        if tables is None:
+            return None
+        log, antilog = tables
+        p = self.p
+        # 1 + g^e adds one to the constant coefficient of g^e
+        return [log[((a.coeffs[0] + 1) % p,) + a.coeffs[1:]] for a in antilog[: self.order - 1]]
+
+    @cached_property
     def _basis_traces(self) -> tuple[int, ...]:
         """Tr(x^i) for each basis element x^i, by the definition
         x^i + (x^i)^p + ... + (x^i)^(p^(k-1)); the trace is F_p-linear, so
@@ -488,6 +521,32 @@ class ExtField:
 
 
 Field = Union[RationalField, PrimeField, ExtField]
+
+
+def raw_ops(field: Field) -> tuple:
+    """``(into, reduce, inverse, out)``: how linear algebra holds the
+    field's values.
+
+    Over F_p a raw value is an int in [0, p).  ``into`` takes an element or
+    an int to its residue, ``reduce`` takes a list of ints to their
+    residues, ``inverse`` is x^(p-2) mod p and ``out`` makes the element.
+    Rationals and F_{p^k} elements are their own raw values: ``into``
+    coerces, ``reduce`` returns the list and ``out`` the value.
+    """
+    if isinstance(field, PrimeField):
+        p, coerce = field.p, field.coerce
+
+        def into(x) -> int:
+            return x % p if type(x) is int else coerce(x).value
+
+        return (
+            into,
+            lambda xs: [x % p for x in xs],
+            lambda x: pow(x, p - 2, p),
+            lambda x: FpElement(x, field),
+        )
+    one = field.one()
+    return field.coerce, lambda xs: xs, lambda x: one / x, lambda x: x
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ One incremental Gaussian elimination, ``_Echelon``, serves every query.
 inputs in order, a vector is kept exactly when it is outside the span of the
 vectors kept so far.  ``Matrix.rank`` is the number of rows it keeps, and
 ``Matrix.det`` is the signed product of the pivots met while inserting the
-rows.
+rows.  The elimination runs on the raw values of ``fields.raw_ops``, ints
+mod p over a prime field.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import FieldMismatchError, ShapeError, ValidationError
-from .fields import Field, field_from_json, field_to_json
+from .fields import Field, field_from_json, field_to_json, raw_ops
 
 
 @dataclass
@@ -112,7 +113,7 @@ class Matrix:
             pivot = ech.insert(self.row(i))
             if pivot is None:
                 return self.field.zero()
-            det = det * pivot
+            det = det * ech.out(pivot)
         # the reduced rows are triangular once their columns are put in
         # pivot order; each inversion of that order is one transposition
         inversions = sum(a > b for a, b in itertools.combinations(ech.pivots, 2))
@@ -145,37 +146,36 @@ class Matrix:
 
 
 class _Echelon:
-    """Incremental row-echelon accumulator over an arbitrary field."""
+    """Incremental row-echelon accumulator over an arbitrary field, on the
+    field's raw values."""
 
     def __init__(self, field: Field):
-        self.field = field
+        self.into, self.reduce, self.inverse, self.out = raw_ops(field)
         self.rows: list[list] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec: Sequence) -> list:
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                f = v[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
     def insert(self, vec: Sequence):
-        """Reduce and keep the vector; returns its pivot value before
-        normalizing if it enlarged the span, else None."""
-        v = self.reduce(vec)
+        """Reduce and keep the vector of elements or raw values; returns its
+        raw pivot value before normalizing if it enlarged the span, else None."""
+        reduce = self.reduce
+        v = [self.into(x) for x in vec]
+        for row, piv in zip(self.rows, self.pivots):
+            f = v[piv]
+            if f:
+                v = reduce([a - f * b for a, b in zip(v, row)])
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return None
         pivot = v[piv]
-        inv = self.field.one() / pivot
-        self.rows.append([inv * x for x in v])
+        inv = self.inverse(pivot)
+        self.rows.append(reduce([inv * x for x in v]))
         self.pivots.append(piv)
         return pivot
 
 
 def independent_subset(vectors: Sequence[Sequence], field: Field) -> list[int]:
-    """Indices of a maximal independent subsequence, first come first kept."""
+    """Indices of a maximal independent subsequence, first come first kept.
+    Entries are field elements or ints."""
     ech = _Echelon(field)
     kept = []
     for i, vec in enumerate(vectors):

@@ -41,11 +41,10 @@ from .abp import (
     coefficient_of,
     constant_abp,
     homogeneous_parts,
-    unit_points,
 )
 from .circuits import Circuit
 from .errors import DEFAULT_MAX_TERMS, ValidationError
-from .fields import ExtField, Field, PrimeField, RationalField
+from .fields import ExtField, Field, PrimeField, RationalField, raw_ops
 from .matrices import independent_subset
 
 
@@ -133,10 +132,12 @@ def pit_rational(p: ABP) -> PitVerdict:
 
 def pit_span_basis(p: ABP) -> PitVerdict:
     """Deterministic: per degree, a forward word-tagged row basis of the
-    homogeneous part; a word that reaches the sink is the witness."""
+    homogeneous part; a word that reaches the sink is the witness.  Vectors
+    hold the field's raw values (``fields.raw_ops``); each is multiplied by
+    a layer's M_v directly."""
     field = p.field
-    zero, one = field.zero(), field.one()
-    units = unit_points(field, p.n_vars)
+    into, reduce, _, out = raw_ops(field)
+    zero, one = into(field.zero()), into(field.one())
     for k, part in enumerate(homogeneous_parts(p)):
         if k == 0:
             form = part.label(0, 0, 0)
@@ -149,16 +150,22 @@ def pit_span_basis(p: ABP) -> PitVerdict:
             continue
         basis = [((), [one])]
         for lay, width in zip(part.layers, part.layer_sizes[1:]):
-            variables = sorted(lay.by_var)
-            grown = [
-                (word + (v,), lay.times(vec, units[v], width, zero))
-                for word, vec in basis
-                for v in variables
-            ]
+            # a part's labels are homogeneous: its layers have no constants
+            mats = sorted(lay.map(into).by_var.items())
+            grown = []
+            for word, vec in basis:
+                for v, entries in mats:
+                    row = [zero] * width
+                    for a, c, x in entries:
+                        y = vec[a]
+                        if y:
+                            row[c] = row[c] + y * x
+                    grown.append((word + (v,), reduce(row)))
             keep = independent_subset([vec for _, vec in grown], field)
             basis = [grown[i] for i in keep]
         if basis:  # the sink has width 1: one kept word, nonzero coefficient
             word, (c,) = basis[0]
+            c = out(c)
             if coefficient_of(p, word) != c:
                 raise RuntimeError(
                     f"span basis witness {list(word)} disagrees with the "

@@ -19,7 +19,7 @@ from hadamard.fields import (
     parse_field_spec,
     psi,
 )
-from helpers import powering_trace, schoolbook_mul
+from helpers import coefficient_sum, powering_trace, schoolbook_mul
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -79,6 +79,29 @@ def test_table_products_match_schoolbook(f):
 
 
 @pytest.mark.parametrize("f", SMALL, ids=repr)
+def test_zech_sums_match_coefficient_sums(f):
+    assert f._zech is not None
+    elems = list(f.elements())
+    for a in elems:
+        for b in elems:
+            s = a + b
+            assert s == coefficient_sum(a, b) and s.field is f
+
+
+@pytest.mark.parametrize("k", [2, TABLE_MAX_ORDER.bit_length()], ids=["table", "above-table"])
+def test_ext_sum_lifts_ints_and_rejects_other_fields(k):
+    f = ExtField.make(2, k)
+    x = f.gen()
+    assert 0 + x == x and x + 0 == x
+    assert x + 3 == 3 + x == coefficient_sum(x, f.from_int(3))
+    assert sum([x, x, f.one()]) == f.one()
+    with pytest.raises(FieldMismatchError):
+        x + ExtField.make(3, 2).gen()
+    with pytest.raises(FieldMismatchError):
+        x + F5.one()
+
+
+@pytest.mark.parametrize("f", SMALL, ids=repr)
 def test_linear_trace_matches_powering(f):
     for a in f.elements():
         t = frobenius_trace(a)
@@ -95,8 +118,9 @@ def test_field_above_table_order_matches_oracles():
         a, b = f.random(rng), f.random(rng)
         prod = a * b
         assert prod == schoolbook_mul(a, b)
+        assert a + b == coefficient_sum(a, b)
         assert frobenius_trace(prod).value == powering_trace(prod)
-    assert f._log_tables is None
+    assert f._log_tables is None and f._zech is None
 
 
 def test_psi_on_f4():

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from hadamard.errors import ShapeError
-from hadamard.fields import ExtField, PrimeField, RationalField
+from hadamard.fields import ExtField, FpElement, PrimeField, RationalField
 from hadamard.matrices import Matrix, independent_subset
+from helpers import element_det, element_independent_subset
 
 Q = RationalField()
 F2 = PrimeField(2)
 F5 = PrimeField(5)
+F101 = PrimeField(101)
 
 
 def rand_matrix(rng, field, r, c, lo=-3, hi=3):
@@ -143,3 +145,35 @@ def test_serialization_round_trip():
     f4 = ExtField.make(2, 2)
     m4 = Matrix.from_rows(f4, [[f4.gen(), f4.one()]])
     assert Matrix.from_json(m4.to_json()) == m4
+
+
+def _dependent_rows(rng, field, n_rows, n_cols):
+    """Random rows over a prime field, about a third of them combinations
+    of the rows before, as lists of elements."""
+    rows = []
+    for _ in range(n_rows):
+        if rows and rng.random() < 0.35:
+            picks = [(rng.randrange(field.p), row) for row in rows]
+            rows.append([sum((c * row[j] for c, row in picks), field.zero()) for j in range(n_cols)])
+        else:
+            rows.append([field.random(rng) for _ in range(n_cols)])
+    return rows
+
+
+@pytest.mark.parametrize("field", [F2, F5, F101], ids=repr)
+def test_elimination_matches_element_elimination(field):
+    rng = random.Random(f"echelon:{field.p}")
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        m = Matrix.from_rows(field, _dependent_rows(rng, field, n, n))
+        rows = [m.row(i) for i in range(n)]
+        det = m.det()
+        assert type(det) is FpElement and det.field == field
+        assert det == element_det(rows, field) == det_cofactor(m.to_lists())
+        assert m.rank() == len(element_independent_subset(rows, field))
+        vecs = _dependent_rows(rng, field, rng.randint(1, 9), rng.randint(1, 7))
+        kept = element_independent_subset(vecs, field)
+        assert independent_subset(vecs, field) == kept
+        # ints, negative and unreduced ones too, stand for their residues
+        ints = [[x.value + field.p * rng.randint(-2, 2) for x in vec] for vec in vecs]
+        assert independent_subset(ints, field) == kept

@@ -29,6 +29,7 @@ from helpers import (
     cancel_join,
     cancelling_abp,
     cofactor_det,
+    element_span_basis,
     lf,
     random_abp,
     random_digraph,
@@ -37,7 +38,9 @@ from helpers import (
 
 Q = RationalField()
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 F5 = PrimeField(5)
+F101 = PrimeField(101)
 F4 = ExtField.make(2, 2)
 
 
@@ -123,6 +126,25 @@ def test_span_basis_witness_is_the_bruteforce_witness(rng, field, cancelling):
     span, brute = pit_span_basis(p).to_json(), pit_bruteforce(p).to_json()
     assert (span.pop("method"), brute.pop("method")) == ("span_basis", "bruteforce")
     assert span == brute
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([Q, F2, F3, F5, F101, F4]),
+    st.sampled_from(["random", "cancelling", "perturbed"]),
+    st.integers(0, 7),
+)
+def test_span_basis_matches_the_element_span_walk(rng, field, kind, depth):
+    n_vars, width = rng.randint(1, 3), rng.randint(1, 3)
+    if depth == 0:  # one node, the constant 1
+        p = ABP.build(n_vars, field, (1,), {})
+    elif kind == "random":
+        p = random_abp(rng, field, n_vars=n_vars, depth=depth, width=width)
+    else:  # a perturbed join needs an internal layer to perturb
+        depth = depth if kind == "cancelling" else max(depth, 3)
+        p = cancel_join(rng, field, depth, width=width, n_vars=n_vars, zero=kind == "cancelling")
+    assert pit_span_basis(p).to_json() == element_span_basis(p).to_json()
 
 
 def test_testers_unanimous_on_engineered_cancellations():
