@@ -533,17 +533,21 @@ def normalize_edges(abp: ABP) -> ABP:
 # sums and pruning
 
 
-def sum_layout(part_sizes: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple], list[tuple]]:
+def sum_layout(
+    part_sizes: Sequence[Sequence[int]], depth: Optional[int] = None
+) -> tuple[list[int], list[tuple], list[tuple]]:
     """Node layout of ``abp_sum`` from the summands' layer sizes alone.
 
     Returns the layer sizes of the sum, the keys of the delay-chain edges
     (each labelled 1), and per summand its placement: (shift, node offset
     per inner layer, depth).  Every summand has depth at least 1.  Node 0
     of layers 1..(longest shift) is the chain; a summand shifted by s
-    hangs off its node in layer s (the source when s is 0).
+    hangs off its node in layer s (the source when s is 0).  The sum is as
+    deep as its deepest summand unless ``depth``, at least that deep, is
+    given.
     """
     depths = [len(sizes) - 1 for sizes in part_sizes]
-    depth = max(depths)
+    depth = max(depths) if depth is None else depth
     chain = depth - min(depths)
     offsets: list[dict] = [dict() for _ in part_sizes]
     layer_nodes = [1] * (depth + 1)

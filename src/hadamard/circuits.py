@@ -246,6 +246,14 @@ class CircuitBuilder:
         return self._emit(MulGate(l, r))
 
     def finish(self, output: Optional[int]) -> Circuit:
+        """The circuit of the gates emitted so far, computing gate ``output``.
+
+        Built as it stands, not through ``Circuit.build``: ``const`` made
+        every constant canonical, and every child is a gate id the builder
+        returned, so the gates are in order by construction.  Input
+        variables are taken from the caller, whose own circuit or grammar
+        was validated when it was built.
+        """
         if output is None:
-            return Circuit.build(self.n_vars, self.field, [ConstGate(self.field.zero())], 0)
-        return Circuit.build(self.n_vars, self.field, self.gates, output)
+            return Circuit(self.n_vars, self.field, (ConstGate(self.field.zero()),), 0)
+        return Circuit(self.n_vars, self.field, tuple(self.gates), output)

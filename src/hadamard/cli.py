@@ -5,7 +5,7 @@ Every command reads JSON files, writes one JSON object to stdout (or
 sorted keys and no whitespace, so identical inputs give identical bytes.
 
 Exit codes: 0 success, 2 bad input or validation failure, 3 a resource cap
-(term, degree, or word limits) was hit.
+(term, degree, or word limits) was hit or the interpreter ran out of memory.
 """
 
 from __future__ import annotations
@@ -439,13 +439,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _emit(args.handler(args), args.out)
+        return 0
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, HadamardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    except MemoryError:
+        pass  # reported below, once the frames holding the memory are gone
+    command = " ".join(str(part) for part in (args.command, getattr(args, "shape", None)) if part)
+    print(f"resource cap: out of memory in '{command}'", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

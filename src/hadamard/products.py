@@ -8,17 +8,23 @@ with multiplied coefficients.  Two constructions are provided:
   node is a pair of factor nodes, and the edge between two pairs matches the
   factor labels variable by variable (the coefficient of x_t is the product
   of the factors' coefficients of x_t).  Within each degree the product
-  layer sizes are exactly the products of the factor layer sizes.  The
-  degree parts are summed as ``abp_sum`` does and pruned as ``prune`` does,
-  but liveness comes before labels: which product nodes lie on a
-  source-to-sink path follows from the arcs alone, so only the live arcs
-  have their coefficients multiplied, and the result is built once.
+  layer sizes are exactly the products of the factor layer sizes, but arcs
+  are grown forward from the source pair only out of pairs already
+  reached.  Each degree is then pruned backward, its live arcs have their
+  coefficients multiplied, and the rest are dropped before the next degree
+  is paired, so one degree's unpruned arcs are held at a time.  The pruned
+  parts are summed as ``abp_sum`` does, at the depth of the deepest degree
+  paired, which is what pruning the sum of the unpruned parts gives, and
+  the result is built once.
 
 * circuit x branching program: a circuit for f and a program for g yield a
   circuit for the product, built by running the circuit against every
-  interval of the normalized program.  Each memoized sub-result is the
-  product of a gate's polynomial with the sub-program between two nodes;
-  multiplication gates split the interval at every intermediate node.  The
+  interval of the normalized program, one degree at a time.  Each memoized
+  sub-result is the product of a gate's polynomial with the sub-program
+  between two nodes; multiplication gates split the interval at every node
+  of the layers their factors' degrees allow.  A split's left factor does
+  not depend on the interval's end node, so the nonzero ones are kept per
+  start node and end layer, and later end nodes pair only those.  The
   sub-results are worked out depth first on an explicit stack of
   generators, not by recursion, so a circuit may be any number of gates
   deep.
@@ -65,7 +71,8 @@ class ABPProductResult:
 
     @cached_property
     def unpruned(self) -> ABP:
-        """The summed program before pruning, built on first use."""
+        """The summed program before pruning, its arcs grown again from the
+        normalized parts on first use."""
         return self.build_unpruned()
 
 
@@ -78,20 +85,46 @@ def _check_pair(n1: int, f1: Field, n2: int, f2: Field) -> None:
 
 def product_arcs(p: ABP, q: ABP) -> dict:
     """Arcs of the Cartesian product of two homogeneous programs of equal
-    depth, before any coefficient is multiplied.
+    depth out of the pairs reachable from the source pair (0, 0), before
+    any coefficient is multiplied.
 
     Maps (layer, a * q_from + b, c * q_to + e) to the entries (v, x, y) that
     pair p's entry x on (a, c) with q's entry y on (b, e) for variable v;
-    the arc's label has x_v coefficient x * y.
+    the arc's label has x_v coefficient x * y.  Each layer pairs entries
+    only out of the pairs the layer before reached, so an arc out of an
+    unreachable pair is never made; arcs and entries come in the order of
+    the all-pairs loop over variables, p's entries and q's entries.
     """
     arcs: dict[tuple[int, int, int], list] = {}
+    reached = {0}
     for layer, (pl, ql) in enumerate(zip(p.layers, q.layers)):
         q_from, q_to = q.layer_sizes[layer], q.layer_sizes[layer + 1]
+        partners: dict[int, set] = {}  # p node -> the q nodes paired with it so far
+        for node in reached:
+            a, b = divmod(node, q_from)
+            partners.setdefault(a, set()).add(b)
+        reached = set()
         for v, p_entries in pl.by_var.items():
-            q_entries = ql.by_var.get(v, ())
+            q_entries = ql.by_var.get(v)
+            if not q_entries:
+                continue
+            mates: dict[int, list] = {}  # p node -> q's entries out of its partners
             for a, c, x in p_entries:
-                for b, e, y in q_entries:
-                    arcs.setdefault((layer, a * q_from + b, c * q_to + e), []).append((v, x, y))
+                ys = mates.get(a)
+                if ys is None:
+                    bs = partners.get(a, ())
+                    ys = mates[a] = [(b, e, y) for b, e, y in q_entries if b in bs]
+                src, dst = a * q_from, c * q_to
+                for b, e, y in ys:
+                    key = (layer, src + b, dst + e)
+                    entries = arcs.get(key)
+                    if entries is None:
+                        arcs[key] = [(v, x, y)]
+                        reached.add(dst + e)
+                    else:
+                        entries.append((v, x, y))
+        if not reached:
+            break
     return arcs
 
 
@@ -119,9 +152,13 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
     """Homogenize, normalize, multiply per degree, sum and prune.
 
     The result is what ``prune(abp_sum(...))`` of the per-degree
-    ``hadamard_homogeneous`` products gives, but liveness is worked out on
-    the summed layout's arcs first, and only the live arcs are labelled and
-    built, once.
+    ``hadamard_homogeneous`` products gives.  Each degree's arcs are grown
+    forward from the source pair and pruned backward before the next
+    degree is paired; only its live arcs are labelled, and the pruned parts
+    are laid out and built once.  A part's node is live in the sum exactly
+    when it is live in the part, and the chain reaches down to the
+    shallowest live part, so the pruned sum is the sum of the pruned parts
+    at the depth of the deepest part paired.
     """
     _check_pair(p.n_vars, p.field, q.n_vars, q.field)
     n_vars, field = p.n_vars, p.field
@@ -129,7 +166,8 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
     p_parts = homogeneous_parts(p)
     q_parts = p_parts if q is p else homogeneous_parts(q)
     records: list[DegreeRecord] = []
-    summands: list[tuple[tuple[int, ...], dict]] = []  # layer sizes, arc -> form or entries
+    summands: list[tuple] = []  # per summand: (layer sizes, constant form or normalized factor pair)
+    live: list[tuple] = []  # per summand with a source-to-sink path: (live layer sizes, labelled live arcs)
     for k in range(min(len(p_parts), len(q_parts))):
         pk, qk = p_parts[k], q_parts[k]
         if k == 0:
@@ -138,13 +176,21 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
             c = (pc.const if pc else zero) * (qc.const if qc else zero)
             records.append(DegreeRecord(0, pk.layer_sizes, qk.layer_sizes, (1, 1)))
             if c:
-                summands.append(((1, 1), {(0, 0, 0): LinearForm.constant(field, c)}))
+                form = LinearForm.constant(field, c)
+                summands.append(((1, 1), form))
+                live.append(((1, 1), [((0, 0, 0), form)]))
             continue
         pk = normalize_edges(pk)
         qk = pk if q is p else normalize_edges(qk)
         sizes = tuple(pw * qw for pw, qw in zip(pk.layer_sizes, qk.layer_sizes))
         records.append(DegreeRecord(k, pk.layer_sizes, qk.layer_sizes, sizes))
-        summands.append((sizes, product_arcs(pk, qk)))
+        summands.append((sizes, (pk, qk)))
+        arcs = product_arcs(pk, qk)
+        alive = live_nodes(k, arcs.items())
+        if alive is not None:
+            kept = pruned_edges(alive, arcs.items())
+            live.append(([len(nodes) for nodes in alive], [(key, product_label(zero, es)) for key, es in kept]))
+        del arcs  # before the next degree's arcs are grown
     if not summands:
         none = zero_abp(n_vars, field)
         return ABPProductResult(none, records, none.node_count(), lambda: none)
@@ -152,24 +198,20 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
     layer_sizes, chain, placements = sum_layout([sizes for sizes, _ in summands])
     one_form = LinearForm.constant(field, 1)
 
-    def summed():
-        return sum_edges(chain, placements, [arcs.items() for _, arcs in summands], one_form)
-
-    def labelled(items):
-        """Items with product entries made into their labels; the chain's
-        and the constant part's values are labels already."""
-        for key, value in items:
-            yield key, value if isinstance(value, LinearForm) else product_label(zero, value)
-
     def unpruned() -> ABP:
-        return ABP.build(n_vars, field, layer_sizes, labelled(summed()))
+        def items(factors):
+            if isinstance(factors, LinearForm):  # the constant part
+                return [((0, 0, 0), factors)]
+            return ((key, product_label(zero, es)) for key, es in product_arcs(*factors).items())
 
-    alive = live_nodes(len(layer_sizes) - 1, summed())
-    if alive is None:
+        parts = [items(factors) for _, factors in summands]
+        return ABP.build(n_vars, field, layer_sizes, sum_edges(chain, placements, parts, one_form))
+
+    if not live:
         return ABPProductResult(zero_abp(n_vars, field), records, sum(layer_sizes), unpruned)
-    live_sizes = [len(nodes) for nodes in alive]
-    pruned = ABP.build(n_vars, field, live_sizes, labelled(pruned_edges(alive, summed())))
-    return ABPProductResult(pruned, records, sum(layer_sizes), unpruned)
+    live_sizes, live_chain, live_placements = sum_layout([sizes for sizes, _ in live], len(layer_sizes) - 1)
+    edges = sum_edges(live_chain, live_placements, [items for _, items in live], one_form)
+    return ABPProductResult(ABP.build(n_vars, field, live_sizes, edges), records, sum(layer_sizes), unpruned)
 
 
 def hadamard_abp(p: ABP, q: ABP) -> ABP:
@@ -191,12 +233,18 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     parts = homogeneous_parts(p)
     gates = c.gates
     degrees = c.formal_degrees()
+    kind = [type(g) for g in gates]
+    lefts = [getattr(g, "left", None) for g in gates]
+    rights = [getattr(g, "right", None) for g in gates]
     # interval length a leaf's sub-result needs to be nonzero; None for add/mul gates
-    leaf_length = [
-        0 if isinstance(g, ConstGate) else 1 if isinstance(g, InputGate) else None for g in gates
-    ]
+    leaf_length = [0 if t is ConstGate else 1 if t is InputGate else None for t in kind]
     per_degree: list[tuple[int, Optional[int]]] = []
-    memo: dict = {}
+    memo: dict = {}  # (gate, i, a, j, b) -> gate id of the sub-result, for one degree
+    # (mul gate, i, a, j) -> ([(m, t, left factor)], split at j): the nonzero
+    # left factors on split layers m < j whose right factor may be nonzero,
+    # and whether layer j is a split layer, for one degree
+    left_factors: dict = {}
+    memo_size = 0
     missing = object()
 
     # degree 0: the constant terms multiply
@@ -211,21 +259,26 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             per_degree.append((k, None))
             continue
         part = normalize_edges(part)
+        sizes = part.layer_sizes
+        memo.clear()
+        left_factors.clear()
 
         def leaf(key: tuple) -> None:
             """Store in the memo the gate id for (constant or input gate gi) o
             (sub-program (i,a)->(j,b)): None unless the interval has the
             gate's length (0 for a constant, 1 for an input)."""
-            _, gi, i, a, j, b = key
-            gate = gates[gi]
-            if j - i != leaf_length[gi]:
-                out = None
-            elif isinstance(gate, ConstGate):
-                out = builder.const(gate.value) if a == b else None
-            else:
-                form = part.label(i, a, b)
-                coeff = form.coeffs.get(gate.var) if form else None
-                out = builder.mul(builder.const(coeff), builder.input(gate.var)) if coeff else None
+            gi, i, a, j, b = key
+            out = None
+            if j - i == leaf_length[gi]:
+                gate = gates[gi]
+                if kind[gi] is ConstGate:
+                    if a == b:
+                        out = builder.const(gate.value)
+                else:
+                    form = part.label(i, a, b)
+                    coeff = form.coeffs.get(gate.var) if form else None
+                    if coeff:
+                        out = builder.mul(builder.const(coeff), builder.input(gate.var))
             memo[key] = out
 
         def expand(key: tuple):
@@ -233,57 +286,85 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             (sub-program (i,a)->(j,b)).  The memo is probed here, and a leaf
             child whose interval length rules it out is zero without a probe;
             a missing sub-result is yielded as its key."""
-            _, gi, i, a, j, b = key
-            gate = gates[gi]
-            if isinstance(gate, AddGate):
+            gi, i, a, j, b = key
+            if kind[gi] is AddGate:
                 subs = []
-                for g in (gate.left, gate.right):
+                for g in (lefts[gi], rights[gi]):
                     need = leaf_length[g]
                     sub = None
                     if need is None or need == j - i:
-                        sub_key = (k, g, i, a, j, b)
+                        sub_key = (g, i, a, j, b)
                         sub = memo.get(sub_key, missing)
                         if sub is missing:
                             yield sub_key
                             sub = memo[sub_key]
                     subs.append(sub)
-                out = builder.add(*subs)
-            else:  # MulGate: split the interval at every node of every split layer
-                left, right = gate.left, gate.right
-                left_need, right_need = leaf_length[left], leaf_length[right]
-                pieces = []
-                for m in range(i, j + 1):
-                    if degrees[left] < m - i or degrees[right] < j - m:
-                        continue
-                    if left_need is not None and left_need != m - i:
-                        continue
-                    if m == i:
-                        candidates = [a]
-                    elif m == j:
-                        candidates = [b]
-                    else:
-                        candidates = range(part.layer_sizes[m])
+                memo[key] = builder.add(*subs)
+                return
+            # MulGate: split the interval at every node of every split layer
+            # m the factors' degrees allow, the left factor on i..m
+            left, right = lefts[gi], rights[gi]
+            right_need = leaf_length[right]
+            pieces = []
+            head = (gi, i, a, j)
+            found = left_factors.get(head)
+            if found is None:
+                # the first end node probes every left factor before j, in
+                # order; later end nodes find them all in the memo
+                lo, hi = max(i, j - degrees[right]), min(j, i + degrees[left])
+                left_need = leaf_length[left]
+                if left_need is not None:
+                    lo, hi = max(lo, i + left_need), min(hi, i + left_need)
+                kept = []
+                for m in range(lo, min(hi, j - 1) + 1):
                     # the left factor is built even where the right one is zero
                     right_zero = right_need is not None and right_need != j - m
-                    for t in candidates:
-                        sub_key = (k, left, i, a, m, t)
+                    for t in [a] if m == i else range(sizes[m]):
+                        sub_key = (left, i, a, m, t)
                         lhs = memo.get(sub_key, missing)
                         if lhs is missing:
                             yield sub_key
                             lhs = memo[sub_key]
                         if lhs is None or right_zero:
                             continue
-                        sub_key = (k, right, m, t, j, b)
+                        kept.append((m, t, lhs))
+                        sub_key = (right, m, t, j, b)
                         rhs = memo.get(sub_key, missing)
                         if rhs is missing:
                             yield sub_key
                             rhs = memo[sub_key]
                         if rhs is not None:
                             pieces.append(builder.mul(lhs, rhs))
-                out = builder.add_many(pieces)
-            memo[key] = out
+                split_at_j = lo <= hi == j
+                left_factors[head] = kept, split_at_j
+            else:
+                kept, split_at_j = found
+                for m, t, lhs in kept:
+                    sub_key = (right, m, t, j, b)
+                    rhs = memo.get(sub_key, missing)
+                    if rhs is missing:
+                        yield sub_key
+                        rhs = memo[sub_key]
+                    if rhs is not None:
+                        pieces.append(builder.mul(lhs, rhs))
+            if split_at_j:  # its left factor ends at b
+                t = a if i == j else b
+                sub_key = (left, i, a, j, t)
+                lhs = memo.get(sub_key, missing)
+                if lhs is missing:
+                    yield sub_key
+                    lhs = memo[sub_key]
+                if lhs is not None and right_need in (None, 0):
+                    sub_key = (right, j, t, j, b)
+                    rhs = memo.get(sub_key, missing)
+                    if rhs is missing:
+                        yield sub_key
+                        rhs = memo[sub_key]
+                    if rhs is not None:
+                        pieces.append(builder.mul(lhs, rhs))
+            memo[key] = builder.add_many(pieces)
 
-        root = (k, c.output, 0, 0, k, 0)
+        root = (c.output, 0, 0, k, 0)
         if leaf_length[c.output] is not None:
             leaf(root)
         else:
@@ -295,15 +376,16 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                 key = next(stack[-1], None)
                 if key is None:
                     stack.pop()
-                elif leaf_length[key[1]] is not None:
+                elif leaf_length[key[0]] is not None:
                     leaf(key)
                 else:
                     stack.append(expand(key))
         per_degree.append((k, memo[root]))
+        memo_size += len(memo)
 
+    memo.clear()
+    left_factors.clear()
     total = builder.add_many([g for _, g in per_degree])
-    memo_size = len(memo)
-    memo.clear()  # before the circuit is validated and copied
     return CircuitProductResult(builder.finish(total), per_degree, memo_size)
 
 

@@ -274,6 +274,36 @@ def random_grammar(rng, n_nonterminals=5, terminals=2, max_prods=3):
     return AcyclicCFG.build(names, terminals, names[-1], prods)
 
 
+def all_pairs_product_arcs(p: ABP, q: ABP) -> dict:
+    """``product_arcs`` of every pair of entries, reachable or not: for
+    each layer, variable, entry x of p on (a, c) and entry y of q on (b, e),
+    the entry (v, x, y) of arc (layer, a * q_from + b, c * q_to + e)."""
+    arcs: dict = {}
+    for layer, (pl, ql) in enumerate(zip(p.layers, q.layers)):
+        q_from, q_to = q.layer_sizes[layer], q.layer_sizes[layer + 1]
+        for v, p_entries in pl.by_var.items():
+            for a, c, x in p_entries:
+                for b, e, y in ql.by_var.get(v, ()):
+                    arcs.setdefault((layer, a * q_from + b, c * q_to + e), []).append((v, x, y))
+    return arcs
+
+
+def reachable_arcs(arcs: dict) -> dict:
+    """The arcs, in order, whose tail is reached from node 0 of layer 0 by
+    a path of arcs, found by a plain graph search."""
+    succ: dict = {}
+    for layer, a, c in arcs:
+        succ.setdefault((layer, a), []).append((layer + 1, c))
+    seen, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        node = frontier.pop()
+        for nxt in succ.get(node, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return {key: entries for key, entries in arcs.items() if key[:2] in seen}
+
+
 def naive_hadamard_abp(p: ABP, q: ABP) -> tuple[ABP, ABP, list]:
     """(pruned product, unpruned product, per-degree records) by building
     every stage in full: per-degree ``hadamard_homogeneous`` products,

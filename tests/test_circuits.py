@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import helpers
 from hadamard.circuits import (
     AddGate,
     Circuit,
@@ -18,8 +20,10 @@ from hadamard.circuits import (
     validate_circuit,
 )
 from hadamard.errors import ResourceCapError, ValidationError
-from hadamard.fields import PrimeField, RationalField
+from hadamard.fields import PrimeField, RationalField, parse_field_spec
+from hadamard.grammars import cfg_to_circuit
 from hadamard.polynomials import NCPoly
+from hadamard.products import hadamard_circuit_abp
 
 Q = RationalField()
 F3 = PrimeField(3)
@@ -153,3 +157,24 @@ def test_json_round_trip():
     obj["gates"][0] = {"op": "nope"}
     with pytest.raises(ValidationError):
         Circuit.from_json(obj)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    field=st.sampled_from([Q, PrimeField(2), F3, parse_field_spec("fpk:2:2")]),
+    seed=st.integers(0, 2**32),
+)
+def test_builder_circuits_are_well_formed(field, seed):
+    # CircuitBuilder.finish does not re-validate what the library builds:
+    # each output must pass validate_circuit, hold canonical constants and
+    # equal the circuit Circuit.build makes of its gates
+    rng = random.Random(seed)
+    c = helpers.random_circuit(rng, field, n_vars=2, n_gates=rng.randint(1, 12))
+    p = helpers.random_abp(rng, field, n_vars=2, depth=rng.randint(1, 4), width=2)
+    built = [hadamard_circuit_abp(c, p), propagate_zeros(c), cfg_to_circuit(helpers.random_grammar(rng))]
+    for out in built:
+        assert validate_circuit(out) is None
+        for g in out.gates:
+            if isinstance(g, ConstGate):
+                assert out.field.coerce(g.value) is g.value
+        assert Circuit.build(out.n_vars, out.field, out.gates, out.output) == out

@@ -222,6 +222,18 @@ def test_lab_expsum_z_is_an_element_code():
         assert code == 2 and "element code" in err
 
 
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(p, q):
+        raise MemoryError
+
+    monkeypatch.setattr("hadamard.cli.hadamard_abp_detailed", exhausted)
+    path = write_json(tmp_path / "p.json", swap_abp().to_json())
+    code = main(["hadamard", "abp", path, path])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "resource cap: out of memory in 'hadamard abp'\n"
+
+
 def test_exit_codes(tmp_path):
     code, out, err = run_cli("pit", "det", str(tmp_path / "missing.json"))
     assert code == 2 and out == "" and "no such file" in err

@@ -20,6 +20,7 @@ from hadamard.products import (
     hadamard_circuit_abp,
     hadamard_circuit_abp_detailed,
     hadamard_homogeneous,
+    product_arcs,
 )
 
 Q = RationalField()
@@ -215,6 +216,54 @@ def test_abp_product_matches_the_full_pipeline(pair):
     assert detail.unpruned_nodes == unpruned.node_count()
     assert detail.unpruned == unpruned
     assert list(detail.unpruned.edges) == list(unpruned.edges)
+
+
+@st.composite
+def _homogeneous_pairs(draw):
+    """Degree-k parts of two programs over one field, normalized or not."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, 5))
+    normalized = draw(st.booleans())
+
+    def part(depth, cancelling):
+        pk = homogeneous_parts(_program(rng, field, depth, cancelling))[k]
+        return normalize_edges(pk) if normalized else pk
+
+    p = part(draw(st.integers(k, 5)), draw(st.booleans()))
+    if draw(st.booleans()):
+        return p, p
+    return p, part(draw(st.integers(k, 5)), draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_homogeneous_pairs())
+def test_product_arcs_are_the_reachable_all_pairs_arcs(pair):
+    # grown forward from the source pair: exactly the all-pairs arcs out of
+    # reachable pairs, with the same entries, in the same order
+    p, q = pair
+    expect = helpers.reachable_arcs(helpers.all_pairs_product_arcs(p, q))
+    assert list(product_arcs(p, q).items()) == list(expect.items())
+
+
+def test_product_arcs_skip_unreachable_pairs():
+    # node 1 of layer 1 has no arc in: of the self-product's 5 arcs, the 3
+    # out of the pairs (0, 1), (1, 0) and (1, 1) are never made
+    p = ABP.build(1, Q, (1, 2, 1), {(0, 0, 0): lf(Q, x0=2), (1, 0, 0): lf(Q, x0=3), (1, 1, 0): lf(Q, x0=5)})
+    two, three = Fraction(2), Fraction(3)
+    assert len(helpers.all_pairs_product_arcs(p, p)) == 5
+    assert product_arcs(p, p) == {(0, 0, 0): [(0, two, two)], (1, 0, 0): [(0, three, three)]}
+
+
+def test_a_top_degree_that_prunes_to_nothing_keeps_the_sum_depth():
+    # f = x0 + x0*x1 and g = x0 + x1*x0 share no degree-2 monomial, so the
+    # product x0 hangs off the sum's constant-1 delay chain: layers (1, 1, 1)
+    p = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): lf(Q, x0=1), (1, 0, 0): lf(Q, const=1, x1=1)})
+    q = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): lf(Q, const=1, x1=1), (1, 0, 0): lf(Q, x0=1)})
+    r = hadamard_abp(p, q)
+    assert r.layer_sizes == (1, 1, 1)
+    assert r.edges == {(0, 0, 0): lf(Q, const=1), (1, 0, 0): lf(Q, x0=1)}
+    assert r.to_json() == helpers.naive_hadamard_abp(p, q)[0].to_json()
 
 
 @settings(max_examples=60, deadline=None)
