@@ -11,8 +11,11 @@ A label's coefficients are canonical elements of the program's field, and
 only the converting constructors ``LinearForm.make``, ``constant``,
 ``of_var`` and ``from_json`` turn other values (plain integers, JSON) into
 such elements.  ``ABP.build`` stores the forms it is given as they are,
-after merging parallel edges and dropping zero forms, and ``validate``
-checks that every label is canonical: it does not convert anything.
+after merging parallel edges and dropping zero forms, and checks nothing.
+Programs are checked once, where they enter from outside data:
+``ABP.from_json`` runs ``validate``, which checks the layer shape, the edge
+ranges and that every label is canonical, without converting anything.
+Programs the library makes from programs it trusts are not checked again.
 
 The edge map ``ABP.edges``, keyed (layer, from, to), is the stored form:
 JSON, equality and validation read it.  Everything that walks a program
@@ -207,10 +210,10 @@ class ABP:
         layer_sizes: Sequence[int],
         edges: dict | Iterable[tuple[tuple[int, int, int], LinearForm]],
     ) -> "ABP":
-        """A validated program from a dict or an iterable of ((layer, from,
-        to), form) pairs; parallel edges merge by addition, zero labels drop.
-        Forms are stored as given; ``validate`` rejects a label that is not
-        made of the field's elements with nonzero coefficients."""
+        """A program from a dict or an iterable of ((layer, from, to), form)
+        pairs; parallel edges merge by addition, zero labels drop.  Forms
+        are stored as given and nothing is checked: callers pass canonical
+        forms that fit the layers, and ``from_json`` validates outside data."""
         clean = {}
         for key, form in edges.items() if isinstance(edges, dict) else edges:
             if form.is_zero():
@@ -221,11 +224,7 @@ class ABP:
                     del clean[key]
                     continue
             clean[key] = form
-        abp = cls(n_vars, field, tuple(layer_sizes), clean)
-        err = validate(abp)
-        if err:
-            raise ValidationError(err)
-        return abp
+        return cls(n_vars, field, tuple(layer_sizes), clean)
 
     def expand(self, max_terms: int = DEFAULT_MAX_TERMS) -> NCPoly:
         """Path-by-path expansion into an explicit polynomial."""
@@ -292,7 +291,11 @@ class ABP:
             if tl != fl + 1:
                 raise ValidationError(f"edge {e['from']} -> {e['to']} skips layers")
             edges.append(((fl, fn, tn), LinearForm.from_json(e["label"], field)))
-        return cls.build(int(obj["nvars"]), field, layers, edges)
+        abp = cls.build(int(obj["nvars"]), field, layers, edges)
+        err = validate(abp)
+        if err:
+            raise ValidationError(err)
+        return abp
 
     def __repr__(self) -> str:
         return f"ABP(layers={list(self.layer_sizes)}, edges={len(self.edges)}, vars={self.n_vars})"

@@ -571,23 +571,6 @@ def psi(a: ExtElement) -> int:
     return 1 - 2 * _trace_value(a)
 
 
-def encode_bits(field: ExtField, bits: Sequence[int]) -> ExtElement:
-    """Bit vector of length k -> element with those basis coefficients."""
-    if field.p != 2:
-        raise ValidationError("encode_bits requires a characteristic-2 field")
-    if len(bits) != field.k:
-        raise ValidationError(f"expected {field.k} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValidationError("bits must be 0 or 1")
-    return ExtElement(tuple(bits), field)
-
-
-def decode_bits(a: ExtElement) -> tuple[int, ...]:
-    if a.field.p != 2:
-        raise ValidationError("decode_bits requires a characteristic-2 field")
-    return a.coeffs
-
-
 # ---------------------------------------------------------------------------
 # descriptors
 

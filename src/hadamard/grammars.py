@@ -51,15 +51,14 @@ class AcyclicCFG:
         start: str,
         productions: dict,
     ) -> "AcyclicCFG":
+        """A grammar with its productions as tuples, one entry per declared
+        nonterminal.  Nothing is checked: the library's own grammars are
+        acyclic by construction, and ``from_json`` validates outside data."""
         prods = {
             nt: tuple(tuple(rhs) for rhs in productions.get(nt, ()))
             for nt in nonterminals
         }
-        g = cls(tuple(nonterminals), terminals, start, prods)
-        err = validate_grammar(g)
-        if err:
-            raise ValidationError(err)
-        return g
+        return cls(tuple(nonterminals), terminals, start, prods)
 
     def size(self) -> int:
         return (
@@ -98,12 +97,16 @@ class AcyclicCFG:
         for prod in obj["productions"]:
             lhs = str(prod["lhs"])
             prods.setdefault(lhs, []).append(tuple(sym(s) for s in prod["rhs"]))
-        return cls.build(
+        g = cls.build(
             [str(nt) for nt in obj["nonterminals"]],
             int(obj["terminals"]),
             str(obj["start"]),
             prods,
         )
+        err = validate_grammar(g)
+        if err:
+            raise ValidationError(err)
+        return g
 
 
 def validate_grammar(g: AcyclicCFG) -> Optional[str]:
@@ -205,7 +208,7 @@ def language(
 ) -> set[tuple[int, ...]]:
     """All derivable words, bottom-up over the dependency order."""
     order = topo_order(g)
-    assert order is not None  # validated at construction
+    assert order is not None  # checked by from_json, or acyclic by construction
     lang: dict[str, set] = {}
     for nt in order:
         words: set = set()

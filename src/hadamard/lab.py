@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
-from .fields import ExtElement, ExtField, RationalField, encode_bits, is_prime, psi
+from .fields import ExtElement, ExtField, RationalField, is_prime, psi
 from .polynomials import CPoly, corr, norm_sq
 
 _Q = RationalField()
@@ -63,7 +63,7 @@ def y_vector(params: ExplicitParams, monomial: Iterable[int]) -> list[ExtElement
     out = []
     for i in range(params.t):
         bits = [1 if v in chosen else 0 for v in params.block(i)]
-        out.append(encode_bits(params.field, bits))
+        out.append(ExtElement(tuple(bits), params.field))
     return out
 
 

@@ -52,9 +52,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def _check_field(self, other: "Matrix"):
         if self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")

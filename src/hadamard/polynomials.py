@@ -211,9 +211,6 @@ class NCPoly(_TermMap):
         lengths = {len(w) for w in self.terms}
         return len(lengths) <= 1
 
-    def homogeneous_part(self, k: int) -> "NCPoly":
-        return NCPoly(self.n_vars, self.field, {w: c for w, c in self.terms.items() if len(w) == k})
-
 
 class CPoly(_TermMap):
     """Commutative polynomial keyed by sorted variable tuples (repeats = powers)."""

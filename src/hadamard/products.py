@@ -214,10 +214,6 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
     return ABPProductResult(ABP.build(n_vars, field, live_sizes, edges), records, sum(layer_sizes), unpruned)
 
 
-def hadamard_abp(p: ABP, q: ABP) -> ABP:
-    return hadamard_abp_detailed(p, q).abp
-
-
 @dataclass
 class CircuitProductResult:
     circuit: Circuit
@@ -387,7 +383,3 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     left_factors.clear()
     total = builder.add_many([g for _, g in per_degree])
     return CircuitProductResult(builder.finish(total), per_degree, memo_size)
-
-
-def hadamard_circuit_abp(c: Circuit, p: ABP) -> Circuit:
-    return hadamard_circuit_abp_detailed(c, p).circuit

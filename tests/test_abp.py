@@ -25,13 +25,14 @@ from hadamard.abp import (
     validate,
     zero_abp,
 )
-from hadamard.errors import FieldMismatchError, ValidationError
+from hadamard.errors import ValidationError
 from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.matrices import Matrix
+from hadamard.pit import Digraph, det_to_abp, reach_to_abp
 from hadamard.polynomials import NCPoly
 from hadamard.products import hadamard_abp_detailed
 
-from helpers import cancelling_abp
+from helpers import cancelling_abp, random_digraph
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -89,29 +90,24 @@ def test_expand_and_evaluate_mixed_example():
 
 
 def test_validate_catches_bad_shapes():
-    with pytest.raises(ValidationError):
-        ABP.build(1, Q, (2, 1), {})
-    with pytest.raises(ValidationError):
-        ABP.build(1, Q, (1, 0, 1), {})
-    with pytest.raises(ValidationError):
-        ABP.build(1, Q, (1, 1), {(0, 0, 5): lf(Q, const=1)})
-    with pytest.raises(ValidationError):
-        ABP.build(1, Q, (1, 1), {(0, 0, 0): lf(Q, x3=1)})
-    assert validate(zero_abp(2, Q)) is None
+    # programs read from JSON are validated where they enter the library
+    def program(layers, *edges):
+        return {
+            "nvars": 1,
+            "field": {"kind": "Q"},
+            "layers": layers,
+            "edges": [{"from": [0, 0], "to": [1, c], "label": form.to_json(Q)} for c, form in edges],
+        }
 
-
-def test_build_checks_labels_instead_of_converting():
-    # another field's element is refused, as when build converted labels
-    with pytest.raises(FieldMismatchError):
-        ABP.build(1, F5, (1, 1), {(0, 0, 0): LinearForm.make(PrimeField(7), coeffs={0: 1})})
-    # a raw form with a zero or a plain-number coefficient is not rewritten
-    for form in (
-        LinearForm(F5.zero(), {0: F5.zero()}),
-        LinearForm(F5.zero(), {0: 1}),
-        LinearForm(1, {0: F5.one()}),
+    for obj, message in (
+        (program([2, 1]), "source and sink"),
+        (program([1, 0, 1]), "empty layer"),
+        (program([1, 1], (5, lf(Q, const=1))), "target node 5 out of range"),
+        (program([1, 1], (0, lf(Q, x3=1))), "variable out of range"),
     ):
-        with pytest.raises(ValidationError, match="not canonical"):
-            ABP.build(1, F5, (1, 1), {(0, 0, 0): form})
+        with pytest.raises(ValidationError, match=message):
+            ABP.from_json(obj)
+    assert validate(zero_abp(2, Q)) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,6 +126,13 @@ def test_every_stage_returns_canonical_labels(rng, field, cancelling):
     product = hadamard_abp_detailed(p, q)
     stages = parts + [normalize_edges(part) for part in parts[1:]]
     stages += [product.abp, product.unpruned, abp_sum(parts), prune(p)]
+    # the reductions check their outside input before any program exists
+    for det_field in (Q, F5):
+        n = rng.randint(1, 4)
+        stages.append(det_to_abp([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], det_field))
+    n = rng.randint(2, 5)
+    g = random_digraph(rng, n, rng.randint(0, n * n))
+    stages += [reach_to_abp(g, field), reach_to_abp(Digraph(n, g.edges, g.s, g.s), field)]
     for x in stages:
         assert validate(x) is None
         assert ABP.from_json(x.to_json()) == x

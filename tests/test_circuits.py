@@ -23,7 +23,7 @@ from hadamard.errors import ResourceCapError, ValidationError
 from hadamard.fields import PrimeField, RationalField, parse_field_spec
 from hadamard.grammars import cfg_to_circuit
 from hadamard.polynomials import NCPoly
-from hadamard.products import hadamard_circuit_abp
+from hadamard.products import hadamard_circuit_abp_detailed
 
 Q = RationalField()
 F3 = PrimeField(3)
@@ -171,7 +171,7 @@ def test_builder_circuits_are_well_formed(field, seed):
     rng = random.Random(seed)
     c = helpers.random_circuit(rng, field, n_vars=2, n_gates=rng.randint(1, 12))
     p = helpers.random_abp(rng, field, n_vars=2, depth=rng.randint(1, 4), width=2)
-    built = [hadamard_circuit_abp(c, p), propagate_zeros(c), cfg_to_circuit(helpers.random_grammar(rng))]
+    built = [hadamard_circuit_abp_detailed(c, p).circuit, propagate_zeros(c), cfg_to_circuit(helpers.random_grammar(rng))]
     for out in built:
         assert validate_circuit(out) is None
         for g in out.gates:

@@ -330,6 +330,13 @@ GRAMMAR = {
         (("nisan", "{}"), 5),
         (("pit", "det", "{}"), _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": {"const": "1", "coeffs": 5}})),
         (("pit", "det", "{}"), _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": "x"})),
+        # well-typed JSON with a malformed structure
+        (("pit", "det", "{}"), {"nvars": 1, "field": {"kind": "Q"}, "layers": [2, 1], "edges": []}),
+        (("pit", "det", "{}"), {"nvars": 1, "field": {"kind": "Q"}, "layers": [1, 0, 1], "edges": []}),
+        (("pit", "det", "{}"), _one_edge_abp({"from": [0, 0], "to": [1, 5], "label": {"const": "1", "coeffs": {}}})),
+        (("pit", "det", "{}"), _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": {"const": "0", "coeffs": {"3": "1"}}})),
+        (("cfg", "to-circuit", "{}"), dict(GRAMMAR, productions=[{"lhs": "S", "rhs": ["S"]}])),
+        (("cfg", "to-circuit", "{}"), dict(GRAMMAR, productions=[{"lhs": "S", "rhs": ["T"]}])),
     ],
 )
 def test_malformed_input_is_a_validation_error(argv, content, tmp_path, capsys):

@@ -10,8 +10,6 @@ from hadamard.fields import (
     ExtField,
     PrimeField,
     RationalField,
-    decode_bits,
-    encode_bits,
     field_from_json,
     field_to_json,
     find_irreducible,
@@ -146,18 +144,6 @@ def test_psi_is_multiplicative_under_addition():
         for a in elems:
             for b in elems:
                 assert psi(a + b) == psi(a) * psi(b)
-
-
-def test_encode_decode_bits():
-    assert encode_bits(F4, [0, 0]) == F4.zero()
-    assert encode_bits(F4, [1, 0]) == F4.one()
-    f8 = ExtField.make(2, 3)
-    for a in f8.elements():
-        assert encode_bits(f8, decode_bits(a)) == a
-    with pytest.raises(ValidationError):
-        encode_bits(F4, [1, 0, 1])
-    with pytest.raises(ValidationError):
-        encode_bits(ExtField(3, 1, (0, 1)), [1])
 
 
 def test_frobenius_fixes_the_field():

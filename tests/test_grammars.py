@@ -60,15 +60,32 @@ def test_ambiguity_is_counted():
 
 
 def test_validation_rejects_bad_grammars():
-    with pytest.raises(ValidationError):  # cycle
-        AcyclicCFG.build(("A",), 1, "A", {"A": (("A",),)})
-    with pytest.raises(ValidationError):  # rhs too long
-        AcyclicCFG.build(("A",), 1, "A", {"A": ((0, 0, 0),)})
-    with pytest.raises(ValidationError):  # undeclared nonterminal
-        AcyclicCFG.build(("A",), 1, "A", {"A": (("B",),)})
-    with pytest.raises(ValidationError):  # terminal out of range
-        AcyclicCFG.build(("A",), 1, "A", {"A": ((3,),)})
+    # grammars read from JSON are validated where they enter the library
+    def grammar(*rhs):
+        return {"nonterminals": ["A"], "terminals": 1, "start": "A", "productions": [{"lhs": "A", "rhs": list(rhs)}]}
+
+    for obj, message in (
+        (grammar("A"), "cycle"),
+        (grammar({"t": 0}, {"t": 0}, {"t": 0}), "longer than two"),
+        (grammar("B"), "undeclared nonterminal"),
+        (grammar({"t": 3}), "terminal 3 outside"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            AcyclicCFG.from_json(obj)
     assert validate_grammar(tiny_grammar()) is None
+
+
+def test_library_grammars_are_well_formed():
+    # the grammars the library makes itself are not validated when built
+    for seed in range(40):
+        rng = random.Random(seed)
+        assert validate_grammar(strip_useless(random_grammar(rng))) is None
+        circuit = random_monotone_circuit(rng, n_vars=rng.randint(1, 3), n_gates=rng.randint(1, 10))
+        assert validate_grammar(circuit_to_cfg(circuit)) is None
+    assert validate_grammar(circuit_to_cfg(Circuit.build(1, Q, [ConstGate(Fraction(0))], 0))) is None
+    for n, alphabet in itertools.product(range(1, 4), range(1, 4)):
+        assert validate_grammar(build_mirror_suffix_grammar(n, alphabet)) is None
+        assert validate_grammar(build_mirror_prefix_grammar(n, alphabet)) is None
 
 
 def test_topo_order_is_dependency_first():

@@ -104,3 +104,29 @@ def test_no_orphaned_definitions(path):
         if everywhere[name] <= _references(node)[name]:
             orphans.append(f"{name} (line {node.lineno})")
     assert not orphans, f"{path.name}: defined but never named: {', '.join(orphans)}"
+
+
+# programs, circuits and grammars are checked where they are made from
+# outside data, and nowhere else
+VALIDATORS = {"validate", "validate_circuit", "validate_grammar"}
+TRUST_BOUNDARY = {"abp.py: ABP.from_json", "circuits.py: Circuit.build", "grammars.py: AcyclicCFG.from_json"}
+
+
+def _validator_callers(node: ast.AST, scope: str, out: set, filename: str) -> None:
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in VALIDATORS:
+                out.add(f"{filename}: {scope or '<module>'}")
+        _validator_callers(child, inner, out, filename)
+
+
+def test_validators_run_only_at_the_trust_boundary():
+    callers: set = set()
+    for path in sorted(SRC.glob("*.py")):
+        _validator_callers(ast.parse(path.read_text(), filename=str(path)), "", callers, path.name)
+    assert callers == TRUST_BOUNDARY

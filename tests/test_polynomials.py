@@ -87,17 +87,6 @@ def test_self_hadamard_at_ones_is_sum_of_squared_coeffs():
         assert value >= 0
 
 
-def test_homogeneous_parts_sum_back():
-    rng = random.Random(8)
-    f = random_nc(rng, 3, 4, 10)
-    total = NCPoly.zero(3, Q)
-    for k in range(f.degree() + 1):
-        part = f.homogeneous_part(k)
-        assert part.is_homogeneous()
-        total = total.add(part)
-    assert total == f
-
-
 def test_evaluate_respects_substitution():
     f = nc({(0, 1): 1, (1, 0): 1})
     # commuting values: both words evaluate alike

@@ -15,9 +15,7 @@ from hadamard.errors import ArityMismatchError, FieldMismatchError
 from hadamard.fields import PrimeField, RationalField, parse_field_spec
 from hadamard.polynomials import NCPoly
 from hadamard.products import (
-    hadamard_abp,
     hadamard_abp_detailed,
-    hadamard_circuit_abp,
     hadamard_circuit_abp_detailed,
     hadamard_homogeneous,
     product_arcs,
@@ -103,12 +101,12 @@ def test_full_pipeline_matches_polynomial_hadamard():
     for _ in range(30):
         p = random_abp(rng, Q, depth=rng.randint(1, 4), width=2)
         q = random_abp(rng, Q, depth=rng.randint(1, 4), width=2)
-        r = hadamard_abp(p, q)
+        r = hadamard_abp_detailed(p, q).abp
         assert r.expand() == p.expand().hadamard(q.expand())
     for _ in range(10):
         p = random_abp(rng, F5, n_vars=2, depth=3, width=2)
         q = random_abp(rng, F5, n_vars=2, depth=3, width=2)
-        assert hadamard_abp(p, q).expand() == p.expand().hadamard(q.expand())
+        assert hadamard_abp_detailed(p, q).abp.expand() == p.expand().hadamard(q.expand())
 
 
 def test_layer_sizes_are_exact_products():
@@ -127,16 +125,16 @@ def test_layer_sizes_are_exact_products():
 def test_product_rejects_mismatched_operands():
     p = random_abp(random.Random(1), Q)
     with pytest.raises(ArityMismatchError):
-        hadamard_abp(p, random_abp(random.Random(2), Q, n_vars=2))
+        hadamard_abp_detailed(p, random_abp(random.Random(2), Q, n_vars=2))
     with pytest.raises(FieldMismatchError):
-        hadamard_abp(p, random_abp(random.Random(3), F5))
+        hadamard_abp_detailed(p, random_abp(random.Random(3), F5))
 
 
 def test_cancelling_product_prunes_to_zero_structure():
     # f = x0x1, g = x1x0 share no monomial: product polynomial is zero
     p = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): lf(Q, x0=1), (1, 0, 0): lf(Q, x1=1)})
     q = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): lf(Q, x1=1), (1, 0, 0): lf(Q, x0=1)})
-    r = hadamard_abp(p, q)
+    r = hadamard_abp_detailed(p, q).abp
     assert r.expand().is_zero()
 
 
@@ -154,7 +152,7 @@ def test_circuit_abp_product_examples():
             (1, 1, 0): lf(Q, x0=3),
         },
     )
-    r = hadamard_circuit_abp(c, p)
+    r = hadamard_circuit_abp_detailed(c, p).circuit
     assert r.expand() == NCPoly.from_terms(2, Q, {(0, 1): 1, (1, 0): 3})
 
 
@@ -169,13 +167,13 @@ def test_circuit_abp_product_random():
     for _ in range(10):
         c = random_circuit(rng, F5, n_vars=2, n_gates=6)
         p = random_abp(rng, F5, n_vars=2, depth=2, width=2)
-        assert hadamard_circuit_abp(c, p).expand() == c.expand().hadamard(p.expand())
+        assert hadamard_circuit_abp_detailed(c, p).circuit.expand() == c.expand().hadamard(p.expand())
 
 
 def test_circuit_abp_constant_only_operands():
     c = Circuit.build(1, Q, [ConstGate(Fraction(3))], 0)
     p = ABP.build(1, Q, (1, 1), {(0, 0, 0): lf(Q, const=2, x0=1)})
-    r = hadamard_circuit_abp(c, p)
+    r = hadamard_circuit_abp_detailed(c, p).circuit
     assert r.expand() == NCPoly.const(1, Q, 6)
 
 
@@ -260,7 +258,7 @@ def test_a_top_degree_that_prunes_to_nothing_keeps_the_sum_depth():
     # product x0 hangs off the sum's constant-1 delay chain: layers (1, 1, 1)
     p = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): lf(Q, x0=1), (1, 0, 0): lf(Q, const=1, x1=1)})
     q = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): lf(Q, const=1, x1=1), (1, 0, 0): lf(Q, x0=1)})
-    r = hadamard_abp(p, q)
+    r = hadamard_abp_detailed(p, q).abp
     assert r.layer_sizes == (1, 1, 1)
     assert r.edges == {(0, 0, 0): lf(Q, const=1), (1, 0, 0): lf(Q, x0=1)}
     assert r.to_json() == helpers.naive_hadamard_abp(p, q)[0].to_json()
@@ -282,7 +280,7 @@ def test_circuit_product_matches_the_recursion(field, seed, depth, cancelling, t
         c = helpers.tall_circuit(rng, field, n_gates=rng.randint(36, 80))
     else:
         c = helpers.random_circuit(rng, field, n_vars=2, n_gates=rng.randint(1, 14), max_degree=5)
-    assert hadamard_circuit_abp(c, p).to_json() == helpers.recursive_hadamard_circuit_abp(c, p).to_json()
+    assert hadamard_circuit_abp_detailed(c, p).circuit.to_json() == helpers.recursive_hadamard_circuit_abp(c, p).to_json()
 
 
 def test_circuit_product_of_a_deep_chain():
@@ -293,4 +291,4 @@ def test_circuit_product_of_a_deep_chain():
         gates.append(MulGate(2, g - 1) if g % 3 == 0 else AddGate(g - 1, g % 3))
     c = Circuit.build(2, Q, gates, len(gates) - 1)
     p = ABP.build(2, Q, (1, 1), {(0, 0, 0): lf(Q, const=3, x0=2, x1=-1)})
-    assert hadamard_circuit_abp(c, p).expand() == c.expand().hadamard(p.expand())
+    assert hadamard_circuit_abp_detailed(c, p).circuit.expand() == c.expand().hadamard(p.expand())
