@@ -210,3 +210,57 @@ def test_parse_field_spec():
 def test_random_elements_deterministic():
     r1, r2 = random.Random(7), random.Random(7)
     assert [F5.random(r1).value for _ in range(10)] == [F5.random(r2).value for _ in range(10)]
+
+
+PRIMES = [p for p in range(2, 32) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("f", [PrimeField(p) for p in PRIMES] + SMALL, ids=repr)
+def test_subtraction_division_and_powers(f):
+    one, zero = f.one(), f.zero()
+    elems = list(f.elements())
+    ints = (-3, 0, 2, f.p + 1)
+    for a in elems:
+        for n in ints:
+            assert n - a == f.from_int(n) + (-a)
+            assert a - n == a + f.from_int(-n)
+        for b in elems:
+            assert a - b == a + (-b)
+            if b:
+                assert (a / b) * b == a
+        assert a ** 0 == one
+        if a:
+            for n in ints:
+                assert (n / a) * a == f.from_int(n)
+            for e in (1, 2, 5):
+                assert (a ** -e) * (a ** e) == one
+    with pytest.raises(ZeroDivisionError):
+        one / zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+
+
+@pytest.mark.parametrize("make", [lambda: PrimeField(5), lambda: ExtField.make(2, 3)], ids=["F_5", "F_2^3"])
+def test_equal_fields_mix(make):
+    f, g = make(), make()
+    assert f == g and f is not g
+    for a in f.elements():
+        for b in g.elements():
+            assert a + b == b + a == f.coerce(a) + f.coerce(b)
+            assert a - b == a + (-b)
+            assert a * b == b * a
+            if b:
+                assert (a / b) * b == a
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_prime_and_degree_one_elements_do_not_mix(p):
+    fp, e1 = PrimeField(p), ExtField.make(p, 1)
+    for x, y in ((fp.one(), e1.one()), (e1.one(), fp.one())):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
+            with pytest.raises(FieldMismatchError):
+                op(x, y)
+    with pytest.raises(FieldMismatchError):
+        fp.coerce(e1.one())
+    with pytest.raises(FieldMismatchError):
+        e1.coerce(fp.one())
