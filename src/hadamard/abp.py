@@ -40,7 +40,9 @@ edge map has no parallel edges and the sink cannot be duplicated, so labels
 on the last layer (and the single edge of a degree-1 program) may still
 combine several variables; downstream constructions treat labels
 variable-by-variable, which agrees with the single-variable normal form
-whenever it applies.
+whenever it applies.  Like every other walker it reads ``abp.layers``: each
+node's copies are worked out once, and each per-variable entry becomes one
+edge per pair of copies it joins.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .fields import Field, field_from_json, field_to_json
+from .fields import Field, field_from_json, json_int
 from .matrices import Matrix
 from .polynomials import NCPoly
 
@@ -272,7 +274,7 @@ class ABP:
             )
         return {
             "nvars": self.n_vars,
-            "field": field_to_json(self.field),
+            "field": self.field.descriptor(),
             "layers": list(self.layer_sizes),
             "edges": out_edges,
         }
@@ -283,15 +285,15 @@ class ABP:
             if "field" not in obj:
                 raise ValidationError("ABP JSON lacks a field descriptor")
             field = field_from_json(obj["field"])
-        layers = [int(s) for s in obj["layers"]]
+        layers = [json_int(s) for s in obj["layers"]]
         edges = []
         for e in obj["edges"]:
-            fl, fn = int(e["from"][0]), int(e["from"][1])
-            tl, tn = int(e["to"][0]), int(e["to"][1])
+            fl, fn = json_int(e["from"][0]), json_int(e["from"][1])
+            tl, tn = json_int(e["to"][0]), json_int(e["to"][1])
             if tl != fl + 1:
                 raise ValidationError(f"edge {e['from']} -> {e['to']} skips layers")
             edges.append(((fl, fn, tn), LinearForm.from_json(e["label"], field)))
-        abp = cls.build(int(obj["nvars"]), field, layers, edges)
+        abp = cls.build(json_int(obj["nvars"]), field, layers, edges)
         err = validate(abp)
         if err:
             raise ValidationError(err)
@@ -476,60 +478,50 @@ def normalize_edges(abp: ABP) -> ABP:
     if all(form.single_variable() is not None for form in abp.edges.values()):
         return abp
 
-    field = abp.field
-    zero = field.zero()
+    zero = abp.field.zero()
+    layers = abp.layers
     # arriving variables per internal node; departing variables at layer d-1
-    arriving: list[dict[int, list[int]]] = [dict() for _ in range(d)]
-    for (layer, a, c), form in abp.edges.items():
-        if 1 <= layer + 1 <= d - 1:
-            slot = arriving[layer + 1].setdefault(c, [])
-            for v in form.coeffs:
-                if v not in slot:
-                    slot.append(v)
+    arriving: list[dict[int, set]] = [dict() for _ in range(d)]
+    for layer in range(d - 1):
+        for v, entries in layers[layer].by_var.items():
+            for _, c, _ in entries:
+                arriving[layer + 1].setdefault(c, set()).add(v)
     departing: dict[int, list[int]] = {}
-    for a in range(abp.layer_sizes[d - 1]):
-        form = abp.edges.get((d - 1, a, 0))
-        if form is not None:
-            departing[a] = sorted(form.coeffs)
+    for v, entries in layers[d - 1].by_var.items():
+        for a, _, _ in entries:
+            departing.setdefault(a, []).append(v)
 
-    def copies(w: int, c: int) -> list[tuple[int, int, int]]:
-        ins = sorted(arriving[w].get(c, []))
-        outs = departing.get(c, []) if w == d - 1 else [-1]
-        return [(c, v, t) for v in ins for t in outs]
-
-    node_lists: list[list[tuple[int, int, int]]] = [[(0, -1, -1)]]
+    # copies[w][c]: (index, arriving variable, departing variable or -1) of
+    # each copy of node c of layer w, in node order
+    copies: list[dict[int, list[tuple[int, int, int]]]] = [{0: [(0, -1, -1)]}]
+    layer_sizes = [1]
     for w in range(1, d):
-        nodes = [node for c in range(abp.layer_sizes[w]) for node in copies(w, c)]
-        if not nodes:
-            nodes = [(0, -1, -1)]  # placeholder keeps the layer nonempty
-        node_lists.append(nodes)
-    node_lists.append([(0, -1, -1)])
-    index = [{node: i for i, node in enumerate(nodes)} for nodes in node_lists]
+        here: dict[int, list[tuple[int, int, int]]] = {}
+        count = 0
+        for c in range(abp.layer_sizes[w]):
+            outs = sorted(departing.get(c, ())) if w == d - 1 else [-1]
+            for v in sorted(arriving[w].get(c, ())):
+                for t in outs:
+                    here.setdefault(c, []).append((count, v, t))
+                    count += 1
+        copies.append(here)
+        layer_sizes.append(max(count, 1))  # a placeholder keeps the layer nonempty
+    layer_sizes.append(1)
 
     edges: list[tuple[tuple[int, int, int], LinearForm]] = []
-
-    def add_edge(layer: int, src: int, dst: int, var: int, coeff) -> None:
-        edges.append(((layer, src, dst), LinearForm(zero, {var: coeff})))
-
-    for (layer, a, c), form in abp.edges.items():
-        sources = [(0, -1, -1)] if layer == 0 else copies(layer, a)
-        if not sources:
-            continue  # unreachable or dead in the split program
-        if layer < d - 1:
-            for v, coeff in form.coeffs.items():
-                for dst in copies(layer + 1, c):
-                    if dst[1] != v:
-                        continue
-                    for src in sources:
-                        add_edge(layer, index[layer][src], index[layer + 1][dst], v, coeff)
-        else:
-            # each copy's sink edge keeps only its own departing variable
-            for src in sources:
-                t = src[2]
-                add_edge(layer, index[layer][src], 0, t, form.coeffs[t])
-
-    layer_sizes = [len(nodes) for nodes in node_lists]
-    return ABP.build(abp.n_vars, field, layer_sizes, edges)
+    for layer, lay in enumerate(layers):
+        for v, entries in lay.by_var.items():
+            for a, c, k in entries:
+                form = LinearForm(zero, {v: k})
+                srcs = copies[layer].get(a, ())
+                if layer == d - 1:
+                    # each copy's sink edge keeps only its own departing variable
+                    edges.extend(((layer, i, 0), form) for i, _, t in srcs if t == v)
+                else:
+                    for j, u, _ in copies[layer + 1].get(c, ()):
+                        if u == v:
+                            edges.extend(((layer, i, j), form) for i, _, _ in srcs)
+    return ABP.build(abp.n_vars, abp.field, layer_sizes, edges)
 
 
 # ---------------------------------------------------------------------------

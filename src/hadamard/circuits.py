@@ -4,15 +4,29 @@ A circuit is a topologically ordered list of gates over a shared field:
 inputs (one variable each), constants, fan-in-two additions, and fan-in-two
 ordered multiplications.  Multiplication is noncommutative — the left and
 right operands keep their order when monomials are concatenated.
+
+Every pass that works out a value per gate from its children's values goes
+through ``Circuit.fold``, one loop over the gates in order: formal degrees,
+evaluation, expansion, ``propagate_zeros`` (which replays the gates through
+a ``CircuitBuilder``) and the grammar translation of ``grammars``.  Passes
+that read gate indices rather than child values (JSON, validation, the
+wire count) walk the gates themselves.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .errors import DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
-from .fields import Field, RationalField, field_from_json, field_to_json
+from .errors import (
+    ArityMismatchError,
+    DEFAULT_MAX_DEGREE,
+    DEFAULT_MAX_TERMS,
+    ResourceCapError,
+    ValidationError,
+)
+from .fields import Field, RationalField, field_from_json, json_int
 from .polynomials import NCPoly
 
 
@@ -66,37 +80,33 @@ class Circuit:
         wires = sum(2 for g in self.gates if isinstance(g, (AddGate, MulGate)))
         return len(self.gates), wires
 
-    def formal_degrees(self) -> list[int]:
-        degs = []
+    def fold(self, input: Callable, const: Callable, add: Callable, mul: Callable) -> list:
+        """Each gate's result, in gate order: ``input(var)``, ``const(value)``,
+        and ``add`` or ``mul`` of the two children's results."""
+        out: list = []
         for g in self.gates:
-            if isinstance(g, InputGate):
-                degs.append(1)
-            elif isinstance(g, ConstGate):
-                degs.append(0)
-            elif isinstance(g, AddGate):
-                degs.append(max(degs[g.left], degs[g.right]))
+            t = type(g)
+            if t is InputGate:
+                out.append(input(g.var))
+            elif t is ConstGate:
+                out.append(const(g.value))
+            elif t is AddGate:
+                out.append(add(out[g.left], out[g.right]))
             else:
-                degs.append(degs[g.left] + degs[g.right])
-        return degs
+                out.append(mul(out[g.left], out[g.right]))
+        return out
+
+    def formal_degrees(self) -> list[int]:
+        return self.fold(lambda var: 1, lambda value: 0, max, operator.add)
 
     def formal_degree(self) -> int:
         return self.formal_degrees()[self.output]
 
     def evaluate(self, point: Sequence):
-        point = [self.field.coerce(x) for x in point]
         if len(point) != self.n_vars:
-            raise ValidationError(f"expected {self.n_vars} values, got {len(point)}")
-        vals = []
-        for g in self.gates:
-            if isinstance(g, InputGate):
-                vals.append(point[g.var])
-            elif isinstance(g, ConstGate):
-                vals.append(g.value)
-            elif isinstance(g, AddGate):
-                vals.append(vals[g.left] + vals[g.right])
-            else:
-                vals.append(vals[g.left] * vals[g.right])
-        return vals[self.output]
+            raise ArityMismatchError(f"expected {self.n_vars} values, got {len(point)}")
+        point = [self.field.coerce(x) for x in point]
+        return self.fold(point.__getitem__, lambda value: value, operator.add, operator.mul)[self.output]
 
     def expand(
         self,
@@ -108,19 +118,19 @@ class Circuit:
             raise ResourceCapError(
                 f"formal degree {self.formal_degree()} exceeds cap {max_degree}"
             )
-        polys: list[NCPoly] = []
-        for g in self.gates:
-            if isinstance(g, InputGate):
-                polys.append(NCPoly.var(self.n_vars, self.field, g.var))
-            elif isinstance(g, ConstGate):
-                polys.append(NCPoly.const(self.n_vars, self.field, g.value))
-            elif isinstance(g, AddGate):
-                polys.append(polys[g.left].add(polys[g.right]))
-            else:
-                polys.append(polys[g.left].mul(polys[g.right], max_terms=max_terms))
-            if len(polys[-1].terms) > max_terms:
+
+        def capped(poly: NCPoly) -> NCPoly:
+            if len(poly.terms) > max_terms:
                 raise ResourceCapError(f"gate expansion exceeds {max_terms} terms")
-        return polys[self.output]
+            return poly
+
+        n, field = self.n_vars, self.field
+        return self.fold(
+            lambda var: capped(NCPoly.var(n, field, var)),
+            lambda value: capped(NCPoly.const(n, field, value)),
+            lambda l, r: capped(l.add(r)),
+            lambda l, r: capped(l.mul(r, max_terms=max_terms)),
+        )[self.output]
 
     def is_monotone(self) -> bool:
         """Rational constants, all strictly positive."""
@@ -143,7 +153,7 @@ class Circuit:
                 out.append({"op": "mul", "l": g.left, "r": g.right})
         return {
             "nvars": self.n_vars,
-            "field": field_to_json(self.field),
+            "field": self.field.descriptor(),
             "gates": out,
             "output": self.output,
         }
@@ -158,16 +168,16 @@ class Circuit:
         for g in obj["gates"]:
             op = g["op"]
             if op == "in":
-                gates.append(InputGate(int(g["var"])))
+                gates.append(InputGate(json_int(g["var"])))
             elif op == "const":
                 gates.append(ConstGate(field.coeff_from_json(g["value"])))
             elif op == "add":
-                gates.append(AddGate(int(g["l"]), int(g["r"])))
+                gates.append(AddGate(json_int(g["l"]), json_int(g["r"])))
             elif op == "mul":
-                gates.append(MulGate(int(g["l"]), int(g["r"])))
+                gates.append(MulGate(json_int(g["l"]), json_int(g["r"])))
             else:
                 raise ValidationError(f"unknown gate op {op!r}")
-        return cls.build(int(obj["nvars"]), field, gates, int(obj["output"]))
+        return cls.build(json_int(obj["nvars"]), field, gates, json_int(obj["output"]))
 
     def __repr__(self) -> str:
         return f"Circuit(gates={len(self.gates)}, vars={self.n_vars}, output={self.output})"
@@ -193,16 +203,8 @@ def propagate_zeros(c: Circuit) -> Circuit:
     single zero-constant circuit.  The gates are replayed through
     ``CircuitBuilder``, which does the folding."""
     builder = CircuitBuilder(c.n_vars, c.field)
-    ids: list[Optional[int]] = []  # gate -> surviving gate id, None if identically zero
-    for g in c.gates:
-        if isinstance(g, InputGate):
-            ids.append(builder.input(g.var))
-        elif isinstance(g, ConstGate):
-            ids.append(builder.const(g.value))
-        elif isinstance(g, AddGate):
-            ids.append(builder.add(ids[g.left], ids[g.right]))
-        else:
-            ids.append(builder.mul(ids[g.left], ids[g.right]))
+    # gate -> surviving gate id, None if identically zero
+    ids = c.fold(builder.input, builder.const, builder.add, builder.mul)
     return builder.finish(ids[c.output])
 
 

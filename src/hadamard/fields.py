@@ -4,7 +4,12 @@ Rationals are plain ``fractions.Fraction`` values.  Elements of F_p and
 F_{p^k} are small frozen objects that carry a reference to their field;
 mixing elements of different fields raises ``FieldMismatchError``.  Integers
 are lifted implicitly so that generic code can scale by -1 or compare
-against zero without ceremony.
+against zero without ceremony.  The two element classes share one protocol,
+``_Element``: lifting through the field's ``coerce`` (which ``PrimeField``
+and ``ExtField`` share), subtraction by negation, division by ``inverse``
+and powers by squaring.  Each class writes only its own addition,
+multiplication, negation and inverse; addition and multiplication take an
+element of the same field object without a lift.
 
 Extension fields use a polynomial basis modulo a monic irreducible, stored
 low-degree-first including the leading 1.  ``find_irreducible`` picks the
@@ -165,31 +170,20 @@ class RationalField:
 
 
 # ---------------------------------------------------------------------------
-# prime fields
+# what F_p and F_{p^k} share
 
 
-@dataclass(frozen=True)
-class FpElement:
-    value: int
-    field: "PrimeField"
+class _Element:
+    """What F_p and F_{p^k} elements share.  An int lifts into the
+    element's field through the field's ``coerce``; subtraction and
+    division go through negation and ``inverse``; powers are taken by
+    squaring, a negative exponent through ``inverse``.  A class adds
+    ``__add__``, ``__mul__`` and their reflected forms, which the
+    benchmark's tracer counts in the class's own dict, ``__neg__``,
+    ``inverse``, ``__bool__`` and ``__repr__``."""
 
-    def _lift(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.field != self.field:
-                raise FieldMismatchError(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        raise FieldMismatchError(f"cannot mix {other!r} into {self.field}")
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return FpElement((self.value + o.value) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FpElement(-self.value % self.field.p, self.field)
+    def _lift(self, other):
+        return self.field.coerce(other)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -197,26 +191,69 @@ class FpElement:
     def __rsub__(self, other):
         return self._lift(other) - self
 
-    def __mul__(self, other):
-        o = self._lift(other)
-        return FpElement((self.value * o.value) % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o.value == 0:
-            raise ZeroDivisionError("division by zero field element")
-        inv = pow(o.value, self.field.p - 2, self.field.p)
-        return FpElement((self.value * inv) % self.field.p, self.field)
+        return self * self._lift(other).inverse()
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
-            return (self.field.one() / self) ** (-n)
-        return FpElement(pow(self.value, n, self.field.p), self.field)
+            return self.inverse() ** (-n)
+        acc = self.field.one()
+        base = self
+        while n:
+            if n & 1:
+                acc = acc * base
+            base = base * base
+            n >>= 1
+        return acc
+
+
+class _FiniteField:
+    """``coerce`` for a field whose elements are ``_element`` objects."""
+
+    def coerce(self, x):
+        if type(x) is self._element:
+            if x.field is not self and x.field != self:
+                raise FieldMismatchError(f"{x.field} vs {self}")
+            return x
+        if isinstance(x, int):
+            return self.from_int(x)
+        raise FieldMismatchError(f"cannot interpret {x!r} as an element of {self}")
+
+
+# ---------------------------------------------------------------------------
+# prime fields
+
+
+@dataclass(frozen=True)
+class FpElement(_Element):
+    value: int
+    field: "PrimeField"
+
+    def __add__(self, other):
+        f = self.field
+        o = other if type(other) is FpElement and other.field is f else self._lift(other)
+        return FpElement((self.value + o.value) % f.p, f)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FpElement(-self.value % self.field.p, self.field)
+
+    def __mul__(self, other):
+        f = self.field
+        o = other if type(other) is FpElement and other.field is f else self._lift(other)
+        return FpElement((self.value * o.value) % f.p, f)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FpElement":
+        if not self.value:
+            raise ZeroDivisionError("division by zero field element")
+        p = self.field.p
+        return FpElement(pow(self.value, p - 2, p), self.field)
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -226,8 +263,9 @@ class FpElement:
 
 
 @dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_FiniteField):
     p: int
+    _element = FpElement
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -245,15 +283,6 @@ class PrimeField:
 
     def from_int(self, n: int) -> FpElement:
         return FpElement(n % self.p, self)
-
-    def coerce(self, x) -> FpElement:
-        if isinstance(x, FpElement):
-            if x.field != self:
-                raise FieldMismatchError(f"{x.field} vs {self}")
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        raise FieldMismatchError(f"cannot interpret {x!r} as an element of {self}")
 
     def elements(self) -> Iterator[FpElement]:
         for v in range(self.p):
@@ -285,18 +314,9 @@ TABLE_MAX_ORDER = 2**12
 
 
 @dataclass(frozen=True)
-class ExtElement:
+class ExtElement(_Element):
     coeffs: tuple[int, ...]  # length k, low-degree-first
     field: "ExtField"
-
-    def _lift(self, other) -> "ExtElement":
-        if isinstance(other, ExtElement):
-            if other.field != self.field:
-                raise FieldMismatchError(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        raise FieldMismatchError(f"cannot mix {other!r} into {self.field}")
 
     def __add__(self, other):
         f = self.field
@@ -322,12 +342,6 @@ class ExtElement:
         p = self.field.p
         return ExtElement(tuple(-a % p for a in self.coeffs), self.field)
 
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
     def __mul__(self, other):
         f = self.field
         o = other if type(other) is ExtElement and other.field is f else self._lift(other)
@@ -339,28 +353,10 @@ class ExtElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def inverse(self) -> "ExtElement":
         if not self:
             raise ZeroDivisionError("division by zero field element")
         return self ** (self.field.order - 2)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -370,10 +366,11 @@ class ExtElement:
 
 
 @dataclass(frozen=True)
-class ExtField:
+class ExtField(_FiniteField):
     p: int
     k: int
     modulus: tuple[int, ...]  # monic, length k+1, low-degree-first
+    _element = ExtElement
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -489,15 +486,6 @@ class ExtField:
             return self.from_int(-self.modulus[0])
         return ExtElement((0, 1) + (0,) * (self.k - 2), self)
 
-    def coerce(self, x) -> ExtElement:
-        if isinstance(x, ExtElement):
-            if x.field != self:
-                raise FieldMismatchError(f"{x.field} vs {self}")
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        raise FieldMismatchError(f"cannot interpret {x!r} as an element of {self}")
-
     def elements(self) -> Iterator[ExtElement]:
         for tup in itertools.product(range(self.p), repeat=self.k):
             yield ExtElement(tup, self)
@@ -511,7 +499,7 @@ class ExtField:
     def coeff_from_json(self, obj) -> ExtElement:
         if not isinstance(obj, list):
             raise ValidationError(f"extension-field coefficient must be a list, got {obj!r}")
-        return self.from_coeffs([int(c) for c in obj])
+        return self.from_coeffs([json_int(c) for c in obj])
 
     def descriptor(self) -> dict:
         return {"kind": "Fpk", "p": self.p, "k": self.k, "modulus": list(self.modulus)}
@@ -572,11 +560,15 @@ def psi(a: ExtElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# descriptors
+# descriptors and JSON integers
 
 
-def field_to_json(field: Field) -> dict:
-    return field.descriptor()
+def json_int(x) -> int:
+    """An integer value read from JSON.  A float, bool or string raises
+    ``TypeError``, which the command line reports as malformed input."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 def field_from_json(obj: dict) -> Field:
@@ -586,9 +578,9 @@ def field_from_json(obj: dict) -> Field:
     if kind == "Q":
         return RationalField()
     if kind == "Fp":
-        return PrimeField(int(obj["p"]))
+        return PrimeField(json_int(obj["p"]))
     if kind == "Fpk":
-        return ExtField(int(obj["p"]), int(obj["k"]), tuple(int(c) for c in obj["modulus"]))
+        return ExtField(json_int(obj["p"]), json_int(obj["k"]), tuple(map(json_int, obj["modulus"])))
     raise ValidationError(f"unknown field kind {kind!r}")
 
 

@@ -21,16 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .circuits import (
-    AddGate,
-    Circuit,
-    CircuitBuilder,
-    ConstGate,
-    InputGate,
-    propagate_zeros,
-)
+from .circuits import Circuit, CircuitBuilder, ConstGate, propagate_zeros
 from .errors import ResourceCapError, ValidationError
-from .fields import RationalField
+from .fields import RationalField, json_int
 
 Symbol = Union[str, int]  # str: nonterminal, int: terminal
 DEFAULT_MAX_WORDS = 1 << 16
@@ -52,12 +45,12 @@ class AcyclicCFG:
         productions: dict,
     ) -> "AcyclicCFG":
         """A grammar with its productions as tuples, one entry per declared
-        nonterminal.  Nothing is checked: the library's own grammars are
-        acyclic by construction, and ``from_json`` validates outside data."""
-        prods = {
-            nt: tuple(tuple(rhs) for rhs in productions.get(nt, ()))
-            for nt in nonterminals
-        }
+        nonterminal, then one per other left-hand side given.  Nothing is
+        checked: the library's own grammars are acyclic by construction and
+        declare every left-hand side, and ``from_json`` validates outside
+        data, which rejects an undeclared one."""
+        prods = {nt: () for nt in nonterminals}
+        prods.update((nt, tuple(tuple(rhs) for rhs in rhss)) for nt, rhss in productions.items())
         return cls(tuple(nonterminals), terminals, start, prods)
 
     def size(self) -> int:
@@ -88,7 +81,7 @@ class AcyclicCFG:
     def from_json(cls, obj: dict) -> "AcyclicCFG":
         def sym(s) -> Symbol:
             if isinstance(s, dict):
-                return int(s["t"])
+                return json_int(s["t"])
             if isinstance(s, str):
                 return s
             raise ValidationError(f"bad grammar symbol {s!r}")
@@ -99,7 +92,7 @@ class AcyclicCFG:
             prods.setdefault(lhs, []).append(tuple(sym(s) for s in prod["rhs"]))
         g = cls.build(
             [str(nt) for nt in obj["nonterminals"]],
-            int(obj["terminals"]),
+            json_int(obj["terminals"]),
             str(obj["start"]),
             prods,
         )
@@ -304,17 +297,20 @@ def circuit_to_cfg(c: Circuit) -> AcyclicCFG:
         return AcyclicCFG.build(("G0",), c.n_vars, "G0", {"G0": ()})
     if not c.is_monotone():
         raise ValidationError("grammar translation requires a monotone circuit")
-    names = [f"G{i}" for i in range(len(c.gates))]
     prods: dict = {}
-    for i, g in enumerate(c.gates):
-        if isinstance(g, InputGate):
-            prods[names[i]] = ((g.var,),)
-        elif isinstance(g, ConstGate):
-            prods[names[i]] = ((),)
-        elif isinstance(g, AddGate):
-            prods[names[i]] = ((names[g.left],), (names[g.right],))
-        else:
-            prods[names[i]] = ((names[g.left], names[g.right]),)
+
+    def gate(*rhss) -> str:
+        # the fold visits gates in order, so gate i is named G{i}
+        name = f"G{len(prods)}"
+        prods[name] = rhss
+        return name
+
+    names = c.fold(
+        lambda var: gate((var,)),
+        lambda value: gate(()),
+        lambda l, r: gate((l,), (r,)),
+        lambda l, r: gate((l, r)),
+    )
     return AcyclicCFG.build(names, c.n_vars, names[c.output], prods)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import FieldMismatchError, ShapeError, ValidationError
-from .fields import Field, field_from_json, field_to_json, raw_ops
+from .fields import Field, field_from_json, json_int, raw_ops
 
 
 @dataclass
@@ -120,7 +120,7 @@ class Matrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "field": field_to_json(self.field),
+            "field": self.field.descriptor(),
             "entries": [self.field.coeff_to_json(x) for x in self.entries],
         }
 
@@ -128,7 +128,7 @@ class Matrix:
     def from_json(cls, obj: dict, field: Field | None = None) -> "Matrix":
         if field is None:
             field = field_from_json(obj["field"])
-        r, c = int(obj["rows"]), int(obj["cols"])
+        r, c = json_int(obj["rows"]), json_int(obj["cols"])
         raw = obj["entries"]
         if len(raw) != r * c:
             raise ValidationError(f"expected {r * c} entries, got {len(raw)}")

@@ -44,7 +44,7 @@ from .abp import (
 )
 from .circuits import Circuit
 from .errors import DEFAULT_MAX_TERMS, ValidationError
-from .fields import ExtField, Field, PrimeField, RationalField, raw_ops
+from .fields import ExtField, Field, PrimeField, RationalField, json_int, raw_ops
 from .matrices import independent_subset
 
 
@@ -378,10 +378,10 @@ class Digraph:
     @classmethod
     def from_json(cls, obj: dict) -> "Digraph":
         return cls(
-            int(obj["vertices"]),
-            tuple((int(u), int(v)) for u, v in obj["edges"]),
-            int(obj["s"]),
-            int(obj["t"]),
+            json_int(obj["vertices"]),
+            tuple((json_int(u), json_int(v)) for u, v in obj["edges"]),
+            json_int(obj["s"]),
+            json_int(obj["t"]),
         )
 
     def to_json(self) -> dict:

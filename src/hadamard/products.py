@@ -33,11 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from .abp import (
     ABP,
     LinearForm,
+    abp_sum,
+    constant_abp,
     homogeneous_parts,
     live_nodes,
     normalize_edges,
@@ -67,13 +69,18 @@ class ABPProductResult:
     abp: ABP  # pruned final program
     per_degree: list[DegreeRecord]
     unpruned_nodes: int  # node count of the summed program before pruning
-    build_unpruned: Callable[[], ABP]
+    # in degree order: the constant part's program, then each normalized
+    # factor pair (p_k, q_k) whose Cartesian product is a summand
+    summands: list
 
     @cached_property
     def unpruned(self) -> ABP:
-        """The summed program before pruning, its arcs grown again from the
-        normalized parts on first use."""
-        return self.build_unpruned()
+        """The summed program before pruning, built from the summands on
+        first use: ``abp_sum`` of the constant program and of
+        ``hadamard_homogeneous`` of each pair."""
+        if not self.summands:
+            return self.abp
+        return abp_sum([s if isinstance(s, ABP) else hadamard_homogeneous(*s) for s in self.summands])
 
 
 def _check_pair(n1: int, f1: Field, n2: int, f2: Field) -> None:
@@ -166,7 +173,8 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
     p_parts = homogeneous_parts(p)
     q_parts = p_parts if q is p else homogeneous_parts(q)
     records: list[DegreeRecord] = []
-    summands: list[tuple] = []  # per summand: (layer sizes, constant form or normalized factor pair)
+    sizes_of: list[tuple] = []  # layer sizes per summand
+    summands: list = []  # the constant program or the normalized factor pair per summand
     live: list[tuple] = []  # per summand with a source-to-sink path: (live layer sizes, labelled live arcs)
     for k in range(min(len(p_parts), len(q_parts))):
         pk, qk = p_parts[k], q_parts[k]
@@ -176,15 +184,17 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
             c = (pc.const if pc else zero) * (qc.const if qc else zero)
             records.append(DegreeRecord(0, pk.layer_sizes, qk.layer_sizes, (1, 1)))
             if c:
-                form = LinearForm.constant(field, c)
-                summands.append(((1, 1), form))
-                live.append(((1, 1), [((0, 0, 0), form)]))
+                const = constant_abp(n_vars, field, c)
+                sizes_of.append(const.layer_sizes)
+                summands.append(const)
+                live.append((const.layer_sizes, list(const.edges.items())))
             continue
         pk = normalize_edges(pk)
         qk = pk if q is p else normalize_edges(qk)
         sizes = tuple(pw * qw for pw, qw in zip(pk.layer_sizes, qk.layer_sizes))
         records.append(DegreeRecord(k, pk.layer_sizes, qk.layer_sizes, sizes))
-        summands.append((sizes, (pk, qk)))
+        sizes_of.append(sizes)
+        summands.append((pk, qk))
         arcs = product_arcs(pk, qk)
         alive = live_nodes(k, arcs.items())
         if alive is not None:
@@ -193,25 +203,15 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
         del arcs  # before the next degree's arcs are grown
     if not summands:
         none = zero_abp(n_vars, field)
-        return ABPProductResult(none, records, none.node_count(), lambda: none)
+        return ABPProductResult(none, records, none.node_count(), summands)
 
-    layer_sizes, chain, placements = sum_layout([sizes for sizes, _ in summands])
-    one_form = LinearForm.constant(field, 1)
-
-    def unpruned() -> ABP:
-        def items(factors):
-            if isinstance(factors, LinearForm):  # the constant part
-                return [((0, 0, 0), factors)]
-            return ((key, product_label(zero, es)) for key, es in product_arcs(*factors).items())
-
-        parts = [items(factors) for _, factors in summands]
-        return ABP.build(n_vars, field, layer_sizes, sum_edges(chain, placements, parts, one_form))
-
+    layer_sizes = sum_layout(sizes_of)[0]
     if not live:
-        return ABPProductResult(zero_abp(n_vars, field), records, sum(layer_sizes), unpruned)
+        return ABPProductResult(zero_abp(n_vars, field), records, sum(layer_sizes), summands)
     live_sizes, live_chain, live_placements = sum_layout([sizes for sizes, _ in live], len(layer_sizes) - 1)
+    one_form = LinearForm.constant(field, 1)
     edges = sum_edges(live_chain, live_placements, [items for _, items in live], one_form)
-    return ABPProductResult(ABP.build(n_vars, field, live_sizes, edges), records, sum(layer_sizes), unpruned)
+    return ABPProductResult(ABP.build(n_vars, field, live_sizes, edges), records, sum(layer_sizes), summands)
 
 
 @dataclass

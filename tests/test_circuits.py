@@ -19,7 +19,7 @@ from hadamard.circuits import (
     propagate_zeros,
     validate_circuit,
 )
-from hadamard.errors import ResourceCapError, ValidationError
+from hadamard.errors import ArityMismatchError, ResourceCapError, ValidationError
 from hadamard.fields import PrimeField, RationalField, parse_field_spec
 from hadamard.grammars import cfg_to_circuit
 from hadamard.polynomials import NCPoly
@@ -83,6 +83,20 @@ def test_evaluate_matches_expansion():
         f = c.expand()
         point = [F3.coerce(rng.randrange(3)) for _ in range(2)]
         assert c.evaluate(point) == f.evaluate(point)
+
+
+def test_evaluate_checks_the_point_length_first():
+    # as the program and polynomial evaluators do: a point of the wrong
+    # length is an arity error, before any value is converted
+    c = xy_plus_yx()
+    f = c.expand()
+    for point in ([Fraction(1)], [1, 2, 3], [Fraction(1, 2)] * 3):
+        for evaluate in (c.evaluate, f.evaluate):
+            with pytest.raises(ArityMismatchError):
+                evaluate(point)
+    g = Circuit.build(1, F3, [InputGate(0)], 0)
+    with pytest.raises(ArityMismatchError):
+        g.evaluate([Fraction(1, 2), 1])
 
 
 def test_validation_rejects_forward_references():

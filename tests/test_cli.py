@@ -337,6 +337,21 @@ GRAMMAR = {
         (("pit", "det", "{}"), _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": {"const": "0", "coeffs": {"3": "1"}}})),
         (("cfg", "to-circuit", "{}"), dict(GRAMMAR, productions=[{"lhs": "S", "rhs": ["S"]}])),
         (("cfg", "to-circuit", "{}"), dict(GRAMMAR, productions=[{"lhs": "S", "rhs": ["T"]}])),
+        (("cfg", "count", "{}", "--word", "1"), dict(GRAMMAR, productions=GRAMMAR["productions"] + [{"lhs": "X", "rhs": [{"t": 1}]}])),
+        (("cfg", "to-circuit", "{}"), dict(GRAMMAR, productions=GRAMMAR["productions"] + [{"lhs": "X", "rhs": [{"t": 1}]}])),
+        # JSON integers that are floats or booleans
+        (("expand", "{}"), {"nvars": 1, "field": {"kind": "Q"}, "layers": [1, 1.7, 1], "edges": []}),
+        (("expand", "{}"), _one_edge_abp({"from": [0, 0.6], "to": [1, 0], "label": {"const": "1", "coeffs": {}}})),
+        (("expand", "{}"), {"nvars": 2, "field": {"kind": "Q"}, "gates": [{"op": "in", "var": True}], "output": 0}),
+        (("expand", "{}"), {"nvars": 1, "field": {"kind": "Q"},
+                            "gates": [{"op": "in", "var": 0}, {"op": "add", "l": 0.5, "r": 0}], "output": 1}),
+        (("expand", "{}"), {"nvars": 1, "field": {"kind": "Q"}, "gates": [{"op": "in", "var": 0}], "output": 0.0}),
+        (("expand", "{}"), dict(_one_edge_abp({"from": [0, 0], "to": [1, 0], "label": {"const": [1, 0], "coeffs": {}}}),
+                                field={"kind": "Fpk", "p": 2, "k": 2.0, "modulus": [1, 1, 1]})),
+        (("expand", "{}"), dict(_one_edge_abp({"from": [0, 0], "to": [1, 0], "label": {"const": [1, 0.5], "coeffs": {}}}),
+                                field={"kind": "Fpk", "p": 2, "k": 2, "modulus": [1, 1, 1]})),
+        (("cfg", "to-circuit", "{}"), dict(GRAMMAR, productions=[{"lhs": "S", "rhs": [{"t": 0.5}]}])),
+        (("reduce", "reach2abp", "{}"), {"vertices": 2, "edges": [[0, 1]], "s": 0.0, "t": 1}),
     ],
 )
 def test_malformed_input_is_a_validation_error(argv, content, tmp_path, capsys):

@@ -69,6 +69,8 @@ def test_validation_rejects_bad_grammars():
         (grammar({"t": 0}, {"t": 0}, {"t": 0}), "longer than two"),
         (grammar("B"), "undeclared nonterminal"),
         (grammar({"t": 3}), "terminal 3 outside"),
+        (dict(grammar({"t": 0}), productions=[{"lhs": "A", "rhs": [{"t": 0}]}, {"lhs": "X", "rhs": [{"t": 0}]}]),
+         "productions for undeclared nonterminals"),
     ):
         with pytest.raises(ValidationError, match=message):
             AcyclicCFG.from_json(obj)
