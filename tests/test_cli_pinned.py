@@ -228,6 +228,16 @@ CASES = {
         "808a6ddf6537dbbf6215e9484690fc2238329b69c2844429db72f819d9e6edb4"),
     "lab-expsum-t2-p3-z1": (["lab", "expsum", "--t", "2", "--p", "3", "--z", "1"], 0,
         "fc915102fb3dc0150c0fc15f83b14b12aaac7eb20743819cc630efd4e9214bf4"),
+    # F_{2^13} has no log tables, so F and the sums go through field elements
+    "lab-corr-t1-p13": (["lab", "corr", "--t", "1", "--p", "13", "--battery", "2"], 0,
+        "a38b65b0c96778761cd9b7f9f3d8543b8dc13b9631fcc118c033fdcf8f8308c4"),
+    "lab-expsum-t2-p3-zero-sets": (
+        ["lab", "expsum", "--t", "2", "--p", "3", "--sets", "0,1,5;2,3,0", "--z", "3"], 0,
+        "b75dd3875da963677722b52284b9e4e3dbe810f52af3a915250ee5a303fb4b8a"),
+    "lab-expsum-t3-p3-z0": (["lab", "expsum", "--t", "3", "--p", "3", "--z", "0"], 0,
+        "cddc6f21397c1be63639f5192190b0b1d90265b62c3cb2c0b60cf8f9de00f814"),
+    "lab-corr-t4-p3": (["lab", "corr", "--t", "4", "--p", "3"], 0,
+        "dc1143eafcaec82055eadbe7d5bf3c7235f74d5b9b01b8270b0f0fc75a008809"),
     "cfg-to-circuit-mirror": (["cfg", "to-circuit", "{mirror}"], 0,
         "b943853d7f83ad4bfc81cb858c5d8d289382b9c7a5be5d065c80e52ffca7dab0"),
     "cfg-from-circuit-zcirc": (["cfg", "from-circuit", "{zcirc}"], 0,
