@@ -134,8 +134,21 @@ class LinearForm:
         return cls.make(
             field,
             const=field.coeff_from_json(obj.get("const", field.coeff_to_json(field.zero()))),
-            coeffs={int(v): field.coeff_from_json(a) for v, a in obj.get("coeffs", {}).items()},
+            coeffs={_variable_key(v): field.coeff_from_json(a) for v, a in obj.get("coeffs", {}).items()},
         )
+
+
+def _variable_key(key: str) -> int:
+    """The variable a label's coeffs key names.  Only ``str(v)`` of a
+    nonnegative v is accepted, so that no two keys of one label ("0", "00",
+    " 0") can name the same variable."""
+    try:
+        v = int(key)
+    except ValueError:
+        v = -1
+    if v < 0 or str(v) != key:
+        raise ValidationError(f"label variable key {key!r} is not a nonnegative integer in canonical form")
+    return v
 
 
 @dataclass

@@ -29,6 +29,14 @@ traces of the basis elements x^i are computed once by the definition
 a + a^p + ... + a^(p^(k-1)), and every other trace is their dot product with
 the coefficients.
 
+In characteristic 2 such a field also has ``sign_tables``, for code that
+takes the additive character psi of many products (the sign polynomial and
+character sums of ``lab``): the log of the element with each basis-bit code
+(zero has none) and psi of each power of the primitive element.  psi of a
+product of nonzero elements is then psi_of_log at the sum of their logs mod
+q-1, with no element made.  Above the constant there are no sign tables and
+psi is taken of field elements.
+
 Linear algebra that runs many operations per value it reads or returns
 (the span walk of ``pit`` and the elimination of ``matrices``) works on raw
 values through ``raw_ops``: over F_p a raw value is an int in [0, p), and
@@ -45,17 +53,42 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import FieldMismatchError, ValidationError
+from .errors import FieldMismatchError, ResourceCapError, ValidationError
+
+
+# Miller-Rabin to the first 13 prime bases decides primality for every n
+# below the bound (Sorenson and Webster, 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.  Raises ``ResourceCapError`` from
+    ``PRIME_TEST_BOUND`` (about 3.3e24) on, where the bases no longer
+    decide."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIME_TEST_BOUND:
+        raise ResourceCapError(
+            f"primality is decided only below {PRIME_TEST_BOUND}, got a {len(str(n))}-digit number"
+        )
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -445,6 +478,29 @@ class ExtField(_FiniteField):
         p = self.p
         # 1 + g^e adds one to the constant coefficient of g^e
         return [log[((a.coeffs[0] + 1) % p,) + a.coeffs[1:]] for a in antilog[: self.order - 1]]
+
+    @cached_property
+    def sign_tables(self) -> Optional[tuple[list, list[int]]]:
+        """``(log_of_code, psi_of_log)`` for taking the character psi on
+        exponents in a characteristic-2 field, or None when the order
+        exceeds ``TABLE_MAX_ORDER``.
+
+        ``log_of_code[c]`` is the log base g of the element whose x^j
+        coefficient is bit j of c, and None for c = 0.  ``psi_of_log[e]``
+        is psi(g^e) for 0 <= e < q-1, so psi of a product of nonzero
+        elements is ``psi_of_log[sum of their logs % (q-1)]``.
+        """
+        if self.p != 2:
+            raise ValidationError("psi is defined for characteristic-2 fields")
+        tables = self._log_tables
+        if tables is None:
+            return None
+        log, antilog = tables
+        k = self.k
+        log_of_code = [None] + [
+            log[tuple((code >> j) & 1 for j in range(k))] for code in range(1, self.order)
+        ]
+        return log_of_code, [psi(a) for a in antilog[: self.order - 1]]
 
     @cached_property
     def _basis_traces(self) -> tuple[int, ...]:

@@ -8,6 +8,13 @@ character of the product of those elements.  The resulting sign polynomial
 F has full multilinear support, squared norm 2^n, and correlates strongly
 with its own 0/1 shift — the quantities this module computes exactly.
 
+Over fields with log tables (2^p at most ``fields.TABLE_MAX_ORDER`` = 2^12)
+the coefficients and character sums are computed on exponents through
+``ExtField.sign_tables``: a block's bits are an element code, its code a log,
+and psi of a product is read at the sum of the logs.  Larger fields go
+through field elements (``f_coefficient`` and the element loop of
+``exp_sum``), the only path that runs there.
+
 Also here: the suitability predicate for variable restrictions (blocks that
 lose at least half their variables must be pinned by the fixed monomial),
 product polynomials on disjoint variable halves to correlate against, and
@@ -23,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
 from .fields import ExtElement, ExtField, RationalField, is_prime, psi
-from .polynomials import CPoly, corr, norm_sq
+from .polynomials import CPoly, corr, norm_sq, rational_sum
 
 _Q = RationalField()
 
@@ -81,12 +88,31 @@ def _all_subsets(n: int):
         yield from itertools.combinations(range(n), size)
 
 
+_SIGNS = {1: Fraction(1), -1: Fraction(-1)}
+
+
 def build_f(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) -> CPoly:
     """The full sign polynomial: all 2^n multilinear monomials, coefficients +-1."""
     n = params.n
     if 2**n > max_terms:
         raise ResourceCapError(f"2^{n} terms exceed the cap of {max_terms}")
-    return CPoly(n, _Q, {m: Fraction(f_coefficient(params, m)) for m in _all_subsets(n)})
+    tables = params.field.sign_tables
+    if tables is None:
+        return CPoly(n, _Q, {m: Fraction(f_coefficient(params, m)) for m in _all_subsets(n)})
+    log_of_code, psi_of_log = tables
+    order = len(psi_of_log)
+    # a monomial's bit mask holds block i's code at bits i*p and up; taking
+    # the blocks last to first, the place of a tuple of block logs is the mask
+    signs = [
+        _SIGNS[1 if None in logs else psi_of_log[sum(logs) % order]]
+        for logs in itertools.product(log_of_code, repeat=params.t)
+    ]
+    bits = [1 << v for v in range(n)]
+    terms = {}
+    for size in range(n + 1):
+        for m, mask in zip(itertools.combinations(range(n), size), itertools.combinations(bits, size)):
+            terms[m] = signs[sum(mask)]
+    return CPoly(n, _Q, terms)
 
 
 def build_f_prime(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) -> CPoly:
@@ -97,19 +123,19 @@ def build_f_prime(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) ->
 def zero_one_shift(f: CPoly) -> CPoly:
     """(c+1)/2 on each coefficient c of f: for a sign polynomial F, the
     indicator of the monomials where F is +1."""
-    half = Fraction(1, 2)
     terms = {}
     for m, c in f.terms.items():
-        shifted = (c + 1) * half
-        if shifted:
-            terms[m] = shifted
+        # c = a/b gives (c+1)/2 = (a+b)/2b
+        a, b = c.numerator, c.denominator
+        if a != -b:
+            terms[m] = Fraction(a + b, 2 * b)
     return CPoly(f.n_vars, _Q, terms)
 
 
 def sum_coeffs(f: CPoly) -> Fraction:
     """Exact coefficient sum over the multilinear monomials."""
-    return sum(
-        (c for m, c in f.terms.items() if len(set(m)) == len(m)), Fraction(0)
+    return rational_sum(
+        (c.numerator, c.denominator) for m, c in f.terms.items() if len(set(m)) == len(m)
     )
 
 
@@ -138,12 +164,39 @@ def exp_sum(
         count *= len(group)
     if count > max_terms:
         raise ResourceCapError(f"character sum needs {count} evaluations")
+    tables = field.sign_tables
+    if tables is not None:
+        return _exp_sum_on_logs(tables, z, chosen, count)
     total = 0
     for combo in itertools.product(*chosen):
         prod = z
         for y in combo:
             prod = prod * y
         total += psi(prod)
+    return total
+
+
+def _exp_sum_on_logs(tables, z: ExtElement, chosen: list[list[ExtElement]], count: int) -> int:
+    """``exp_sum`` over the ``count`` combinations of the sets ``chosen`` on
+    exponents.  A combination with a zero factor, or any combination when z
+    is zero, has the zero product and contributes psi(0) = 1; those are
+    counted, and only the nonzero ones are enumerated."""
+    log_of_code, psi_of_log = tables
+    order = len(psi_of_log)
+
+    def log(y: ExtElement):
+        return log_of_code[sum(c << j for j, c in enumerate(y.coeffs))]
+
+    start = log(z)
+    if start is None:
+        return count
+    logs = [[e for e in map(log, group) if e is not None] for group in chosen]
+    nonzero = 1
+    for group in logs:
+        nonzero *= len(group)
+    total = count - nonzero
+    for combo in itertools.product(*logs):
+        total += psi_of_log[(start + sum(combo)) % order]
     return total
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -240,6 +241,23 @@ class CPoly(_TermMap):
 # multilinear correlation
 
 
+def rational_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """The exact sum of the fractions a/b given as (a, b) pairs with b > 0.
+
+    The numerators are added over a running common denominator, widened to
+    the lcm when a pair brings another one, and reduced once at the end: an
+    integer addition per term where ``Fraction`` addition takes a gcd."""
+    num, den = 0, 1
+    for a, b in pairs:
+        if b != den:
+            common = lcm(den, b)
+            num *= common // den
+            a *= common // b
+            den = common
+        num += a
+    return Fraction(num, den)
+
+
 def corr(f: CPoly, g: CPoly) -> Fraction:
     """|sum over multilinear monomials m of f(m) g(m)|, over the rationals.
 
@@ -249,22 +267,19 @@ def corr(f: CPoly, g: CPoly) -> Fraction:
     _check_compatible(f, g)
     if not isinstance(f.field, RationalField):
         raise ValidationError("correlation is defined over the rationals")
-    total = Fraction(0)
     small, big = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
-    for m, c in small.items():
-        if len(set(m)) != len(m):
-            continue
-        d = big.get(m)
-        if d is not None:
-            total += c * d
-    return abs(total)
+    products = (
+        (c.numerator * d.numerator, c.denominator * d.denominator)
+        for m, c in small.items()
+        if len(set(m)) == len(m) and (d := big.get(m)) is not None
+    )
+    return abs(rational_sum(products))
 
 
 def norm_sq(f: CPoly) -> Fraction:
     """Sum of squared coefficients over the multilinear monomials."""
     if not isinstance(f.field, RationalField):
         raise ValidationError("norm_sq is defined over the rationals")
-    return sum(
-        (c * c for m, c in f.terms.items() if len(set(m)) == len(m)),
-        Fraction(0),
+    return rational_sum(
+        (c.numerator**2, c.denominator**2) for m, c in f.terms.items() if len(set(m)) == len(m)
     )

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hadamard.abp import ABP, LinearForm
 from hadamard.circuits import CircuitBuilder
 from hadamard.cli import main
-from hadamard.fields import PrimeField, RationalField
+from hadamard.fields import PRIME_TEST_BOUND, PrimeField, RationalField
 from hadamard.polynomials import NCPoly
 
 Q = RationalField()
@@ -360,6 +361,45 @@ def test_malformed_input_is_a_validation_error(argv, content, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["00", " 0", "0 ", "+0", "-1", "1_0", "x"])
+def test_label_variable_keys_must_be_canonical(key, tmp_path, capsys):
+    # beside "0", a key such as "00" or " 0" would name x0 a second time
+    label = {"const": "0", "coeffs": {"0": "1", key: "2"}}
+    path = write_json(tmp_path / "in.json", _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": label}))
+    code = main(["expand", path])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and repr(key) in err
+
+
+def _prime_field_program(p: int) -> dict:
+    return dict(
+        _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": {"const": "0", "coeffs": {"0": "3"}}}),
+        field={"kind": "Fp", "p": p},
+    )
+
+
+def test_large_prime_field_loads_at_once(tmp_path, capsys):
+    path = write_json(tmp_path / "m61.json", _prime_field_program(2**61 - 1))
+    start = time.perf_counter()
+    code = main(["expand", path])
+    elapsed = time.perf_counter() - start
+    out, _ = capsys.readouterr()
+    assert code == 0 and json.loads(out)["terms"] == [{"coeff": "3", "word": [0]}]
+    assert elapsed < 0.1
+
+
+def test_prime_beyond_the_primality_bound_exits_3(tmp_path, capsys):
+    path = write_json(tmp_path / "p30.json", _prime_field_program(10**29 + 7))
+    start = time.perf_counter()
+    code = main(["expand", path])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("resource cap:") and str(PRIME_TEST_BOUND) in err
+    assert elapsed < 0.1
 
 
 # keys that the program, circuit and field decoders read

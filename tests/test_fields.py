@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hadamard.errors import FieldMismatchError, ValidationError
+from hadamard.errors import FieldMismatchError, ResourceCapError, ValidationError
 from hadamard.fields import (
+    PRIME_TEST_BOUND,
     TABLE_MAX_ORDER,
     ExtField,
     PrimeField,
@@ -13,6 +15,7 @@ from hadamard.fields import (
     field_from_json,
     find_irreducible,
     frobenius_trace,
+    is_prime,
     parse_field_spec,
     psi,
 )
@@ -118,6 +121,45 @@ def test_field_above_table_order_matches_oracles():
         assert a + b == coefficient_sum(a, b)
         assert frobenius_trace(prod).value == powering_trace(prod)
     assert f._log_tables is None and f._zech is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_sign_tables_give_psi_of_products(k):
+    f = ExtField.make(2, k)
+    log_of_code, psi_of_log = f.sign_tables
+    elements = list(f.elements())
+
+    def log(a):
+        return log_of_code[sum(c << j for j, c in enumerate(a.coeffs))]
+
+    assert [a for a in elements if log(a) is None] == [f.zero()]
+    for a in elements[1:]:
+        for b in elements[1:]:
+            assert psi_of_log[(log(a) + log(b)) % (f.order - 1)] == psi(a * b)
+
+
+def test_sign_tables_only_in_characteristic_2_below_the_table_order():
+    assert ExtField.make(2, TABLE_MAX_ORDER.bit_length()).sign_tables is None
+    with pytest.raises(ValidationError):
+        ExtField.make(3, 2).sign_tables
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(20_000) if is_prime(n)] == [n for n in range(20_000) if _trial_division(n)]
+
+
+def test_is_prime_rejects_pseudoprimes_and_decides_large_primes():
+    # Carmichael numbers and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(10**12 + 39) and is_prime(10**14 + 31)
+    assert not is_prime((2**31 - 1) * (10**12 + 39))
+    with pytest.raises(ResourceCapError, match=str(PRIME_TEST_BOUND)):
+        is_prime(PRIME_TEST_BOUND)
 
 
 def test_psi_on_f4():

@@ -15,6 +15,7 @@ import ast
 import collections
 import functools
 import pathlib
+import re
 
 import pytest
 
@@ -104,6 +105,17 @@ def test_no_orphaned_definitions(path):
         if everywhere[name] <= _references(node)[name]:
             orphans.append(f"{name} (line {node.lineno})")
     assert not orphans, f"{path.name}: defined but never named: {', '.join(orphans)}"
+
+
+def _python_floor() -> tuple[int, int]:
+    """The minimum Python version that pyproject.toml declares."""
+    found = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_source_parses_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
 
 
 # programs, circuits and grammars are checked where they are made from

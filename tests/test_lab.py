@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hadamard.errors import ValidationError
 from hadamard.fields import psi
@@ -25,8 +27,9 @@ from hadamard.lab import (
     random_product_poly,
     sum_coeffs,
     y_vector,
+    zero_one_shift,
 )
-from hadamard.polynomials import CPoly, corr, norm_sq
+from hadamard.polynomials import CPoly, corr, norm_sq, rational_sum
 from hadamard.fields import RationalField
 
 from helpers import permanent
@@ -136,6 +139,86 @@ def test_exp_sum_agrees_with_bruteforce_definition():
         for b in field.elements():
             brute += psi(a * b)
     assert exp_sum(params, z=1) == brute
+
+
+# every field with sign tables that a test can walk whole: p in {2, 3, 5, 7}, t*p <= 10
+TABLE_GRID = [(t, p) for p in (2, 3, 5, 7) for t in range(1, 10 // p + 1)]
+
+
+@pytest.mark.parametrize("t, p", TABLE_GRID)
+def test_table_build_f_matches_f_coefficient(t, p):
+    params = ExplicitParams(t, p)
+    assert params.field.sign_tables is not None
+    n = params.n
+    expected = {
+        m: Fraction(f_coefficient(params, m))
+        for size in range(n + 1)
+        for m in itertools.combinations(range(n), size)
+    }
+    # the same coefficients, inserted in the same order
+    assert list(build_f(params).terms.items()) == list(expected.items())
+
+
+def _element_exp_sum(z, sets) -> int:
+    """The character sum by its definition, one field product at a time."""
+    total = 0
+    for combo in itertools.product(*sets):
+        prod = z
+        for y in combo:
+            prod = prod * y
+        total += psi(prod)
+    return total
+
+
+@pytest.mark.parametrize("t, p", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 5)])
+def test_table_exp_sum_matches_element_loop(t, p):
+    params = ExplicitParams(t, p)
+    field = params.field
+    rng = random.Random(f"expsum:{t}:{p}")
+    elements = list(field.elements())
+    zero, one, gen = field.zero(), field.one(), field.gen()
+    zs = [zero, one, gen, rng.choice(elements[2:])]
+    sets_list = [
+        None,
+        [[zero, one, gen, gen, zero]] + [[gen * gen, one, one, zero]] * (t - 1),
+        [[zero, zero]] * t,
+        [[gen]] * (t - 1) + [[]],
+    ] + [
+        [[rng.choice(elements) for _ in range(rng.randint(1, 6))] for _ in range(t)]
+        for _ in range(4)
+    ]
+    for sets in sets_list:
+        full = [elements] * t if sets is None else sets
+        for z in zs:
+            assert exp_sum(params, z=z, sets=sets) == _element_exp_sum(z, full), (sets, z)
+
+
+_COEFFS = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+_POLYS = st.dictionaries(
+    st.lists(st.integers(0, 3), max_size=3).map(lambda m: tuple(sorted(m))), _COEFFS, max_size=12
+)
+
+
+def _multilinear(m) -> bool:
+    return len(set(m)) == len(m)
+
+
+@given(st.lists(_COEFFS, max_size=20), _POLYS, _POLYS)
+def test_integer_sums_match_fraction_sums(values, a, b):
+    assert rational_sum((c.numerator, c.denominator) for c in values) == sum(values, Fraction(0))
+    f, g = CPoly.from_terms(4, Q, a), CPoly.from_terms(4, Q, b)
+    common = [m for m in f.terms if _multilinear(m) and m in g.terms]
+    assert corr(f, g) == abs(sum((f.terms[m] * g.terms[m] for m in common), Fraction(0)))
+    assert norm_sq(f) == sum((c * c for m, c in f.terms.items() if _multilinear(m)), Fraction(0))
+    assert sum_coeffs(f) == sum((c for m, c in f.terms.items() if _multilinear(m)), Fraction(0))
+
+
+def test_zero_one_shift_of_rationals():
+    # the constructor stores what it is given, a zero coefficient too
+    for c in (Fraction(1, 3), Fraction(-5, 7), Fraction(0)):
+        assert zero_one_shift(CPoly(3, Q, {(0, 2): c})).terms == {(0, 2): (c + 1) / 2}
+    # -1 shifts to 0, which is not stored
+    assert zero_one_shift(CPoly(3, Q, {(1,): Fraction(-1)})).terms == {}
 
 
 def test_suitable_restriction_predicate():
