@@ -21,7 +21,7 @@ import pytest
 from hadamard.abp import ABP, LinearForm, abp_sum, constant_abp
 from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
 from hadamard.cli import main
-from hadamard.fields import PrimeField, RationalField
+from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.grammars import build_mirror_suffix_grammar, cfg_to_circuit
 from helpers import cancel_join, cancelling_abp, random_abp, random_circuit
 
@@ -81,6 +81,22 @@ def _only_var(tag: str, field, v: int):
     return restrict(base)
 
 
+def _twisted(tag: str, field, **kw):
+    """The first program under seeds tag:0, tag:1, ... that is not zero once
+    each edge label is scaled by g^((layer + from + 2 to) mod 3), g the
+    field's generator, so that its coefficients leave the prime field."""
+    g = field.gen()
+
+    def twist(abp):
+        edges = {
+            (l, a, c): form.scale(g ** ((l + a + 2 * c) % 3), field)
+            for (l, a, c), form in abp.edges.items()
+        }
+        return ABP.build(abp.n_vars, field, abp.layer_sizes, edges)
+
+    return twist(_first(tag, field, lambda abp: not twist(abp).expand().is_zero(), **kw))
+
+
 def _joined(tag: str, field, depth: int, zero: bool):
     """The first ``cancel_join`` program under seeds tag:0, tag:1, ... that
     is zero exactly when zero is true (a perturbation can vanish mod p)."""
@@ -133,6 +149,8 @@ def _inputs() -> dict:
     out["f2join7"] = _joined("f2:join7", f2, 7, zero=False)
     out["f101join6"] = _joined("f101:join6", f101, 6, zero=False)
     out["f2hom"] = _nonzero("f2:hom", f2, depth=4, width=4, affine=False, density=0.9)
+    out["f4hom"] = _twisted("f4:hom", ExtField.make(2, 2), depth=5, width=4, affine=False, density=0.9)
+    out["qhom8"] = _nonzero("q:hom8", q, n_vars=2, depth=8, width=6, affine=False, density=0.9)
     out["zcirc"] = _zero_const_circuit(False)
     out["zcirc0"] = _zero_const_circuit(True)
     return {name: obj.to_json() for name, obj in out.items()}
@@ -212,6 +230,18 @@ CASES = {
         "b77620673186a80968dab574d9121de30d89028baa7d3647e8af3027d6869a34"),
     "nisan-q3": (["nisan", "{q3}"], 2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nisan-qzero": (["nisan", "{qzero}"], 0,
+        "79986d080ebf75bc10962a849d8d0ddeb4c9868eafb746ffe84993957706da3d"),
+    "nisan-qdeg0": (["nisan", "{qdeg0}"], 0,
+        "bd94431fbcf0a55515211f660c604a9c0c2f67935880a8a9b4c1756f3f8ec05f"),
+    "nisan-qaff1": (["nisan", "{qaff1}"], 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nisan-f2zero6": (["nisan", "{f2zero6}"], 0,
+        "79986d080ebf75bc10962a849d8d0ddeb4c9868eafb746ffe84993957706da3d"),
+    "nisan-f4hom": (["nisan", "{f4hom}"], 0,
+        "5f7c6c029a6411fd6d8b5cb95992d04bae72d30a6ade1bdd14183a9a87148c55"),
+    "nisan-qhom8": (["nisan", "{qhom8}"], 0,
+        "44ff8d7ea1c80164191f9abcae7a055cada3797ebb76a335b8574fa694cddf9d"),
     "nisan-qpoly": (["nisan", "{qpoly}"], 0,
         "7b7dbaef65bb2b361c14504cf192183d68daf2c0322ff4a5e9ba02b09e31fbaa"),
     "expand-qcirc": (["expand", "{qcirc}"], 0,
