@@ -47,10 +47,9 @@ edge per pair of copies it joins.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -59,8 +58,8 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .fields import Field, field_from_json, json_int
-from .matrices import Matrix
+from .fields import Field, field_from_json, json_int, raw_ops
+from .matrices import Matrix, independent_subset
 from .polynomials import NCPoly
 
 
@@ -711,39 +710,87 @@ def coefficient_of(abp: ABP, word: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# Nisan communication matrices
+# row bases and Nisan ranks
 
 
-def nisan_matrix(f: NCPoly, k: int, max_entries: int = DEFAULT_MAX_TERMS) -> Matrix:
-    """Rows are degree-k words, columns degree-(d-k) words, both lexicographic;
-    the entry at (m, m') is the coefficient of the concatenation m m'."""
-    if not f.is_homogeneous():
-        raise ValidationError("Nisan matrices require a homogeneous polynomial")
-    d = max(f.degree(), 0)
-    if not 0 <= k <= d:
-        raise ValidationError(f"k={k} outside 0..{d}")
-    n = f.n_vars
-    n_rows = n ** k
-    n_cols = n ** (d - k)
-    if n_rows * n_cols > max_entries:
-        raise ResourceCapError(f"Nisan matrix would hold {n_rows * n_cols} entries")
-    zero = f.field.zero()
-    rows = []
-    for left in _words(n, k):
-        row = []
-        for right in _words(n, d - k):
-            row.append(f.terms.get(left + right, zero))
-        rows.append(row)
-    return Matrix.from_rows(f.field, rows)
+def row_bases(abp: ABP, backward: bool = False) -> Iterator[list[tuple[tuple, list]]]:
+    """Word-tagged row bases of a homogeneous program, one per layer boundary.
+
+    Forward, the basis yielded for boundary j spans the row vectors
+    e_0 M_{w_1} ... M_{w_j} that the words of length j leave at layer j,
+    for j = 0, 1, ..., d in turn, each kept vector tagged with its word.
+    Words grow in length-then-lexicographic order, and a vector is kept only
+    when it leaves the span of those before it, so each kept word is the
+    least word whose vector is outside the span of the earlier ones.
+    Backward, the walk starts at the sink and runs over the transposed
+    matrices, yielding for j = d, d-1, ..., 0 a basis of the vectors
+    M_{w_1} ... M_{w_m} e_0 that the suffixes of length m = d-j leave at
+    layer j, each tagged with its suffix.  A basis never holds more vectors
+    than its layer has nodes.  Vectors hold the field's raw values
+    (``fields.raw_ops``); constant entries are not read.
+    """
+    field = abp.field
+    into, reduce, _, _ = raw_ops(field)
+    zero, one = into(field.zero()), into(field.one())
+    basis: list[tuple[tuple, list]] = [((), [one])]
+    yield basis
+    for layer in reversed(range(abp.depth)) if backward else range(abp.depth):
+        by_var = sorted(abp.layers[layer].map(into).by_var.items())
+        if backward:
+            width = abp.layer_sizes[layer]
+            by_var = [(v, [(c, a, x) for a, c, x in entries]) for v, entries in by_var]
+        else:
+            width = abp.layer_sizes[layer + 1]
+        grown = []
+        for word, vec in basis:
+            for v, entries in by_var:
+                row = [zero] * width
+                for a, c, x in entries:
+                    y = vec[a]
+                    if y:
+                        row[c] = row[c] + y * x
+                grown.append(((v,) + word if backward else word + (v,), reduce(row)))
+        keep = independent_subset([vec for _, vec in grown], field)
+        basis = [grown[i] for i in keep]
+        yield basis
 
 
-def _words(n_vars: int, length: int):
-    yield from itertools.product(range(n_vars), repeat=length)
+def nisan_ranks(abp: ABP) -> list[int]:
+    """Ranks of the Nisan matrices M_0, ..., M_d of the polynomial the
+    program computes, or [] when it is zero.  Rows of M_k are the words of
+    length k, columns the words of length d-k, and an entry is the
+    coefficient of the concatenation; a polynomial with terms of two
+    degrees has no Nisan matrices and raises ``ValidationError``.
 
-
-def nisan_complexity(f: NCPoly, max_entries: int = DEFAULT_MAX_TERMS) -> int:
-    """Sum of the ranks of all the communication matrices."""
-    if f.is_zero():
-        return 0
-    d = f.degree()
-    return sum(nisan_matrix(f, k, max_entries).rank() for k in range(d + 1))
+    Nothing is expanded.  In the homogeneous part of degree d, M_k = P_k S_k,
+    where the rows of P_k are the vectors that the prefixes leave at layer k
+    and the columns of S_k those of the suffixes.  The forward and backward
+    ``row_bases`` at boundary k, F_k and B_k, span the rows of P_k and the
+    columns of S_k, so rank M_k = rank(F_k B_kᵀ), a matrix no larger than
+    the layer's width squared.
+    """
+    field = abp.field
+    zero = raw_ops(field)[0](field.zero())
+    found = []  # (part, forward bases or None for the constant) per nonzero part
+    for k, part in enumerate(homogeneous_parts(abp)):
+        if k == 0:
+            form = part.label(0, 0, 0)
+            if form is not None and form.const:
+                found.append((part, None))
+        else:
+            forward = list(row_bases(part))
+            if forward[-1]:
+                found.append((part, forward))
+        if len(found) > 1:
+            raise ValidationError("Nisan matrices require a homogeneous polynomial")
+    if not found:
+        return []
+    part, forward = found[0]
+    if forward is None:
+        return [1]
+    backward = list(row_bases(part, backward=True))[::-1]
+    ranks = []
+    for fs, bs in zip(forward, backward):
+        rows = [[sum((x * y for x, y in zip(f, b)), zero) for _, b in bs] for _, f in fs]
+        ranks.append(len(independent_subset(rows, field)))
+    return ranks

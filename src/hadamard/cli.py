@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .abp import ABP, nisan_matrix
+from .abp import ABP, nisan_ranks
 from .circuits import Circuit
 from .errors import (
     DEFAULT_MAX_DEGREE,
@@ -191,14 +191,12 @@ def cmd_hadamard_circuit(args) -> dict:
 def cmd_nisan(args) -> dict:
     obj = _read_json(args.input)
     if isinstance(obj, dict) and "layers" in obj:
-        f = _load_abp(args.input, obj, args).expand(max_terms=args.max_terms)
+        ranks = nisan_ranks(_load_abp(args.input, obj, args))
     else:
-        f = _load(args.input, obj, args, NCPoly, "polynomial", "terms")
-    if f.is_zero():
+        ranks = _load(args.input, obj, args, NCPoly, "polynomial", "terms").nisan_ranks(args.max_terms)
+    if not ranks:
         return {"degree": None, "ranks": [], "total": 0}
-    d = f.degree()
-    ranks = [nisan_matrix(f, k, args.max_terms).rank() for k in range(d + 1)]
-    return {"degree": d, "ranks": ranks, "total": sum(ranks)}
+    return {"degree": len(ranks) - 1, "ranks": ranks, "total": sum(ranks)}
 
 
 def cmd_expand(args) -> dict:

@@ -8,13 +8,14 @@ Four testers with different contracts:
   per part, X ← Σ_v M_vᵀ X M_v layer by layer from X = e₀e₀ᵀ, read at the
   sink.  The product program f∘f is never built.
 * ``pit_span_basis`` — deterministic, any field.  Walks each homogeneous
-  part forward, layer by layer, keeping a basis of the row vectors that the
+  part forward with ``abp.row_bases``, the walk that ``abp.nisan_ranks``
+  also runs: layer by layer it keeps a basis of the row vectors that the
   words read so far leave at the layer's nodes (at most one vector per
   node), each tagged with its word.  Words grow in length-then-lexicographic
   order and a vector is kept only when it leaves the span of those before
   it, so the first word to reach the sink is the shortest, then
   lexicographically least, word with a nonzero coefficient: the witness
-  that expanding the program would give.
+  that expanding the program would give.  Only the sink's basis is read.
 * ``pit_randomized`` — finite fields.  Replaces each variable with a fresh
   value per layer, which separates words by position, and evaluates at
   uniform points in an extension large enough for the usual degree-over-
@@ -41,11 +42,11 @@ from .abp import (
     coefficient_of,
     constant_abp,
     homogeneous_parts,
+    row_bases,
 )
 from .circuits import Circuit
 from .errors import DEFAULT_MAX_TERMS, ValidationError
 from .fields import ExtField, Field, PrimeField, RationalField, json_int, raw_ops
-from .matrices import independent_subset
 
 
 @dataclass
@@ -131,13 +132,11 @@ def pit_rational(p: ABP) -> PitVerdict:
 
 
 def pit_span_basis(p: ABP) -> PitVerdict:
-    """Deterministic: per degree, a forward word-tagged row basis of the
-    homogeneous part; a word that reaches the sink is the witness.  Vectors
-    hold the field's raw values (``fields.raw_ops``); each is multiplied by
-    a layer's M_v directly."""
+    """Deterministic: per degree, the forward word-tagged row bases of the
+    homogeneous part (``abp.row_bases``); a word that reaches the sink is
+    the witness.  Only the sink's basis is read."""
     field = p.field
-    into, reduce, _, out = raw_ops(field)
-    zero, one = into(field.zero()), into(field.one())
+    out = raw_ops(field)[3]
     for k, part in enumerate(homogeneous_parts(p)):
         if k == 0:
             form = part.label(0, 0, 0)
@@ -148,21 +147,8 @@ def pit_span_basis(p: ABP) -> PitVerdict:
                     witness={"word": [], "coeff": field.coeff_to_json(form.const)},
                 )
             continue
-        basis = [((), [one])]
-        for lay, width in zip(part.layers, part.layer_sizes[1:]):
-            # a part's labels are homogeneous: its layers have no constants
-            mats = sorted(lay.map(into).by_var.items())
-            grown = []
-            for word, vec in basis:
-                for v, entries in mats:
-                    row = [zero] * width
-                    for a, c, x in entries:
-                        y = vec[a]
-                        if y:
-                            row[c] = row[c] + y * x
-                    grown.append((word + (v,), reduce(row)))
-            keep = independent_subset([vec for _, vec in grown], field)
-            basis = [grown[i] for i in keep]
+        for basis in row_bases(part):
+            pass
         if basis:  # the sink has width 1: one kept word, nonzero coefficient
             word, (c,) = basis[0]
             c = out(c)

@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import Field, RationalField, field_from_json, json_int
+from .matrices import independent_subset
 
 
 def _check_compatible(a, b):
@@ -215,6 +216,31 @@ class NCPoly(_TermMap):
     def is_homogeneous(self) -> bool:
         lengths = {len(w) for w in self.terms}
         return len(lengths) <= 1
+
+    def nisan_ranks(self, max_entries: int = DEFAULT_MAX_TERMS) -> list[int]:
+        """Ranks of the Nisan matrices M_0, ..., M_d, or [] for the zero
+        polynomial; one with terms of two degrees raises ``ValidationError``.
+
+        M_k has a row per length-k prefix of the words and a column per
+        suffix, and an entry is the coefficient of the concatenation.  Only
+        prefixes and suffixes that some word has are laid out: the rows and
+        columns of the other words would hold only zeros, so the rank is
+        that of the matrix over all words.  ``max_entries`` caps rows times
+        columns, checked before any row is built.
+        """
+        if not self.is_homogeneous():
+            raise ValidationError("Nisan matrices require a homogeneous polynomial")
+        zero, ranks = self.field.zero(), []
+        for k in range(self.degree() + 1):
+            rows = dict.fromkeys(w[:k] for w in self.terms)
+            cols = {s: i for i, s in enumerate(dict.fromkeys(w[k:] for w in self.terms))}
+            if len(rows) * len(cols) > max_entries:
+                raise ResourceCapError(f"Nisan matrix would hold {len(rows) * len(cols)} entries")
+            grid = {r: [zero] * len(cols) for r in rows}
+            for w, c in self.terms.items():
+                grid[w[:k]][cols[w[k:]]] = c
+            ranks.append(len(independent_subset(list(grid.values()), self.field)))
+        return ranks
 
 
 class CPoly(_TermMap):

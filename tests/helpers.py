@@ -414,19 +414,6 @@ def element_independent_subset(vectors, field) -> list[int]:
     return [i for i, vec in enumerate(vectors) if ech.insert(vec)]
 
 
-def element_det(rows, field):
-    """Signed product of the pivots met while inserting the rows."""
-    ech = ElementEchelon(field)
-    det = field.one()
-    for row in rows:
-        pivot = ech.insert(row)
-        if pivot is None:
-            return field.zero()
-        det = det * pivot
-    inversions = sum(a > b for a, b in itertools.combinations(ech.pivots, 2))
-    return -det if inversions % 2 else det
-
-
 def element_span_basis(p: ABP) -> PitVerdict:
     """The span test's forward word-tagged row basis with element vectors,
     each stepped by ``Layer.times`` at the unit point e_v, where a

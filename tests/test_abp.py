@@ -18,8 +18,7 @@ from hadamard.abp import (
     constant_abp,
     homogeneous_parts,
     is_homogeneous_program,
-    nisan_complexity,
-    nisan_matrix,
+    nisan_ranks,
     normalize_edges,
     prune,
     validate,
@@ -256,7 +255,7 @@ def test_coefficient_matrices_word_products():
             for w2 in range(2):
                 for w3 in range(2):
                     word = (w1, w2, w3)
-                    vec = Matrix.identity(Q, 1)
+                    vec = Matrix.from_rows(Q, [[1]])
                     ok = True
                     for pos, v in enumerate(word):
                         m = mats[pos].get(v)
@@ -264,7 +263,7 @@ def test_coefficient_matrices_word_products():
                             ok = False
                             break
                         vec = vec.matmul(m)
-                    got = vec.entry(0, 0) if ok else Fraction(0)
+                    got = vec.entries[0] if ok else Fraction(0)
                     assert got == f.coeff(word)
 
 
@@ -288,23 +287,31 @@ def test_coefficient_of_handles_affine_programs():
 
 
 def test_nisan_matrix_examples():
-    # x1*x2 + x2*x1 over two variables named 0 and 1
+    # x1*x2 + x2*x1 over two variables named 0 and 1: M_1 is 2x2 of rank 2
     f = NCPoly.from_terms(2, Q, {(0, 1): 1, (1, 0): 1})
-    m1 = nisan_matrix(f, 1)
-    assert (m1.rows, m1.cols) == (2, 2)
-    assert m1.rank() == 2
-    assert nisan_complexity(f) == 4
+    assert f.nisan_ranks() == [1, 2, 1]
+    assert sum(f.nisan_ranks()) == 4
     # (x0 + x1)^2 has all four words; middle matrix is all-ones, rank 1
     g = NCPoly.from_terms(2, Q, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
-    assert nisan_matrix(g, 1).rank() == 1
-    assert nisan_complexity(g) == 3
-    assert nisan_complexity(NCPoly.zero(2, Q)) == 0
+    assert g.nisan_ranks()[1] == 1
+    assert sum(g.nisan_ranks()) == 3
+    assert NCPoly.zero(2, Q).nisan_ranks() == []
+    # the same ranks from programs computing f and g, never expanded
+    x0, x1 = (LinearForm.of_var(Q, v) for v in (0, 1))
+    pf = ABP.build(2, Q, (1, 2, 1), {(0, 0, 0): x0, (0, 0, 1): x1, (1, 0, 0): x1, (1, 1, 0): x0})
+    pg = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): x0.add(x1, Q), (1, 0, 0): x0.add(x1, Q)})
+    assert nisan_ranks(pf) == f.nisan_ranks()
+    assert nisan_ranks(pg) == g.nisan_ranks()
+    assert nisan_ranks(zero_abp(2, Q)) == []
 
 
 def test_nisan_rejects_inhomogeneous():
     f = NCPoly.from_terms(2, Q, {(): 1, (0, 1): 1})
     with pytest.raises(ValidationError):
-        nisan_matrix(f, 1)
+        f.nisan_ranks()
+    p = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): lf(Q, 1, x0=1), (1, 0, 0): lf(Q, x1=1)})
+    with pytest.raises(ValidationError):
+        nisan_ranks(p)
 
 
 def test_json_round_trip():

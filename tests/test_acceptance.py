@@ -24,7 +24,8 @@ from helpers import (
     random_grammar,
 )
 
-from hadamard.abp import ABP, LinearForm, nisan_complexity, nisan_matrix
+from hadamard.abp import ABP, LinearForm, nisan_ranks
+from hadamard.errors import DEFAULT_MAX_TERMS
 from hadamard.fields import PrimeField, RationalField
 from hadamard.grammars import (
     build_mirror_prefix_grammar,
@@ -216,9 +217,22 @@ def _random_homogeneous(rng, field, n_vars, degree):
     return NCPoly.from_terms(n_vars, field, terms)
 
 
+def _deep_homogeneous(field, depth):
+    """The first nonzero homogeneous program in 3 variables of the given
+    depth under seeds c7:depth:0, c7:depth:1, ..."""
+    for salt in range(100):
+        p = random_abp(random.Random(f"c7:{depth}:{salt}"), field, n_vars=3, depth=depth, width=4, affine=False)
+        if not pit_span_basis(p).is_zero:
+            return p
+    raise AssertionError(f"no nonzero program of depth {depth}")
+
+
 def test_criterion_07_nisan_rank_submultiplicativity():
     """rank M_k(f.g) <= rank M_k(f) * rank M_k(g) for every split, and the
-    rank sums multiply too, on 100 random homogeneous pairs."""
+    rank sums multiply too, on 100 random homogeneous pairs, and on the
+    self-products of homogeneous programs with more words than the
+    expansion cap, where each rank is also at most the width of its layer
+    (Nisan's bound)."""
     rng = random.Random(107)
     checked_pairs = 0
     for i in range(100):
@@ -229,15 +243,33 @@ def test_criterion_07_nisan_rank_submultiplicativity():
         if f.is_zero() or g.is_zero():
             continue
         prod = f.hadamard(g)
+        ranks_f, ranks_g, ranks_prod = f.nisan_ranks(), g.nisan_ranks(), prod.nisan_ranks()
         for k in range(d + 1):
-            rf = nisan_matrix(f, k).rank()
-            rg = nisan_matrix(g, k).rank()
-            rp = nisan_matrix(prod, k).rank() if not prod.is_zero() else 0
+            rf = ranks_f[k]
+            rg = ranks_g[k]
+            rp = ranks_prod[k] if not prod.is_zero() else 0
             assert rp <= rf * rg
-        assert nisan_complexity(prod) <= nisan_complexity(f) * nisan_complexity(g)
+        assert sum(ranks_prod) <= sum(ranks_f) * sum(ranks_g)
         checked_pairs += 1
     assert checked_pairs >= 90
-    print(f"criterion 7 PASS: rank inequalities hold on {checked_pairs} homogeneous pairs")
+    checked_programs = 0
+    for field in (Q, F5):
+        for depth in (13, 14):
+            assert 3**depth > DEFAULT_MAX_TERMS
+            p = _deep_homogeneous(field, depth)
+            prod = hadamard_abp_detailed(p, p).abp
+            ranks_p, ranks_prod = nisan_ranks(p), nisan_ranks(prod)
+            assert len(ranks_p) == len(ranks_prod) == depth + 1
+            for k in range(depth + 1):
+                assert ranks_prod[k] <= ranks_p[k] * ranks_p[k]
+                assert ranks_p[k] <= p.layer_sizes[k]
+                assert ranks_prod[k] <= prod.layer_sizes[k]
+            assert sum(ranks_prod) <= sum(ranks_p) ** 2
+            checked_programs += 1
+    print(
+        f"criterion 7 PASS: rank inequalities hold on {checked_pairs} homogeneous pairs "
+        f"and {checked_programs} self-products of depth 13 and 14"
+    )
 
 
 def test_criterion_08_cfg_round_trip_and_mirror_intersection():
