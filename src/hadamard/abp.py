@@ -43,6 +43,13 @@ variable-by-variable, which agrees with the single-variable normal form
 whenever it applies.  Like every other walker it reads ``abp.layers``: each
 node's copies are worked out once, and each per-variable entry becomes one
 edge per pair of copies it joins.
+
+``row_bases`` walks a homogeneous program from the source, or from the sink
+over the transposed matrices, keeping at each layer boundary a basis of the
+vectors that the words read so far leave there, each tagged with its word.
+The span test reads the last forward basis.  ``nisan_ranks`` reads rank M_k
+= rank(F_k B_kᵀ) off the forward and backward bases at boundary k, so
+neither expands the program or lays out a matrix over all words.
 """
 
 from __future__ import annotations
@@ -716,17 +723,14 @@ def coefficient_of(abp: ABP, word: Sequence[int]):
 def row_bases(abp: ABP, backward: bool = False) -> Iterator[list[tuple[tuple, list]]]:
     """Word-tagged row bases of a homogeneous program, one per layer boundary.
 
-    Forward, the basis yielded for boundary j spans the row vectors
-    e_0 M_{w_1} ... M_{w_j} that the words of length j leave at layer j,
-    for j = 0, 1, ..., d in turn, each kept vector tagged with its word.
-    Words grow in length-then-lexicographic order, and a vector is kept only
-    when it leaves the span of those before it, so each kept word is the
-    least word whose vector is outside the span of the earlier ones.
-    Backward, the walk starts at the sink and runs over the transposed
-    matrices, yielding for j = d, d-1, ..., 0 a basis of the vectors
-    M_{w_1} ... M_{w_m} e_0 that the suffixes of length m = d-j leave at
-    layer j, each tagged with its suffix.  A basis never holds more vectors
-    than its layer has nodes.  Vectors hold the field's raw values
+    Forward, the basis for boundary j = 0, 1, ..., d spans the vectors
+    e_0 M_{w_1} ... M_{w_j} of the words of length j.  Words grow in
+    length-then-lexicographic order and a vector is kept only when it leaves
+    the span of those before it, so each kept word is the least one outside
+    the span of the words kept before it.  Backward, the basis for boundary
+    j = d, d-1, ..., 0 spans the vectors M_{w_1} ... M_{w_m} e_0 of the
+    suffixes of length m = d-j.  A basis has at most as many vectors as its
+    layer has nodes.  Vectors hold the field's raw values
     (``fields.raw_ops``); constant entries are not read.
     """
     field = abp.field
@@ -757,17 +761,12 @@ def row_bases(abp: ABP, backward: bool = False) -> Iterator[list[tuple[tuple, li
 
 def nisan_ranks(abp: ABP) -> list[int]:
     """Ranks of the Nisan matrices M_0, ..., M_d of the polynomial the
-    program computes, or [] when it is zero.  Rows of M_k are the words of
-    length k, columns the words of length d-k, and an entry is the
-    coefficient of the concatenation; a polynomial with terms of two
-    degrees has no Nisan matrices and raises ``ValidationError``.
-
-    Nothing is expanded.  In the homogeneous part of degree d, M_k = P_k S_k,
-    where the rows of P_k are the vectors that the prefixes leave at layer k
-    and the columns of S_k those of the suffixes.  The forward and backward
-    ``row_bases`` at boundary k, F_k and B_k, span the rows of P_k and the
-    columns of S_k, so rank M_k = rank(F_k B_kᵀ), a matrix no larger than
-    the layer's width squared.
+    program computes, or [] when it is zero; one with terms of two degrees
+    has none and raises ``ValidationError``.  Rows of M_k are the words of
+    length k, columns those of length d-k, and an entry is the coefficient
+    of the concatenation.  M_k is the product of the prefixes' vectors at
+    layer k with the suffixes', whose spans ``row_bases`` gives as F_k and
+    B_k; so rank M_k = rank(F_k B_kᵀ), at most the layer's width.
     """
     field = abp.field
     zero = raw_ops(field)[0](field.zero())

@@ -14,7 +14,8 @@ element of the same field object without a lift.
 Extension fields use a polynomial basis modulo a monic irreducible, stored
 low-degree-first including the leading 1.  ``find_irreducible`` picks the
 lexicographically smallest modulus so that a field descriptor is a function
-of (p, k) alone.
+of (p, k) alone.  Irreducibility, of a candidate or of a descriptor's
+modulus, is decided by Rabin's test, in time polynomial in k and log p.
 
 F_q^x is cyclic, so a field of order at most ``TABLE_MAX_ORDER`` (2^12)
 multiplies through log/antilog tables over a primitive element: two dict
@@ -126,19 +127,43 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     return r
 
 
+def _poly_powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
+    """a^e mod the monic m, for e >= 1, by left-to-right squaring."""
+    acc = a = _poly_mod(a, m, p)
+    for bit in bin(e)[3:]:
+        acc = _poly_mod(_poly_mul(acc, acc, p), m, p)
+        if bit == "1":
+            acc = _poly_mod(_poly_mul(acc, a, p), m, p)
+    return acc
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic greatest common divisor (the empty list when both are zero)."""
+    a, b = _poly_trim([x % p for x in a]), _poly_trim([x % p for x in b])
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
 def _poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree up to deg/2."""
+    """Rabin's test for a monic f of degree k >= 1 over F_p: f is
+    irreducible exactly when x^(p^k) = x mod f and, for each prime r
+    dividing k, x^(p^(k/r)) - x is coprime to f.  It takes k p-th powers
+    mod f and one gcd per prime factor of k; a failed gcd ends it early."""
     k = len(coeffs) - 1
     if k < 1:
         return False
-    if coeffs[0] == 0:  # divisible by x
-        return k == 1
-    for d in range(1, k // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            divisor = list(low) + [1]
-            if not _poly_mod(coeffs, divisor, p):
+    checked = {k // r for r in range(2, k + 1) if k % r == 0 and is_prime(r)}
+    x = h = _poly_mod([0, 1], coeffs, p)
+    for j in range(1, k + 1):
+        h = _poly_powmod(h, p, coeffs, p)  # x^(p^j) mod f
+        if j in checked:
+            diff = [a - b for a, b in itertools.zip_longest(h, x, fillvalue=0)]
+            if len(_poly_gcd(coeffs, diff, p)) > 1:
                 return False
-    return True
+    return h == x
 
 
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -146,14 +171,16 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 
     Candidates x^k + c_{k-1}x^{k-1} + ... + c_0 are scanned in lexicographic
     order of the coefficient tuple (c_0, ..., c_{k-1}); the scan is exhaustive
-    so the result is deterministic.  Returned low-degree-first with the
-    leading 1 included.
+    so the result is deterministic.  From degree 2 on it starts at c_0 = 1,
+    since every candidate with c_0 = 0 is divisible by x.  Returned
+    low-degree-first with the leading 1 included.
     """
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if k < 1:
         raise ValidationError("degree must be at least 1")
-    for low in itertools.product(range(p), repeat=k):
+    first = range(1, p) if k > 1 else range(p)
+    for low in itertools.product(first, *[range(p)] * (k - 1)):
         cand = list(low) + [1]
         if _poly_is_irreducible(cand, p):
             return tuple(cand)

@@ -24,6 +24,7 @@ the permanent as a coefficient-wise product of row and column polynomials.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -154,16 +155,17 @@ def exp_sum(
     field = params.field
     z = field.coerce(z)
     if sets is None:
-        chosen = [list(field.elements()) for _ in range(params.t)]
+        count = field.order**params.t
     else:
         chosen = [[field.coerce(y) for y in group] for group in sets]
-    if not chosen:
-        return psi(z)
-    count = 1
-    for group in chosen:
-        count *= len(group)
+        if not chosen:
+            return psi(z)
+        count = math.prod(len(group) for group in chosen)
+    # checked before the field's elements are listed
     if count > max_terms:
         raise ResourceCapError(f"character sum needs {count} evaluations")
+    if sets is None:
+        chosen = [list(field.elements())] * params.t
     tables = field.sign_tables
     if tables is not None:
         return _exp_sum_on_logs(tables, z, chosen, count)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: cofactor expansion for determinants,
 breadth-first search for reachability, permutation sums for permanents,
-schoolbook products and repeated powering for extension-field traces, and
-Gaussian elimination and the span walk on field element objects.
+schoolbook products and repeated powering for extension-field traces, trial
+division for irreducibility, and Gaussian elimination and the span walk on
+field element objects.
 The library must agree with these on random instances.
 """
 
@@ -212,6 +213,28 @@ def bfs_reachable(g: Digraph) -> bool:
                     nxt.append(v)
         frontier = nxt
     return g.t in seen
+
+
+def trial_division_irreducible(coeffs, p: int) -> bool:
+    """Is the monic polynomial (low-degree-first) irreducible over F_p?
+    Trial division by every monic polynomial of degree up to half its own."""
+    k = len(coeffs) - 1
+    if k < 1:
+        return False
+    for d in range(1, k // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            if not _poly_mod(coeffs, list(low) + [1], p):
+                return False
+    return True
+
+
+def trial_division_find_irreducible(p: int, k: int) -> tuple[int, ...]:
+    """The first monic irreducible of degree k over F_p in lexicographic
+    order of (c_0, ..., c_{k-1}), scanning every candidate."""
+    for low in itertools.product(range(p), repeat=k):
+        if trial_division_irreducible(list(low) + [1], p):
+            return tuple(low) + (1,)
+    raise AssertionError(f"no irreducible of degree {k} over F_{p}")
 
 
 def schoolbook_mul(a: ExtElement, b: ExtElement) -> ExtElement:

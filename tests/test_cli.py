@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -14,11 +15,15 @@ from hypothesis import given, settings, strategies as st
 from hadamard.abp import ABP, LinearForm
 from hadamard.circuits import CircuitBuilder
 from hadamard.cli import main
-from hadamard.fields import PRIME_TEST_BOUND, PrimeField, RationalField
+from hadamard.errors import DEFAULT_MAX_TERMS
+from hadamard.fields import PRIME_TEST_BOUND, ExtField, PrimeField, RationalField, _poly_mul, find_irreducible
 from hadamard.polynomials import NCPoly
+from helpers import cancelling_abp, random_abp
 
 Q = RationalField()
+F2 = PrimeField(2)
 F5 = PrimeField(5)
+F4 = ExtField.make(2, 2)
 
 
 def run_cli(*argv):
@@ -124,6 +129,76 @@ def test_expand_then_nisan_agree(tmp_path):
         "ranks": [1, 2, 1],
         "total": 4,
     }
+
+
+def run_main(*argv):
+    """(exit code, stdout, stderr) of the command line run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def nisan_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("nisan")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    field=st.sampled_from([Q, F2, F5, F4]),
+    depth=st.integers(1, 5),
+    n_vars=st.integers(1, 3),
+    shape=st.sampled_from(["affine", "homogeneous", "cancelling"]),
+)
+def test_nisan_on_a_program_prints_what_it_prints_on_the_expansion(seed, field, depth, n_vars, shape, nisan_dir):
+    """The program is walked, never expanded; its ranks, zero verdict and
+    exit 2 on two degrees match those of the polynomial it expands to."""
+    rng = random.Random(seed)
+    if shape == "cancelling":
+        p = cancelling_abp(rng, field, n_vars=n_vars, depth=depth, width=2)
+    else:
+        p = random_abp(rng, field, n_vars=n_vars, depth=depth, affine=shape == "affine")
+    program = write_json(nisan_dir / "program.json", p.to_json())
+    poly = str(nisan_dir / "poly.json")
+    assert run_main("expand", program, "--out", poly)[0] == 0
+    code, out, _ = run_main("nisan", program)
+    assert code in (0, 2)
+    assert run_main("nisan", poly)[:2] == (code, out)
+
+
+def _sparse_deep_program(field, depth: int) -> ABP:
+    """Width 2 and one of 3 variables per edge: at most 2^depth words, where
+    a matrix over all words of the middle lengths has 3^depth entries."""
+    rng = random.Random(f"sparse:{depth}")
+    sizes = [1] + [2] * (depth - 1) + [1]
+    edges = {
+        (layer, a, c): LinearForm.of_var(field, rng.randrange(3), rng.randint(1, 4))
+        for layer in range(depth)
+        for a in range(sizes[layer])
+        for c in range(sizes[layer + 1])
+    }
+    return ABP.build(3, field, sizes, edges)
+
+
+def test_nisan_answers_past_the_all_words_matrix_cap(tmp_path):
+    """A depth-13 program in 3 variables: a Nisan matrix over all words
+    would hold 3^13 entries, more than the default cap, so building one
+    exits 3.  The walk answers, and so does the polynomial file, whose
+    present prefixes and suffixes are few; its cap counts those."""
+    assert 3**13 > DEFAULT_MAX_TERMS
+    program = write_json(tmp_path / "deep.json", _sparse_deep_program(F5, 13).to_json())
+    code, out, err = run_main("nisan", program)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["degree"] == 13 and max(report["ranks"]) <= 2
+    poly = str(tmp_path / "poly.json")
+    assert run_main("expand", program, "--out", poly)[0] == 0
+    assert run_main("nisan", poly) == (0, out, "")
+    code, out, err = run_main("nisan", poly, "--max-terms", "100")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("resource cap:")
 
 
 def test_reduce_det_chain(tmp_path):
@@ -391,6 +466,23 @@ def test_large_prime_field_loads_at_once(tmp_path, capsys):
     assert elapsed < 0.1
 
 
+def test_degree_64_extension_modulus_is_decided_at_once(tmp_path):
+    irreducible = [1, 1, 0, 1, 1] + [0] * 59 + [1]  # x^64 + x^4 + x^3 + x + 1
+    square = _poly_mul(find_irreducible(2, 32), find_irreducible(2, 32), 2)  # no root, reducible
+    for modulus, code in ((irreducible, 0), (square, 2)):
+        program = dict(
+            _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": {"coeffs": {"0": [0, 1] + [0] * 62}}}),
+            field={"kind": "Fpk", "p": 2, "k": 64, "modulus": modulus},
+        )
+        path = write_json(tmp_path / "f64.json", program)
+        start = time.perf_counter()
+        got, out, err = run_main("expand", path)
+        assert time.perf_counter() - start < 1.0
+        assert got == code
+        if code:
+            assert err.count("\n") == 1 and "is reducible" in err
+
+
 def test_prime_beyond_the_primality_bound_exits_3(tmp_path, capsys):
     path = write_json(tmp_path / "p30.json", _prime_field_program(10**29 + 7))
     start = time.perf_counter()
@@ -404,7 +496,8 @@ def test_prime_beyond_the_primality_bound_exits_3(tmp_path, capsys):
 
 # keys that the program, circuit and field decoders read
 _FUZZ_KEYS = ["nvars", "field", "kind", "p", "k", "modulus", "layers", "edges", "from", "to",
-              "label", "const", "coeffs", "0", "1", "gates", "op", "var", "value", "l", "r", "output"]
+              "label", "const", "coeffs", "0", "1", "gates", "op", "var", "value", "l", "r", "output",
+              "terms", "word", "coeff"]
 _FUZZ_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 9)
     | st.sampled_from(["", "x", "1", "-1/2", "1/0", "Q", "Fp", "in", "mul"]),
@@ -427,7 +520,8 @@ def _fuzz_inputs() -> dict:
     b = CircuitBuilder(3, Q)
     x0, x1, two = b.input(0), b.input(1), b.const(2)
     circuit = b.finish(b.add(b.mul(x0, b.add(x1, two)), b.mul(two, x1)))
-    return {"program": two_path_abp(2).to_json(), "circuit": circuit.to_json()}
+    poly = NCPoly.from_terms(3, Q, {(0, 1): 2, (1, 0): Fraction(-1, 2), (1, 1): 1})
+    return {"program": two_path_abp(2).to_json(), "circuit": circuit.to_json(), "poly": poly.to_json()}
 
 
 @pytest.fixture(scope="module")
@@ -438,9 +532,9 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_product_inputs_exit_cleanly(data, fuzz_dir):
-    """A product command on a program or circuit file with one value
-    replaced or one key dropped exits 0, 2 or 3, with at most one line on
-    stderr and never a traceback."""
+    """A product or nisan command on a program, circuit or polynomial file
+    with one value replaced or one key dropped exits 0, 2 or 3, with at
+    most one line on stderr and never a traceback."""
     inputs = _fuzz_inputs()
     target = data.draw(st.sampled_from(sorted(inputs)))
     obj = inputs[target]
@@ -456,11 +550,11 @@ def test_mutated_product_inputs_exit_cleanly(data, fuzz_dir):
     argvs = [
         ["hadamard", "abp", paths["program"], str(fuzz_dir / "plain.json")],
         ["hadamard", "circuit-abp", paths["circuit"], paths["program"]],
+        ["nisan", paths["program"]],
+        ["nisan", paths["poly"]],
     ]
     write_json(fuzz_dir / "plain.json", two_path_abp(-1).to_json())
     for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, _, err = run_main(*argv)
         assert code in (0, 2, 3)
-        assert len(err.getvalue().splitlines()) <= 1
+        assert len(err.splitlines()) <= 1

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,15 @@ from hadamard.fields import (
     is_prime,
     parse_field_spec,
     psi,
+    _poly_is_irreducible,
 )
-from helpers import coefficient_sum, powering_trace, schoolbook_mul
+from helpers import (
+    coefficient_sum,
+    powering_trace,
+    schoolbook_mul,
+    trial_division_find_irreducible,
+    trial_division_irreducible,
+)
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -59,6 +68,29 @@ def test_find_irreducible_smallest():
     assert find_irreducible(3, 2) == (1, 0, 1)  # x^2 + 1
     with pytest.raises(ValidationError):
         find_irreducible(4, 2)
+
+
+def test_rabin_test_agrees_with_trial_division():
+    for p, max_degree in ((2, 9), (3, 6), (5, 4), (7, 3)):
+        for k in range(1, max_degree + 1):
+            for low in itertools.product(range(p), repeat=k):
+                f = list(low) + [1]
+                assert _poly_is_irreducible(f, p) == trial_division_irreducible(f, p), (p, f)
+
+
+def test_moduli_unchanged_up_to_order_4096():
+    for p in filter(is_prime, range(2, 4097)):
+        k = 1
+        while p**k <= 4096:
+            assert find_irreducible(p, k) == trial_division_find_irreducible(p, k), (p, k)
+            k += 1
+
+
+def test_high_degree_extension_fields_build_quickly():
+    start = time.perf_counter()
+    f = ExtField.make(2, 31)
+    assert time.perf_counter() - start < 1.0
+    assert f.order == 2**31 and f.gen() ** (2**31) == f.gen()
 
 
 def test_trace_on_f4():

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hadamard.errors import ValidationError
-from hadamard.fields import psi
+from hadamard.errors import ResourceCapError, ValidationError
+from hadamard.fields import ExtField, psi
 from hadamard.lab import (
     CorrelationReport,
     ExplicitParams,
@@ -114,6 +114,15 @@ def test_exp_sum_orthogonality():
     # two full sets: q*(q - (q-1)) = q
     assert exp_sum(params, z=1, sets=[full, full]) == 4
     assert exp_sum(params, z=1) == sum_coeffs(build_f(params))
+
+
+def test_exp_sum_checks_its_cap_before_listing_the_field(monkeypatch):
+    def listed(field):
+        raise AssertionError("the field's elements were listed")
+
+    monkeypatch.setattr(ExtField, "elements", listed)
+    with pytest.raises(ResourceCapError):
+        exp_sum(ExplicitParams(1, 13), max_terms=100)
 
 
 def test_exp_sum_over_subsets():
