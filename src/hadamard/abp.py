@@ -726,8 +726,8 @@ def row_bases(abp: ABP, backward: bool = False) -> Iterator[list[tuple[tuple, li
     Forward, the basis for boundary j = 0, 1, ..., d spans the vectors
     e_0 M_{w_1} ... M_{w_j} of the words of length j.  Words grow in
     length-then-lexicographic order and a vector is kept only when it leaves
-    the span of those before it, so each kept word is the least one outside
-    the span of the words kept before it.  Backward, the basis for boundary
+    the span of those before it, so each kept word is the least word whose
+    vector leaves the span of the vectors kept before it.  Backward, the basis for boundary
     j = d, d-1, ..., 0 spans the vectors M_{w_1} ... M_{w_m} e_0 of the
     suffixes of length m = d-j.  A basis has at most as many vectors as its
     layer has nodes.  Vectors hold the field's raw values
