@@ -39,13 +39,14 @@ from .grammars import (
 from .lab import (
     ExplicitParams,
     build_f,
-    correlation_report,
     exp_sum,
+    full_sum_count,
     permanent_polynomials,
     permanent_via_hadamard,
     random_product_poly,
-    sum_coeffs,
-    zero_one_shift,
+    shift_report,
+    sign_correlation,
+    sign_list,
 )
 from .pit import (
     Digraph,
@@ -262,19 +263,18 @@ def cmd_lab(args) -> dict:
         f = build_f(params, max_terms=args.max_terms)
         return f.to_json()
     if args.action == "corr":
-        f = build_f(params, max_terms=args.max_terms)
-        fp = zero_one_shift(f)
-        rep = correlation_report(f, fp)
+        signs = sign_list(params, max_terms=args.max_terms)
+        rep = shift_report(signs)
         out = rep.to_json()
         out["t"], out["p"] = args.t, args.p
-        out["sum_coeffs"] = str(sum_coeffs(f))
+        out["sum_coeffs"] = str(2 * rep.corr - rep.norm_f_sq)  # P signs +1, N - P signs -1
         out["lower_bound"] = str(Fraction(2) ** (params.n - 1))
         out["meets_lower_bound"] = rep.corr >= Fraction(2) ** (params.n - 1)
         rng = random.Random(args.seed)
         battery = []
         for _ in range(args.battery):
             split = random_product_poly(params, rng)
-            r = correlation_report(f, split.poly())
+            r = sign_correlation(signs, split.poly())
             battery.append({"corr": str(r.corr), "ratio_sq": str(r.ratio_sq)})
         out["product_battery"] = battery
         field = params.field
@@ -289,7 +289,9 @@ def cmd_lab(args) -> dict:
         return out
     if args.action == "expsum":
         sets = None
-        if args.sets is not None:
+        if args.sets is None:
+            full_sum_count(params, args.max_terms)  # refused before the field is built
+        else:
             sets = _parse("--sets", lambda: [_decode_set(params.field, g) for g in args.sets.split(";")])
         z = _decode_set(params.field, str(args.z))[0]  # --z is one element code
         value = exp_sum(params, z=z, sets=sets, max_terms=args.max_terms)

@@ -16,6 +16,11 @@ low-degree-first including the leading 1.  ``find_irreducible`` picks the
 lexicographically smallest modulus so that a field descriptor is a function
 of (p, k) alone.  Irreducibility, of a candidate or of a descriptor's
 modulus, is decided by Rabin's test, in time polynomial in k and log p.
+Both paths first check one degree bound: degree k over F_p is taken only
+while k * bit_length(p) <= ``MODULUS_BITS`` = 128 (degree 64 over F_2 and
+F_3, 2 over a 61-bit prime).  A test costs about k^3 log p coefficient
+steps, so the bound caps it near 128 k^2; past it both raise
+``ResourceCapError`` before any polynomial arithmetic.
 
 F_q^x is cyclic, so a field of order at most ``TABLE_MAX_ORDER`` (2^12)
 multiplies through log/antilog tables over a primitive element: two dict
@@ -166,22 +171,41 @@ def _poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return h == x
 
 
+# the degree bound of the module docstring: k * bit_length(p) at most this
+MODULUS_BITS = 128
+
+
+def _check_extension_degree(p: int, k: int) -> None:
+    """Raise ``ResourceCapError`` when degree k over F_p is past the bound
+    ``MODULUS_BITS // bit_length(p)``; run before any modulus is tested."""
+    bound = MODULUS_BITS // p.bit_length()
+    if k > bound:
+        raise ResourceCapError(
+            f"extension degree {k} over F_{p} exceeds the bound of {bound}"
+            f" (degree times the bits of p at most {MODULUS_BITS})"
+        )
+
+
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree k over F_p.
 
     Candidates x^k + c_{k-1}x^{k-1} + ... + c_0 are scanned in lexicographic
     order of the coefficient tuple (c_0, ..., c_{k-1}); the scan is exhaustive
     so the result is deterministic.  From degree 2 on it starts at c_0 = 1,
-    since every candidate with c_0 = 0 is divisible by x.  Returned
-    low-degree-first with the leading 1 included.
+    since every candidate with c_0 = 0 is divisible by x.  The tuple is read
+    off the base-p digits of a counter, c_0 the most significant, so no range
+    of residues is ever listed.  Returned low-degree-first with the leading
+    1 included.
     """
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if k < 1:
         raise ValidationError("degree must be at least 1")
-    first = range(1, p) if k > 1 else range(p)
-    for low in itertools.product(first, *[range(p)] * (k - 1)):
-        cand = list(low) + [1]
+    _check_extension_degree(p, k)
+    for code in range(p ** (k - 1) if k > 1 else 0, p**k):
+        cand = [1] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            code, cand[i] = divmod(code, p)
         if _poly_is_irreducible(cand, p):
             return tuple(cand)
     raise ValidationError(f"no irreducible of degree {k} over F_{p}")  # unreachable
@@ -437,6 +461,7 @@ class ExtField(_FiniteField):
             raise ValidationError(f"{self.p} is not prime")
         if self.k < 1:
             raise ValidationError("extension degree must be at least 1")
+        _check_extension_degree(self.p, self.k)
         if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
             raise ValidationError("modulus must be monic of degree k, low-degree-first")
         if any(not (0 <= c < self.p) for c in self.modulus):

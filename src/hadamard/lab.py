@@ -8,12 +8,23 @@ character of the product of those elements.  The resulting sign polynomial
 F has full multilinear support, squared norm 2^n, and correlates strongly
 with its own 0/1 shift — the quantities this module computes exactly.
 
+F is held as one list of its 2^n signs, indexed by the monomial's bit mask
+(``sign_list``); ``build_f`` is a view of that list.  ``lab corr`` builds
+neither F nor its shift F' = (F+1)/2: with P the count of +1 signs and
+N = 2^n, corr(F, F') = |F'|^2 = P, |F|^2 = N and the coefficient sum is
+2P - N (``shift_report``), and a product-split polynomial reads F's sign at
+each of its own monomials (``sign_correlation``).
+
 Over fields with log tables (2^p at most ``fields.TABLE_MAX_ORDER`` = 2^12)
-the coefficients and character sums are computed on exponents through
+the signs and character sums are computed on exponents through
 ``ExtField.sign_tables``: a block's bits are an element code, its code a log,
-and psi of a product is read at the sum of the logs.  Larger fields go
-through field elements (``f_coefficient`` and the element loop of
-``exp_sum``), the only path that runs there.
+and psi of a product is read at the sum of the logs.  A character sum folds
+each set into a histogram of running log sums mod q-1, so it costs at most
+(q-1) times the set's distinct logs per set, not the product of the set
+sizes.  Larger fields go through field elements (``f_coefficient`` and the
+element loop of ``exp_sum``), the only path that runs there.  The field is
+built on first use, after the term and evaluation caps that need only t and
+p, so a request past a cap is refused before a modulus is searched.
 
 Also here: the suitability predicate for variable restrictions (blocks that
 lose at least half their variables must be pinned by the fixed monomial),
@@ -25,8 +36,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
@@ -46,15 +59,16 @@ class ExplicitParams:
             raise ValidationError("need at least one block")
         if not is_prime(self.p):
             raise ValidationError(f"block width {self.p} must be prime")
-        object.__setattr__(self, "_field", ExtField.make(2, self.p))
 
     @property
     def n(self) -> int:
         return self.t * self.p
 
-    @property
+    @cached_property
     def field(self) -> ExtField:
-        return self._field  # type: ignore[attr-defined]
+        """F_{2^p}, built on first use: the caps that need only t and p are
+        checked before its modulus is searched."""
+        return ExtField.make(2, self.p)
 
     def block(self, i: int) -> range:
         if not 0 <= i < self.t:
@@ -84,35 +98,41 @@ def f_coefficient(params: ExplicitParams, monomial: Iterable[int]) -> int:
     return psi(prod)
 
 
-def _all_subsets(n: int):
-    for size in range(n + 1):
-        yield from itertools.combinations(range(n), size)
+def sign_list(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) -> list[int]:
+    """F's 2^n signs (+1 or -1), indexed by the monomial's bit mask: bit v
+    is set exactly when x_v is in the monomial.  The cap is checked before
+    the field is built."""
+    n = params.n
+    if 2**n > max_terms:
+        raise ResourceCapError(f"2^{n} terms exceed the cap of {max_terms}")
+    tables = params.field.sign_tables
+    if tables is None:
+        return [
+            f_coefficient(params, [v for v in range(n) if mask >> v & 1]) for mask in range(2**n)
+        ]
+    log_of_code, psi_of_log = tables
+    order = len(psi_of_log)
+    # a monomial's bit mask holds block i's code at bits i*p and up; taking
+    # the blocks last to first, the place of a tuple of block logs is the mask
+    return [
+        1 if None in logs else psi_of_log[sum(logs) % order]
+        for logs in itertools.product(log_of_code, repeat=params.t)
+    ]
 
 
 _SIGNS = {1: Fraction(1), -1: Fraction(-1)}
 
 
 def build_f(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) -> CPoly:
-    """The full sign polynomial: all 2^n multilinear monomials, coefficients +-1."""
+    """The full sign polynomial: all 2^n multilinear monomials, coefficients
+    +-1 read off ``sign_list``, keyed by size and then lexicographically."""
+    signs = sign_list(params, max_terms)
     n = params.n
-    if 2**n > max_terms:
-        raise ResourceCapError(f"2^{n} terms exceed the cap of {max_terms}")
-    tables = params.field.sign_tables
-    if tables is None:
-        return CPoly(n, _Q, {m: Fraction(f_coefficient(params, m)) for m in _all_subsets(n)})
-    log_of_code, psi_of_log = tables
-    order = len(psi_of_log)
-    # a monomial's bit mask holds block i's code at bits i*p and up; taking
-    # the blocks last to first, the place of a tuple of block logs is the mask
-    signs = [
-        _SIGNS[1 if None in logs else psi_of_log[sum(logs) % order]]
-        for logs in itertools.product(log_of_code, repeat=params.t)
-    ]
     bits = [1 << v for v in range(n)]
     terms = {}
     for size in range(n + 1):
         for m, mask in zip(itertools.combinations(range(n), size), itertools.combinations(bits, size)):
-            terms[m] = signs[sum(mask)]
+            terms[m] = _SIGNS[signs[sum(mask)]]
     return CPoly(n, _Q, terms)
 
 
@@ -140,6 +160,18 @@ def sum_coeffs(f: CPoly) -> Fraction:
     )
 
 
+def _evaluations(count: int, max_terms: int) -> int:
+    if count > max_terms:
+        raise ResourceCapError(f"character sum needs {count} evaluations")
+    return count
+
+
+def full_sum_count(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) -> int:
+    """(2^p)^t, the evaluations of a character sum over t whole fields;
+    ``ResourceCapError`` past ``max_terms``, before the field is built."""
+    return _evaluations((2**params.p) ** params.t, max_terms)
+
+
 def exp_sum(
     params: ExplicitParams,
     z=1,
@@ -152,20 +184,18 @@ def exp_sum(
     ``sets`` defaults to t copies of the whole field.  Entries are field
     elements (plain ints coerce to prime-subfield constants, so pass real
     elements for anything outside {0, 1})."""
+    if sets is None:
+        count = full_sum_count(params, max_terms)
     field = params.field
     z = field.coerce(z)
     if sets is None:
-        count = field.order**params.t
+        chosen = [list(field.elements())] * params.t
     else:
         chosen = [[field.coerce(y) for y in group] for group in sets]
         if not chosen:
             return psi(z)
-        count = math.prod(len(group) for group in chosen)
-    # checked before the field's elements are listed
-    if count > max_terms:
-        raise ResourceCapError(f"character sum needs {count} evaluations")
-    if sets is None:
-        chosen = [list(field.elements())] * params.t
+        # checked before any product is taken
+        count = _evaluations(math.prod(len(group) for group in chosen), max_terms)
     tables = field.sign_tables
     if tables is not None:
         return _exp_sum_on_logs(tables, z, chosen, count)
@@ -181,8 +211,10 @@ def exp_sum(
 def _exp_sum_on_logs(tables, z: ExtElement, chosen: list[list[ExtElement]], count: int) -> int:
     """``exp_sum`` over the ``count`` combinations of the sets ``chosen`` on
     exponents.  A combination with a zero factor, or any combination when z
-    is zero, has the zero product and contributes psi(0) = 1; those are
-    counted, and only the nonzero ones are enumerated."""
+    is zero, has the zero product and contributes psi(0) = 1.  The nonzero
+    ones are folded set by set into a histogram of log(z) plus their logs
+    mod q-1, each log counted as often as its set repeats it; psi is then
+    read once per histogram entry."""
     log_of_code, psi_of_log = tables
     order = len(psi_of_log)
 
@@ -192,14 +224,15 @@ def _exp_sum_on_logs(tables, z: ExtElement, chosen: list[list[ExtElement]], coun
     start = log(z)
     if start is None:
         return count
-    logs = [[e for e in map(log, group) if e is not None] for group in chosen]
-    nonzero = 1
-    for group in logs:
-        nonzero *= len(group)
-    total = count - nonzero
-    for combo in itertools.product(*logs):
-        total += psi_of_log[(start + sum(combo)) % order]
-    return total
+    hist = {start: 1}
+    for group in chosen:
+        logs = Counter(e for e in map(log, group) if e is not None)
+        folded = defaultdict(int)
+        for e, a in hist.items():
+            for d, b in logs.items():
+                folded[(e + d) % order] += a * b
+        hist = folded
+    return count - sum(hist.values()) + sum(a * psi_of_log[e] for e, a in hist.items())
 
 
 @dataclass
@@ -220,13 +253,32 @@ class CorrelationReport:
 
 def correlation_report(f: CPoly, g: CPoly) -> CorrelationReport:
     c = corr(f, g)
-    # |f|^2 is kept on f: a lab job reports one F against several
-    # polynomials, and polynomials are not changed in place
-    nf = f.__dict__.get("_norm_sq")
-    if nf is None:
-        nf = f._norm_sq = norm_sq(f)
-    ng = norm_sq(g)
+    nf, ng = norm_sq(f), norm_sq(g)
     ratio = c * c / (nf * ng) if nf and ng else Fraction(0)
+    return CorrelationReport(c, nf, ng, ratio)
+
+
+def shift_report(signs: Sequence[int]) -> CorrelationReport:
+    """``correlation_report(F, zero_one_shift(F))`` for the sign polynomial
+    F with this sign list, in closed form.  F' is the indicator of the P
+    signs that are +1, so corr = |F'|^2 = P, |F|^2 = N = len(signs) and
+    the squared ratio is P^2 / (N P) = P/N."""
+    plus, total = signs.count(1), len(signs)
+    return CorrelationReport(Fraction(plus), Fraction(total), Fraction(plus), Fraction(plus, total))
+
+
+def sign_correlation(signs: Sequence[int], g: CPoly) -> CorrelationReport:
+    """``correlation_report(F, g)`` for the sign polynomial F with this sign
+    list: F has every multilinear monomial, so each multilinear monomial of
+    g reads F's sign at its bit mask, and |F|^2 = len(signs)."""
+    products = (
+        (c.numerator * signs[sum(1 << v for v in m)], c.denominator)
+        for m, c in g.terms.items()
+        if len(set(m)) == len(m)
+    )
+    c = abs(rational_sum(products))
+    nf, ng = Fraction(len(signs)), norm_sq(g)
+    ratio = c * c / (nf * ng) if ng else Fraction(0)
     return CorrelationReport(c, nf, ng, ratio)
 
 

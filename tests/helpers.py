@@ -3,14 +3,16 @@
 Everything here is deliberately naive: cofactor expansion for determinants,
 breadth-first search for reachability, permutation sums for permanents,
 schoolbook products and repeated powering for extension-field traces, trial
-division for irreducibility, and Gaussian elimination and the span walk on
-field element objects.
+division for irreducibility, Gaussian elimination and the span walk on
+field element objects, and the ``lab corr`` report assembled from the sign
+polynomial F and its 0/1 shift as whole polynomials.
 The library must agree with these on random instances.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,6 +29,15 @@ from hadamard.abp import (
 )
 from hadamard.circuits import AddGate, Circuit, CircuitBuilder, ConstGate, InputGate, MulGate
 from hadamard.fields import ExtElement, _poly_mod, _poly_mul
+from hadamard.lab import (
+    ExplicitParams,
+    build_f,
+    correlation_report,
+    exp_sum,
+    random_product_poly,
+    sum_coeffs,
+    zero_one_shift,
+)
 from hadamard.pit import Digraph, PitVerdict
 from hadamard.products import DegreeRecord, hadamard_homogeneous
 
@@ -274,6 +285,31 @@ def permanent(rows):
                 break
         total += prod
     return total
+
+
+def polynomial_lab_corr(t: int, p: int, seed: int, battery: int) -> dict:
+    """The ``lab corr`` report built on F and F' = (F+1)/2 as polynomials:
+    the report of F against F', the coefficient sum of F, and the battery of
+    product splits, each correlated against F term by term."""
+    params = ExplicitParams(t, p)
+    f = build_f(params)
+    rep = correlation_report(f, zero_one_shift(f))
+    out = rep.to_json()
+    out["t"], out["p"] = t, p
+    out["sum_coeffs"] = str(sum_coeffs(f))
+    out["lower_bound"] = str(Fraction(2) ** (params.n - 1))
+    out["meets_lower_bound"] = rep.corr >= Fraction(2) ** (params.n - 1)
+    rng = random.Random(seed)
+    out["product_battery"] = []
+    for _ in range(battery):
+        r = correlation_report(f, random_product_poly(params, rng).poly())
+        out["product_battery"].append({"corr": str(r.corr), "ratio_sq": str(r.ratio_sq)})
+    field = params.field
+    out["exp_sum_samples"] = [
+        {"z": code, "value": exp_sum(params, z=z)}
+        for z, code in ((field.zero(), 0), (field.one(), 1), (field.gen(), field.p))
+    ]
+    return out
 
 
 def random_grammar(rng, n_nonterminals=5, terminals=2, max_prods=3):

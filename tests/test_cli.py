@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hadamard import fields
 from hadamard.abp import ABP, LinearForm
 from hadamard.circuits import CircuitBuilder
 from hadamard.cli import main
@@ -481,6 +482,23 @@ def test_degree_64_extension_modulus_is_decided_at_once(tmp_path):
         assert got == code
         if code:
             assert err.count("\n") == 1 and "is reducible" in err
+
+
+def test_extension_degree_past_the_bound_exits_3(tmp_path, monkeypatch):
+    def tested(coeffs, p):
+        raise AssertionError("a modulus was tested")
+
+    monkeypatch.setattr(fields, "_poly_is_irreducible", tested)
+    modulus = [1, 1] + [0] * 63 + [1]  # degree 65 over F_2, one past the bound
+    program = dict(
+        _one_edge_abp({"from": [0, 0], "to": [1, 0], "label": {"coeffs": {"0": [0, 1] + [0] * 63}}}),
+        field={"kind": "Fpk", "p": 2, "k": 65, "modulus": modulus},
+    )
+    path = write_json(tmp_path / "f65.json", program)
+    for argv in (["expand", path], ["pit", "rand", path, "--field", "fpk:2:65"], ["lab", "expsum", "--t", "1", "--p", "67", "--sets", "1"]):
+        code, out, err = run_main(*argv)
+        assert code == 3 and out == "", argv
+        assert err.count("\n") == 1 and "exceeds the bound of 64" in err, argv
 
 
 def test_prime_beyond_the_primality_bound_exits_3(tmp_path, capsys):

@@ -15,9 +15,11 @@ import hashlib
 import io
 import json
 import random
+import sys
 
 import pytest
 
+from hadamard import lab
 from hadamard.abp import ABP, LinearForm, abp_sum, constant_abp
 from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
 from hadamard.cli import main
@@ -302,6 +304,24 @@ def input_paths(tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_pinned(case, input_paths):
     argv, code, digest = CASES[case]
+    assert _run(argv, input_paths) == (code, digest)
+
+
+def test_lab_corr_builds_neither_f_nor_its_shift(monkeypatch, input_paths):
+    """``lab corr`` reads F through its sign list alone: with every binding
+    of the builders of F and F' made to raise, the pinned bytes still come
+    out."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("a 2^n-term polynomial was built")
+
+    for name in ("build_f", "zero_one_shift"):
+        original = getattr(lab, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("hadamard")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, built)
+    argv, code, digest = CASES["lab-corr-t4-p3"]
     assert _run(argv, input_paths) == (code, digest)
 
 

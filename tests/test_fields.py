@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hadamard import fields
 from hadamard.errors import FieldMismatchError, ResourceCapError, ValidationError
 from hadamard.fields import (
+    MODULUS_BITS,
     PRIME_TEST_BOUND,
     TABLE_MAX_ORDER,
     ExtField,
@@ -91,6 +93,37 @@ def test_high_degree_extension_fields_build_quickly():
     f = ExtField.make(2, 31)
     assert time.perf_counter() - start < 1.0
     assert f.order == 2**31 and f.gen() ** (2**31) == f.gen()
+
+
+def test_degree_bound_is_checked_before_any_modulus_test(monkeypatch):
+    def tested(coeffs, p):
+        raise AssertionError("a modulus was tested")
+
+    monkeypatch.setattr(fields, "_poly_is_irreducible", tested)
+    for p in (2, 3, 5, 2**31 - 1, 2**61 - 1):
+        bound = MODULUS_BITS // p.bit_length()
+        assert bound * p.bit_length() <= MODULUS_BITS < (bound + 1) * p.bit_length()
+        k = bound + 1
+        with pytest.raises(ResourceCapError, match=f"degree {k} over F_{p} exceeds the bound of {bound}"):
+            find_irreducible(p, k)
+        with pytest.raises(ResourceCapError, match=f"bound of {bound}"):
+            ExtField(p, k, (1,) + (0,) * (k - 1) + (1,))
+    assert MODULUS_BITS // (2).bit_length() == 64
+
+
+def _is_square(a: int, p: int) -> bool:
+    return pow(a % p, (p - 1) // 2, p) != p - 1
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 10**9 + 9])
+def test_quadratic_moduli_over_large_primes_are_found_at_once(p):
+    start = time.perf_counter()
+    c0, c1, lead = find_irreducible(p, 2)
+    assert time.perf_counter() - start < 1.0
+    # x^2 + c1 x + c0 is irreducible exactly when its discriminant is not a
+    # square, and every candidate before it, (1, 0), (1, 1), ..., is reducible
+    assert lead == 1 and c0 == 1 and not _is_square(c1 * c1 - 4, p)
+    assert all(_is_square(b * b - 4, p) for b in range(c1))
 
 
 def test_trace_on_f4():

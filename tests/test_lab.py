@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hadamard import fields
+from hadamard.cli import main
 from hadamard.errors import ResourceCapError, ValidationError
 from hadamard.fields import ExtField, psi
 from hadamard.lab import (
@@ -25,6 +31,9 @@ from hadamard.lab import (
     permanent_polynomials,
     permanent_via_hadamard,
     random_product_poly,
+    shift_report,
+    sign_correlation,
+    sign_list,
     sum_coeffs,
     y_vector,
     zero_one_shift,
@@ -32,7 +41,7 @@ from hadamard.lab import (
 from hadamard.polynomials import CPoly, corr, norm_sq, rational_sum
 from hadamard.fields import RationalField
 
-from helpers import permanent
+from helpers import permanent, polynomial_lab_corr
 
 Q = RationalField()
 
@@ -200,6 +209,91 @@ def test_table_exp_sum_matches_element_loop(t, p):
         full = [elements] * t if sets is None else sets
         for z in zs:
             assert exp_sum(params, z=z, sets=sets) == _element_exp_sum(z, full), (sets, z)
+
+
+def _exp_sum_sets(rng, field, t: int) -> list:
+    """t random sets of 0 to 5 elements each, drawn with repeats from a pool
+    of at most 6 elements that always holds zero and one."""
+    elements = list(field.elements()) if field.order <= 64 else [field.random(rng) for _ in range(6)]
+    pool = [field.zero(), field.one()] + rng.sample(elements, min(4, len(elements)))
+    return [[rng.choice(pool) for _ in range(rng.randint(0, 5))] for _ in range(t)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_histogram_exp_sum_matches_enumeration(p):
+    rng = random.Random(f"histogram:{p}")
+    for t in (1, 2, 3) if p < 13 else (1, 2):
+        params = ExplicitParams(t, p)
+        field = params.field
+        for _ in range(12):
+            sets = _exp_sum_sets(rng, field, t)
+            for z in (field.zero(), field.one(), field.gen()):
+                assert exp_sum(params, z=z, sets=sets) == _element_exp_sum(z, sets), (sets, z)
+
+
+def test_sign_list_is_indexed_by_bit_mask():
+    for t, p in PARAM_GRID + [(1, 13)]:
+        params = ExplicitParams(t, p)
+        signs = sign_list(params)
+        assert len(signs) == 2**params.n
+        for m, c in build_f(params).terms.items():
+            assert signs[sum(1 << v for v in m)] == c
+    with pytest.raises(ResourceCapError, match="2\\^6 terms exceed the cap of 63"):
+        sign_list(ExplicitParams(2, 3), max_terms=63)
+
+
+def test_sign_reports_match_polynomial_reports():
+    for t, p in PARAM_GRID:
+        params = ExplicitParams(t, p)
+        f, signs = build_f(params), sign_list(params)
+        assert shift_report(signs) == correlation_report(f, zero_one_shift(f))
+        assert 2 * shift_report(signs).corr - len(signs) == sum_coeffs(f)
+        rng = random.Random(f"battery:{t}:{p}")
+        for _ in range(5):
+            g = random_product_poly(params, rng).poly()
+            assert sign_correlation(signs, g) == correlation_report(f, g)
+        zero = CPoly.zero(params.n, Q)
+        assert sign_correlation(signs, zero) == correlation_report(f, zero)
+
+
+# every (t, p) with p in {2, 3, 5, 7, 11} and t * p <= 12, then F_{2^13},
+# where the signs go through field elements
+CORR_GRID = [(t, p) for p in (2, 3, 5, 7, 11) for t in range(1, 12 // p + 1)] + [(1, 13)]
+
+
+def _run(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("t, p", CORR_GRID)
+def test_lab_corr_matches_polynomial_assembly(t, p):
+    runs = [(seed, battery) for seed in range(5) for battery in (0, 5)] if p < 13 else [(0, 2)]
+    for seed, battery in runs:
+        code, out, _ = _run("lab", "corr", "--t", str(t), "--p", str(p), "--seed", str(seed), "--battery", str(battery))
+        expected = polynomial_lab_corr(t, p, seed, battery)
+        assert code == 0
+        assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n", (seed, battery)
+
+
+@pytest.mark.parametrize("argv", [
+    ["corr", "--t", "1", "--p", "257"],
+    ["build-f", "--t", "1", "--p", "257"],
+    ["expsum", "--t", "1", "--p", "257", "--z", "1"],
+    ["corr", "--t", "7", "--p", "3"],
+])
+def test_lab_checks_its_caps_before_building_the_field(argv, monkeypatch):
+    def searched(p, k):
+        raise AssertionError("a modulus was searched")
+
+    monkeypatch.setattr(fields, "find_irreducible", searched)
+    start = time.perf_counter()
+    code, out, err = _run("lab", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("resource cap:")
 
 
 _COEFFS = st.fractions(min_value=-10, max_value=10, max_denominator=12)
