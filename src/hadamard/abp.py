@@ -15,6 +15,9 @@ after merging parallel edges and dropping zero forms, and checks nothing.
 Programs are checked once, where they enter from outside data:
 ``ABP.from_json`` runs ``validate``, which checks the layer shape, the edge
 ranges and that every label is canonical, without converting anything.
+Before that it refuses a file that declares more than ``DEFAULT_MAX_TERMS``
+nodes in all, since walks that lay out dense rows size them by the declared
+layer widths.
 Programs the library makes from programs it trusts are not checked again.
 
 The edge map ``ABP.edges``, keyed (layer, from, to), is the stored form:
@@ -32,7 +35,10 @@ edges followed by exactly one variable-carrying step.  The parts therefore
 have only homogeneous linear forms on their edges and their path length
 equals their degree.  Constant runs are propagated sparsely: a backward
 pass gives each node's constant weight to the sink, and the steps out of
-each node are walked forward once and shared by every degree.
+each node are walked forward once and shared by every degree.  A part's
+layer lays out a run of original layers end to end, so a node's index is an
+offset plus its original index, and only nodes that some entry leaves are
+walked: a declared node that no edge touches costs nothing.
 
 ``normalize_edges`` further splits internal nodes per arriving variable so
 that every edge except those into the sink mentions a single variable.  The
@@ -54,6 +60,7 @@ neither expands the program or lays out a matrix over all words.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -305,6 +312,10 @@ class ABP:
                 raise ValidationError("ABP JSON lacks a field descriptor")
             field = field_from_json(obj["field"])
         layers = [json_int(s) for s in obj["layers"]]
+        if sum(layers) > DEFAULT_MAX_TERMS:
+            raise ResourceCapError(
+                f"the program declares {sum(layers)} nodes, past the cap of {DEFAULT_MAX_TERMS}"
+            )
         edges = []
         for e in obj["edges"]:
             fl, fn = json_int(e["from"][0]), json_int(e["from"][1])
@@ -436,37 +447,31 @@ def homogeneous_parts(abp: ABP) -> list[ABP]:
         return by_layer, LinearForm(zero, {v: x for v, x in sink.items() if x})
 
     parts = [constant_abp(abp.n_vars, field, to_sink[0].get(0, zero))]
+    # layer w (0 < w < k) of part k lays out original layers w..d-(k-w) end to
+    # end, so node (i, a) sits at start[i] - start[w] + a; only the nodes that
+    # some entry leaves are walked, in node order
+    start = list(itertools.accumulate(abp.layer_sizes, initial=0))
+    leaving = [sorted({a for es in (lay.const, *lay.by_var.values()) for a, _, _ in es}) for lay in layers]
 
     for k in range(1, d + 1):
-        # layer w of part k holds original pairs (i, a), w <= i <= d-(k-w)
-        node_lists: list[list[tuple[int, int]]] = [[(0, 0)]]
-        for w in range(1, k):
-            nodes = [
-                (i, a)
-                for i in range(w, d - (k - w) + 1)
-                for a in range(abp.layer_sizes[i])
-            ]
-            node_lists.append(nodes)
-        node_lists.append([(d, 0)])
-        index = [
-            {node: idx for idx, node in enumerate(layer_nodes)}
-            for layer_nodes in node_lists
+        nodes = [[(0, 0, a) for a in leaving[0]]] + [
+            [(start[i] - start[w] + a, i, a) for i in range(w, d - k + w + 1) for a in leaving[i]]
+            for w in range(1, k)
         ]
-
         edges = {}
         for w in range(k - 1):
-            for src, (i, a) in enumerate(node_lists[w]):
+            for src, i, a in nodes[w]:
                 by_layer = steps(i, a)[0]
                 for j in range(i + 1, d - (k - w - 1) + 1):
                     for b, lf in by_layer.get(j, {}).items():
-                        edges[(w, src, index[w + 1][(j, b)])] = lf
+                        edges[(w, src, start[j] - start[w + 1] + b)] = lf
         # final step: variable edge at any remaining position, then constants to the sink
-        for src, (i, a) in enumerate(node_lists[k - 1]):
+        for src, i, a in nodes[k - 1]:
             sink = steps(i, a)[1]
             if sink.coeffs:
                 edges[(k - 1, src, 0)] = sink
 
-        layer_sizes = [len(nodes) for nodes in node_lists]
+        layer_sizes = [1] + [start[d - k + w + 1] - start[w] for w in range(1, k)] + [1]
         parts.append(ABP.build(abp.n_vars, field, layer_sizes, edges))
 
     return parts

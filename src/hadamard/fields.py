@@ -468,7 +468,6 @@ class ExtField(_FiniteField):
             raise ValidationError("modulus coefficients must be reduced mod p")
         if not _poly_is_irreducible(self.modulus, self.p):
             raise ValidationError(f"modulus {list(self.modulus)} is reducible over F_{self.p}")
-        object.__setattr__(self, "prime_field", PrimeField(self.p))
 
     @classmethod
     def make(cls, p: int, k: int) -> "ExtField":
@@ -478,15 +477,6 @@ class ExtField(_FiniteField):
         """Schoolbook product of two coefficient vectors, reduced mod the modulus."""
         red = _poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p)
         return tuple(red + [0] * (self.k - len(red)))
-
-    def _pow_coeffs(self, a: tuple[int, ...], n: int) -> tuple[int, ...]:
-        acc = self.one().coeffs
-        while n:
-            if n & 1:
-                acc = self._mul_coeffs(a, acc)
-            a = self._mul_coeffs(a, a)
-            n >>= 1
-        return acc
 
     @cached_property
     def _log_tables(self) -> Optional[tuple[dict, list]]:
@@ -507,7 +497,9 @@ class ExtField(_FiniteField):
         for digits in itertools.product(range(self.p), repeat=self.k):
             g = digits[::-1]
             if any(g) and all(
-                self._pow_coeffs(g, n // r) != one for r in range(2, q) if n % r == 0 and is_prime(r)
+                _poly_powmod(g, n // r, self.modulus, self.p) != [1]
+                for r in range(2, q)
+                if n % r == 0 and is_prime(r)
             ):
                 break
         log, antilog, power = {}, [], one
@@ -652,12 +644,6 @@ def raw_ops(field: Field) -> tuple:
 def _trace_value(a: ExtElement) -> int:
     f = a.field
     return sum(map(operator.mul, a.coeffs, f._basis_traces)) % f.p
-
-
-def frobenius_trace(a: ExtElement) -> FpElement:
-    """Trace down to the prime field: a + a^p + ... + a^(p^(k-1)), computed
-    as the dot product of a's coefficients with the basis traces."""
-    return FpElement(_trace_value(a), a.field.prime_field)
 
 
 def psi(a: ExtElement) -> int:

@@ -196,10 +196,9 @@ def strip_useless(g: AcyclicCFG) -> AcyclicCFG:
     return AcyclicCFG.build(keep, g.terminals, g.start, prods)
 
 
-def language(
-    g: AcyclicCFG, max_len: Optional[int] = None, max_words: int = DEFAULT_MAX_WORDS
-) -> set[tuple[int, ...]]:
-    """All derivable words, bottom-up over the dependency order."""
+def language(g: AcyclicCFG, max_len: Optional[int] = None) -> set[tuple[int, ...]]:
+    """All derivable words, bottom-up over the dependency order; more than
+    ``DEFAULT_MAX_WORDS`` at any step raises ``ResourceCapError``."""
     order = topo_order(g)
     assert order is not None  # checked by from_json, or acyclic by construction
     lang: dict[str, set] = {}
@@ -215,13 +214,13 @@ def language(
             combos = pieces[0]
             for nxt in pieces[1:]:
                 combos = {a + b for a in combos for b in nxt}
-                if len(combos) > max_words:
-                    raise ResourceCapError(f"language exceeds {max_words} words")
+                if len(combos) > DEFAULT_MAX_WORDS:
+                    raise ResourceCapError(f"language exceeds {DEFAULT_MAX_WORDS} words")
             for w in combos:
                 if max_len is None or len(w) <= max_len:
                     words.add(w)
-            if len(words) > max_words:
-                raise ResourceCapError(f"language exceeds {max_words} words")
+            if len(words) > DEFAULT_MAX_WORDS:
+                raise ResourceCapError(f"language exceeds {DEFAULT_MAX_WORDS} words")
         lang[nt] = words
     return lang[g.start]
 
@@ -273,12 +272,9 @@ def count_derivations(g: AcyclicCFG, word: Sequence[int]) -> int:
 
 
 def intersect_bruteforce(
-    g1: AcyclicCFG,
-    g2: AcyclicCFG,
-    max_len: Optional[int] = None,
-    max_words: int = DEFAULT_MAX_WORDS,
+    g1: AcyclicCFG, g2: AcyclicCFG, max_len: Optional[int] = None
 ) -> set[tuple[int, ...]]:
-    return language(g1, max_len, max_words) & language(g2, max_len, max_words)
+    return language(g1, max_len) & language(g2, max_len)
 
 
 # ---------------------------------------------------------------------------

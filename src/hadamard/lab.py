@@ -26,10 +26,9 @@ element loop of ``exp_sum``), the only path that runs there.  The field is
 built on first use, after the term and evaluation caps that need only t and
 p, so a request past a cap is refused before a modulus is searched.
 
-Also here: the suitability predicate for variable restrictions (blocks that
-lose at least half their variables must be pinned by the fixed monomial),
-product polynomials on disjoint variable halves to correlate against, and
-the permanent as a coefficient-wise product of row and column polynomials.
+Also here: product polynomials on disjoint variable halves to correlate
+against, and the permanent as a coefficient-wise product of row and column
+polynomials on grids of at most ``MAX_PERMANENT_N`` rows.
 """
 
 from __future__ import annotations
@@ -282,31 +281,6 @@ def sign_correlation(signs: Sequence[int], g: CPoly) -> CorrelationReport:
     return CorrelationReport(c, nf, ng, ratio)
 
 
-def is_suitable_restriction(
-    params: ExplicitParams,
-    kept_vars: Iterable[int],
-    fixed_vars: Iterable[int],
-    fixed_monomial: Iterable[int],
-) -> bool:
-    """A restriction fixes the variables in ``fixed_vars`` and multiplies by
-    the monomial on ``fixed_monomial``.  It is suitable when every block
-    that loses at least half its variables keeps a foothold: the fixed
-    monomial must touch that block."""
-    kept = set(kept_vars)
-    fixed = set(fixed_vars)
-    mono = set(fixed_monomial)
-    everything = set(range(params.n))
-    if kept | fixed != everything or kept & fixed:
-        raise ValidationError("kept and fixed variables must partition the variables")
-    if not mono <= fixed:
-        raise ValidationError("the fixed monomial must use only fixed variables")
-    for i in range(params.t):
-        block = set(params.block(i))
-        if 2 * len(fixed & block) >= params.p and not (mono & block):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ProductPoly:
     """A polynomial split as g * h over disjoint variable sets, each set
@@ -380,12 +354,16 @@ def random_product_poly(params: ExplicitParams, rng, eps: Fraction = Fraction(1,
 # the permanent as a coefficient-wise product
 
 
-def permanent_polynomials(n: int, max_n: int = 5) -> tuple[CPoly, CPoly]:
+# the row polynomial of an n x n grid has n^n terms
+MAX_PERMANENT_N = 5
+
+
+def permanent_polynomials(n: int) -> tuple[CPoly, CPoly]:
     """Row and column polynomials on an n x n variable grid (x_ij at i*n+j):
     the product of row sums and the product of column sums.  Their
     coefficient-wise product keeps exactly the permutation monomials."""
-    if not 1 <= n <= max_n:
-        raise ValidationError(f"grid size must be between 1 and {max_n}")
+    if not 1 <= n <= MAX_PERMANENT_N:
+        raise ValidationError(f"grid size must be between 1 and {MAX_PERMANENT_N}")
     nv = n * n
     rows = CPoly.const(nv, _Q, 1)
     for i in range(n):
@@ -400,11 +378,11 @@ def permanent_polynomials(n: int, max_n: int = 5) -> tuple[CPoly, CPoly]:
     return rows, cols
 
 
-def permanent_via_hadamard(matrix: Sequence[Sequence], max_n: int = 5) -> Fraction:
+def permanent_via_hadamard(matrix: Sequence[Sequence]) -> Fraction:
     """Permanent of a rational matrix, via the row/column product pair."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValidationError("permanent needs a square matrix")
-    rows, cols = permanent_polynomials(n, max_n=max_n)
+    rows, cols = permanent_polynomials(n)
     point = [Fraction(matrix[i][j]) for i in range(n) for j in range(n)]
     return rows.hadamard(cols).evaluate(point)

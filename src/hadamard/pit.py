@@ -45,7 +45,7 @@ from .abp import (
     row_bases,
 )
 from .circuits import Circuit
-from .errors import DEFAULT_MAX_TERMS, ValidationError
+from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
 from .fields import ExtField, Field, PrimeField, RationalField, json_int, raw_ops
 
 
@@ -264,31 +264,6 @@ def pit_bruteforce(
     )
 
 
-def hadamard_zero_circuits(
-    c1: Circuit,
-    c2: Circuit,
-    max_degree: int = 12,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> PitVerdict:
-    """Is the coefficient-wise product of two monotone circuits zero?
-
-    Monotonicity rules out cancellation, so the product vanishes exactly
-    when the circuits' monomial supports are disjoint."""
-    if not (c1.is_monotone() and c2.is_monotone()):
-        raise ValidationError("support comparison requires monotone circuits")
-    f = c1.expand(max_degree=max_degree, max_terms=max_terms)
-    g = c2.expand(max_degree=max_degree, max_terms=max_terms)
-    common = f.mon_set() & g.mon_set()
-    if not common:
-        return PitVerdict(is_zero=True, method="monotone_support")
-    word = min(common, key=lambda w: (len(w), w))
-    return PitVerdict(
-        is_zero=False,
-        method="monotone_support",
-        witness={"word": list(word), "coeff": None},
-    )
-
-
 # ---------------------------------------------------------------------------
 # determinant as a constant-labeled program
 
@@ -299,13 +274,23 @@ def det_to_abp(rows: Sequence[Sequence], field: Optional[Field] = None) -> ABP:
     States walk closed-walk sequences: a node remembers the head of the
     current closed walk and the walk's position; closing a walk costs a
     sign flip, and a final global sign straightens the count out.  Paths
-    use exactly n edges, so the program has n+1 layers of O(n^2) nodes.
+    use exactly n edges, so the program has n+1 layers of O(n^2) nodes and
+    O(n^4) edges; more than ``DEFAULT_MAX_TERMS`` edges are refused before
+    any is made.
     """
     if field is None:
         field = RationalField()
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValidationError("determinant needs a nonempty square matrix")
+    # 2(n-1-h) edges leave the source for each head h, and each of the n-h
+    # states with head h on each internal layer; one enters the sink per state
+    n_edges = n * (n - 1) + (n - 2) * 2 * (n + 1) * n * (n - 1) // 3 + n * (n + 1) // 2
+    if n_edges > DEFAULT_MAX_TERMS:
+        raise ResourceCapError(
+            f"the determinant program of a {n} x {n} matrix needs {n_edges} edges, "
+            f"past the cap of {DEFAULT_MAX_TERMS}"
+        )
     a = [[field.coerce(x) for x in row] for row in rows]
     minus_one = field.zero() - field.one()
     final_sign = field.one() if (n + 1) % 2 == 0 else minus_one
@@ -384,35 +369,36 @@ def reach_to_abp(g: Digraph, field: Optional[Field] = None) -> ABP:
 
     Vertices are copied once per level; every program edge (graph step or
     stay-in-place) carries its own fresh variable, so distinct paths give
-    distinct monomials and nothing can cancel."""
+    distinct monomials and nothing can cancel.  More than
+    ``DEFAULT_MAX_TERMS`` edges are refused before any is made."""
     if field is None:
         field = RationalField()
     if g.s == g.t:
         return constant_abp(0, field, 1)
     n = g.n_vertices
     depth = n - 1
-    arcs = sorted(set(g.edges))
-    sizes = [1] + [n] * (depth - 1) + [1]
-    var_of: dict = {}
-
-    for layer in range(depth):
-        if layer == 0:
-            outs = [(g.s, 0)]
-        else:
-            outs = [(u, u) for u in range(n)]
-        for (u, src) in outs:
-            # one step along any out-edge, or stay in place to pad the path
-            targets = sorted({v for (uu, v) in arcs if uu == u} | {u})
-            for v in targets:
-                if layer == depth - 1:
-                    if v != g.t:
-                        continue
-                    dst = 0
-                else:
-                    dst = v
-                var_of.setdefault((layer, src, dst), len(var_of))
-
-    labels = {
-        key: LinearForm.of_var(field, var) for key, var in var_of.items()
-    }
-    return ABP.build(len(var_of), field, sizes, labels)
+    # one step along any out-edge, or stay in place to pad the path
+    targets = [{u} for u in range(n)]
+    for u, v in g.edges:
+        targets[u].add(v)
+    targets = [sorted(ts) for ts in targets]
+    # out of s, then out of every vertex on each middle layer, then into t
+    if depth == 1:
+        n_edges = int(g.t in targets[g.s])
+    else:
+        n_edges = len(targets[g.s]) + (depth - 2) * sum(map(len, targets)) + sum(g.t in ts for ts in targets)
+    if n_edges > DEFAULT_MAX_TERMS:
+        raise ResourceCapError(
+            f"the reachability program of a {n}-vertex graph needs {n_edges} edges, "
+            f"past the cap of {DEFAULT_MAX_TERMS}"
+        )
+    # edge i carries variable i; the last layer keeps only the steps onto t
+    keys = [
+        (layer, src, v if layer < depth - 1 else 0)
+        for layer in range(depth)
+        for u, src in ([(g.s, 0)] if layer == 0 else [(u, u) for u in range(n)])
+        for v in targets[u]
+        if layer < depth - 1 or v == g.t
+    ]
+    labels = {key: LinearForm.of_var(field, var) for var, key in enumerate(keys)}
+    return ABP.build(len(keys), field, [1] + [n] * (depth - 1) + [1], labels)

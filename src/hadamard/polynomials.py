@@ -142,9 +142,6 @@ class _TermMap:
 
     # -- queries ------------------------------------------------------------
 
-    def mon_set(self) -> set:
-        return set(self.terms)
-
     def coeff(self, mono: Iterable[int]):
         return self.terms.get(self._key(mono), self.field.zero())
 

@@ -4,8 +4,9 @@ Everything here is deliberately naive: cofactor expansion for determinants,
 breadth-first search for reachability, permutation sums for permanents,
 schoolbook products and repeated powering for extension-field traces, trial
 division for irreducibility, Gaussian elimination and the span walk on
-field element objects, and the ``lab corr`` report assembled from the sign
-polynomial F and its 0/1 shift as whole polynomials.
+field element objects, the ``lab corr`` report assembled from the sign
+polynomial F and its 0/1 shift as whole polynomials, and homogeneous parts
+laid out over lists of every declared node.
 The library must agree with these on random instances.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from hadamard.abp import (
@@ -508,3 +510,109 @@ def element_span_basis(p: ABP) -> PitVerdict:
                 witness={"word": list(word), "coeff": field.coeff_to_json(c)},
             )
     return PitVerdict(is_zero=True, method="span_basis")
+
+
+def node_list_homogeneous_parts(abp: ABP) -> list[ABP]:
+    """``homogeneous_parts`` as it was first written: every part layer lists
+    all its declared nodes and indexes them by a dict.  The library lays the
+    parts out by offsets and walks only nodes that some entry leaves; the
+    parts must be equal edge for edge, in the same order.
+
+    The part for degree k has k+1 layers.  A node of its layer w is a pair
+    (original layer, original node) reachable after w variable-carrying
+    steps; an edge bundles a constant-only walk followed by one
+    variable-carrying original edge, and edges into the sink also absorb the
+    trailing constant-only walk.  Every label is a homogeneous linear form.
+
+    Constant-only walks are propagated sparsely over ``abp.layers``.  One
+    backward pass gives each node's constant weight to the sink.  The steps
+    out of a node (i, a) — a constant walk to layer j-1, then one variable
+    entry into layer j, for every later j — are walked forward from (i, a)
+    once and shared by every degree, as is their sum weighted by the
+    constant walks on to the sink, which labels the edges into a part's sink.
+    """
+    field = abp.field
+    zero, one = field.zero(), field.one()
+    d = abp.depth
+    layers = abp.layers
+
+    # to_sink[j][b]: sum over constant-only walks from node b of layer j to the sink
+    to_sink: list[dict] = [dict() for _ in range(d + 1)]
+    to_sink[d][0] = one
+    for j in range(d - 1, -1, -1):
+        here, after = to_sink[j], to_sink[j + 1]
+        for a, c, k in layers[j].const:
+            t = after.get(c)
+            if t:
+                here[a] = here.get(a, zero) + k * t
+
+    @cache
+    def steps(i: int, a: int) -> tuple[dict, LinearForm]:
+        """({j: {b: form}}, sink form) for the steps out of node a of layer i."""
+        by_layer: dict[int, dict[int, LinearForm]] = {}
+        sink: dict = {}
+        reach = {a: one}  # constant-only walks from (i, a) into layer j-1
+        for j in range(i + 1, d + 1):
+            lay = layers[j - 1]
+            coeffs: dict[int, dict] = {}
+            for v, entries in lay.by_var.items():
+                for m, b, k in entries:
+                    w = reach.get(m)
+                    if w:
+                        per_b = coeffs.setdefault(b, {})
+                        per_b[v] = per_b.get(v, zero) + w * k
+            forms = {}
+            for b, cs in coeffs.items():
+                cs = {v: x for v, x in cs.items() if x}
+                if cs:
+                    forms[b] = LinearForm(zero, cs)
+                    t = to_sink[j].get(b)
+                    if t:
+                        for v, x in cs.items():
+                            sink[v] = sink.get(v, zero) + x * t
+            by_layer[j] = forms
+            nxt: dict = {}
+            for m, c, k in lay.const:
+                w = reach.get(m)
+                if w:
+                    nxt[c] = nxt.get(c, zero) + w * k
+            reach = nxt
+            if not reach:
+                break
+        return by_layer, LinearForm(zero, {v: x for v, x in sink.items() if x})
+
+    parts = [constant_abp(abp.n_vars, field, to_sink[0].get(0, zero))]
+
+    for k in range(1, d + 1):
+        # layer w of part k holds original pairs (i, a), w <= i <= d-(k-w)
+        node_lists: list[list[tuple[int, int]]] = [[(0, 0)]]
+        for w in range(1, k):
+            nodes = [
+                (i, a)
+                for i in range(w, d - (k - w) + 1)
+                for a in range(abp.layer_sizes[i])
+            ]
+            node_lists.append(nodes)
+        node_lists.append([(d, 0)])
+        index = [
+            {node: idx for idx, node in enumerate(layer_nodes)}
+            for layer_nodes in node_lists
+        ]
+
+        edges = {}
+        for w in range(k - 1):
+            for src, (i, a) in enumerate(node_lists[w]):
+                by_layer = steps(i, a)[0]
+                for j in range(i + 1, d - (k - w - 1) + 1):
+                    for b, lf in by_layer.get(j, {}).items():
+                        edges[(w, src, index[w + 1][(j, b)])] = lf
+        # final step: variable edge at any remaining position, then constants to the sink
+        for src, (i, a) in enumerate(node_lists[k - 1]):
+            sink = steps(i, a)[1]
+            if sink.coeffs:
+                edges[(k - 1, src, 0)] = sink
+
+        layer_sizes = [len(nodes) for nodes in node_lists]
+        parts.append(ABP.build(abp.n_vars, field, layer_sizes, edges))
+
+    return parts

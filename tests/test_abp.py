@@ -31,6 +31,7 @@ from hadamard.pit import Digraph, det_to_abp, reach_to_abp
 from hadamard.polynomials import NCPoly
 from hadamard.products import hadamard_abp_detailed
 
+import helpers
 from helpers import cancelling_abp, random_digraph
 
 Q = RationalField()
@@ -182,6 +183,25 @@ def test_homogeneous_parts_reassemble_random():
         for part in parts:
             total = total.add(part.expand())
         assert total == p.expand()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([Q, F2, F5, F4]),
+    st.integers(1, 6),
+    st.sampled_from([0.2, 0.5, 0.9]),
+)
+def test_homogeneous_parts_match_the_node_list_layout(rng, field, depth, density):
+    p = helpers.random_abp(rng, field, n_vars=2, depth=depth, width=3, density=density)
+    # declare nodes that no edge touches
+    sizes = [1] + [s + rng.randint(0, 2) for s in p.layer_sizes[1:-1]] + [1]
+    p = ABP.build(p.n_vars, field, sizes, p.edges)
+    got, want = homogeneous_parts(p), helpers.node_list_homogeneous_parts(p)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.to_json() == w.to_json()
+        assert list(g.edges) == list(w.edges)
 
 
 def test_normalize_preserves_polynomial_and_splits_variables():

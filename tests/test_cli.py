@@ -17,6 +17,7 @@ from hadamard.abp import ABP, LinearForm
 from hadamard.circuits import CircuitBuilder
 from hadamard.cli import main
 from hadamard.errors import DEFAULT_MAX_TERMS
+from hadamard.grammars import DEFAULT_MAX_WORDS
 from hadamard.fields import PRIME_TEST_BOUND, ExtField, PrimeField, RationalField, _poly_mul, find_irreducible
 from hadamard.polynomials import NCPoly
 from helpers import cancelling_abp, random_abp
@@ -309,6 +310,72 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err == "resource cap: out of memory in 'hadamard abp'\n"
+
+
+def _refused_at_once(*argv) -> str:
+    """Run the command line in this process; it must exit 3 within a second
+    with nothing on stdout and one line on stderr, which is returned."""
+    start = time.perf_counter()
+    code, out, err = run_main(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "", err
+    assert err.startswith("resource cap: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", [("pit", "det"), ("pit", "span"), ("nisan",), ("expand",), ("hadamard", "abp")])
+def test_a_huge_declared_layer_is_refused_before_anything_is_built(command, tmp_path):
+    obj = {
+        "nvars": 2,
+        "field": {"kind": "Q"},
+        "layers": [1, 3_000_000, 1],
+        "edges": [
+            {"from": [0, 0], "to": [1, 5], "label": {"const": "0", "coeffs": {"0": "1"}}},
+            {"from": [1, 5], "to": [2, 0], "label": {"const": "0", "coeffs": {"1": "1"}}},
+        ],
+    }
+    path = write_json(tmp_path / "wide.json", obj)
+    assert len((tmp_path / "wide.json").read_bytes()) < 300
+    operands = (path, path) if command == ("hadamard", "abp") else (path,)
+    err = _refused_at_once(*command, *operands)
+    assert "3000002 nodes" in err and str(DEFAULT_MAX_TERMS) in err
+
+
+def test_the_reductions_are_refused_before_building(tmp_path, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a program was built")
+
+    monkeypatch.setattr(ABP, "build", built)
+    rng = random.Random(40)
+    matrix = write_json(tmp_path / "m.json", [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)])
+    err = _refused_at_once("reduce", "det2abp", matrix)
+    assert "40 x 40" in err and "1622700 edges" in err
+    graph = write_json(tmp_path / "g.json", {"vertices": 1100, "edges": [], "s": 0, "t": 1})
+    err = _refused_at_once("reduce", "reach2abp", graph)
+    assert "1100-vertex" in err and "1206702 edges" in err
+
+
+def test_cfg_intersect_past_the_word_cap_exits_3(tmp_path):
+    # A derives the 2^8 binary words of length 8, E those and the word 0, so
+    # S -> A E derives 256 * 257 distinct words, past the cap of 2^16
+    bits = [{"lhs": "D", "rhs": [{"t": 0}]}, {"lhs": "D", "rhs": [{"t": 1}]}]
+    doubles = [{"lhs": lhs, "rhs": [rhs, rhs]} for lhs, rhs in (("C", "D"), ("B", "C"), ("A", "B"))]
+    grammar = {
+        "nonterminals": ["S", "A", "B", "C", "D", "E"],
+        "terminals": 2,
+        "start": "S",
+        "productions": bits + doubles + [
+            {"lhs": "E", "rhs": ["A"]},
+            {"lhs": "E", "rhs": [{"t": 0}]},
+            {"lhs": "S", "rhs": ["A", "E"]},
+        ],
+    }
+    assert 256 * 257 > DEFAULT_MAX_WORDS
+    big = write_json(tmp_path / "big.json", grammar)
+    small = str(tmp_path / "small.json")
+    assert run_main("cfg", "gen-mirror-suffix", "--n", "1", "--out", small)[0] == 0
+    err = _refused_at_once("cfg", "intersect", big, small)
+    assert f"exceeds {DEFAULT_MAX_WORDS} words" in err
 
 
 def test_exit_codes(tmp_path):

@@ -153,7 +153,7 @@ def test_circuit_to_cfg_support_matches():
     for _ in range(20):
         c = random_monotone_circuit(rng, n_vars=2, n_gates=7)
         g = circuit_to_cfg(c)
-        assert language(g) == c.expand().mon_set()
+        assert language(g) == set(c.expand().terms)
 
 
 def test_circuit_to_cfg_counts_when_constants_are_one():

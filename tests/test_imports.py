@@ -1,12 +1,13 @@
 """Every name a ``hadamard`` module imports is used in that module, and
-every function, method, property and class it defines is named somewhere.
+every function, method, property and class it defines has a caller.
 
 No linter ships with the project, so these are standard-library ``ast``
 scans: an imported name counts as used when it appears as a name anywhere in
 the module, inside a quoted annotation, or in ``__all__``.  A definition
-counts as named when the source, the tests or the benchmark name it outside
-its own body, as a bare name, an attribute, an import or a string (the
-benchmark's tracer names the attributes it hooks by string).
+counts as called when the library, the benchmark or the acceptance suite
+names it outside its own body, as a bare name, an attribute, an import or a
+string (the benchmark's tracer names the attributes it hooks by string).
+The other tests do not count: library code that only they reach is dead.
 """
 
 from __future__ import annotations
@@ -83,12 +84,19 @@ def _references(tree: ast.AST) -> collections.Counter:
     return out
 
 
+# the acceptance suite is the contract, so its references count as callers
+CALLERS = (
+    *sorted(SRC.glob("*.py")),
+    *sorted((ROOT / "perfbench").rglob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+)
+
+
 @functools.lru_cache(maxsize=None)
 def _all_references() -> collections.Counter:
     out = collections.Counter()
-    for top in (SRC, ROOT / "tests", ROOT / "perfbench"):
-        for path in top.rglob("*.py"):
-            out += _references(ast.parse(path.read_text(), filename=str(path)))
+    for path in CALLERS:
+        out += _references(ast.parse(path.read_text(), filename=str(path)))
     return out
 
 

@@ -26,7 +26,6 @@ from hadamard.lab import (
     correlation_report,
     exp_sum,
     f_coefficient,
-    is_suitable_restriction,
     make_product_poly,
     permanent_polynomials,
     permanent_via_hadamard,
@@ -322,22 +321,6 @@ def test_zero_one_shift_of_rationals():
         assert zero_one_shift(CPoly(3, Q, {(0, 2): c})).terms == {(0, 2): (c + 1) / 2}
     # -1 shifts to 0, which is not stored
     assert zero_one_shift(CPoly(3, Q, {(1,): Fraction(-1)})).terms == {}
-
-
-def test_suitable_restriction_predicate():
-    params = ExplicitParams(2, 3)  # blocks {0,1,2} and {3,4,5}
-    all_vars = set(range(6))
-    # fixing two of three variables in block 0 trips the half threshold
-    fixed = {0, 1}
-    kept = all_vars - fixed
-    assert not is_suitable_restriction(params, kept, fixed, ())
-    assert is_suitable_restriction(params, kept, fixed, (0,))
-    # fixing a single variable (below half) needs no foothold
-    assert is_suitable_restriction(params, all_vars - {5}, {5}, ())
-    with pytest.raises(ValidationError):  # not a partition
-        is_suitable_restriction(params, all_vars, {0}, ())
-    with pytest.raises(ValidationError):  # monomial outside the fixed set
-        is_suitable_restriction(params, kept, fixed, (4,))
 
 
 def test_product_poly_constraints():

@@ -10,13 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hadamard.abp import ABP, coefficient_of, zero_abp
-from hadamard.circuits import Circuit, ConstGate, InputGate, MulGate
-from hadamard.errors import ValidationError
+from hadamard.errors import ResourceCapError, ValidationError
 from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.pit import (
     Digraph,
     det_to_abp,
-    hadamard_zero_circuits,
     pit_bruteforce,
     pit_randomized,
     pit_rational,
@@ -33,7 +31,6 @@ from helpers import (
     lf,
     random_abp,
     random_digraph,
-    random_monotone_circuit,
 )
 
 Q = RationalField()
@@ -242,26 +239,32 @@ def test_verdict_json_shape():
     assert obj["is_zero"] is True and obj["trials"] == 4
 
 
-def test_monotone_support_product():
-    # x0*x1 versus x1*x0: no common word
-    c1 = Circuit.build(2, Q, [InputGate(0), InputGate(1), MulGate(0, 1)], 2)
-    c2 = Circuit.build(2, Q, [InputGate(1), InputGate(0), MulGate(0, 1)], 2)
-    assert hadamard_zero_circuits(c1, c2).is_zero
-    v = hadamard_zero_circuits(c1, c1)
-    assert not v.is_zero and v.witness["word"] == [0, 1]
-    bad = Circuit.build(1, Q, [InputGate(0), ConstGate(Fraction(-2)), MulGate(0, 1)], 2)
-    with pytest.raises(ValidationError):
-        hadamard_zero_circuits(c1, bad)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_reductions_predict_their_edge_count_exactly(n, monkeypatch):
+    """Each reduction's cap is checked against the number of edges it then
+    makes, so a cap of exactly that number builds and one less refuses."""
+    rng = random.Random(n)
+    matrix = [[rng.randint(1, 5) for _ in range(n)] for _ in range(n)]
+    graph = Digraph(n + 1, random_digraph(rng, n_vertices=n + 1, n_edges=2 * n).edges, 0, n)
+    made = []
 
+    def counting_build(n_vars, field, sizes, edges):
+        edges = list(edges.items() if isinstance(edges, dict) else edges)
+        made.append(len(edges))
+        return real_build(n_vars, field, sizes, edges)
 
-def test_monotone_random_products_match_expansion():
-    rng = random.Random(2718)
-    for _ in range(20):
-        c1 = random_monotone_circuit(rng, n_vars=2, n_gates=6)
-        c2 = random_monotone_circuit(rng, n_vars=2, n_gates=6)
-        v = hadamard_zero_circuits(c1, c2)
-        truth = c1.expand().hadamard(c2.expand()).is_zero()
-        assert v.is_zero == truth
+    real_build = ABP.build
+    monkeypatch.setattr(ABP, "build", counting_build)
+    # a 1 x 1 determinant is a constant program, made without the prediction
+    for reduce, arg in ([(det_to_abp, matrix)] if n > 1 else []) + [(reach_to_abp, graph)]:
+        monkeypatch.setattr("hadamard.pit.DEFAULT_MAX_TERMS", 1 << 30)
+        reduce(arg)
+        count = made[-1]
+        monkeypatch.setattr("hadamard.pit.DEFAULT_MAX_TERMS", count)
+        reduce(arg)
+        monkeypatch.setattr("hadamard.pit.DEFAULT_MAX_TERMS", count - 1)
+        with pytest.raises(ResourceCapError, match=f"needs {count} edges"):
+            reduce(arg)
 
 
 def test_determinant_program_small_cases():
