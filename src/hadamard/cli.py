@@ -98,8 +98,7 @@ def _parse(source: str, decode, *args):
 
 
 def _default_field(args) -> Optional[Field]:
-    spec = getattr(args, "field", None)
-    return _parse("--field", parse_field_spec, spec) if spec else None
+    return _parse("--field", parse_field_spec, args.field) if args.field else None
 
 
 def _load(path: str, obj, args, cls, what: str, key: str):
@@ -152,7 +151,20 @@ def cmd_pit(args) -> dict:
     return verdict.to_json()
 
 
-def cmd_hadamard_abp(args) -> dict:
+def cmd_hadamard(args) -> dict:
+    if args.shape == "circuit-abp":
+        c = _load_circuit(args.left, _read_json(args.left), args)
+        p = _load_abp(args.right, _read_json(args.right), args)
+        detail = hadamard_circuit_abp_detailed(c, p)
+        gates, wires = detail.circuit.size()
+        return {
+            "circuit": detail.circuit.to_json(),
+            "gates": gates,
+            "wires": wires,
+            "per_degree": [
+                {"degree": k, "present": gate is not None} for k, gate in detail.per_degree
+            ],
+        }
     p = _load_abp(args.left, _read_json(args.left), args)
     # a self-product parses its file once, and the product reuses p's parts
     q = p if args.right == args.left else _load_abp(args.right, _read_json(args.right), args)
@@ -170,21 +182,6 @@ def cmd_hadamard_abp(args) -> dict:
                 "product_sizes": list(rec.product_sizes),
             }
             for rec in detail.per_degree
-        ],
-    }
-
-
-def cmd_hadamard_circuit(args) -> dict:
-    c = _load_circuit(args.circuit, _read_json(args.circuit), args)
-    p = _load_abp(args.program, _read_json(args.program), args)
-    detail = hadamard_circuit_abp_detailed(c, p)
-    gates, wires = detail.circuit.size()
-    return {
-        "circuit": detail.circuit.to_json(),
-        "gates": gates,
-        "wires": wires,
-        "per_degree": [
-            {"degree": k, "present": gate is not None} for k, gate in detail.per_degree
         ],
     }
 
@@ -235,9 +232,7 @@ def cmd_cfg(args) -> dict:
         return {"words": [list(w) for w in words], "count": len(words)}
     if args.action == "gen-mirror-suffix":
         return build_mirror_suffix_grammar(args.n, args.alphabet).to_json()
-    if args.action == "gen-mirror-prefix":
-        return build_mirror_prefix_grammar(args.n, args.alphabet).to_json()
-    raise ValidationError(f"unknown grammar action {args.action!r}")
+    return build_mirror_prefix_grammar(args.n, args.alphabet).to_json()
 
 
 def cmd_reduce(args) -> dict:
@@ -287,16 +282,15 @@ def cmd_lab(args) -> dict:
             )
         ]
         return out
-    if args.action == "expsum":
-        sets = None
-        if args.sets is None:
-            full_sum_count(params, args.max_terms)  # refused before the field is built
-        else:
-            sets = _parse("--sets", lambda: [_decode_set(params.field, g) for g in args.sets.split(";")])
-        z = _decode_set(params.field, str(args.z))[0]  # --z is one element code
-        value = exp_sum(params, z=z, sets=sets, max_terms=args.max_terms)
-        return {"t": args.t, "p": args.p, "z": args.z, "value": value}
-    raise ValidationError(f"unknown lab action {args.action!r}")
+    # expsum
+    sets = None
+    if args.sets is None:
+        full_sum_count(params, args.max_terms)  # refused before the field is built
+    else:
+        sets = _parse("--sets", lambda: [_decode_set(params.field, g) for g in args.sets.split(";")])
+    z = _decode_set(params.field, str(args.z))[0]  # --z is one element code
+    value = exp_sum(params, z=z, sets=sets, max_terms=args.max_terms)
+    return {"t": args.t, "p": args.p, "z": args.z, "value": value}
 
 
 def _decode_set(field, group: str) -> list:
@@ -328,63 +322,52 @@ def build_parser() -> argparse.ArgumentParser:
         "branching programs, circuits, identity tests, grammar bridges, "
         "and an exact correlation lab.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the JSON result to this file")
-    common.add_argument(
-        "--field",
-        help="fallback field for files without one: q, fp:P, or fpk:P:K",
-    )
-    common.add_argument(
-        "--max-terms",
-        type=int,
-        default=DEFAULT_MAX_TERMS,
-        help="cap on expanded terms / matrix entries",
-    )
-    common.add_argument(
-        "--max-degree",
-        type=int,
-        default=DEFAULT_MAX_DEGREE,
-        help="cap on circuit expansion degree",
-    )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p_pit = sub.add_parser(
-        "pit", parents=[common], help="identity-test a branching program"
-    )
+    def command(name, handler, help, field=False, max_terms=False, max_degree=False):
+        """A subcommand parser with --out and the shared options its handler reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", help="write the JSON result to this file")
+        if field:
+            p.add_argument("--field", help="fallback field for files without one: q, fp:P, or fpk:P:K")
+        if max_terms:
+            p.add_argument(
+                "--max-terms", type=int, default=DEFAULT_MAX_TERMS, help="cap on expanded terms / matrix entries"
+            )
+        if max_degree:
+            p.add_argument(
+                "--max-degree", type=int, default=DEFAULT_MAX_DEGREE, help="cap on circuit expansion degree"
+            )
+        return p
+
+    p_pit = command("pit", cmd_pit, "identity-test a branching program", field=True, max_terms=True)
     p_pit.add_argument("tester", choices=["det", "span", "rand", "brute"])
     p_pit.add_argument("program", help="branching-program JSON file")
     p_pit.add_argument("--trials", type=int, default=20)
     p_pit.add_argument("--seed", type=int, default=0)
-    p_pit.set_defaults(handler=cmd_pit)
 
-    p_had = sub.add_parser(
-        "hadamard", parents=[common], help="build a coefficient-wise product"
-    )
-    had_sub = p_had.add_subparsers(dest="shape", required=True)
-    h_abp = had_sub.add_parser("abp", parents=[common])
-    h_abp.add_argument("left")
-    h_abp.add_argument("right")
-    h_abp.set_defaults(handler=cmd_hadamard_abp)
-    h_cir = had_sub.add_parser("circuit-abp", parents=[common])
-    h_cir.add_argument("circuit")
-    h_cir.add_argument("program")
-    h_cir.set_defaults(handler=cmd_hadamard_circuit)
+    p_had = command("hadamard", cmd_hadamard, "build a coefficient-wise product", field=True)
+    p_had.add_argument("shape", choices=["abp", "circuit-abp"])
+    p_had.add_argument("left", help="program (abp) or circuit (circuit-abp) JSON file")
+    p_had.add_argument("right", help="program JSON file")
 
-    p_nis = sub.add_parser(
-        "nisan", parents=[common], help="communication-matrix ranks of a polynomial"
+    p_nis = command(
+        "nisan", cmd_nisan, "communication-matrix ranks of a polynomial", field=True, max_terms=True
     )
     p_nis.add_argument("input", help="polynomial or branching-program JSON")
-    p_nis.set_defaults(handler=cmd_nisan)
 
-    p_exp = sub.add_parser(
-        "expand", parents=[common], help="expand a program or circuit into terms"
+    p_exp = command(
+        "expand",
+        cmd_expand,
+        "expand a program or circuit into terms",
+        field=True,
+        max_terms=True,
+        max_degree=True,
     )
     p_exp.add_argument("input")
-    p_exp.set_defaults(handler=cmd_expand)
 
-    p_cfg = sub.add_parser(
-        "cfg", parents=[common], help="grammar/circuit translations and counting"
-    )
+    p_cfg = command("cfg", cmd_cfg, "grammar/circuit translations and counting", field=True)
     p_cfg.add_argument(
         "action",
         choices=[
@@ -402,21 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfg.add_argument("--max-len", type=int, default=None)
     p_cfg.add_argument("--n", type=int, default=1, help="mirror block length")
     p_cfg.add_argument("--alphabet", type=int, default=2)
-    p_cfg.set_defaults(handler=cmd_cfg)
 
-    p_red = sub.add_parser(
-        "reduce", parents=[common], help="encode a determinant or reachability query"
-    )
+    p_red = command("reduce", cmd_reduce, "encode a determinant or reachability query")
     p_red.add_argument("kind", choices=["det2abp", "reach2abp"])
     p_red.add_argument("input")
-    p_red.set_defaults(handler=cmd_reduce)
 
-    p_lab = sub.add_parser(
-        "lab", parents=[common], help="sign-polynomial lab and the permanent"
-    )
-    p_lab.add_argument(
-        "action", choices=["build-f", "corr", "expsum", "perm"]
-    )
+    p_lab = command("lab", cmd_lab, "sign-polynomial lab and the permanent", max_terms=True)
+    p_lab.add_argument("action", choices=["build-f", "corr", "expsum", "perm"])
     p_lab.add_argument("input", nargs="?", help="matrix JSON (perm)")
     p_lab.add_argument("--n", type=int, default=None, help="grid size (perm)")
     p_lab.add_argument("--t", type=int, default=1, help="number of blocks")
@@ -429,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--battery", type=int, default=5, help="corr battery size")
     p_lab.add_argument("--seed", type=int, default=0, help="corr battery seed")
     p_lab.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
-    p_lab.set_defaults(handler=cmd_lab)
 
     return top
 

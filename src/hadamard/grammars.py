@@ -213,9 +213,14 @@ def language(g: AcyclicCFG, max_len: Optional[int] = None) -> set[tuple[int, ...
                 continue
             combos = pieces[0]
             for nxt in pieces[1:]:
-                combos = {a + b for a in combos for b in nxt}
-                if len(combos) > DEFAULT_MAX_WORDS:
-                    raise ResourceCapError(f"language exceeds {DEFAULT_MAX_WORDS} words")
+                # grown one prefix at a time, so an oversized product is
+                # refused after at most the cap plus one prefix's words
+                grown: set = set()
+                for a in combos:
+                    grown.update(a + b for b in nxt)
+                    if len(grown) > DEFAULT_MAX_WORDS:
+                        raise ResourceCapError(f"language exceeds {DEFAULT_MAX_WORDS} words")
+                combos = grown
             for w in combos:
                 if max_len is None or len(w) <= max_len:
                     words.add(w)

@@ -283,54 +283,18 @@ def sign_correlation(signs: Sequence[int], g: CPoly) -> CorrelationReport:
 
 @dataclass(frozen=True)
 class ProductPoly:
-    """A polynomial split as g * h over disjoint variable sets, each set
-    covering at least an eps fraction of all variables."""
+    """A polynomial split as g * h, with g over a_vars and h over b_vars."""
 
     a_vars: frozenset
     b_vars: frozenset
     g: CPoly
     h: CPoly
-    eps: Fraction
 
     def poly(self) -> CPoly:
         return self.g.mul(self.h)
 
 
-def make_product_poly(
-    a_vars: Iterable[int],
-    b_vars: Iterable[int],
-    g: CPoly,
-    h: CPoly,
-    eps: Fraction = Fraction(1, 3),
-) -> ProductPoly:
-    """Validate and package a product split: the variable sets must be
-    disjoint and each hold at least ceil(eps * n) variables, and each
-    factor must be multilinear and stay inside its own set."""
-    if g.n_vars != h.n_vars:
-        raise ValidationError("operands must share the variable space")
-    n = g.n_vars
-    a = frozenset(int(v) for v in a_vars)
-    b = frozenset(int(v) for v in b_vars)
-    if a & b:
-        raise ValidationError("the two variable sets must be disjoint")
-    if not (a <= set(range(n)) and b <= set(range(n))):
-        raise ValidationError("variable sets out of range")
-    if not (g.is_multilinear() and h.is_multilinear()):
-        raise ValidationError("product factors must be multilinear")
-    if not g.support_vars() <= a:
-        raise ValidationError("first factor uses variables outside its set")
-    if not h.support_vars() <= b:
-        raise ValidationError("second factor uses variables outside its set")
-    eps = Fraction(eps)
-    need = -((-n * eps.numerator) // eps.denominator)
-    if len(a) < need or len(b) < need:
-        raise ValidationError(
-            f"each variable set must hold at least {need} of {n} variables"
-        )
-    return ProductPoly(a, b, g, h, eps)
-
-
-def random_product_poly(params: ExplicitParams, rng, eps: Fraction = Fraction(1, 3)) -> ProductPoly:
+def random_product_poly(params: ExplicitParams, rng) -> ProductPoly:
     """A random product split for correlation batteries: shuffle the
     variables, cut them in half, and draw sparse +-1 multilinear factors."""
     n = params.n
@@ -347,7 +311,7 @@ def random_product_poly(params: ExplicitParams, rng, eps: Fraction = Fraction(1,
             terms[mono] = Fraction(rng.choice((-1, 1)))
         return CPoly.from_terms(n, _Q, terms)
 
-    return make_product_poly(a, b, draw(a), draw(b), eps)
+    return ProductPoly(frozenset(a), frozenset(b), draw(a), draw(b))
 
 
 # ---------------------------------------------------------------------------

@@ -250,15 +250,6 @@ class CPoly(_TermMap):
     # its own entry, since the benchmark's tracer hooks CPoly.mul in this dict
     mul = _TermMap.mul
 
-    def is_multilinear(self) -> bool:
-        return all(len(set(m)) == len(m) for m in self.terms)
-
-    def support_vars(self) -> set:
-        out = set()
-        for m in self.terms:
-            out.update(m)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # multilinear correlation

@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line surface via subprocess."""
 
+import argparse
+import ast
 import contextlib
 import io
 import json
@@ -8,11 +10,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hadamard import fields
+from hadamard import cli, fields
 from hadamard.abp import ABP, LinearForm
 from hadamard.circuits import CircuitBuilder
 from hadamard.cli import main
@@ -115,6 +118,76 @@ def test_hadamard_circuit_abp(tmp_path):
     result = Circuit.from_json(report["circuit"])
     want = circ.expand().hadamard(swap_abp().expand())
     assert result.expand() == want
+
+
+def test_hadamard_options_before_the_shape(tmp_path):
+    path = write_json(tmp_path / "p.json", two_path_abp(2).to_json())
+    bare_obj = two_path_abp(2).to_json()
+    del bare_obj["field"]
+    bare = write_json(tmp_path / "bare.json", bare_obj)
+    out_path = tmp_path / "o.json"
+    code, out, _ = run_cli("hadamard", "--out", str(out_path), "abp", path, path)
+    assert code == 0 and out == ""
+    assert out_path.read_text() == run_cli("hadamard", "abp", path, path)[1]
+    code, out, _ = run_cli("hadamard", "--field", "fp:5", "abp", bare, bare)
+    assert code == 0 and json.loads(out)["abp"]["field"] == {"kind": "Fp", "p": 5}
+
+
+def test_options_a_command_does_not_read_are_refused(tmp_path):
+    program = write_json(tmp_path / "p.json", two_path_abp(2).to_json())
+    matrix = write_json(tmp_path / "m.json", [[1, 2], [3, 4]])
+    for argv, option in (
+        (("reduce", "det2abp", matrix, "--field", "fp:5"), "--field"),
+        (("hadamard", "abp", program, program, "--max-terms", "3"), "--max-terms"),
+        (("lab", "corr", "--max-degree", "1"), "--max-degree"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "" and option in err, (argv, err)
+
+
+def _args_reads() -> dict:
+    """For each module-level function of cli.py: the attribute names it reads
+    off ``args`` (``args.X`` or ``getattr(args, "X")``) and the module-level
+    functions it calls."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    out = {}
+    for name, fn in funcs.items():
+        reads, calls = set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "getattr" and isinstance(node.args[0], ast.Name) and node.args[0].id == "args":
+                    reads.add(node.args[1].value)
+                elif node.func.id in funcs:
+                    calls.add(node.func.id)
+        out[name] = (reads, calls)
+    return out
+
+
+# accepted and without effect, so that runs compare equal across settings
+_UNREAD_BY_DESIGN = {("lab", "threads")}
+
+
+def test_every_declared_option_is_read():
+    funcs = _args_reads()
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, sub in commands.choices.items():
+        handler = sub.get_default("handler")
+        todo, seen = ["main"] + ([handler.__name__] if handler else []), set()
+        while todo:
+            fn = todo.pop()
+            if fn not in seen:
+                seen.add(fn)
+                todo.extend(funcs[fn][1])
+        read = set().union(*(funcs[fn][0] for fn in seen))
+        for action in sub._actions:
+            if action.dest != "help" and action.dest not in read and (name, action.dest) not in _UNREAD_BY_DESIGN:
+                unread.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
+    assert unread == []
 
 
 def test_expand_then_nisan_agree(tmp_path):
@@ -376,6 +449,24 @@ def test_cfg_intersect_past_the_word_cap_exits_3(tmp_path):
     assert run_main("cfg", "gen-mirror-suffix", "--n", "1", "--out", small)[0] == 0
     err = _refused_at_once("cfg", "intersect", big, small)
     assert f"exceeds {DEFAULT_MAX_WORDS} words" in err
+
+
+def test_cfg_intersect_refuses_a_large_product_before_building_it(tmp_path):
+    # L10 derives all 1,024 binary words of length 10, so S -> L10 L10 would
+    # derive 2^20 words; the cap stops the product as it grows past 2^16
+    prods = [{"lhs": "L1", "rhs": [{"t": 0}]}, {"lhs": "L1", "rhs": [{"t": 1}]}]
+    for lhs, rhs in (("L2", ["L1", "L1"]), ("L4", ["L2", "L2"]), ("L8", ["L4", "L4"]), ("L10", ["L8", "L2"])):
+        prods.append({"lhs": lhs, "rhs": rhs})
+    prods.append({"lhs": "S", "rhs": ["L10", "L10"]})
+    grammar = {
+        "nonterminals": ["S", "L10", "L8", "L4", "L2", "L1"],
+        "terminals": 2,
+        "start": "S",
+        "productions": prods,
+    }
+    big = write_json(tmp_path / "big.json", grammar)
+    err = _refused_at_once("cfg", "intersect", big, big)
+    assert err == f"resource cap: language exceeds {DEFAULT_MAX_WORDS} words\n"
 
 
 def test_exit_codes(tmp_path):

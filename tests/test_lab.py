@@ -26,7 +26,6 @@ from hadamard.lab import (
     correlation_report,
     exp_sum,
     f_coefficient,
-    make_product_poly,
     permanent_polynomials,
     permanent_via_hadamard,
     random_product_poly,
@@ -323,28 +322,6 @@ def test_zero_one_shift_of_rationals():
     assert zero_one_shift(CPoly(3, Q, {(1,): Fraction(-1)})).terms == {}
 
 
-def test_product_poly_constraints():
-    g = CPoly.from_terms(6, Q, {(0,): 1, (1,): -1})
-    h = CPoly.from_terms(6, Q, {(3, 4): 1})
-    split = make_product_poly([0, 1, 2], [3, 4, 5], g, h)
-    assert split.poly().terms == {(0, 3, 4): Fraction(1), (1, 3, 4): Fraction(-1)}
-    assert split.a_vars == frozenset({0, 1, 2})
-    assert split.eps == Fraction(1, 3)
-    with pytest.raises(ValidationError):  # overlapping variable sets
-        make_product_poly([0, 1, 3], [3, 4, 5], g, h)
-    with pytest.raises(ValidationError):  # factor escapes its set
-        make_product_poly([0, 1, 2], [4, 5], g, h)
-    with pytest.raises(ValidationError):  # set smaller than the eps fraction
-        make_product_poly([0], [3, 4, 5], CPoly.from_terms(6, Q, {(0,): 1}), h)
-    with pytest.raises(ValidationError):  # factors must be multilinear
-        make_product_poly(
-            [0, 1, 2], [3, 4, 5], CPoly.from_terms(6, Q, {(0, 0): 1}), h
-        )
-    # a stricter eps can reject a split that the default accepts
-    with pytest.raises(ValidationError):
-        make_product_poly([0, 1, 2], [3, 4, 5], g, h, eps=Fraction(2, 3))
-
-
 def test_random_product_poly_is_deterministic_and_valid():
     params = ExplicitParams(2, 2)
     one = random_product_poly(params, random.Random(7))
@@ -352,8 +329,9 @@ def test_random_product_poly_is_deterministic_and_valid():
     assert one == two
     assert one.a_vars.isdisjoint(one.b_vars)
     assert one.a_vars | one.b_vars == set(range(params.n))
-    assert one.g.support_vars() <= one.a_vars
-    assert one.h.support_vars() <= one.b_vars
+    assert set().union(*one.g.terms) <= one.a_vars
+    assert set().union(*one.h.terms) <= one.b_vars
+    assert all(_multilinear(m) for m in [*one.g.terms, *one.h.terms])
     rep = correlation_report(build_f(params), one.poly())
     assert 0 <= rep.ratio_sq <= 1
 
@@ -361,12 +339,9 @@ def test_random_product_poly_is_deterministic_and_valid():
 def test_correlation_report_bounds():
     params = ExplicitParams(2, 2)
     f = build_f(params)
-    g = make_product_poly(
-        [0, 1],
-        [2, 3],
-        CPoly.from_terms(4, Q, {(0,): 1, (0, 1): -1}),
-        CPoly.from_terms(4, Q, {(2,): 1, (3,): 1}),
-    ).poly()
+    g1 = CPoly.from_terms(4, Q, {(0,): 1, (0, 1): -1})
+    h1 = CPoly.from_terms(4, Q, {(2,): 1, (3,): 1})
+    g = g1.mul(h1)
     rep = correlation_report(f, g)
     assert isinstance(rep, CorrelationReport)
     assert 0 <= rep.ratio_sq <= 1  # Cauchy-Schwarz

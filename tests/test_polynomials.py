@@ -162,12 +162,6 @@ def test_cpoly_product_cancellation_and_cap():
         f.mul(g, max_terms=3)
 
 
-def test_cpoly_multilinear_flag():
-    f = CPoly.from_terms(2, Q, {(0, 1): 1})
-    assert f.is_multilinear()
-    assert not CPoly.from_terms(2, Q, {(0, 0): 1}).is_multilinear()
-
-
 def test_corr_examples():
     f = CPoly.from_terms(2, Q, {(0,): 1, (1,): 1})
     g = CPoly.from_terms(2, Q, {(0,): 1, (1,): -1})
