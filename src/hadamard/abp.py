@@ -128,12 +128,6 @@ class LinearForm:
                 coeffs.pop(v, None)
         return LinearForm(self.const + other.const, coeffs)
 
-    def scale(self, c, field: Field) -> "LinearForm":
-        c = field.coerce(c)
-        if not c:
-            return LinearForm(field.zero(), {})
-        return LinearForm(c * self.const, {v: c * a for v, a in self.coeffs.items()})
-
     def to_json(self, field: Field) -> dict:
         return {
             "const": field.coeff_to_json(self.const),
@@ -737,19 +731,35 @@ def row_bases(abp: ABP, backward: bool = False) -> Iterator[list[tuple[tuple, li
     suffixes of length m = d-j.  A basis has at most as many vectors as its
     layer has nodes.  Vectors hold the field's raw values
     (``fields.raw_ops``); constant entries are not read.
+
+    A vector at boundary j has one coordinate per node of layer j that some
+    entry touches (the source and the sink always), in node order: every
+    other coordinate is zero in every vector, so dropping it changes no kept
+    word, and both directions index a boundary alike, so ``nisan_ranks``
+    pairs forward and backward vectors coordinate by coordinate.
     """
     field = abp.field
     into, reduce, _, _ = raw_ops(field)
     zero, one = into(field.zero()), into(field.one())
+    d = abp.depth
+    touched = [set() for _ in range(d + 1)]
+    touched[0].add(0)
+    touched[d].add(0)
+    for layer, lay in enumerate(abp.layers):
+        for entries in lay.by_var.values():
+            for a, c, _ in entries:
+                touched[layer].add(a)
+                touched[layer + 1].add(c)
+    index = [{node: i for i, node in enumerate(sorted(nodes))} for nodes in touched]
     basis: list[tuple[tuple, list]] = [((), [one])]
     yield basis
-    for layer in reversed(range(abp.depth)) if backward else range(abp.depth):
-        by_var = sorted(abp.layers[layer].map(into).by_var.items())
-        if backward:
-            width = abp.layer_sizes[layer]
-            by_var = [(v, [(c, a, x) for a, c, x in entries]) for v, entries in by_var]
-        else:
-            width = abp.layer_sizes[layer + 1]
+    for layer in reversed(range(d)) if backward else range(d):
+        at, to = index[layer], index[layer + 1]
+        by_var = [
+            (v, [(to[c], at[a], into(x)) if backward else (at[a], to[c], into(x)) for a, c, x in entries])
+            for v, entries in sorted(abp.layers[layer].by_var.items())
+        ]
+        width = len(at if backward else to)
         grown = []
         for word, vec in basis:
             for v, entries in by_var:

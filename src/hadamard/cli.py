@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 bad input or validation failure, 3 a resource cap
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -138,17 +139,24 @@ def _load_rows(path: str, what: str) -> list:
 # subcommand handlers
 
 
-def cmd_pit(args) -> dict:
-    p = _load_abp(args.program, _read_json(args.program), args)
-    if args.tester == "det":
-        verdict = pit_rational(p)
-    elif args.tester == "span":
-        verdict = pit_span_basis(p)
-    elif args.tester == "rand":
-        verdict = pit_randomized(p, trials=args.trials, seed=args.seed)
-    else:
-        verdict = pit_bruteforce(p, max_terms=args.max_terms)
-    return verdict.to_json()
+def _load_program(args) -> ABP:
+    return _load_abp(args.program, _read_json(args.program), args)
+
+
+def cmd_pit_det(args) -> dict:
+    return pit_rational(_load_program(args)).to_json()
+
+
+def cmd_pit_span(args) -> dict:
+    return pit_span_basis(_load_program(args)).to_json()
+
+
+def cmd_pit_rand(args) -> dict:
+    return pit_randomized(_load_program(args), trials=args.trials, seed=args.seed).to_json()
+
+
+def cmd_pit_brute(args) -> dict:
+    return pit_bruteforce(_load_program(args), max_terms=args.max_terms).to_json()
 
 
 def cmd_hadamard(args) -> dict:
@@ -210,28 +218,32 @@ def cmd_expand(args) -> dict:
     return f.to_json()
 
 
-def cmd_cfg(args) -> dict:
-    needs_input = {"to-circuit", "from-circuit", "count", "intersect"}
-    if args.action in needs_input and not args.input:
-        raise ValidationError(f"cfg {args.action} needs an input file")
-    if args.action == "to-circuit":
-        return cfg_to_circuit(_load_grammar(args.input)).to_json()
-    if args.action == "from-circuit":
-        c = _load_circuit(args.input, _read_json(args.input), args)
-        return circuit_to_cfg(c).to_json()
-    if args.action == "count":
-        g = _load_grammar(args.input)
-        word = _parse("--word", lambda: [int(x) for x in args.word.split(",")]) if args.word else []
-        return {"word": word, "count": count_derivations(g, word)}
-    if args.action == "intersect":
-        if not args.other:
-            raise ValidationError("cfg intersect needs two grammar files")
-        g1 = _load_grammar(args.input)
-        g2 = _load_grammar(args.other)
-        words = sorted(intersect_bruteforce(g1, g2, max_len=args.max_len))
-        return {"words": [list(w) for w in words], "count": len(words)}
-    if args.action == "gen-mirror-suffix":
-        return build_mirror_suffix_grammar(args.n, args.alphabet).to_json()
+def cmd_cfg_to_circuit(args) -> dict:
+    return cfg_to_circuit(_load_grammar(args.input)).to_json()
+
+
+def cmd_cfg_from_circuit(args) -> dict:
+    return circuit_to_cfg(_load_circuit(args.input, _read_json(args.input), args)).to_json()
+
+
+def cmd_cfg_count(args) -> dict:
+    g = _load_grammar(args.input)
+    word = _parse("--word", lambda: [int(x) for x in args.word.split(",")]) if args.word else []
+    return {"word": word, "count": count_derivations(g, word)}
+
+
+def cmd_cfg_intersect(args) -> dict:
+    g1 = _load_grammar(args.input)
+    g2 = _load_grammar(args.other)
+    words = sorted(intersect_bruteforce(g1, g2, max_len=args.max_len))
+    return {"words": [list(w) for w in words], "count": len(words)}
+
+
+def cmd_cfg_mirror_suffix(args) -> dict:
+    return build_mirror_suffix_grammar(args.n, args.alphabet).to_json()
+
+
+def cmd_cfg_mirror_prefix(args) -> dict:
     return build_mirror_prefix_grammar(args.n, args.alphabet).to_json()
 
 
@@ -242,47 +254,40 @@ def cmd_reduce(args) -> dict:
     return reach_to_abp(g).to_json()
 
 
-def cmd_lab(args) -> dict:
-    if args.action == "perm":
-        if args.input:
-            rows = _load_rows(args.input, "permanent")
-            return {"n": len(rows), "permanent": str(permanent_via_hadamard(rows))}
-        # no matrix: emit the symbolic product, one monomial per permutation
-        if args.n is None:
-            raise ValidationError("lab perm needs a matrix file or --n")
-        r, c = permanent_polynomials(args.n)
-        prod = r.hadamard(c)
-        return {"n": args.n, "monomials": len(prod.terms), "poly": prod.to_json()}
+def cmd_lab_build_f(args) -> dict:
+    return build_f(ExplicitParams(args.t, args.p), max_terms=args.max_terms).to_json()
+
+
+def cmd_lab_corr(args) -> dict:
     params = ExplicitParams(args.t, args.p)
-    if args.action == "build-f":
-        f = build_f(params, max_terms=args.max_terms)
-        return f.to_json()
-    if args.action == "corr":
-        signs = sign_list(params, max_terms=args.max_terms)
-        rep = shift_report(signs)
-        out = rep.to_json()
-        out["t"], out["p"] = args.t, args.p
-        out["sum_coeffs"] = str(2 * rep.corr - rep.norm_f_sq)  # P signs +1, N - P signs -1
-        out["lower_bound"] = str(Fraction(2) ** (params.n - 1))
-        out["meets_lower_bound"] = rep.corr >= Fraction(2) ** (params.n - 1)
-        rng = random.Random(args.seed)
-        battery = []
-        for _ in range(args.battery):
-            split = random_product_poly(params, rng)
-            r = sign_correlation(signs, split.poly())
-            battery.append({"corr": str(r.corr), "ratio_sq": str(r.ratio_sq)})
-        out["product_battery"] = battery
-        field = params.field
-        out["exp_sum_samples"] = [
-            {"z": code, "value": exp_sum(params, z=z, max_terms=args.max_terms)}
-            for z, code in (
-                (field.zero(), 0),
-                (field.one(), 1),
-                (field.gen(), field.p),
-            )
-        ]
-        return out
-    # expsum
+    signs = sign_list(params, max_terms=args.max_terms)
+    rep = shift_report(signs)
+    out = rep.to_json()
+    out["t"], out["p"] = args.t, args.p
+    out["sum_coeffs"] = str(2 * rep.corr - rep.norm_f_sq)  # P signs +1, N - P signs -1
+    out["lower_bound"] = str(Fraction(2) ** (params.n - 1))
+    out["meets_lower_bound"] = rep.corr >= Fraction(2) ** (params.n - 1)
+    rng = random.Random(args.seed)
+    battery = []
+    for _ in range(args.battery):
+        split = random_product_poly(params, rng)
+        r = sign_correlation(signs, split.poly())
+        battery.append({"corr": str(r.corr), "ratio_sq": str(r.ratio_sq)})
+    out["product_battery"] = battery
+    field = params.field
+    out["exp_sum_samples"] = [
+        {"z": code, "value": exp_sum(params, z=z, max_terms=args.max_terms)}
+        for z, code in (
+            (field.zero(), 0),
+            (field.one(), 1),
+            (field.gen(), field.p),
+        )
+    ]
+    return out
+
+
+def cmd_lab_expsum(args) -> dict:
+    params = ExplicitParams(args.t, args.p)
     sets = None
     if args.sets is None:
         full_sum_count(params, args.max_terms)  # refused before the field is built
@@ -291,6 +296,16 @@ def cmd_lab(args) -> dict:
     z = _decode_set(params.field, str(args.z))[0]  # --z is one element code
     value = exp_sum(params, z=z, sets=sets, max_terms=args.max_terms)
     return {"t": args.t, "p": args.p, "z": args.z, "value": value}
+
+
+def cmd_lab_perm(args) -> dict:
+    if args.input is not None:  # argparse takes a matrix file or --n, not both
+        rows = _load_rows(args.input, "permanent")
+        return {"n": len(rows), "permanent": str(permanent_via_hadamard(rows))}
+    # no matrix: emit the symbolic product, one monomial per permutation
+    r, c = permanent_polynomials(args.n)
+    prod = r.hadamard(c)
+    return {"n": args.n, "monomials": len(prod.terms), "poly": prod.to_json()}
 
 
 def _decode_set(field, group: str) -> list:
@@ -315,17 +330,21 @@ def _decode_set(field, group: str) -> list:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing does not
+    change it."""
     top = argparse.ArgumentParser(
         prog="hadamard",
         description="Hadamard products of noncommutative polynomials: "
         "branching programs, circuits, identity tests, grammar bridges, "
         "and an exact correlation lab.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    commands = top.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, field=False, max_terms=False, max_degree=False):
-        """A subcommand parser with --out and the shared options its handler reads."""
+    def leaf(sub, name, handler, help, field=False, max_terms=False, max_degree=False):
+        """The parser of one command or action, with --out and the shared
+        options its handler reads."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         p.add_argument("--out", help="write the JSON result to this file")
@@ -341,23 +360,32 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    p_pit = command("pit", cmd_pit, "identity-test a branching program", field=True, max_terms=True)
-    p_pit.add_argument("tester", choices=["det", "span", "rand", "brute"])
-    p_pit.add_argument("program", help="branching-program JSON file")
-    p_pit.add_argument("--trials", type=int, default=20)
-    p_pit.add_argument("--seed", type=int, default=0)
+    def actions(name, help):
+        """A command whose actions each have their own parser."""
+        return commands.add_parser(name, help=help).add_subparsers(dest="action", required=True)
 
-    p_had = command("hadamard", cmd_hadamard, "build a coefficient-wise product", field=True)
+    pit = actions("pit", "identity-test a branching program")
+    det = leaf(pit, "det", cmd_pit_det, "square-sum test (rational programs)", field=True)
+    span = leaf(pit, "span", cmd_pit_span, "forward span test, with a witness word", field=True)
+    rand = leaf(pit, "rand", cmd_pit_rand, "seeded random evaluations", field=True)
+    rand.add_argument("--trials", type=int, default=20)
+    rand.add_argument("--seed", type=int, default=0)
+    brute = leaf(pit, "brute", cmd_pit_brute, "expand and read the terms", field=True, max_terms=True)
+    for p in (det, span, rand, brute):
+        p.add_argument("program", help="branching-program JSON file")
+
+    p_had = leaf(commands, "hadamard", cmd_hadamard, "build a coefficient-wise product", field=True)
     p_had.add_argument("shape", choices=["abp", "circuit-abp"])
     p_had.add_argument("left", help="program (abp) or circuit (circuit-abp) JSON file")
     p_had.add_argument("right", help="program JSON file")
 
-    p_nis = command(
-        "nisan", cmd_nisan, "communication-matrix ranks of a polynomial", field=True, max_terms=True
+    p_nis = leaf(
+        commands, "nisan", cmd_nisan, "communication-matrix ranks of a polynomial", field=True, max_terms=True
     )
     p_nis.add_argument("input", help="polynomial or branching-program JSON")
 
-    p_exp = command(
+    p_exp = leaf(
+        commands,
         "expand",
         cmd_expand,
         "expand a program or circuit into terms",
@@ -367,50 +395,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("input")
 
-    p_cfg = command("cfg", cmd_cfg, "grammar/circuit translations and counting", field=True)
-    p_cfg.add_argument(
-        "action",
-        choices=[
-            "to-circuit",
-            "from-circuit",
-            "count",
-            "intersect",
-            "gen-mirror-suffix",
-            "gen-mirror-prefix",
-        ],
-    )
-    p_cfg.add_argument("input", nargs="?", help="grammar or circuit JSON file")
-    p_cfg.add_argument("other", nargs="?", help="second grammar (intersect)")
-    p_cfg.add_argument("--word", help="comma-separated terminals (count)")
-    p_cfg.add_argument("--max-len", type=int, default=None)
-    p_cfg.add_argument("--n", type=int, default=1, help="mirror block length")
-    p_cfg.add_argument("--alphabet", type=int, default=2)
+    cfg = actions("cfg", "grammar/circuit translations and counting")
+    to_circuit = leaf(cfg, "to-circuit", cmd_cfg_to_circuit, "grammar to monotone circuit")
+    to_circuit.add_argument("input", help="grammar JSON file")
+    from_circuit = leaf(cfg, "from-circuit", cmd_cfg_from_circuit, "monotone circuit to grammar", field=True)
+    from_circuit.add_argument("input", help="circuit JSON file")
+    count = leaf(cfg, "count", cmd_cfg_count, "derivations of a word")
+    count.add_argument("input", help="grammar JSON file")
+    count.add_argument("--word", help="comma-separated terminals")
+    intersect = leaf(cfg, "intersect", cmd_cfg_intersect, "the words two grammars share")
+    intersect.add_argument("input", help="grammar JSON file")
+    intersect.add_argument("other", help="second grammar JSON file")
+    intersect.add_argument("--max-len", type=int, default=None)
+    for name, handler in (
+        ("gen-mirror-suffix", cmd_cfg_mirror_suffix),
+        ("gen-mirror-prefix", cmd_cfg_mirror_prefix),
+    ):
+        mirror = leaf(cfg, name, handler, "a mirror grammar")
+        mirror.add_argument("--n", type=int, default=1, help="mirror block length")
+        mirror.add_argument("--alphabet", type=int, default=2)
 
-    p_red = command("reduce", cmd_reduce, "encode a determinant or reachability query")
+    p_red = leaf(commands, "reduce", cmd_reduce, "encode a determinant or reachability query")
     p_red.add_argument("kind", choices=["det2abp", "reach2abp"])
     p_red.add_argument("input")
 
-    p_lab = command("lab", cmd_lab, "sign-polynomial lab and the permanent", max_terms=True)
-    p_lab.add_argument("action", choices=["build-f", "corr", "expsum", "perm"])
-    p_lab.add_argument("input", nargs="?", help="matrix JSON (perm)")
-    p_lab.add_argument("--n", type=int, default=None, help="grid size (perm)")
-    p_lab.add_argument("--t", type=int, default=1, help="number of blocks")
-    p_lab.add_argument("--p", type=int, default=2, help="block width (prime)")
-    p_lab.add_argument("--z", type=int, default=1, help="character twist (expsum), an element code")
-    p_lab.add_argument(
-        "--sets",
-        help="expsum summation sets: groups split on ';', element codes on ','",
-    )
-    p_lab.add_argument("--battery", type=int, default=5, help="corr battery size")
-    p_lab.add_argument("--seed", type=int, default=0, help="corr battery seed")
-    p_lab.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+    lab = actions("lab", "sign-polynomial lab and the permanent")
+    build = leaf(lab, "build-f", cmd_lab_build_f, "the sign polynomial F", max_terms=True)
+    build.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+    corr = leaf(lab, "corr", cmd_lab_corr, "correlation report", max_terms=True)
+    corr.add_argument("--battery", type=int, default=5, help="battery size")
+    corr.add_argument("--seed", type=int, default=0, help="battery seed")
+    expsum = leaf(lab, "expsum", cmd_lab_expsum, "a character sum", max_terms=True)
+    expsum.add_argument("--z", type=int, default=1, help="character twist, an element code")
+    expsum.add_argument("--sets", help="summation sets: groups split on ';', element codes on ','")
+    for p in (build, corr, expsum):
+        p.add_argument("--t", type=int, default=1, help="number of blocks")
+        p.add_argument("--p", type=int, default=2, help="block width (prime)")
+    perm = leaf(lab, "perm", cmd_lab_perm, "the permanent as a Hadamard product")
+    matrix_or_n = perm.add_mutually_exclusive_group(required=True)
+    matrix_or_n.add_argument("input", nargs="?", help="matrix JSON file: its permanent")
+    matrix_or_n.add_argument("--n", type=int, help="grid size: the symbolic product")
 
     return top
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _emit(args.handler(args), args.out)
         return 0
@@ -422,7 +452,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except MemoryError:
         pass  # reported below, once the frames holding the memory are gone
-    command = " ".join(str(part) for part in (args.command, getattr(args, "shape", None)) if part)
+    command = " ".join(getattr(args, dest) for dest in ("command", "action", "shape") if hasattr(args, dest))
     print(f"resource cap: out of memory in '{command}'", file=sys.stderr)
     return 3
 

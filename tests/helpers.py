@@ -67,6 +67,14 @@ def random_abp(rng, field, n_vars=3, depth=3, width=3, affine=True, density=0.7)
     return ABP.build(n_vars, field, sizes, edges)
 
 
+def scale_form(form: LinearForm, c, field) -> LinearForm:
+    """c times an edge label."""
+    c = field.coerce(c)
+    if not c:
+        return LinearForm(field.zero(), {})
+    return LinearForm(c * form.const, {v: c * a for v, a in form.coeffs.items()})
+
+
 def cancelling_abp(rng, field, **kw):
     """A program that computes the zero polynomial non-trivially: a random
     program joined with a copy of itself whose final-layer labels are negated."""
@@ -78,7 +86,7 @@ def cancelling_abp(rng, field, **kw):
     minus_one = field.zero() - field.one()
     for (layer, a, c), form in base.edges.items():
         if layer == base.depth - 1:
-            form = form.scale(minus_one, field)
+            form = scale_form(form, minus_one, field)
         flipped[(layer, a, c)] = form
     negated = ABP.build(base.n_vars, field, base.layer_sizes, flipped)
     return abp_sum([base, negated])
@@ -112,7 +120,7 @@ def cancel_join(rng, field, depth, width=2, n_vars=3, zero=True):
         edges[key] = edges[key].add(LinearForm.of_var(field, rng.randrange(n_vars), coeff()), field)
     minus_one = field.zero() - field.one()
     copy = {
-        key: form.scale(minus_one, field) if key[0] == depth - 1 else form
+        key: scale_form(form, minus_one, field) if key[0] == depth - 1 else form
         for key, form in edges.items()
     }
     return abp_sum([base, ABP.build(n_vars, field, sizes, copy)])

@@ -21,6 +21,7 @@ from hadamard.abp import (
     nisan_ranks,
     normalize_edges,
     prune,
+    row_bases,
     validate,
     zero_abp,
 )
@@ -323,6 +324,17 @@ def test_nisan_matrix_examples():
     assert nisan_ranks(pf) == f.nisan_ranks()
     assert nisan_ranks(pg) == g.nisan_ranks()
     assert nisan_ranks(zero_abp(2, Q)) == []
+
+
+def test_row_bases_index_only_the_nodes_entries_touch():
+    # x0*x1 + x1*x0 through two of a thousand declared middle nodes
+    x0, x1 = (LinearForm.of_var(Q, v) for v in (0, 1))
+    p = ABP.build(2, Q, (1, 1000, 1), {(0, 0, 5): x0, (0, 0, 999): x1, (1, 5, 0): x1, (1, 999, 0): x0})
+    for backward in (False, True):
+        bases = list(row_bases(p, backward=backward))
+        assert [[len(vec) for _, vec in basis] for basis in bases] == [[1], [2, 2], [1]]
+    assert [word for word, _ in bases[1]] == [(0,), (1,)]
+    assert nisan_ranks(p) == [1, 2, 1]
 
 
 def test_nisan_rejects_inhomogeneous():

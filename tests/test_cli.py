@@ -140,25 +140,84 @@ def test_options_a_command_does_not_read_are_refused(tmp_path):
         (("reduce", "det2abp", matrix, "--field", "fp:5"), "--field"),
         (("hadamard", "abp", program, program, "--max-terms", "3"), "--max-terms"),
         (("lab", "corr", "--max-degree", "1"), "--max-degree"),
+        # options that another action of the same command reads
+        (("lab", "corr", "--z", "5", "--sets", "1", "--n", "3"), "--z"),
+        (("pit", "det", program, "--trials", "5", "--seed", "3"), "--trials"),
+        (("pit", "span", program, "--max-terms", "1"), "--max-terms"),
+        (("cfg", "gen-mirror-suffix", "--n", "1", "--word", "0,1", "--field", "q"), "--word"),
+        # a matrix file or --n, not both
+        (("lab", "perm", matrix, "--n", "4"), "--n"),
     ):
         code, out, err = run_cli(*argv)
-        assert code == 2 and out == "" and option in err, (argv, err)
+        assert code == 2 and out == "" and err.startswith("usage: ") and option in err, (argv, err)
 
 
-def _args_reads() -> dict:
+def test_an_option_before_the_action_is_refused(tmp_path):
+    program = write_json(tmp_path / "p.json", two_path_abp(2).to_json())
+    code, out, err = run_cli("pit", "--out", str(tmp_path / "o.json"), "det", program)
+    assert code == 2 and out == "" and err.startswith("usage: hadamard pit ")
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    zero = write_json(tmp_path / "z.json", cancelling_abp(random.Random(0), F5, depth=2).to_json())
+    code, out, _ = run_main("pit", "rand", zero, "--trials", "3")
+    assert code == 0 and json.loads(out)["trials"] == 3
+    code, out, _ = run_main("pit", "rand", zero)
+    assert code == 0 and json.loads(out)["trials"] == 20
+
+
+def _is_args(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "args"
+
+
+def _taken(test, choice: dict):
+    """Whether ``if test`` runs its body on a command line that chose
+    ``choice`` (dest -> value), when test is ``args.D == "v"`` for a D in
+    choice; else None."""
+    if (
+        isinstance(test, ast.Compare)
+        and [type(op) for op in test.ops] == [ast.Eq]
+        and isinstance(test.left, ast.Attribute)
+        and _is_args(test.left.value)
+        and test.left.attr in choice
+        and isinstance(test.comparators[0], ast.Constant)
+    ):
+        return choice[test.left.attr] == test.comparators[0].value
+    return None
+
+
+def _on_path(stmts, choice: dict):
+    """The nodes of stmts a command line that chose ``choice`` can reach: an
+    ``if args.D == "v"`` on a chosen D runs one branch, and a taken branch
+    that ends in return or raise ends the block."""
+    for stmt in stmts:
+        taken = _taken(stmt.test, choice) if isinstance(stmt, ast.If) else None
+        if taken is None:
+            yield from ast.walk(stmt)
+            continue
+        yield from ast.walk(stmt.test)
+        branch = stmt.body if taken else stmt.orelse
+        yield from _on_path(branch, choice)
+        if branch and isinstance(branch[-1], (ast.Return, ast.Raise)):
+            return
+
+
+def _args_reads(choice: dict) -> dict:
     """For each module-level function of cli.py: the attribute names it reads
     off ``args`` (``args.X`` or ``getattr(args, "X")``) and the module-level
-    functions it calls."""
+    functions it calls, on the path a command line that chose ``choice`` takes."""
     tree = ast.parse(Path(cli.__file__).read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     out = {}
     for name, fn in funcs.items():
         reads, calls = set(), set()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+        for node in _on_path(fn.body, choice):
+            if isinstance(node, ast.Attribute) and _is_args(node.value):
                 reads.add(node.attr)
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if node.func.id == "getattr" and isinstance(node.args[0], ast.Name) and node.args[0].id == "args":
+                if node.func.id == "getattr" and _is_args(node.args[0]) and isinstance(node.args[1], ast.Constant):
                     reads.add(node.args[1].value)
                 elif node.func.id in funcs:
                     calls.add(node.func.id)
@@ -166,17 +225,32 @@ def _args_reads() -> dict:
     return out
 
 
+def _action_parsers():
+    """(name, parser, choice) for every command and action a command line can
+    name: a parser of each subparser group, and a leaf parser once per value
+    of its positional choice, with choice mapping that positional to the value."""
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in commands.choices.items():
+        actions = next((a for a in parser._actions if not a.option_strings and a.choices), None)
+        if actions is None:
+            yield command, parser, {}
+        elif isinstance(actions, argparse._SubParsersAction):
+            for action, sub in actions.choices.items():
+                yield f"{command} {action}", sub, {}
+        else:
+            for value in actions.choices:
+                yield f"{command} {value}", parser, {actions.dest: value}
+
+
 # accepted and without effect, so that runs compare equal across settings
-_UNREAD_BY_DESIGN = {("lab", "threads")}
+_UNREAD_BY_DESIGN = {("lab build-f", "threads")}
 
 
 def test_every_declared_option_is_read():
-    funcs = _args_reads()
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     unread = []
-    for name, sub in commands.choices.items():
-        handler = sub.get_default("handler")
+    for name, parser, choice in _action_parsers():
+        funcs = _args_reads(choice)
+        handler = parser.get_default("handler")
         todo, seen = ["main"] + ([handler.__name__] if handler else []), set()
         while todo:
             fn = todo.pop()
@@ -184,7 +258,7 @@ def test_every_declared_option_is_read():
                 seen.add(fn)
                 todo.extend(funcs[fn][1])
         read = set().union(*(funcs[fn][0] for fn in seen))
-        for action in sub._actions:
+        for action in parser._actions:
             if action.dest != "help" and action.dest not in read and (name, action.dest) not in _UNREAD_BY_DESIGN:
                 unread.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
     assert unread == []
@@ -383,6 +457,25 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err == "resource cap: out of memory in 'hadamard abp'\n"
+
+
+@pytest.mark.parametrize(
+    "exhausted, argv, command",
+    [
+        ("sign_list", ("lab", "corr", "--t", "1", "--p", "2"), "lab corr"),
+        ("pit_randomized", ("pit", "rand", "{}"), "pit rand"),
+    ],
+)
+def test_out_of_memory_names_the_action(exhausted, argv, command, tmp_path, capsys, monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"hadamard.cli.{exhausted}", exhaust)
+    path = write_json(tmp_path / "p.json", swap_abp().to_json())
+    code = main([path if a == "{}" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == f"resource cap: out of memory in '{command}'\n"
 
 
 def _refused_at_once(*argv) -> str:

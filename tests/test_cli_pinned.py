@@ -25,7 +25,7 @@ from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
 from hadamard.cli import main
 from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.grammars import build_mirror_suffix_grammar, cfg_to_circuit
-from helpers import cancel_join, cancelling_abp, random_abp, random_circuit
+from helpers import cancel_join, cancelling_abp, random_abp, random_circuit, scale_form
 
 FIELDS = {"q": RationalField(), "f5": PrimeField(5)}
 
@@ -91,7 +91,7 @@ def _twisted(tag: str, field, **kw):
 
     def twist(abp):
         edges = {
-            (l, a, c): form.scale(g ** ((l + a + 2 * c) % 3), field)
+            (l, a, c): scale_form(form, g ** ((l + a + 2 * c) % 3), field)
             for (l, a, c), form in abp.edges.items()
         }
         return ABP.build(abp.n_vars, field, abp.layer_sizes, edges)

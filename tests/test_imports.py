@@ -7,7 +7,9 @@ the module, inside a quoted annotation, or in ``__all__``.  A definition
 counts as called when the library, the benchmark or the acceptance suite
 names it outside its own body, as a bare name, an attribute, an import or a
 string (the benchmark's tracer names the attributes it hooks by string).
-The other tests do not count: library code that only they reach is dead.
+A method counts only as an attribute or a string: a bare name in code is a
+local or a module-level name, never a method.  The other tests do not
+count: library code that only they reach is dead.
 """
 
 from __future__ import annotations
@@ -65,13 +67,16 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
 
 
-def _references(tree: ast.AST) -> collections.Counter:
-    """How often each name appears in tree as a name, attribute, import or string."""
+def _references(tree: ast.AST, bare_names: bool = True) -> collections.Counter:
+    """How often each name appears in tree as an attribute, an import or
+    inside a string, and, with bare_names, as a bare name in code."""
     out = collections.Counter()
     for node in ast.walk(tree):
         nodes = [node]
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             nodes = _string_nodes(node.value)
+        elif isinstance(node, ast.Name) and not bare_names:
+            continue
         for n in nodes:
             if isinstance(n, ast.Name):
                 out[n.id] += 1
@@ -93,24 +98,32 @@ CALLERS = (
 
 
 @functools.lru_cache(maxsize=None)
-def _all_references() -> collections.Counter:
+def _all_references(bare_names: bool) -> collections.Counter:
     out = collections.Counter()
     for path in CALLERS:
-        out += _references(ast.parse(path.read_text(), filename=str(path)))
+        out += _references(ast.parse(path.read_text(), filename=str(path)), bare_names)
     return out
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_orphaned_definitions(path):
-    everywhere = _all_references()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {
+        node
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
     orphans = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         name = node.name
         if name.startswith("__") and name.endswith("__"):
             continue
-        if everywhere[name] <= _references(node)[name]:
+        bare_names = node not in methods
+        if _all_references(bare_names)[name] <= _references(node, bare_names)[name]:
             orphans.append(f"{name} (line {node.lineno})")
     assert not orphans, f"{path.name}: defined but never named: {', '.join(orphans)}"
 

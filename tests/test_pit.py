@@ -31,6 +31,7 @@ from helpers import (
     lf,
     random_abp,
     random_digraph,
+    scale_form,
 )
 
 Q = RationalField()
@@ -65,7 +66,7 @@ def test_square_sum_is_the_expanded_square_sum(rng, kind, fractional):
         p = random_abp(rng, Q, affine=kind == "affine", **kw)
     if fractional:  # labels with mixed denominators
         p = ABP.build(p.n_vars, Q, p.layer_sizes, {
-            key: form.scale(Fraction(rng.randint(1, 4), rng.randint(1, 6)), Q)
+            key: scale_form(form, Fraction(rng.randint(1, 4), rng.randint(1, 6)), Q)
             for key, form in p.edges.items()
         })
     f = p.expand()
