@@ -61,6 +61,7 @@ neither expands the program or lays out a matrix over all words.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -72,7 +73,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .fields import Field, field_from_json, json_int, raw_ops
+from .fields import Field, coeff_text, field_from_json, json_int, json_text, raw_ops
 from .matrices import Matrix, independent_subset
 from .polynomials import NCPoly
 
@@ -127,12 +128,6 @@ class LinearForm:
             else:
                 coeffs.pop(v, None)
         return LinearForm(self.const + other.const, coeffs)
-
-    def to_json(self, field: Field) -> dict:
-        return {
-            "const": field.coeff_to_json(self.const),
-            "coeffs": {str(v): field.coeff_to_json(a) for v, a in sorted(self.coeffs.items())},
-        }
 
     @classmethod
     def from_json(cls, obj: dict, field: Field) -> "LinearForm":
@@ -285,19 +280,31 @@ class ABP:
             vec = lay.times(vec, point, self.layer_sizes[layer + 1], zero)
         return vec[0]
 
-    def to_json(self) -> dict:
-        out_edges = []
-        for (layer, a, c) in sorted(self.edges):
-            form = self.edges[(layer, a, c)]
-            out_edges.append(
-                {"from": [layer, a], "to": [layer + 1, c], "label": form.to_json(self.field)}
+    def json_chunks(self) -> Iterator[str]:
+        """The program's JSON text in pieces, one per edge, edges in key
+        order; joined, the compact sorted-key form of ``to_json()``.  Each
+        edge is formatted as it is reached, with no dict built for it.  A
+        label's coeffs keys sort as strings ("10" before "2"), as
+        ``sort_keys`` sorts them."""
+        text = coeff_text(self.field)
+        edges = self.edges
+        yield '{"edges":['
+        sep = ""
+        for key in sorted(edges):
+            layer, a, c = key
+            form = edges[key]
+            keyed = sorted((str(v), x) for v, x in form.coeffs.items())
+            coeffs = ",".join(f'"{v}":{text(x)}' for v, x in keyed)
+            yield (
+                f'{sep}{{"from":[{layer},{a}],"label":{{"coeffs":{{{coeffs}}},"const":{text(form.const)}}},'
+                f'"to":[{layer + 1},{c}]}}'
             )
-        return {
-            "nvars": self.n_vars,
-            "field": self.field.descriptor(),
-            "layers": list(self.layer_sizes),
-            "edges": out_edges,
-        }
+            sep = ","
+        layers = ",".join(map(str, self.layer_sizes))
+        yield f'],"field":{json_text(self.field.descriptor())},"layers":[{layers}],"nvars":{self.n_vars}}}'
+
+    def to_json(self) -> dict:
+        return json.loads("".join(self.json_chunks()))
 
     @classmethod
     def from_json(cls, obj: dict, field: Field | None = None) -> "ABP":
@@ -693,26 +700,28 @@ def coefficient_of(abp: ABP, word: Sequence[int]):
     One row vector per prefix word[:i] is walked forward: at each layer the
     constant entries keep a prefix and the entries of variable word[i]
     extend word[:i] by one letter.  The coefficient is the sink entry of the
-    vector for the whole word.
+    vector for the whole word.  A vector is a dict holding only the nodes
+    some entry reached, so a declared node no entry touches costs nothing.
     """
     word = tuple(int(v) for v in word)
     if any(not 0 <= v < abp.n_vars for v in word):
         raise ValidationError("word references a variable out of range")
     zero = abp.field.zero()
     n = len(word)
-    vecs = [[abp.field.one()]] + [[zero] for _ in range(n)]
-    for lay, width in zip(abp.layers, abp.layer_sizes[1:]):
-        nxt = [[zero] * width for _ in range(n + 1)]
+    vecs = [{0: abp.field.one()}] + [{} for _ in range(n)]
+    for lay in abp.layers:
+        nxt = [{} for _ in range(n + 1)]
         for i, vec in enumerate(vecs):
             steps = [(nxt[i], lay.const)]
             if i < n:
                 steps.append((nxt[i + 1], lay.by_var.get(word[i], ())))
             for out, entries in steps:
                 for a, c, k in entries:
-                    if vec[a]:
-                        out[c] = out[c] + vec[a] * k
+                    y = vec.get(a)
+                    if y:
+                        out[c] = out.get(c, zero) + y * k
         vecs = nxt
-    return vecs[n][0]
+    return vecs[n].get(0, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ wire count) walk the gates themselves.
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     ArityMismatchError,
@@ -26,7 +27,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .fields import Field, RationalField, field_from_json, json_int
+from .fields import Field, RationalField, coeff_text, field_from_json, json_int, json_text
 from .polynomials import NCPoly
 
 
@@ -140,23 +141,26 @@ class Circuit:
             g.value > 0 for g in self.gates if isinstance(g, ConstGate)
         )
 
-    def to_json(self) -> dict:
-        out = []
+    def json_chunks(self) -> Iterator[str]:
+        """The circuit's JSON text in pieces, one per gate; joined, the
+        compact sorted-key form of ``to_json()``, with no dict built per
+        gate."""
+        text = coeff_text(self.field)
+        yield f'{{"field":{json_text(self.field.descriptor())},"gates":['
+        sep = ""
         for g in self.gates:
-            if isinstance(g, InputGate):
-                out.append({"op": "in", "var": g.var})
-            elif isinstance(g, ConstGate):
-                out.append({"op": "const", "value": self.field.coeff_to_json(g.value)})
-            elif isinstance(g, AddGate):
-                out.append({"op": "add", "l": g.left, "r": g.right})
+            t = type(g)
+            if t is InputGate:
+                yield f'{sep}{{"op":"in","var":{g.var}}}'
+            elif t is ConstGate:
+                yield f'{sep}{{"op":"const","value":{text(g.value)}}}'
             else:
-                out.append({"op": "mul", "l": g.left, "r": g.right})
-        return {
-            "nvars": self.n_vars,
-            "field": self.field.descriptor(),
-            "gates": out,
-            "output": self.output,
-        }
+                yield f'{sep}{{"l":{g.left},"op":"{"add" if t is AddGate else "mul"}","r":{g.right}}}'
+            sep = ","
+        yield f'],"nvars":{self.n_vars},"output":{self.output}}}'
+
+    def to_json(self) -> dict:
+        return json.loads("".join(self.json_chunks()))
 
     @classmethod
     def from_json(cls, obj: dict, field: Field | None = None) -> "Circuit":

@@ -3,6 +3,8 @@
 Every command reads JSON files, writes one JSON object to stdout (or
 ``--out``), and keeps diagnostics on stderr.  Output is serialized with
 sorted keys and no whitespace, so identical inputs give identical bytes.
+A program or circuit in a result is written from the object by its own
+writer, in those same bytes, with no dict built per edge or gate.
 
 Exit codes: 0 success, 2 bad input or validation failure, 3 a resource cap
 (term, degree, or word limits) was hit or the interpreter ran out of memory.
@@ -16,7 +18,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .abp import ABP, nisan_ranks
 from .circuits import Circuit
@@ -27,7 +29,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .fields import Field, parse_field_spec
+from .fields import Field, json_text, parse_field_spec
 from .grammars import (
     AcyclicCFG,
     build_mirror_prefix_grammar,
@@ -74,8 +76,32 @@ def _read_json(path: str):
         raise ValidationError(f"{path}: invalid JSON ({exc})")
 
 
+def _json_chunks(obj) -> Iterator[str]:
+    """obj's compact sorted-key JSON text in pieces.  A program or circuit,
+    the result itself or a value of the top-level object, is written by its
+    own ``json_chunks``; every other value goes through ``json_text``."""
+    if isinstance(obj, (ABP, Circuit)):
+        yield from obj.json_chunks()
+    elif isinstance(obj, dict) and obj:
+        sep = "{"
+        for key in sorted(obj):
+            value = obj[key]
+            yield f"{sep}{json_text(key)}:"
+            if isinstance(value, (ABP, Circuit)):
+                yield from value.json_chunks()
+            else:
+                yield json_text(value)
+            sep = ","
+        yield "}"
+    else:
+        yield json_text(obj)
+
+
 def _emit(obj, out: Optional[str]) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Write obj's JSON text and a newline to ``out`` or stdout.  The whole
+    text is formed before the first byte is written, so a failure while
+    forming it leaves stdout empty and creates no file."""
+    text = "".join(_json_chunks(obj)) + "\n"
     if out:
         try:
             with open(out, "w") as fh:
@@ -166,7 +192,7 @@ def cmd_hadamard(args) -> dict:
         detail = hadamard_circuit_abp_detailed(c, p)
         gates, wires = detail.circuit.size()
         return {
-            "circuit": detail.circuit.to_json(),
+            "circuit": detail.circuit,
             "gates": gates,
             "wires": wires,
             "per_degree": [
@@ -178,7 +204,7 @@ def cmd_hadamard(args) -> dict:
     q = p if args.right == args.left else _load_abp(args.right, _read_json(args.right), args)
     detail = hadamard_abp_detailed(p, q)
     return {
-        "abp": detail.abp.to_json(),
+        "abp": detail.abp,
         "nodes": detail.abp.node_count(),
         "edges": detail.abp.edge_count(),
         "unpruned_nodes": detail.unpruned_nodes,
@@ -218,8 +244,8 @@ def cmd_expand(args) -> dict:
     return f.to_json()
 
 
-def cmd_cfg_to_circuit(args) -> dict:
-    return cfg_to_circuit(_load_grammar(args.input)).to_json()
+def cmd_cfg_to_circuit(args) -> Circuit:
+    return cfg_to_circuit(_load_grammar(args.input))
 
 
 def cmd_cfg_from_circuit(args) -> dict:
@@ -247,11 +273,11 @@ def cmd_cfg_mirror_prefix(args) -> dict:
     return build_mirror_prefix_grammar(args.n, args.alphabet).to_json()
 
 
-def cmd_reduce(args) -> dict:
+def cmd_reduce(args) -> ABP:
     if args.kind == "det2abp":
-        return det_to_abp(_load_rows(args.input, "determinant")).to_json()
+        return det_to_abp(_load_rows(args.input, "determinant"))
     g = _parse(args.input, Digraph.from_json, _read_json(args.input))
-    return reach_to_abp(g).to_json()
+    return reach_to_abp(g)
 
 
 def cmd_lab_build_f(args) -> dict:

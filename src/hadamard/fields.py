@@ -53,11 +53,12 @@ their own raw values.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import FieldMismatchError, ResourceCapError, ValidationError
 
@@ -654,7 +655,21 @@ def psi(a: ExtElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# descriptors and JSON integers
+# descriptors and JSON values
+
+
+def json_text(obj) -> str:
+    """obj as JSON with sorted keys and no whitespace, the form of every
+    output."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def coeff_text(field: Field) -> Callable[[object], str]:
+    """x -> ``json_text(field.coeff_to_json(x))``, with one encoder for
+    all the coefficients of one writer's pass."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    to_json = field.coeff_to_json
+    return lambda x: encode(to_json(x))
 
 
 def json_int(x) -> int:

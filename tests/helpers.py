@@ -4,7 +4,8 @@ Everything here is deliberately naive: cofactor expansion for determinants,
 breadth-first search for reachability, permutation sums for permanents,
 schoolbook products and repeated powering for extension-field traces, trial
 division for irreducibility, Gaussian elimination and the span walk on
-field element objects, the ``lab corr`` report assembled from the sign
+field element objects, the JSON objects of programs and circuits built one
+dict per edge or gate, the ``lab corr`` report assembled from the sign
 polynomial F and its 0/1 shift as whole polynomials, and homogeneous parts
 laid out over lists of every declared node.
 The library must agree with these on random instances.
@@ -624,3 +625,42 @@ def node_list_homogeneous_parts(abp: ABP) -> list[ABP]:
         parts.append(ABP.build(abp.n_vars, field, layer_sizes, edges))
 
     return parts
+
+
+def label_json(form: LinearForm, field) -> dict:
+    """A label's JSON object, built as a dict."""
+    return {
+        "const": field.coeff_to_json(form.const),
+        "coeffs": {str(v): field.coeff_to_json(a) for v, a in sorted(form.coeffs.items())},
+    }
+
+
+def abp_json(p: ABP) -> dict:
+    """A program's JSON object with one dict per edge: the reference that
+    ``ABP.json_chunks`` must match byte for byte under
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``."""
+    return {
+        "nvars": p.n_vars,
+        "field": p.field.descriptor(),
+        "layers": list(p.layer_sizes),
+        "edges": [
+            {"from": [layer, a], "to": [layer + 1, c], "label": label_json(p.edges[(layer, a, c)], p.field)}
+            for layer, a, c in sorted(p.edges)
+        ],
+    }
+
+
+def circuit_json(c: Circuit) -> dict:
+    """A circuit's JSON object with one dict per gate, the reference for
+    ``Circuit.json_chunks``."""
+    gates = []
+    for g in c.gates:
+        if isinstance(g, InputGate):
+            gates.append({"op": "in", "var": g.var})
+        elif isinstance(g, ConstGate):
+            gates.append({"op": "const", "value": c.field.coeff_to_json(g.value)})
+        elif isinstance(g, AddGate):
+            gates.append({"op": "add", "l": g.left, "r": g.right})
+        else:
+            gates.append({"op": "mul", "l": g.left, "r": g.right})
+    return {"nvars": c.n_vars, "field": c.field.descriptor(), "gates": gates, "output": c.output}

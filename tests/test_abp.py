@@ -4,6 +4,7 @@ normalization, sums, coefficient extraction, and rank-sum complexity."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from hadamard.abp import (
 from hadamard.errors import ValidationError
 from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.matrices import Matrix
-from hadamard.pit import Digraph, det_to_abp, reach_to_abp
+from hadamard.pit import Digraph, det_to_abp, pit_span_basis, reach_to_abp
 from hadamard.polynomials import NCPoly
 from hadamard.products import hadamard_abp_detailed
 
@@ -97,7 +98,7 @@ def test_validate_catches_bad_shapes():
             "nvars": 1,
             "field": {"kind": "Q"},
             "layers": layers,
-            "edges": [{"from": [0, 0], "to": [1, c], "label": form.to_json(Q)} for c, form in edges],
+            "edges": [{"from": [0, 0], "to": [1, c], "label": helpers.label_json(form, Q)} for c, form in edges],
         }
 
     for obj, message in (
@@ -143,7 +144,7 @@ def test_build_merges_parallel_edge_labels():
     # ingesting the same node pair twice adds the labels
     p = ABP.build(2, Q, (1, 1), {(0, 0, 0): lf(Q, x0=1)})
     obj = p.to_json()
-    obj["edges"].append({"from": [0, 0], "to": [1, 0], "label": lf(Q, x1=2).to_json(Q)})
+    obj["edges"].append({"from": [0, 0], "to": [1, 0], "label": helpers.label_json(lf(Q, x1=2), Q)})
     merged = ABP.from_json(obj)
     assert merged.expand() == NCPoly.from_terms(2, Q, {(0,): 1, (1,): 2})
 
@@ -286,6 +287,24 @@ def test_coefficient_matrices_word_products():
                         vec = vec.matmul(m)
                     got = vec.entries[0] if ok else Fraction(0)
                     assert got == f.coeff(word)
+
+
+def test_coefficient_of_walks_only_the_nodes_entries_reach():
+    # two edges through node 5 of a declared million-node layer: the
+    # witness check of ``pit span`` holds no vector over the whole layer
+    edges = {(0, 0, 5): LinearForm.of_var(Q, 0), (1, 5, 0): LinearForm.of_var(Q, 1, 3)}
+    p = ABP.build(2, Q, (1, 1_000_000, 1), edges)
+    p.layers  # built before the measured calls
+    tracemalloc.start()
+    try:
+        coeffs = [coefficient_of(p, w) for w in ((0, 1), (1, 0), (0,), ())]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coeffs == [3, 0, 0, 0]
+    assert peak < 100_000
+    verdict = pit_span_basis(p)
+    assert not verdict.is_zero and verdict.witness == {"word": [0, 1], "coeff": "3"}
 
 
 def test_coefficient_of_handles_affine_programs():

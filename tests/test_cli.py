@@ -17,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from hadamard import cli, fields
 from hadamard.abp import ABP, LinearForm
-from hadamard.circuits import CircuitBuilder
+from hadamard.circuits import Circuit, CircuitBuilder
 from hadamard.cli import main
 from hadamard.errors import DEFAULT_MAX_TERMS
 from hadamard.grammars import DEFAULT_MAX_WORDS
 from hadamard.fields import PRIME_TEST_BOUND, ExtField, PrimeField, RationalField, _poly_mul, find_irreducible
 from hadamard.polynomials import NCPoly
-from helpers import cancelling_abp, random_abp
+from helpers import cancelling_abp, random_abp, random_circuit
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -476,6 +476,48 @@ def test_out_of_memory_names_the_action(exhausted, argv, command, tmp_path, caps
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err == f"resource cap: out of memory in '{command}'\n"
+
+
+def product_files(tmp_path, shape: str) -> tuple[str, str]:
+    rng = random.Random(3)
+    right = tmp_path / "p.json"
+    write_json(right, random_abp(rng, Q, n_vars=2, depth=4, width=3).to_json())
+    if shape == "abp":
+        return str(right), str(right)
+    left = tmp_path / "c.json"
+    write_json(left, random_circuit(rng, Q, n_vars=2, n_gates=12).to_json())
+    return str(left), str(right)
+
+
+@pytest.mark.parametrize("shape", ["abp", "circuit-abp"])
+def test_out_file_bytes_equal_stdout_bytes(shape, tmp_path):
+    left, right = product_files(tmp_path, shape)
+    code, out, err = run_main("hadamard", shape, left, right)
+    assert code == 0 and err == ""
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    target = tmp_path / "out.json"
+    assert run_main("hadamard", shape, left, right, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("shape", ["abp", "circuit-abp"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_a_failing_writer_leaves_no_partial_output(shape, to_file, tmp_path, monkeypatch):
+    cls = ABP if shape == "abp" else Circuit
+    writer = cls.json_chunks
+
+    def exhausted(self):
+        chunks = writer(self)
+        yield next(chunks)
+        yield next(chunks)
+        raise MemoryError
+
+    left, right = product_files(tmp_path, shape)
+    monkeypatch.setattr(cls, "json_chunks", exhausted)
+    target = tmp_path / "out.json"
+    argv = ["hadamard", shape, left, right] + (["--out", str(target)] if to_file else [])
+    assert run_main(*argv) == (3, "", f"resource cap: out of memory in 'hadamard {shape}'\n")
+    assert not target.exists()
 
 
 def _refused_at_once(*argv) -> str:
