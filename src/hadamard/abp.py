@@ -280,31 +280,30 @@ class ABP:
             vec = lay.times(vec, point, self.layer_sizes[layer + 1], zero)
         return vec[0]
 
-    def json_chunks(self) -> Iterator[str]:
-        """The program's JSON text in pieces, one per edge, edges in key
-        order; joined, the compact sorted-key form of ``to_json()``.  Each
-        edge is formatted as it is reached, with no dict built for it.  A
-        label's coeffs keys sort as strings ("10" before "2"), as
-        ``sort_keys`` sorts them."""
+    def json_text(self) -> str:
+        """The program's compact sorted-key JSON text, edges in key order,
+        each formatted directly with no dict built for it.  A label's coeffs
+        keys sort as strings ("10" before "2"), as ``sort_keys`` sorts them."""
         text = coeff_text(self.field)
         edges = self.edges
-        yield '{"edges":['
-        sep = ""
+        parts = []
         for key in sorted(edges):
             layer, a, c = key
             form = edges[key]
             keyed = sorted((str(v), x) for v, x in form.coeffs.items())
             coeffs = ",".join(f'"{v}":{text(x)}' for v, x in keyed)
-            yield (
-                f'{sep}{{"from":[{layer},{a}],"label":{{"coeffs":{{{coeffs}}},"const":{text(form.const)}}},'
+            parts.append(
+                f'{{"from":[{layer},{a}],"label":{{"coeffs":{{{coeffs}}},"const":{text(form.const)}}},'
                 f'"to":[{layer + 1},{c}]}}'
             )
-            sep = ","
         layers = ",".join(map(str, self.layer_sizes))
-        yield f'],"field":{json_text(self.field.descriptor())},"layers":[{layers}],"nvars":{self.n_vars}}}'
+        return (
+            f'{{"edges":[{",".join(parts)}],"field":{json_text(self.field.descriptor())},'
+            f'"layers":[{layers}],"nvars":{self.n_vars}}}'
+        )
 
     def to_json(self) -> dict:
-        return json.loads("".join(self.json_chunks()))
+        return json.loads(self.json_text())
 
     @classmethod
     def from_json(cls, obj: dict, field: Field | None = None) -> "ABP":

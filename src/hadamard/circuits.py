@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     ArityMismatchError,
@@ -141,26 +141,26 @@ class Circuit:
             g.value > 0 for g in self.gates if isinstance(g, ConstGate)
         )
 
-    def json_chunks(self) -> Iterator[str]:
-        """The circuit's JSON text in pieces, one per gate; joined, the
-        compact sorted-key form of ``to_json()``, with no dict built per
-        gate."""
+    def json_text(self) -> str:
+        """The circuit's compact sorted-key JSON text, each gate formatted
+        directly with no dict built for it."""
         text = coeff_text(self.field)
-        yield f'{{"field":{json_text(self.field.descriptor())},"gates":['
-        sep = ""
+        parts = []
         for g in self.gates:
             t = type(g)
             if t is InputGate:
-                yield f'{sep}{{"op":"in","var":{g.var}}}'
+                parts.append(f'{{"op":"in","var":{g.var}}}')
             elif t is ConstGate:
-                yield f'{sep}{{"op":"const","value":{text(g.value)}}}'
+                parts.append(f'{{"op":"const","value":{text(g.value)}}}')
             else:
-                yield f'{sep}{{"l":{g.left},"op":"{"add" if t is AddGate else "mul"}","r":{g.right}}}'
-            sep = ","
-        yield f'],"nvars":{self.n_vars},"output":{self.output}}}'
+                parts.append(f'{{"l":{g.left},"op":"{"add" if t is AddGate else "mul"}","r":{g.right}}}')
+        return (
+            f'{{"field":{json_text(self.field.descriptor())},"gates":[{",".join(parts)}],'
+            f'"nvars":{self.n_vars},"output":{self.output}}}'
+        )
 
     def to_json(self) -> dict:
-        return json.loads("".join(self.json_chunks()))
+        return json.loads(self.json_text())
 
     @classmethod
     def from_json(cls, obj: dict, field: Field | None = None) -> "Circuit":

@@ -18,7 +18,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .abp import ABP, nisan_ranks
 from .circuits import Circuit
@@ -76,32 +76,25 @@ def _read_json(path: str):
         raise ValidationError(f"{path}: invalid JSON ({exc})")
 
 
-def _json_chunks(obj) -> Iterator[str]:
-    """obj's compact sorted-key JSON text in pieces.  A program or circuit,
-    the result itself or a value of the top-level object, is written by its
-    own ``json_chunks``; every other value goes through ``json_text``."""
-    if isinstance(obj, (ABP, Circuit)):
-        yield from obj.json_chunks()
-    elif isinstance(obj, dict) and obj:
-        sep = "{"
-        for key in sorted(obj):
-            value = obj[key]
-            yield f"{sep}{json_text(key)}:"
-            if isinstance(value, (ABP, Circuit)):
-                yield from value.json_chunks()
-            else:
-                yield json_text(value)
-            sep = ","
-        yield "}"
-    else:
-        yield json_text(obj)
+def _value_text(value) -> str:
+    """A program or circuit through its own ``json_text``; any other value
+    through ``fields.json_text``."""
+    if isinstance(value, (ABP, Circuit)):
+        return value.json_text()
+    return json_text(value)
 
 
 def _emit(obj, out: Optional[str]) -> None:
-    """Write obj's JSON text and a newline to ``out`` or stdout.  The whole
-    text is formed before the first byte is written, so a failure while
-    forming it leaves stdout empty and creates no file."""
-    text = "".join(_json_chunks(obj)) + "\n"
+    """Write obj's JSON text and a newline to ``out`` or stdout.  A program
+    or circuit, the result itself or a value of the top-level object, is
+    written by its own writer.  The whole text is formed before the first
+    byte is written, so a failure while forming it leaves stdout empty and
+    creates no file."""
+    if isinstance(obj, dict) and any(isinstance(v, (ABP, Circuit)) for v in obj.values()):
+        items = ",".join(f"{json_text(k)}:{_value_text(obj[k])}" for k in sorted(obj))
+        text = "{" + items + "}\n"
+    else:
+        text = _value_text(obj) + "\n"
     if out:
         try:
             with open(out, "w") as fh:

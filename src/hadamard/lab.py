@@ -24,8 +24,7 @@ each set into a histogram of running log sums mod q-1, so it costs at most
 sizes.  Larger fields go through field elements (``f_coefficient`` and the
 element loop of ``exp_sum``), the only path that runs there.  The field is
 built on first use, after the term and evaluation caps that need only t and
-p, so a request past a cap is refused before a modulus is searched, and
-once per process for each p (``binary_field``).
+p, so a request past a cap is refused before a modulus is searched.
 
 Also here: product polynomials on disjoint variable halves to correlate
 against, and the permanent as a coefficient-wise product of row and column
@@ -39,7 +38,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
@@ -68,19 +67,12 @@ class ExplicitParams:
     def field(self) -> ExtField:
         """F_{2^p}, built on first use: the caps that need only t and p are
         checked before its modulus is searched."""
-        return binary_field(self.p)
+        return ExtField.make(2, self.p)
 
     def block(self, i: int) -> range:
         if not 0 <= i < self.t:
             raise ValidationError(f"block {i} out of range")
         return range(i * self.p, (i + 1) * self.p)
-
-
-@cache
-def binary_field(p: int) -> ExtField:
-    """F_{2^p}, built once per process for each p: its modulus search,
-    Rabin's test and the tables it builds on first use depend on p alone."""
-    return ExtField.make(2, p)
 
 
 def y_vector(params: ExplicitParams, monomial: Iterable[int]) -> list[ExtElement]:

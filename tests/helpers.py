@@ -637,7 +637,7 @@ def label_json(form: LinearForm, field) -> dict:
 
 def abp_json(p: ABP) -> dict:
     """A program's JSON object with one dict per edge: the reference that
-    ``ABP.json_chunks`` must match byte for byte under
+    ``ABP.json_text`` must match byte for byte under
     ``json.dumps(..., sort_keys=True, separators=(",", ":"))``."""
     return {
         "nvars": p.n_vars,
@@ -652,7 +652,7 @@ def abp_json(p: ABP) -> dict:
 
 def circuit_json(c: Circuit) -> dict:
     """A circuit's JSON object with one dict per gate, the reference for
-    ``Circuit.json_chunks``."""
+    ``Circuit.json_text``."""
     gates = []
     for g in c.gates:
         if isinstance(g, InputGate):

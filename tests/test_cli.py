@@ -504,16 +504,15 @@ def test_out_file_bytes_equal_stdout_bytes(shape, tmp_path):
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_a_failing_writer_leaves_no_partial_output(shape, to_file, tmp_path, monkeypatch):
     cls = ABP if shape == "abp" else Circuit
-    writer = cls.json_chunks
+    writer = cls.json_text
 
     def exhausted(self):
-        chunks = writer(self)
-        yield next(chunks)
-        yield next(chunks)
+        # the program's or circuit's text is formed, then memory runs out
+        writer(self)
         raise MemoryError
 
     left, right = product_files(tmp_path, shape)
-    monkeypatch.setattr(cls, "json_chunks", exhausted)
+    monkeypatch.setattr(cls, "json_text", exhausted)
     target = tmp_path / "out.json"
     argv = ["hadamard", shape, left, right] + (["--out", str(target)] if to_file else [])
     assert run_main(*argv) == (3, "", f"resource cap: out of memory in 'hadamard {shape}'\n")

@@ -21,7 +21,6 @@ from hadamard.fields import ExtField, psi
 from hadamard.lab import (
     CorrelationReport,
     ExplicitParams,
-    binary_field,
     build_f,
     build_f_prime,
     correlation_report,
@@ -56,13 +55,6 @@ def test_params_validation():
     assert params.n == 6
     assert list(params.block(1)) == [3, 4, 5]
     assert params.field.order == 8
-
-
-def test_params_with_one_width_share_one_field():
-    a, b = ExplicitParams(2, 3), ExplicitParams(1, 3)
-    assert a is not b and a.field is b.field is binary_field(3)
-    assert a.field == ExtField.make(2, 3) and a.field is not ExtField.make(2, 3)
-    assert ExplicitParams(2, 5).field is not a.field
 
 
 def test_y_vector_encodes_block_membership():

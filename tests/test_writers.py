@@ -29,7 +29,7 @@ def dumps(obj) -> str:
 
 
 def written(x) -> str:
-    return "".join(x.json_chunks())
+    return x.json_text()
 
 
 def coefficients(field):
