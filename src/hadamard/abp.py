@@ -10,52 +10,31 @@ same node pair means adding them, which ``ABP.build`` does.
 A label's coefficients are canonical elements of the program's field, and
 only the converting constructors ``LinearForm.make``, ``constant``,
 ``of_var`` and ``from_json`` turn other values (plain integers, JSON) into
-such elements.  ``ABP.build`` stores the forms it is given as they are,
-after merging parallel edges and dropping zero forms, and checks nothing.
+such elements.  ``ABP.build`` merges parallel labels, drops zero ones and
+stores the coefficients it is given as they are, and checks nothing.
 Programs are checked once, where they enter from outside data:
-``ABP.from_json`` runs ``validate``, which checks the layer shape, the edge
-ranges and that every label is canonical, without converting anything.
+``ABP.from_json`` runs ``validate``, which checks the layer shape, the entry
+ranges and that every coefficient is canonical, without converting anything.
 Before that it refuses a file that declares more than ``DEFAULT_MAX_TERMS``
 nodes in all, since walks that lay out dense rows size them by the declared
 layer widths.
 Programs the library makes from programs it trusts are not checked again.
 
-The edge map ``ABP.edges``, keyed (layer, from, to), is the stored form:
-JSON, equality and validation read it.  Everything that walks a program
-layer by layer reads the derived view ``ABP.layers`` instead.  Per layer it
-holds the sparse constant matrix and one sparse coefficient matrix per
-variable, each a list of (from, to, coefficient) entries; it is built once
-per program, in one pass over the edges.
+A program stores its layers: per layer a ``Layer`` holding the sparse
+constant matrix and one sparse coefficient matrix per variable, each a list
+of (from, to, coefficient) entries, at most one per node pair and matrix,
+none zero.  Entry order carries no meaning, and equality ignores it.  Every
+builder writes entries straight into layers.  Labels exist only where a
+program is read or written as labels: ``ABP.build`` turns labels into
+entries once, and ``ABP.edges`` is a read-only view of one ``LinearForm``
+per (layer, from, to), built on first read, which no library path reads.
 
-``homogeneous_parts`` splits a program into one degree-homogeneous program
-per degree by degree-tracking node duplication: a node of the part for
-degree k remembers which original node it is and how much degree has been
-accumulated, and each new edge bundles a run of constant-labeled original
-edges followed by exactly one variable-carrying step.  The parts therefore
-have only homogeneous linear forms on their edges and their path length
-equals their degree.  Constant runs are propagated sparsely: a backward
-pass gives each node's constant weight to the sink, and the steps out of
-each node are walked forward once and shared by every degree.  A part's
-layer lays out a run of original layers end to end, so a node's index is an
-offset plus its original index, and only nodes that some entry leaves are
-walked: a declared node that no edge touches costs nothing.
-
-``normalize_edges`` further splits internal nodes per arriving variable so
-that every edge except those into the sink mentions a single variable.  The
-edge map has no parallel edges and the sink cannot be duplicated, so labels
-on the last layer (and the single edge of a degree-1 program) may still
-combine several variables; downstream constructions treat labels
-variable-by-variable, which agrees with the single-variable normal form
-whenever it applies.  Like every other walker it reads ``abp.layers``: each
-node's copies are worked out once, and each per-variable entry becomes one
-edge per pair of copies it joins.
-
-``row_bases`` walks a homogeneous program from the source, or from the sink
-over the transposed matrices, keeping at each layer boundary a basis of the
-vectors that the words read so far leave there, each tagged with its word.
-The span test reads the last forward basis.  ``nisan_ranks`` reads rank M_k
-= rank(F_k B_kᵀ) off the forward and backward bases at boundary k, so
-neither expands the program or lays out a matrix over all words.
+Each walk is described where it is defined: ``homogeneous_parts`` splits a
+program into one degree-homogeneous part per degree; ``normalize_edges``
+splits a part's nodes until every node pair carries a single variable, the
+lone pair of a degree-1 part aside, which consumers read variable by
+variable; and ``row_bases`` keeps the word-tagged row bases that the span
+test and ``nisan_ranks`` read, so that neither expands the program.
 """
 
 from __future__ import annotations
@@ -108,17 +87,6 @@ class LinearForm:
     def of_var(cls, field: Field, v: int, coeff=1) -> "LinearForm":
         return cls.make(field, coeffs={v: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.const and not self.coeffs
-
-    def is_homogeneous(self) -> bool:
-        return not self.const
-
-    def single_variable(self) -> Optional[tuple[int, object]]:
-        if not self.const and len(self.coeffs) == 1:
-            return next(iter(self.coeffs.items()))
-        return None
-
     def add(self, other: "LinearForm", field: Field) -> "LinearForm":
         coeffs = dict(self.coeffs)
         for v, a in other.coeffs.items():
@@ -155,10 +123,22 @@ def _variable_key(key: str) -> int:
 
 @dataclass
 class Layer:
-    """Sparse coefficient matrices of one layer, entries (from, to, coefficient)."""
+    """Sparse coefficient matrices of one layer, entries (from, to,
+    coefficient); two layers are equal when they hold the same entries, in
+    whatever order."""
 
     const: list
     by_var: dict  # variable -> entries of its coefficient matrix
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Layer) and self.cells() == other.cells()
+
+    def cells(self) -> dict:
+        """(from, to, variable, or -1 for the constant) -> coefficient."""
+        cells = {(a, c, -1): k for a, c, k in self.const}
+        for v, entries in self.by_var.items():
+            cells.update(((a, c, v), k) for a, c, k in entries)
+        return cells
 
     def map(self, fn) -> "Layer":
         """The same layer with every coefficient replaced by fn(coefficient)."""
@@ -183,12 +163,23 @@ class Layer:
         return out
 
 
+def layers_of(depth: int, items: Iterable[tuple[tuple[int, int, int], tuple[int, object]]]) -> list[Layer]:
+    """``depth`` layers holding the items ((layer, from, to), (variable, or
+    -1 for the constant, coefficient)), each nonzero and at most one per
+    node pair and matrix."""
+    layers = [Layer([], {}) for _ in range(depth)]
+    for (layer, a, c), (v, k) in items:
+        lay = layers[layer]
+        (lay.const if v < 0 else lay.by_var.setdefault(v, [])).append((a, c, k))
+    return layers
+
+
 @dataclass
 class ABP:
     n_vars: int
     field: Field
     layer_sizes: tuple[int, ...]
-    edges: dict  # (layer, from_node, to_node) -> LinearForm, zero forms omitted
+    layers: list[Layer]  # layer i joins the nodes of layers i and i + 1
 
     @property
     def depth(self) -> int:
@@ -198,26 +189,29 @@ class ABP:
         return sum(self.layer_sizes)
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        """Node pairs that carry a label, over all layers."""
+        return sum(len({(a, c) for a, c, _ in lay.cells()}) for lay in self.layers)
+
+    def labels(self) -> Iterator[tuple[tuple[int, int, int], object, dict]]:
+        """((layer, from, to), constant, {variable: coefficient}) of each
+        labelled node pair in key order, grouped from the entries."""
+        zero = self.field.zero()
+        for layer, lay in enumerate(self.layers):
+            grouped = {(a, c): (k, {}) for a, c, k in lay.const}
+            for v, entries in lay.by_var.items():
+                for a, c, k in entries:
+                    grouped.setdefault((a, c), (zero, {}))[1][v] = k
+            for a, c in sorted(grouped):
+                yield (layer, a, c), *grouped[(a, c)]
+
+    @cached_property
+    def edges(self) -> dict:
+        """Read-only view: (layer, from, to) -> its ``LinearForm``, in key
+        order, built on first read."""
+        return {key: LinearForm(const, coeffs) for key, const, coeffs in self.labels()}
 
     def label(self, layer: int, a: int, c: int) -> Optional[LinearForm]:
         return self.edges.get((layer, a, c))
-
-    @cached_property
-    def layers(self) -> list[Layer]:
-        """Per layer, the sparse constant and per-variable coefficient matrices.
-
-        Built on first use in one pass over ``edges``, in insertion order.
-        Programs are not changed after ``build``, so it is built at most once.
-        """
-        out = [Layer([], {}) for _ in range(self.depth)]
-        for (layer, a, c), form in self.edges.items():
-            lay = out[layer]
-            if form.const:
-                lay.const.append((a, c, form.const))
-            for v, k in form.coeffs.items():
-                lay.by_var.setdefault(v, []).append((a, c, k))
-        return out
 
     @classmethod
     def build(
@@ -225,23 +219,21 @@ class ABP:
         n_vars: int,
         field: Field,
         layer_sizes: Sequence[int],
-        edges: dict | Iterable[tuple[tuple[int, int, int], LinearForm]],
+        labels: dict | Iterable[tuple[tuple[int, int, int], LinearForm]],
     ) -> "ABP":
         """A program from a dict or an iterable of ((layer, from, to), form)
-        pairs; parallel edges merge by addition, zero labels drop.  Forms
-        are stored as given and nothing is checked: callers pass canonical
-        forms that fit the layers, and ``from_json`` validates outside data."""
-        clean = {}
-        for key, form in edges.items() if isinstance(edges, dict) else edges:
-            if form.is_zero():
-                continue
-            if key in clean:  # parallel edges merge by addition
-                form = clean[key].add(form, field)
-                if form.is_zero():
-                    del clean[key]
-                    continue
-            clean[key] = form
-        return cls(n_vars, field, tuple(layer_sizes), clean)
+        pairs; parallel labels merge by addition, and the merged labels become
+        entries as they are, zeros dropped.  Nothing is checked: callers pass
+        canonical forms that fit the layers, and ``from_json`` validates."""
+        merged: dict = {}
+        for key, form in labels.items() if isinstance(labels, dict) else labels:
+            if key in merged:  # parallel labels merge by addition
+                form = merged[key].add(form, field)
+            merged[key] = form
+        items = (
+            (key, (v, k)) for key, form in merged.items() for v, k in [(-1, form.const), *form.coeffs.items()] if k
+        )
+        return cls(n_vars, field, tuple(layer_sizes), layers_of(len(layer_sizes) - 1, items))
 
     def expand(self, max_terms: int = DEFAULT_MAX_TERMS) -> NCPoly:
         """Path-by-path expansion into an explicit polynomial."""
@@ -282,18 +274,16 @@ class ABP:
 
     def json_text(self) -> str:
         """The program's compact sorted-key JSON text, edges in key order,
-        each formatted directly with no dict built for it.  A label's coeffs
-        keys sort as strings ("10" before "2"), as ``sort_keys`` sorts them."""
+        each formatted directly from ``labels``, with no form or dict built
+        for it.  A label's coeffs keys sort as strings ("10" before "2"), as
+        ``sort_keys`` sorts them."""
         text = coeff_text(self.field)
-        edges = self.edges
         parts = []
-        for key in sorted(edges):
-            layer, a, c = key
-            form = edges[key]
-            keyed = sorted((str(v), x) for v, x in form.coeffs.items())
-            coeffs = ",".join(f'"{v}":{text(x)}' for v, x in keyed)
+        for (layer, a, c), const, coeffs in self.labels():
+            keyed = sorted((str(v), x) for v, x in coeffs.items())
+            body = ",".join(f'"{v}":{text(x)}' for v, x in keyed)
             parts.append(
-                f'{{"from":[{layer},{a}],"label":{{"coeffs":{{{coeffs}}},"const":{text(form.const)}}},'
+                f'{{"from":[{layer},{a}],"label":{{"coeffs":{{{body}}},"const":{text(const)}}},'
                 f'"to":[{layer + 1},{c}]}}'
             )
         layers = ",".join(map(str, self.layer_sizes))
@@ -316,25 +306,27 @@ class ABP:
             raise ResourceCapError(
                 f"the program declares {sum(layers)} nodes, past the cap of {DEFAULT_MAX_TERMS}"
             )
-        edges = []
+        labels = []
         for e in obj["edges"]:
             fl, fn = json_int(e["from"][0]), json_int(e["from"][1])
             tl, tn = json_int(e["to"][0]), json_int(e["to"][1])
             if tl != fl + 1:
                 raise ValidationError(f"edge {e['from']} -> {e['to']} skips layers")
-            edges.append(((fl, fn, tn), LinearForm.from_json(e["label"], field)))
-        abp = cls.build(json_int(obj["nvars"]), field, layers, edges)
+            if not 0 <= fl < len(layers) - 1:
+                raise ValidationError(f"edge layer {fl} out of range")
+            labels.append(((fl, fn, tn), LinearForm.from_json(e["label"], field)))
+        abp = cls.build(json_int(obj["nvars"]), field, layers, labels)
         err = validate(abp)
         if err:
             raise ValidationError(err)
         return abp
 
     def __repr__(self) -> str:
-        return f"ABP(layers={list(self.layer_sizes)}, edges={len(self.edges)}, vars={self.n_vars})"
+        return f"ABP(layers={list(self.layer_sizes)}, edges={self.edge_count()}, vars={self.n_vars})"
 
 
 def validate(abp: ABP) -> Optional[str]:
-    """First structural or label violation as a message, or None if well formed."""
+    """First structural or entry violation as a message, or None if well formed."""
     ls = abp.layer_sizes
     if len(ls) < 1:
         return "no layers"
@@ -342,38 +334,38 @@ def validate(abp: ABP) -> Optional[str]:
         return f"empty layer in {list(ls)}"
     if ls[0] != 1 or ls[-1] != 1:
         return "source and sink layers must have exactly one node"
-    depth, n_vars, coerce = abp.depth, abp.n_vars, abp.field.coerce
+    n_vars, coerce = abp.n_vars, abp.field.coerce
     if n_vars < 0:
         return "negative variable count"
-    for (layer, a, c), form in abp.edges.items():
-        if not 0 <= layer < depth:
-            return f"edge layer {layer} out of range"
-        if not 0 <= a < ls[layer]:
-            return f"edge source node {a} out of range in layer {layer}"
-        if not 0 <= c < ls[layer + 1]:
-            return f"edge target node {c} out of range in layer {layer + 1}"
-        if form.is_zero():
-            return f"edge ({layer},{a},{c}) stores an explicit zero label"
-        # coerce raises FieldMismatchError on another field's element and
-        # returns a new object for a plain number
-        if coerce(form.const) is not form.const:
-            return f"edge ({layer},{a},{c}) has a label that is not canonical"
-        for v, x in form.coeffs.items():
-            if not 0 <= v < n_vars:
-                return f"edge ({layer},{a},{c}) references a variable out of range"
-            if not x or coerce(x) is not x:
-                return f"edge ({layer},{a},{c}) has a label that is not canonical"
+    for layer, lay in enumerate(abp.layers):
+        for v, entries in [(None, lay.const), *lay.by_var.items()]:
+            for a, c, k in entries:
+                if not 0 <= a < ls[layer]:
+                    return f"edge source node {a} out of range in layer {layer}"
+                if not 0 <= c < ls[layer + 1]:
+                    return f"edge target node {c} out of range in layer {layer + 1}"
+                if v is not None and not 0 <= v < n_vars:
+                    return f"edge ({layer},{a},{c}) references a variable out of range"
+                # coerce raises FieldMismatchError on another field's element
+                # and returns a new object for a plain number
+                if not k or coerce(k) is not k:
+                    return f"edge ({layer},{a},{c}) has a label that is not canonical"
     return None
 
 
 def zero_abp(n_vars: int, field: Field) -> ABP:
-    return ABP.build(n_vars, field, (1, 1), {})
+    return ABP(n_vars, field, (1, 1), [Layer([], {})])
 
 
 def constant_abp(n_vars: int, field: Field, c) -> ABP:
     c = field.coerce(c)
-    edges = {(0, 0, 0): LinearForm.constant(field, c)} if c else {}
-    return ABP.build(n_vars, field, (1, 1), edges)
+    return ABP(n_vars, field, (1, 1), [Layer([(0, 0, c)] if c else [], {})])
+
+
+def constant_value(part: ABP):
+    """The value of a constant part, as ``homogeneous_parts`` returns first."""
+    const = part.layers[0].const
+    return const[0][2] if const else part.field.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +379,8 @@ def homogeneous_parts(abp: ABP) -> list[ABP]:
     (original layer, original node) reachable after w variable-carrying
     steps; an edge bundles a constant-only walk followed by one
     variable-carrying original edge, and edges into the sink also absorb the
-    trailing constant-only walk.  Every label is a homogeneous linear form.
+    trailing constant-only walk.  No part after the first has a constant
+    entry.
 
     Constant-only walks are propagated sparsely over ``abp.layers``.  One
     backward pass gives each node's constant weight to the sink.  The steps
@@ -412,30 +405,25 @@ def homogeneous_parts(abp: ABP) -> list[ABP]:
                 here[a] = here.get(a, zero) + k * t
 
     @cache
-    def steps(i: int, a: int) -> tuple[dict, LinearForm]:
-        """({j: {b: form}}, sink form) for the steps out of node a of layer i."""
-        by_layer: dict[int, dict[int, LinearForm]] = {}
+    def steps(i: int, a: int) -> tuple[dict, list]:
+        """({j: [(b, v, coefficient)]}, [(v, coefficient)] into the sink) for
+        the steps out of node a of layer i, zero coefficients dropped."""
+        by_layer: dict[int, list] = {}
         sink: dict = {}
         reach = {a: one}  # constant-only walks from (i, a) into layer j-1
         for j in range(i + 1, d + 1):
             lay = layers[j - 1]
-            coeffs: dict[int, dict] = {}
+            coeffs: dict[tuple[int, int], object] = {}  # (b, v) -> coefficient
             for v, entries in lay.by_var.items():
                 for m, b, k in entries:
                     w = reach.get(m)
                     if w:
-                        per_b = coeffs.setdefault(b, {})
-                        per_b[v] = per_b.get(v, zero) + w * k
-            forms = {}
-            for b, cs in coeffs.items():
-                cs = {v: x for v, x in cs.items() if x}
-                if cs:
-                    forms[b] = LinearForm(zero, cs)
-                    t = to_sink[j].get(b)
-                    if t:
-                        for v, x in cs.items():
-                            sink[v] = sink.get(v, zero) + x * t
-            by_layer[j] = forms
+                        coeffs[(b, v)] = coeffs.get((b, v), zero) + w * k
+            by_layer[j] = [(b, v, x) for (b, v), x in coeffs.items() if x]
+            for b, v, x in by_layer[j]:
+                t = to_sink[j].get(b)
+                if t:
+                    sink[v] = sink.get(v, zero) + x * t
             nxt: dict = {}
             for m, c, k in lay.const:
                 w = reach.get(m)
@@ -444,52 +432,54 @@ def homogeneous_parts(abp: ABP) -> list[ABP]:
             reach = nxt
             if not reach:
                 break
-        return by_layer, LinearForm(zero, {v: x for v, x in sink.items() if x})
+        return by_layer, [(v, x) for v, x in sink.items() if x]
 
     parts = [constant_abp(abp.n_vars, field, to_sink[0].get(0, zero))]
     # layer w (0 < w < k) of part k lays out original layers w..d-(k-w) end to
     # end, so node (i, a) sits at start[i] - start[w] + a; only the nodes that
     # some entry leaves are walked, in node order
     start = list(itertools.accumulate(abp.layer_sizes, initial=0))
-    leaving = [sorted({a for es in (lay.const, *lay.by_var.values()) for a, _, _ in es}) for lay in layers]
+    leaving = [sorted({a for a, _, _ in lay.cells()}) for lay in layers]
 
     for k in range(1, d + 1):
         nodes = [[(0, 0, a) for a in leaving[0]]] + [
             [(start[i] - start[w] + a, i, a) for i in range(w, d - k + w + 1) for a in leaving[i]]
             for w in range(1, k)
         ]
-        edges = {}
+        out = [Layer([], {}) for _ in range(k)]
         for w in range(k - 1):
+            by_var = out[w].by_var
             for src, i, a in nodes[w]:
                 by_layer = steps(i, a)[0]
                 for j in range(i + 1, d - (k - w - 1) + 1):
-                    for b, lf in by_layer.get(j, {}).items():
-                        edges[(w, src, start[j] - start[w + 1] + b)] = lf
+                    offset = start[j] - start[w + 1]
+                    for b, v, x in by_layer.get(j, ()):
+                        by_var.setdefault(v, []).append((src, offset + b, x))
         # final step: variable edge at any remaining position, then constants to the sink
+        by_var = out[k - 1].by_var
         for src, i, a in nodes[k - 1]:
-            sink = steps(i, a)[1]
-            if sink.coeffs:
-                edges[(k - 1, src, 0)] = sink
+            for v, x in steps(i, a)[1]:
+                by_var.setdefault(v, []).append((src, 0, x))
 
-        layer_sizes = [1] + [start[d - k + w + 1] - start[w] for w in range(1, k)] + [1]
-        parts.append(ABP.build(abp.n_vars, field, layer_sizes, edges))
+        layer_sizes = (1, *(start[d - k + w + 1] - start[w] for w in range(1, k)), 1)
+        parts.append(ABP(abp.n_vars, field, layer_sizes, out))
 
     return parts
 
 
 def is_homogeneous_program(abp: ABP) -> bool:
-    return all(form.is_homogeneous() for form in abp.edges.values())
+    return not any(lay.const for lay in abp.layers)
 
 
 def normalize_edges(abp: ABP) -> ABP:
-    """Split nodes so every edge label is 0 or a single alpha * x_i.
+    """Split nodes so every node pair carries 0 or a single alpha * x_i.
 
     Requires a degree-homogeneous program of degree >= 1.  Internal nodes
     are duplicated per arriving variable; nodes feeding the sink are also
     duplicated per departing variable, so sink-bound labels split as well.
     Already-normal programs are returned as is.  A degree-1 program is the
     one shape that cannot be split at all — the lone source-to-sink label
-    would need parallel edges, which the edge map merges — so it is
+    would need parallel edges, and a node pair carries one label — so it is
     returned unchanged and consumers accept multi-variable labels there.
     """
     if abp.depth < 1:
@@ -499,11 +489,11 @@ def normalize_edges(abp: ABP) -> ABP:
     d = abp.depth
     if d == 1:
         return abp
-    if all(form.single_variable() is not None for form in abp.edges.values()):
+    layers = abp.layers
+    cells = [lay.cells() for lay in layers]
+    if all(len(cs) == len({(a, c) for a, c, _ in cs}) for cs in cells):  # no pair carries two variables
         return abp
 
-    zero = abp.field.zero()
-    layers = abp.layers
     # arriving variables per internal node; departing variables at layer d-1
     arriving: list[dict[int, set]] = [dict() for _ in range(d)]
     for layer in range(d - 1):
@@ -532,20 +522,22 @@ def normalize_edges(abp: ABP) -> ABP:
         layer_sizes.append(max(count, 1))  # a placeholder keeps the layer nonempty
     layer_sizes.append(1)
 
-    edges: list[tuple[tuple[int, int, int], LinearForm]] = []
+    out = [Layer([], {}) for _ in range(d)]
     for layer, lay in enumerate(layers):
         for v, entries in lay.by_var.items():
+            split = []
             for a, c, k in entries:
-                form = LinearForm(zero, {v: k})
                 srcs = copies[layer].get(a, ())
                 if layer == d - 1:
                     # each copy's sink edge keeps only its own departing variable
-                    edges.extend(((layer, i, 0), form) for i, _, t in srcs if t == v)
+                    split.extend((i, 0, k) for i, _, t in srcs if t == v)
                 else:
                     for j, u, _ in copies[layer + 1].get(c, ()):
                         if u == v:
-                            edges.extend(((layer, i, j), form) for i, _, _ in srcs)
-    return ABP.build(abp.n_vars, abp.field, layer_sizes, edges)
+                            split.extend((i, j, k) for i, _, _ in srcs)
+            if split:
+                out[layer].by_var[v] = split
+    return ABP(abp.n_vars, abp.field, tuple(layer_sizes), out)
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +546,16 @@ def normalize_edges(abp: ABP) -> ABP:
 
 def sum_layout(
     part_sizes: Sequence[Sequence[int]], depth: Optional[int] = None
-) -> tuple[list[int], list[tuple], list[tuple]]:
+) -> tuple[list[int], int, list[tuple]]:
     """Node layout of ``abp_sum`` from the summands' layer sizes alone.
 
-    Returns the layer sizes of the sum, the keys of the delay-chain edges
-    (each labelled 1), and per summand its placement: (shift, node offset
-    per inner layer, depth).  Every summand has depth at least 1.  Node 0
-    of layers 1..(longest shift) is the chain; a summand shifted by s
-    hangs off its node in layer s (the source when s is 0).  The sum is as
-    deep as its deepest summand unless ``depth``, at least that deep, is
-    given.
+    Returns the layer sizes of the sum, the length of the delay chain (its
+    edges (w, 0, 0), each labelled 1, for w below it), and per summand its
+    placement: (shift, node offset per inner layer, depth).  Every summand
+    has depth at least 1.  Node 0 of layers 1..(longest shift) is the chain;
+    a summand shifted by s hangs off its node in layer s (the source when s
+    is 0).  The sum is as deep as its deepest summand unless ``depth``, at
+    least that deep, is given.
     """
     depths = [len(sizes) - 1 for sizes in part_sizes]
     depth = max(depths) if depth is None else depth
@@ -579,27 +571,26 @@ def sum_layout(
                 count += sizes[local]
         layer_nodes[w] = max(count, 1)  # an empty layer keeps a placeholder node
     placements = [(depth - d, offsets[pi], d) for pi, d in enumerate(depths)]
-    return layer_nodes, [(w, 0, 0) for w in range(chain)], placements
+    return layer_nodes, chain, placements
 
 
-def placed(placement: tuple, items: Iterable[tuple[tuple[int, int, int], object]]):
-    """(key in the sum, value) for each (key in a summand, value), in order,
-    where placement is the summand's entry from ``sum_layout``."""
-    shift, offsets, depth = placement
-    for (layer, a, c), value in items:
-        src = 0 if layer == 0 else offsets[layer] + a
-        dst = 0 if layer + 1 == depth else offsets[layer + 1] + c
-        yield (layer + shift, src, dst), value
-
-
-def sum_edges(chain: Sequence[tuple], placements: Sequence[tuple], item_iters: Sequence[Iterable], one_form):
-    """(key, value) of the sum's edges in ``abp_sum``'s order: the delay
-    chain's keys with ``one_form``, then each summand's items placed as
-    ``sum_layout`` lays them out."""
-    for key in chain:
-        yield key, one_form
-    for placement, items in zip(placements, item_iters):
-        yield from placed(placement, items)
+def laid_out_sum(n_vars: int, field: Field, summands: Sequence[tuple], depth: Optional[int] = None) -> ABP:
+    """The sum of the summands, each given as (layer sizes, layers), laid out
+    as ``sum_layout`` lays them out: the delay chain's entries, each 1, then
+    each summand's entries with their nodes moved to their places.  Every
+    depth-1 summand joins the same two nodes, so their entries must lie in
+    different matrices."""
+    sizes, chain, placements = sum_layout([part_sizes for part_sizes, _ in summands], depth)
+    layers = [Layer([(0, 0, field.one())] if w < chain else [], {}) for w in range(len(sizes) - 1)]
+    for (shift, offsets, d), (_, lays) in zip(placements, summands):
+        for layer, lay in enumerate(lays):
+            sa = offsets[layer] if layer else 0
+            sc = offsets[layer + 1] if layer + 1 < d else 0
+            out = layers[layer + shift]
+            out.const.extend([(a + sa, c + sc, k) for a, c, k in lay.const])
+            for v, entries in lay.by_var.items():
+                out.by_var.setdefault(v, []).extend([(a + sa, c + sc, k) for a, c, k in entries])
+    return ABP(n_vars, field, tuple(sizes), layers)
 
 
 def abp_sum(parts: Sequence[ABP]) -> ABP:
@@ -621,17 +612,24 @@ def abp_sum(parts: Sequence[ABP]) -> ABP:
             raise FieldMismatchError("summands disagree on field")
     # a single-layer program computes the constant 1; lift it to depth 1
     parts = [constant_abp(n_vars, field, 1) if p.depth == 0 else p for p in parts]
-    layer_nodes, chain, placements = sum_layout([p.layer_sizes for p in parts])
-    one_form = LinearForm.constant(field, 1)
-    edges = sum_edges(chain, placements, [p.edges.items() for p in parts], one_form)
-    return ABP.build(n_vars, field, layer_nodes, edges)
+    flat = [p for p in parts if p.depth == 1]
+    if len(flat) > 1:
+        # every depth-1 summand joins the chain's end to the sink: add their
+        # labels into one summand, which has no inner node to lay out
+        sums: dict = {}  # variable, or -1 for the constant -> coefficient
+        for p in flat:
+            for (_, _, v), k in p.layers[0].cells().items():
+                sums[v] = sums[v] + k if v in sums else k
+        joined = layers_of(1, (((0, 0, 0), (v, k)) for v, k in sums.items() if k))
+        parts = [p for p in parts if p.depth > 1] + [ABP(n_vars, field, (1, 1), joined)]
+    return laid_out_sum(n_vars, field, [(p.layer_sizes, p.layers) for p in parts])
 
 
-def live_nodes(depth: int, arcs: Iterable[tuple[tuple[int, int, int], object]]) -> Optional[list[list[int]]]:
+def live_nodes(depth: int, keys: Iterable[tuple[int, int, int]]) -> Optional[list[list[int]]]:
     """Per layer, the sorted nodes on some source-to-sink path of the arcs,
-    given as ((layer, from, to), label) pairs; None if no such path exists."""
+    given by their (layer, from, to) keys; None if no such path exists."""
     by_layer: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-    for (layer, a, c), _ in arcs:
+    for layer, a, c in keys:
         by_layer[layer].append((a, c))
     fwd = [set() for _ in range(depth + 1)]
     fwd[0].add(0)
@@ -660,11 +658,11 @@ def prune(abp: ABP) -> ABP:
     d = abp.depth
     if d == 0:
         return abp
-    alive = live_nodes(d, abp.edges.items())
+    items = [((w, a, c), (v, k)) for w, lay in enumerate(abp.layers) for (a, c, v), k in lay.cells().items()]
+    alive = live_nodes(d, (key for key, _ in items))
     if alive is None:
         return zero_abp(abp.n_vars, abp.field)
-    edges = pruned_edges(alive, abp.edges.items())
-    return ABP.build(abp.n_vars, abp.field, [len(nodes) for nodes in alive], edges)
+    return ABP(abp.n_vars, abp.field, tuple(len(nodes) for nodes in alive), layers_of(d, pruned_edges(alive, items)))
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +794,7 @@ def nisan_ranks(abp: ABP) -> list[int]:
     found = []  # (part, forward bases or None for the constant) per nonzero part
     for k, part in enumerate(homogeneous_parts(abp)):
         if k == 0:
-            form = part.label(0, 0, 0)
-            if form is not None and form.const:
+            if constant_value(part):
                 found.append((part, None))
         else:
             forward = list(row_bases(part))

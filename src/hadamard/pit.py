@@ -41,6 +41,7 @@ from .abp import (
     LinearForm,
     coefficient_of,
     constant_abp,
+    constant_value,
     homogeneous_parts,
     row_bases,
 )
@@ -112,8 +113,7 @@ def pit_rational(p: ABP) -> PitVerdict:
     if not isinstance(p.field, RationalField):
         raise ValidationError("squared-coefficient test needs rational coefficients")
     parts = homogeneous_parts(p)
-    form = parts[0].label(0, 0, 0)
-    total = form.const * form.const if form else Fraction(0)
+    total = constant_value(parts[0]) ** 2
     for part in parts[1:]:
         # the iteration runs on integers: each layer's matrices are scaled by
         # the least common denominator of their entries, and the part's value
@@ -139,12 +139,12 @@ def pit_span_basis(p: ABP) -> PitVerdict:
     out = raw_ops(field)[3]
     for k, part in enumerate(homogeneous_parts(p)):
         if k == 0:
-            form = part.label(0, 0, 0)
-            if form is not None and form.const:
+            c = constant_value(part)
+            if c:
                 return PitVerdict(
                     is_zero=False,
                     method="span_basis",
-                    witness={"word": [], "coeff": field.coeff_to_json(form.const)},
+                    witness={"word": [], "coeff": field.coeff_to_json(c)},
                 )
             continue
         for basis in row_bases(part):
@@ -221,6 +221,8 @@ def pit_randomized(p: ABP, trials: int = 20, seed: int = 0) -> PitVerdict:
     if trials < 1:
         raise ValidationError("at least one trial required")
     d = p.depth
+    if d * p.n_vars > DEFAULT_MAX_TERMS:  # values each trial draws, one per layer and variable
+        raise ResourceCapError(f"a trial draws {d * p.n_vars} values, past the cap of {DEFAULT_MAX_TERMS}")
     big, embed = _extension_with_embedding(p.field, max(2 * d, 2))
     bound = Fraction(d, big.order) if d else Fraction(0)
     zero, one = big.zero(), big.one()

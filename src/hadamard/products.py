@@ -5,17 +5,16 @@ with multiplied coefficients.  Two constructions are provided:
 
 * branching program x branching program: homogenize both inputs, normalize
   each degree part, and take a layered Cartesian product.  A product-layer
-  node is a pair of factor nodes, and the edge between two pairs matches the
-  factor labels variable by variable (the coefficient of x_t is the product
-  of the factors' coefficients of x_t).  Within each degree the product
-  layer sizes are exactly the products of the factor layer sizes, but arcs
-  are grown forward from the source pair only out of pairs already
-  reached.  Each degree is then pruned backward, its live arcs have their
-  coefficients multiplied, and the rest are dropped before the next degree
-  is paired, so one degree's unpruned arcs are held at a time.  The pruned
-  parts are summed as ``abp_sum`` does, at the depth of the deepest degree
-  paired, which is what pruning the sum of the unpruned parts gives, and
-  the result is built once.
+  node is a pair of factor nodes, and per variable the product's matrix is
+  the Kronecker product of the factors' matrices.  Within each degree the
+  product layer sizes are exactly the products of the factor layer sizes,
+  but arcs are grown forward from the source pair only out of pairs already
+  reached, holding the factors' entries x and y unmultiplied.  Each degree
+  is then pruned backward, only its live arcs become entries x * y, and the
+  rest are dropped before the next degree is paired, so one degree's
+  unpruned arcs are held at a time.  The pruned parts are summed as
+  ``abp_sum`` does, at the depth of the deepest degree paired, which is
+  what pruning the sum of the unpruned parts gives.
 
 * circuit x branching program: a circuit for f and a program for g yield a
   circuit for the product, built by running the circuit against every
@@ -37,15 +36,17 @@ from typing import Optional
 
 from .abp import (
     ABP,
-    LinearForm,
+    Layer,
     abp_sum,
     constant_abp,
+    constant_value,
     homogeneous_parts,
+    laid_out_sum,
+    layers_of,
     live_nodes,
     normalize_edges,
     prune,
     pruned_edges,
-    sum_edges,
     sum_layout,
     zero_abp,
 )
@@ -97,7 +98,7 @@ def product_arcs(p: ABP, q: ABP) -> dict:
 
     Maps (layer, a * q_from + b, c * q_to + e) to the entries (v, x, y) that
     pair p's entry x on (a, c) with q's entry y on (b, e) for variable v;
-    the arc's label has x_v coefficient x * y.  Each layer pairs entries
+    the product's entry of v on the arc is x * y.  Each layer pairs entries
     only out of the pairs the layer before reached, so an arc out of an
     unreachable pair is never made; arcs and entries come in the order of
     the all-pairs loop over variables, p's entries and q's entries.
@@ -135,9 +136,10 @@ def product_arcs(p: ABP, q: ABP) -> dict:
     return arcs
 
 
-def product_label(zero, entries: list) -> LinearForm:
-    """The label of a product arc from its entries (v, x, y) in ``product_arcs``."""
-    return LinearForm(zero, {v: x * y for v, x, y in entries})
+def product_layers(depth: int, arcs) -> list[Layer]:
+    """The layers of product arcs ((layer, from, to), entries (v, x, y)):
+    entry x * y of variable v on (from, to) for each."""
+    return layers_of(depth, ((key, (v, x * y)) for key, entries in arcs for v, x, y in entries))
 
 
 def hadamard_homogeneous(p: ABP, q: ABP) -> ABP:
@@ -149,10 +151,8 @@ def hadamard_homogeneous(p: ABP, q: ABP) -> ABP:
     _check_pair(p.n_vars, p.field, q.n_vars, q.field)
     if p.depth != q.depth:
         raise ArityMismatchError(f"depth mismatch: {p.depth} vs {q.depth}")
-    zero = p.field.zero()
-    sizes = [pw * qw for pw, qw in zip(p.layer_sizes, q.layer_sizes)]
-    edges = {key: product_label(zero, entries) for key, entries in product_arcs(p, q).items()}
-    return ABP.build(p.n_vars, p.field, sizes, edges)
+    sizes = tuple(pw * qw for pw, qw in zip(p.layer_sizes, q.layer_sizes))
+    return ABP(p.n_vars, p.field, sizes, product_layers(p.depth, product_arcs(p, q).items()))
 
 
 def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
@@ -161,33 +161,30 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
     The result is what ``prune(abp_sum(...))`` of the per-degree
     ``hadamard_homogeneous`` products gives.  Each degree's arcs are grown
     forward from the source pair and pruned backward before the next
-    degree is paired; only its live arcs are labelled, and the pruned parts
-    are laid out and built once.  A part's node is live in the sum exactly
+    degree is paired; only its live arcs become entries, and the pruned
+    parts are laid out once.  A part's node is live in the sum exactly
     when it is live in the part, and the chain reaches down to the
     shallowest live part, so the pruned sum is the sum of the pruned parts
     at the depth of the deepest part paired.
     """
     _check_pair(p.n_vars, p.field, q.n_vars, q.field)
     n_vars, field = p.n_vars, p.field
-    zero = field.zero()
     p_parts = homogeneous_parts(p)
     q_parts = p_parts if q is p else homogeneous_parts(q)
     records: list[DegreeRecord] = []
     sizes_of: list[tuple] = []  # layer sizes per summand
     summands: list = []  # the constant program or the normalized factor pair per summand
-    live: list[tuple] = []  # per summand with a source-to-sink path: (live layer sizes, labelled live arcs)
+    live: list[tuple] = []  # per summand with a source-to-sink path: (live layer sizes, live layers)
     for k in range(min(len(p_parts), len(q_parts))):
         pk, qk = p_parts[k], q_parts[k]
         if k == 0:
-            pc = pk.label(0, 0, 0)
-            qc = qk.label(0, 0, 0)
-            c = (pc.const if pc else zero) * (qc.const if qc else zero)
+            c = constant_value(pk) * constant_value(qk)
             records.append(DegreeRecord(0, pk.layer_sizes, qk.layer_sizes, (1, 1)))
             if c:
                 const = constant_abp(n_vars, field, c)
                 sizes_of.append(const.layer_sizes)
                 summands.append(const)
-                live.append((const.layer_sizes, list(const.edges.items())))
+                live.append((const.layer_sizes, const.layers))
             continue
         pk = normalize_edges(pk)
         qk = pk if q is p else normalize_edges(qk)
@@ -196,10 +193,9 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
         sizes_of.append(sizes)
         summands.append((pk, qk))
         arcs = product_arcs(pk, qk)
-        alive = live_nodes(k, arcs.items())
+        alive = live_nodes(k, arcs)
         if alive is not None:
-            kept = pruned_edges(alive, arcs.items())
-            live.append(([len(nodes) for nodes in alive], [(key, product_label(zero, es)) for key, es in kept]))
+            live.append(([len(nodes) for nodes in alive], product_layers(k, pruned_edges(alive, arcs.items()))))
         del arcs  # before the next degree's arcs are grown
     if not summands:
         none = zero_abp(n_vars, field)
@@ -208,10 +204,8 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
     layer_sizes = sum_layout(sizes_of)[0]
     if not live:
         return ABPProductResult(zero_abp(n_vars, field), records, sum(layer_sizes), summands)
-    live_sizes, live_chain, live_placements = sum_layout([sizes for sizes, _ in live], len(layer_sizes) - 1)
-    one_form = LinearForm.constant(field, 1)
-    edges = sum_edges(live_chain, live_placements, [items for _, items in live], one_form)
-    return ABPProductResult(ABP.build(n_vars, field, live_sizes, edges), records, sum(layer_sizes), summands)
+    pruned = laid_out_sum(n_vars, field, live, len(layer_sizes) - 1)
+    return ABPProductResult(pruned, records, sum(layer_sizes), summands)
 
 
 @dataclass
@@ -256,6 +250,10 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             continue
         part = normalize_edges(part)
         sizes = part.layer_sizes
+        # (layer, from, to, variable) -> the part's coefficient there
+        coeff_at = {
+            (i, a, b, v): x for i, lay in enumerate(part.layers) for v, es in lay.by_var.items() for a, b, x in es
+        }
         memo.clear()
         left_factors.clear()
 
@@ -271,8 +269,7 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                     if a == b:
                         out = builder.const(gate.value)
                 else:
-                    form = part.label(i, a, b)
-                    coeff = form.coeffs.get(gate.var) if form else None
+                    coeff = coeff_at.get((i, a, b, gate.var))
                     if coeff:
                         out = builder.mul(builder.const(coeff), builder.input(gate.var))
             memo[key] = out

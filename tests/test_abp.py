@@ -31,7 +31,7 @@ from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.matrices import Matrix
 from hadamard.pit import Digraph, det_to_abp, pit_span_basis, reach_to_abp
 from hadamard.polynomials import NCPoly
-from hadamard.products import hadamard_abp_detailed
+from hadamard.products import hadamard_abp_detailed, hadamard_homogeneous
 
 import helpers
 from helpers import cancelling_abp, random_digraph
@@ -75,7 +75,7 @@ def random_abp(rng, field, n_vars=3, depth=3, width=3, affine=True):
                     if rng.random() < 0.5:
                         coeffs[v] = rng.randint(-2, 2)
                 form = LinearForm.make(field, const=const, coeffs=coeffs)
-                if not form.is_zero():
+                if form.const or form.coeffs:
                     edges[(layer, a, c)] = form
     return ABP.build(n_vars, field, sizes, edges)
 
@@ -216,8 +216,7 @@ def test_normalize_preserves_polynomial_and_splits_variables():
         assert q.expand() == p.expand()
         # degree >= 2 splits everything, sink-bound labels included
         for form in q.edges.values():
-            assert form.is_homogeneous()
-            assert form.single_variable() is not None
+            assert not form.const and len(form.coeffs) == 1
 
 
 def test_normalize_rejects_affine_labels():
@@ -371,3 +370,30 @@ def test_json_round_trip():
     assert q == p
     r = random_abp(random.Random(3), F5, n_vars=2, depth=2, width=2)
     assert ABP.from_json(r.to_json()) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, F2, F5, F4]))
+def test_entries_and_labels_round_trip(rng, field):
+    # every builder writes entries; regrouped into labels and built again,
+    # each stage is the same program and writes the same bytes
+    p = helpers.random_abp(rng, field, n_vars=2, depth=rng.randint(1, 4), width=2)
+    q = helpers.random_abp(rng, field, n_vars=2, depth=rng.randint(1, 4), width=2)
+    parts, q_parts = homogeneous_parts(p), homogeneous_parts(q)
+    normal = [normalize_edges(part) for part in parts[1:]]
+    products = [hadamard_homogeneous(a, normalize_edges(b)) for a, b in zip(normal, q_parts[1:])]
+    detail = hadamard_abp_detailed(p, q)
+    for x in parts + normal + products + [prune(p), abp_sum(parts), detail.abp, detail.unpruned]:
+        rebuilt = ABP.build(x.n_vars, x.field, x.layer_sizes, x.edges)
+        assert rebuilt == x
+        assert rebuilt.json_text() == x.json_text()
+    # one label set, with a parallel pair that cancels, built in two orders
+    labels = list(p.edges.items())
+    key = labels[0][0] if labels else (0, 0, 0)
+    labels += [(key, LinearForm.of_var(field, 1)), (key, LinearForm.of_var(field, 1, -1))]
+    rng.shuffle(labels)
+    first = ABP.build(p.n_vars, field, p.layer_sizes, labels)
+    rng.shuffle(labels)
+    second = ABP.build(p.n_vars, field, p.layer_sizes, labels)
+    assert first == second == p
+    assert first.json_text() == second.json_text() == p.json_text()

@@ -562,6 +562,22 @@ def test_the_reductions_are_refused_before_building(tmp_path, monkeypatch):
     assert "1100-vertex" in err and "1206702 edges" in err
 
 
+def test_pit_rand_refuses_a_trial_past_the_cap_before_drawing(tmp_path):
+    # two edges over a hundred million declared variables: each trial would
+    # draw one value per layer and variable, 2 * 10^8 in all
+    obj = {
+        "nvars": 100_000_000,
+        "field": {"kind": "Fp", "p": 5},
+        "layers": [1, 1, 1],
+        "edges": [
+            {"from": [0, 0], "to": [1, 0], "label": {"const": "0", "coeffs": {"0": "1"}}},
+            {"from": [1, 0], "to": [2, 0], "label": {"const": "0", "coeffs": {"1": "2"}}},
+        ],
+    }
+    err = _refused_at_once("pit", "rand", write_json(tmp_path / "many.json", obj))
+    assert "200000000 values" in err and str(DEFAULT_MAX_TERMS) in err
+
+
 def test_cfg_intersect_past_the_word_cap_exits_3(tmp_path):
     # A derives the 2^8 binary words of length 8, E those and the word 0, so
     # S -> A E derives 256 * 257 distinct words, past the cap of 2^16

@@ -43,7 +43,7 @@ def random_abp(rng, field, n_vars=3, depth=3, width=3, affine=True):
                     if rng.random() < 0.5:
                         coeffs[v] = rng.randint(-2, 2)
                 form = LinearForm.make(field, const=const, coeffs=coeffs)
-                if not form.is_zero():
+                if form.const or form.coeffs:
                     edges[(layer, a, c)] = form
     return ABP.build(n_vars, field, sizes, edges)
 
