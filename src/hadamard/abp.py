@@ -210,9 +210,6 @@ class ABP:
         order, built on first read."""
         return {key: LinearForm(const, coeffs) for key, const, coeffs in self.labels()}
 
-    def label(self, layer: int, a: int, c: int) -> Optional[LinearForm]:
-        return self.edges.get((layer, a, c))
-
     @classmethod
     def build(
         cls,

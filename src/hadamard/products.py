@@ -20,16 +20,20 @@ with multiplied coefficients.  Two constructions are provided:
   circuit for the product, built by running the circuit against every
   interval of the normalized program, one degree at a time.  Each memoized
   sub-result is the product of a gate's polynomial with the sub-program
-  between two nodes; multiplication gates split the interval at every node
-  of the layers their factors' degrees allow.  A split's left factor does
-  not depend on the interval's end node, so the nonzero ones are kept per
-  start node and end layer, and later end nodes pair only those.  The
-  sub-results are worked out depth first on an explicit stack of
-  generators, not by recursion, so a circuit may be any number of gates
-  deep.
+  between two nodes.  A constant or input gate's is nonzero only on an
+  interval of its own length, 0 or 1; an addition gate adds its children's
+  on the same interval, and a multiplication gate splits the interval at
+  every node of the layers its factors' degrees allow.  A split's left
+  factor does not depend on the interval's end node, so the nonzero ones
+  are kept per start node and end layer, and later end nodes pair only
+  those.  An addition or multiplication sub-result is a generator that
+  yields the key of each sub-result it needs and is sent back its gate id.
+  They are worked out depth first on an explicit stack, not by recursion,
+  so a circuit may be any number of gates deep.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -197,14 +201,8 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
         if alive is not None:
             live.append(([len(nodes) for nodes in alive], product_layers(k, pruned_edges(alive, arcs.items()))))
         del arcs  # before the next degree's arcs are grown
-    if not summands:
-        none = zero_abp(n_vars, field)
-        return ABPProductResult(none, records, none.node_count(), summands)
-
-    layer_sizes = sum_layout(sizes_of)[0]
-    if not live:
-        return ABPProductResult(zero_abp(n_vars, field), records, sum(layer_sizes), summands)
-    pruned = laid_out_sum(n_vars, field, live, len(layer_sizes) - 1)
+    layer_sizes = sum_layout(sizes_of)[0] if sizes_of else [1, 1]
+    pruned = laid_out_sum(n_vars, field, live, len(layer_sizes) - 1) if live else zero_abp(n_vars, field)
     return ABPProductResult(pruned, records, sum(layer_sizes), summands)
 
 
@@ -228,22 +226,14 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     rights = [getattr(g, "right", None) for g in gates]
     # interval length a leaf's sub-result needs to be nonzero; None for add/mul gates
     leaf_length = [0 if t is ConstGate else 1 if t is InputGate else None for t in kind]
-    per_degree: list[tuple[int, Optional[int]]] = []
-    memo: dict = {}  # (gate, i, a, j, b) -> gate id of the sub-result, for one degree
-    # (mul gate, i, a, j) -> ([(m, t, left factor)], split at j): the nonzero
-    # left factors on split layers m < j whose right factor may be nonzero,
-    # and whether layer j is a split layer, for one degree
-    left_factors: dict = {}
-    memo_size = 0
-    missing = object()
 
     # degree 0: the constant terms multiply
-    zeros = [field.zero()] * c.n_vars
-    c0 = c.evaluate(zeros) * p.evaluate(zeros)
-    g0 = builder.const(c0)
-    per_degree.append((0, g0))
+    zero = field.zero()
+    c0 = c.fold(lambda var: zero, lambda value: value, operator.add, operator.mul)[c.output]
+    per_degree: list[tuple[int, Optional[int]]] = [(0, builder.const(c0 * constant_value(parts[0])))]
+    memo_size = 0
 
-    for k in range(1, min(degrees[c.output], p.depth, len(parts) - 1) + 1):
+    for k in range(1, min(degrees[c.output], len(parts) - 1) + 1):
         part = prune(parts[k])
         if part.depth != k:  # degree-k component is identically zero
             per_degree.append((k, None))
@@ -254,46 +244,36 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
         coeff_at = {
             (i, a, b, v): x for i, lay in enumerate(part.layers) for v, es in lay.by_var.items() for a, b, x in es
         }
-        memo.clear()
-        left_factors.clear()
+        memo: dict = {}  # (gate, i, a, j, b) -> gate id of the sub-result
+        # (mul gate, i, a, j) -> ([(m, t, left factor)], split at j): the nonzero
+        # left factors on split layers m < j whose right factor may be nonzero,
+        # and whether layer j is a split layer
+        left_factors: dict = {}
 
-        def leaf(key: tuple) -> None:
-            """Store in the memo the gate id for (constant or input gate gi) o
-            (sub-program (i,a)->(j,b)): None unless the interval has the
-            gate's length (0 for a constant, 1 for an input)."""
-            gi, i, a, j, b = key
+        def leaf(gi, i, a, j, b):
+            """The gate id for (constant or input gate gi) o (sub-program
+            (i,a)->(j,b)), memoized when the interval has the gate's length
+            (0 for a constant, 1 for an input); None, unmemoized, when not."""
+            if j - i != leaf_length[gi]:
+                return None
+            gate = gates[gi]
             out = None
-            if j - i == leaf_length[gi]:
-                gate = gates[gi]
-                if kind[gi] is ConstGate:
-                    if a == b:
-                        out = builder.const(gate.value)
-                else:
-                    coeff = coeff_at.get((i, a, b, gate.var))
-                    if coeff:
-                        out = builder.mul(builder.const(coeff), builder.input(gate.var))
-            memo[key] = out
+            if kind[gi] is ConstGate:
+                if a == b:
+                    out = builder.const(gate.value)
+            else:
+                coeff = coeff_at.get((i, a, b, gate.var))
+                if coeff:
+                    out = builder.mul(builder.const(coeff), builder.input(gate.var))
+            memo[gi, i, a, j, b] = out
+            return out
 
-        def expand(key: tuple):
-            """Store in the memo the gate id for (add or mul gate gi) o
-            (sub-program (i,a)->(j,b)).  The memo is probed here, and a leaf
-            child whose interval length rules it out is zero without a probe;
-            a missing sub-result is yielded as its key."""
-            gi, i, a, j, b = key
+        def expand(gi, i, a, j, b):
+            """The gate id for (add or mul gate gi) o (sub-program
+            (i,a)->(j,b)).  Each sub-result is fetched by yielding its key
+            and is sent back."""
             if kind[gi] is AddGate:
-                subs = []
-                for g in (lefts[gi], rights[gi]):
-                    need = leaf_length[g]
-                    sub = None
-                    if need is None or need == j - i:
-                        sub_key = (g, i, a, j, b)
-                        sub = memo.get(sub_key, missing)
-                        if sub is missing:
-                            yield sub_key
-                            sub = memo[sub_key]
-                    subs.append(sub)
-                memo[key] = builder.add(*subs)
-                return
+                return builder.add((yield lefts[gi], i, a, j, b), (yield rights[gi], i, a, j, b))
             # MulGate: split the interval at every node of every split layer
             # m the factors' degrees allow, the left factor on i..m
             left, right = lefts[gi], rights[gi]
@@ -302,8 +282,8 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             head = (gi, i, a, j)
             found = left_factors.get(head)
             if found is None:
-                # the first end node probes every left factor before j, in
-                # order; later end nodes find them all in the memo
+                # the first end node fetches every left factor before j, in
+                # order; later end nodes pair only the kept ones
                 lo, hi = max(i, j - degrees[right]), min(j, i + degrees[left])
                 left_need = leaf_length[left]
                 if left_need is not None:
@@ -313,70 +293,55 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                     # the left factor is built even where the right one is zero
                     right_zero = right_need is not None and right_need != j - m
                     for t in [a] if m == i else range(sizes[m]):
-                        sub_key = (left, i, a, m, t)
-                        lhs = memo.get(sub_key, missing)
-                        if lhs is missing:
-                            yield sub_key
-                            lhs = memo[sub_key]
+                        lhs = yield left, i, a, m, t
                         if lhs is None or right_zero:
                             continue
                         kept.append((m, t, lhs))
-                        sub_key = (right, m, t, j, b)
-                        rhs = memo.get(sub_key, missing)
-                        if rhs is missing:
-                            yield sub_key
-                            rhs = memo[sub_key]
+                        rhs = yield right, m, t, j, b
                         if rhs is not None:
                             pieces.append(builder.mul(lhs, rhs))
-                split_at_j = lo <= hi == j
-                left_factors[head] = kept, split_at_j
+                found = left_factors[head] = kept, lo <= hi == j
             else:
-                kept, split_at_j = found
-                for m, t, lhs in kept:
-                    sub_key = (right, m, t, j, b)
-                    rhs = memo.get(sub_key, missing)
-                    if rhs is missing:
-                        yield sub_key
-                        rhs = memo[sub_key]
+                for m, t, lhs in found[0]:
+                    rhs = yield right, m, t, j, b
                     if rhs is not None:
                         pieces.append(builder.mul(lhs, rhs))
-            if split_at_j:  # its left factor ends at b
+            if found[1]:  # layer j is a split layer: its left factor ends at b
                 t = a if i == j else b
-                sub_key = (left, i, a, j, t)
-                lhs = memo.get(sub_key, missing)
-                if lhs is missing:
-                    yield sub_key
-                    lhs = memo[sub_key]
+                lhs = yield left, i, a, j, t
                 if lhs is not None and right_need in (None, 0):
-                    sub_key = (right, j, t, j, b)
-                    rhs = memo.get(sub_key, missing)
-                    if rhs is missing:
-                        yield sub_key
-                        rhs = memo[sub_key]
+                    rhs = yield right, j, t, j, b
                     if rhs is not None:
                         pieces.append(builder.mul(lhs, rhs))
-            memo[key] = builder.add_many(pieces)
+            return builder.add_many(pieces)
 
         root = (c.output, 0, 0, k, 0)
         if leaf_length[c.output] is not None:
-            leaf(root)
+            out = leaf(*root)
         else:
-            # depth first on an explicit stack of generators: a generator
-            # yields the key of a missing sub-result and reads it from the
-            # memo when resumed; a leaf is worked out at once
-            stack = [expand(root)]
+            # depth first on an explicit stack of generators: a yielded key
+            # is sent back its memoized or leaf value, or else its own
+            # generator is pushed, and a finished generator's value is
+            # memoized and sent to the one below it
+            stack = [(root, expand(*root))]
+            out = None
             while stack:
-                key = next(stack[-1], None)
-                if key is None:
+                key, pending = stack[-1]
+                try:
+                    need = pending.send(out)
+                except StopIteration as done:
                     stack.pop()
-                elif leaf_length[key[0]] is not None:
-                    leaf(key)
+                    out = memo[key] = done.value
+                    continue
+                if need in memo:
+                    out = memo[need]
+                elif leaf_length[need[0]] is not None:
+                    out = leaf(*need)
                 else:
-                    stack.append(expand(key))
-        per_degree.append((k, memo[root]))
+                    stack.append((need, expand(*need)))
+                    out = None
+        per_degree.append((k, out))
         memo_size += len(memo)
 
-    memo.clear()
-    left_factors.clear()
     total = builder.add_many([g for _, g in per_degree])
     return CircuitProductResult(builder.finish(total), per_degree, memo_size)

@@ -384,7 +384,7 @@ def naive_hadamard_abp(p: ABP, q: ABP) -> tuple[ABP, ABP, list]:
     for k in range(min(len(p_parts), len(q_parts))):
         pk, qk = p_parts[k], q_parts[k]
         if k == 0:
-            pc, qc = pk.label(0, 0, 0), qk.label(0, 0, 0)
+            pc, qc = pk.edges.get((0, 0, 0)), qk.edges.get((0, 0, 0))
             c = (pc.const if pc else field.zero()) * (qc.const if qc else field.zero())
             rk = constant_abp(p.n_vars, field, c)
             records.append(DegreeRecord(0, pk.layer_sizes, qk.layer_sizes, rk.layer_sizes))
@@ -428,7 +428,7 @@ def recursive_hadamard_circuit_abp(c: Circuit, p: ABP) -> Circuit:
                     out = builder.const(gate.value)
             elif isinstance(gate, InputGate):
                 if j == i + 1:
-                    form = part.label(i, a, b)
+                    form = part.edges.get((i, a, b))
                     coeff = form.coeffs.get(gate.var) if form else None
                     if coeff:
                         out = builder.mul(builder.const(coeff), builder.input(gate.var))
@@ -493,7 +493,7 @@ def element_span_basis(p: ABP) -> PitVerdict:
     units = [[one if u == v else zero for u in range(p.n_vars)] for v in range(p.n_vars)]
     for k, part in enumerate(homogeneous_parts(p)):
         if k == 0:
-            form = part.label(0, 0, 0)
+            form = part.edges.get((0, 0, 0))
             if form is not None and form.const:
                 return PitVerdict(
                     is_zero=False,

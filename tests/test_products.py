@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hadamard.abp import ABP, LinearForm, homogeneous_parts, normalize_edges
 from hadamard.circuits import Circuit, InputGate, MulGate, AddGate, ConstGate
 from hadamard.errors import ArityMismatchError, FieldMismatchError
 from hadamard.fields import PrimeField, RationalField, parse_field_spec
+from hadamard.grammars import build_mirror_suffix_grammar, cfg_to_circuit
 from hadamard.polynomials import NCPoly
 from hadamard.products import (
     hadamard_abp_detailed,
@@ -180,14 +182,14 @@ def test_circuit_abp_constant_only_operands():
 ORACLE_FIELDS = [Q, PrimeField(2), F5, parse_field_spec("fpk:2:2")]
 
 
-def _program(rng, field, depth, cancelling):
-    """Over x0, x1: the constant 1 at depth 0, else a random or a cancelling program."""
+def _program(rng, field, depth, cancelling, n_vars=2):
+    """The constant 1 at depth 0, else a random or a cancelling program."""
     if depth == 0:
-        return ABP.build(2, field, (1,), {})
+        return ABP.build(n_vars, field, (1,), {})
     if cancelling:
-        return helpers.cancelling_abp(rng, field, n_vars=2, depth=depth, width=2)
+        return helpers.cancelling_abp(rng, field, n_vars=n_vars, depth=depth, width=2)
     width, density = rng.randint(1, 3), rng.choice((0.4, 0.7, 1.0))
-    return helpers.random_abp(rng, field, n_vars=2, depth=depth, width=width, density=density)
+    return helpers.random_abp(rng, field, n_vars=n_vars, depth=depth, width=width, density=density)
 
 
 @st.composite
@@ -270,17 +272,41 @@ def test_a_top_degree_that_prunes_to_nothing_keeps_the_sum_depth():
     seed=st.integers(0, 2**32),
     depth=st.integers(0, 5),
     cancelling=st.booleans(),
-    tall=st.booleans(),
+    shape=st.sampled_from(("random", "tall", "grammar")),
 )
-def test_circuit_product_matches_the_recursion(field, seed, depth, cancelling, tall):
-    # tall circuits put many sub-results on the explicit stack at once
+def test_circuit_product_matches_the_recursion(field, seed, depth, cancelling, shape):
+    # tall circuits put many sub-results on the explicit stack at once;
+    # grammar circuits, homogeneous of degree 3n with an add chain per
+    # alternative, meet a program of that depth, as in the benchmark's
+    # grammar jobs
     rng = random.Random(seed)
-    p = _program(rng, field, depth, cancelling)
-    if tall:
+    if shape == "grammar":
+        n = rng.randint(1, 2)
+        c = cfg_to_circuit(build_mirror_suffix_grammar(n, rng.randint(2, 3)))
+        p = _program(rng, Q, 3 * n, cancelling, n_vars=c.n_vars)
+    elif shape == "tall":
+        p = _program(rng, field, depth, cancelling)
         c = helpers.tall_circuit(rng, field, n_gates=rng.randint(36, 80))
     else:
+        p = _program(rng, field, depth, cancelling)
         c = helpers.random_circuit(rng, field, n_vars=2, n_gates=rng.randint(1, 14), max_degree=5)
     assert hadamard_circuit_abp_detailed(c, p).circuit.to_json() == helpers.recursive_hadamard_circuit_abp(c, p).to_json()
+
+
+def test_circuit_product_memory_does_not_grow_with_declared_variables():
+    # the degree-0 term comes from the constant parts, not from a point of
+    # 10^6 zeros, so only what the files hold is allocated
+    n = 10**6
+    c = Circuit.build(n, F5, [InputGate(0), ConstGate(F5.coerce(2)), AddGate(0, 1)], 2)
+    p = ABP.build(n, F5, (1, 1, 1), {(0, 0, 0): lf(F5, const=1, x0=1), (1, 0, 0): lf(F5, const=3, x1=2)})
+    tracemalloc.start()
+    try:
+        result = hadamard_circuit_abp_detailed(c, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.circuit.expand() == c.expand().hadamard(p.expand())
+    assert peak < 2**20
 
 
 def test_circuit_product_of_a_deep_chain():
