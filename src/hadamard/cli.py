@@ -3,8 +3,12 @@
 Every command reads JSON files, writes one JSON object to stdout (or
 ``--out``), and keeps diagnostics on stderr.  Output is serialized with
 sorted keys and no whitespace, so identical inputs give identical bytes.
-A program or circuit in a result is written from the object by its own
-writer, in those same bytes, with no dict built per edge or gate.
+A value with its own ``json_text`` method (a program or circuit) is written
+by that method, in those same bytes, with no dict built per edge or gate.
+
+Each command loads only the modules its handler needs: a handler imports
+inside its body, so importing this module and building the parser load
+only ``errors`` from the package.
 
 Exit codes: 0 success, 2 bad input or validation failure, 3 a resource cap
 (term, degree, or word limits) was hit or the interpreter ran out of memory.
@@ -15,13 +19,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .abp import ABP, nisan_ranks
-from .circuits import Circuit
 from .errors import (
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_TERMS,
@@ -29,39 +29,12 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .fields import Field, json_text, parse_field_spec
-from .grammars import (
-    AcyclicCFG,
-    build_mirror_prefix_grammar,
-    build_mirror_suffix_grammar,
-    cfg_to_circuit,
-    circuit_to_cfg,
-    count_derivations,
-    intersect_bruteforce,
-)
-from .lab import (
-    ExplicitParams,
-    build_f,
-    exp_sum,
-    full_sum_count,
-    permanent_polynomials,
-    permanent_via_hadamard,
-    random_product_poly,
-    shift_report,
-    sign_correlation,
-    sign_list,
-)
-from .pit import (
-    Digraph,
-    det_to_abp,
-    pit_bruteforce,
-    pit_randomized,
-    pit_rational,
-    pit_span_basis,
-    reach_to_abp,
-)
-from .polynomials import NCPoly
-from .products import hadamard_abp_detailed, hadamard_circuit_abp_detailed
+
+if TYPE_CHECKING:
+    from .abp import ABP
+    from .circuits import Circuit
+    from .fields import Field
+    from .grammars import AcyclicCFG
 
 
 def _read_json(path: str):
@@ -77,11 +50,12 @@ def _read_json(path: str):
 
 
 def _value_text(value) -> str:
-    """A program or circuit through its own ``json_text``; any other value
-    through ``fields.json_text``."""
-    if isinstance(value, (ABP, Circuit)):
-        return value.json_text()
-    return json_text(value)
+    """A value with a ``json_text`` method (a program or circuit) through
+    that method; any other value through ``fields.json_text``."""
+    from .fields import json_text
+
+    writer = getattr(value, "json_text", None)
+    return writer() if writer else json_text(value)
 
 
 def _emit(obj, out: Optional[str]) -> None:
@@ -90,8 +64,8 @@ def _emit(obj, out: Optional[str]) -> None:
     written by its own writer.  The whole text is formed before the first
     byte is written, so a failure while forming it leaves stdout empty and
     creates no file."""
-    if isinstance(obj, dict) and any(isinstance(v, (ABP, Circuit)) for v in obj.values()):
-        items = ",".join(f"{json_text(k)}:{_value_text(obj[k])}" for k in sorted(obj))
+    if isinstance(obj, dict) and any(hasattr(v, "json_text") for v in obj.values()):
+        items = ",".join(f"{_value_text(k)}:{_value_text(obj[k])}" for k in sorted(obj))
         text = "{" + items + "}\n"
     else:
         text = _value_text(obj) + "\n"
@@ -118,6 +92,8 @@ def _parse(source: str, decode, *args):
 
 
 def _default_field(args) -> Optional[Field]:
+    from .fields import parse_field_spec
+
     return _parse("--field", parse_field_spec, args.field) if args.field else None
 
 
@@ -135,19 +111,27 @@ def _load(path: str, obj, args, cls, what: str, key: str):
 
 
 def _load_abp(path: str, obj, args) -> ABP:
+    from .abp import ABP
+
     return _load(path, obj, args, ABP, "branching program", "layers")
 
 
 def _load_circuit(path: str, obj, args) -> Circuit:
+    from .circuits import Circuit
+
     return _load(path, obj, args, Circuit, "circuit", "gates")
 
 
 def _load_grammar(path: str) -> AcyclicCFG:
+    from .grammars import AcyclicCFG
+
     return _parse(path, AcyclicCFG.from_json, _read_json(path))
 
 
 def _load_rows(path: str, what: str) -> list:
     """A rational matrix given as a JSON array of rows."""
+    from fractions import Fraction
+
     obj = _read_json(path)
     if not isinstance(obj, list):
         raise ValidationError(f"{what} input must be a JSON array of rows")
@@ -163,22 +147,32 @@ def _load_program(args) -> ABP:
 
 
 def cmd_pit_det(args) -> dict:
+    from .pit import pit_rational
+
     return pit_rational(_load_program(args)).to_json()
 
 
 def cmd_pit_span(args) -> dict:
+    from .pit import pit_span_basis
+
     return pit_span_basis(_load_program(args)).to_json()
 
 
 def cmd_pit_rand(args) -> dict:
+    from .pit import pit_randomized
+
     return pit_randomized(_load_program(args), trials=args.trials, seed=args.seed).to_json()
 
 
 def cmd_pit_brute(args) -> dict:
+    from .pit import pit_bruteforce
+
     return pit_bruteforce(_load_program(args), max_terms=args.max_terms).to_json()
 
 
 def cmd_hadamard(args) -> dict:
+    from .products import hadamard_abp_detailed, hadamard_circuit_abp_detailed
+
     if args.shape == "circuit-abp":
         c = _load_circuit(args.left, _read_json(args.left), args)
         p = _load_abp(args.right, _read_json(args.right), args)
@@ -214,6 +208,9 @@ def cmd_hadamard(args) -> dict:
 
 
 def cmd_nisan(args) -> dict:
+    from .abp import nisan_ranks
+    from .polynomials import NCPoly
+
     obj = _read_json(args.input)
     if isinstance(obj, dict) and "layers" in obj:
         ranks = nisan_ranks(_load_abp(args.input, obj, args))
@@ -238,20 +235,28 @@ def cmd_expand(args) -> dict:
 
 
 def cmd_cfg_to_circuit(args) -> Circuit:
+    from .grammars import cfg_to_circuit
+
     return cfg_to_circuit(_load_grammar(args.input))
 
 
 def cmd_cfg_from_circuit(args) -> dict:
+    from .grammars import circuit_to_cfg
+
     return circuit_to_cfg(_load_circuit(args.input, _read_json(args.input), args)).to_json()
 
 
 def cmd_cfg_count(args) -> dict:
+    from .grammars import count_derivations
+
     g = _load_grammar(args.input)
     word = _parse("--word", lambda: [int(x) for x in args.word.split(",")]) if args.word else []
     return {"word": word, "count": count_derivations(g, word)}
 
 
 def cmd_cfg_intersect(args) -> dict:
+    from .grammars import intersect_bruteforce
+
     g1 = _load_grammar(args.input)
     g2 = _load_grammar(args.other)
     words = sorted(intersect_bruteforce(g1, g2, max_len=args.max_len))
@@ -259,14 +264,20 @@ def cmd_cfg_intersect(args) -> dict:
 
 
 def cmd_cfg_mirror_suffix(args) -> dict:
+    from .grammars import build_mirror_suffix_grammar
+
     return build_mirror_suffix_grammar(args.n, args.alphabet).to_json()
 
 
 def cmd_cfg_mirror_prefix(args) -> dict:
+    from .grammars import build_mirror_prefix_grammar
+
     return build_mirror_prefix_grammar(args.n, args.alphabet).to_json()
 
 
 def cmd_reduce(args) -> ABP:
+    from .pit import Digraph, det_to_abp, reach_to_abp
+
     if args.kind == "det2abp":
         return det_to_abp(_load_rows(args.input, "determinant"))
     g = _parse(args.input, Digraph.from_json, _read_json(args.input))
@@ -274,10 +285,24 @@ def cmd_reduce(args) -> ABP:
 
 
 def cmd_lab_build_f(args) -> dict:
+    from .lab import ExplicitParams, build_f
+
     return build_f(ExplicitParams(args.t, args.p), max_terms=args.max_terms).to_json()
 
 
 def cmd_lab_corr(args) -> dict:
+    import random
+    from fractions import Fraction
+
+    from .lab import (
+        ExplicitParams,
+        exp_sum,
+        random_product_poly,
+        shift_report,
+        sign_correlation,
+        sign_list,
+    )
+
     params = ExplicitParams(args.t, args.p)
     signs = sign_list(params, max_terms=args.max_terms)
     rep = shift_report(signs)
@@ -306,6 +331,8 @@ def cmd_lab_corr(args) -> dict:
 
 
 def cmd_lab_expsum(args) -> dict:
+    from .lab import ExplicitParams, exp_sum, full_sum_count
+
     params = ExplicitParams(args.t, args.p)
     sets = None
     if args.sets is None:
@@ -318,6 +345,8 @@ def cmd_lab_expsum(args) -> dict:
 
 
 def cmd_lab_perm(args) -> dict:
+    from .lab import permanent_polynomials, permanent_via_hadamard
+
     if args.input is not None:  # argparse takes a matrix file or --n, not both
         rows = _load_rows(args.input, "permanent")
         return {"n": len(rows), "permanent": str(permanent_via_hadamard(rows))}
@@ -361,6 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = top.add_subparsers(dest="command", required=True)
 
+    def nonnegative(text: str) -> int:
+        """A count or cap: an integer, 0 or more, else exit 2 with the usage."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"invalid nonnegative value: {text!r}")
+        return value
+
     def leaf(sub, name, handler, help, field=False, max_terms=False, max_degree=False):
         """The parser of one command or action, with --out and the shared
         options its handler reads."""
@@ -371,11 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", help="fallback field for files without one: q, fp:P, or fpk:P:K")
         if max_terms:
             p.add_argument(
-                "--max-terms", type=int, default=DEFAULT_MAX_TERMS, help="cap on expanded terms / matrix entries"
+                "--max-terms",
+                type=nonnegative,
+                default=DEFAULT_MAX_TERMS,
+                help="cap on expanded terms / matrix entries",
             )
         if max_degree:
             p.add_argument(
-                "--max-degree", type=int, default=DEFAULT_MAX_DEGREE, help="cap on circuit expansion degree"
+                "--max-degree", type=nonnegative, default=DEFAULT_MAX_DEGREE, help="cap on circuit expansion degree"
             )
         return p
 
@@ -425,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     intersect = leaf(cfg, "intersect", cmd_cfg_intersect, "the words two grammars share")
     intersect.add_argument("input", help="grammar JSON file")
     intersect.add_argument("other", help="second grammar JSON file")
-    intersect.add_argument("--max-len", type=int, default=None)
+    intersect.add_argument("--max-len", type=nonnegative, default=None)
     for name, handler in (
         ("gen-mirror-suffix", cmd_cfg_mirror_suffix),
         ("gen-mirror-prefix", cmd_cfg_mirror_prefix),
@@ -442,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     build = leaf(lab, "build-f", cmd_lab_build_f, "the sign polynomial F", max_terms=True)
     build.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     corr = leaf(lab, "corr", cmd_lab_corr, "correlation report", max_terms=True)
-    corr.add_argument("--battery", type=int, default=5, help="battery size")
+    corr.add_argument("--battery", type=nonnegative, default=5, help="battery size")
     corr.add_argument("--seed", type=int, default=0, help="battery seed")
     expsum = leaf(lab, "expsum", cmd_lab_expsum, "a character sum", max_terms=True)
     expsum.add_argument("--z", type=int, default=1, help="character twist, an element code")

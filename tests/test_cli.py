@@ -20,7 +20,7 @@ from hadamard.abp import ABP, LinearForm
 from hadamard.circuits import Circuit, CircuitBuilder
 from hadamard.cli import main
 from hadamard.errors import DEFAULT_MAX_TERMS
-from hadamard.grammars import DEFAULT_MAX_WORDS
+from hadamard.grammars import DEFAULT_MAX_WORDS, build_mirror_suffix_grammar
 from hadamard.fields import PRIME_TEST_BOUND, ExtField, PrimeField, RationalField, _poly_mul, find_irreducible
 from hadamard.polynomials import NCPoly
 from helpers import cancelling_abp, random_abp, random_circuit
@@ -166,6 +166,70 @@ def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
     assert code == 0 and json.loads(out)["trials"] == 3
     code, out, _ = run_main("pit", "rand", zero)
     assert code == 0 and json.loads(out)["trials"] == 20
+
+
+_PRINT_LOADED = "import sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'hadamard'))"
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The ``hadamard`` modules a fresh interpreter holds after running code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{_PRINT_LOADED}"], capture_output=True, text=True, check=True
+    )
+    return proc.stdout.split()
+
+
+def test_importing_the_command_line_and_building_its_parser_loads_only_errors():
+    code = "import hadamard.cli\nhadamard.cli.build_parser()"
+    assert _loaded_after(code) == ["hadamard", "hadamard.cli", "hadamard.errors"]
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("lab", "corr", "--t", "1", "--p", "3"), {"abp", "circuits", "grammars", "pit", "products"}),
+        (("pit", "det", "{}"), {"grammars", "lab", "products"}),
+        (("hadamard", "abp", "{}", "{}"), {"grammars", "lab", "pit"}),
+    ],
+    ids=["lab corr", "pit det", "hadamard abp"],
+)
+def test_a_command_loads_only_the_modules_its_handler_needs(argv, unloaded, tmp_path):
+    program = write_json(tmp_path / "p.json", two_path_abp(2).to_json())
+    argv = [program if a == "{}" else a for a in argv]
+    code = (
+        "import contextlib, io\n"
+        "from hadamard.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0"
+    )
+    loaded = {name.removeprefix("hadamard.") for name in _loaded_after(code)}
+    assert not loaded & unloaded
+
+
+@pytest.mark.parametrize(
+    "option, argv, zero_exits",
+    [
+        ("--battery", ("lab", "corr", "--t", "1", "--p", "3"), 0),
+        ("--max-len", ("cfg", "intersect", "{grammar}", "{grammar}"), 0),
+        ("--max-terms", ("expand", "{program}"), 3),
+        ("--max-degree", ("expand", "{circuit}"), 3),
+    ],
+    ids=["--battery", "--max-len", "--max-terms", "--max-degree"],
+)
+def test_a_negative_count_exits_2_with_the_usage_and_zero_is_accepted(option, argv, zero_exits, tmp_path):
+    b = CircuitBuilder(2, F5)
+    s = b.add(b.input(0), b.input(1))
+    files = {
+        "{grammar}": write_json(tmp_path / "g.json", build_mirror_suffix_grammar(1, 2).to_json()),
+        "{program}": write_json(tmp_path / "p.json", swap_abp().to_json()),
+        "{circuit}": write_json(tmp_path / "c.json", b.finish(b.mul(s, s)).to_json()),
+    }
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run_cli(*argv, option, "-1")
+    assert code == 2 and out == "" and err.startswith("usage: ")
+    assert f"argument {option}: invalid nonnegative value: '-1'" in err
+    code, _, err = run_cli(*argv, option, "0")
+    assert code == zero_exits, err
 
 
 def _is_args(node) -> bool:
@@ -451,7 +515,7 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(p, q):
         raise MemoryError
 
-    monkeypatch.setattr("hadamard.cli.hadamard_abp_detailed", exhausted)
+    monkeypatch.setattr("hadamard.products.hadamard_abp_detailed", exhausted)
     path = write_json(tmp_path / "p.json", swap_abp().to_json())
     code = main(["hadamard", "abp", path, path])
     out, err = capsys.readouterr()
@@ -470,7 +534,8 @@ def test_out_of_memory_names_the_action(exhausted, argv, command, tmp_path, caps
     def exhaust(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(f"hadamard.cli.{exhausted}", exhaust)
+    # the handler imports the function from the module named like the command
+    monkeypatch.setattr(f"hadamard.{argv[0]}.{exhausted}", exhaust)
     path = write_json(tmp_path / "p.json", swap_abp().to_json())
     code = main([path if a == "{}" else a for a in argv])
     out, err = capsys.readouterr()
