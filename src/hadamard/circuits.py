@@ -31,23 +31,23 @@ from .fields import Field, RationalField, coeff_text, field_from_json, json_int,
 from .polynomials import NCPoly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputGate:
     var: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstGate:
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddGate:
     left: int
     right: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MulGate:
     left: int
     right: int

@@ -26,10 +26,16 @@ with multiplied coefficients.  Two constructions are provided:
   every node of the layers its factors' degrees allow.  A split's left
   factor does not depend on the interval's end node, so the nonzero ones
   are kept per start node and end layer, and later end nodes pair only
-  those.  An addition or multiplication sub-result is a generator that
-  yields the key of each sub-result it needs and is sent back its gate id.
-  They are worked out depth first on an explicit stack, not by recursion,
-  so a circuit may be any number of gates deep.
+  those.  An addition or multiplication sub-result fetches each sub-result
+  it needs by a plain call, depth first.  The call stack holds at most
+  ``CHECKPOINT_STEP`` gates' calls, so a circuit may be any number of gates
+  deep: every chain of reads meets a checkpoint gate at least once every
+  ``CHECKPOINT_STEP`` addition or multiplication gates, and a checkpoint
+  sub-result not yet worked out unwinds the stack to the degree's driver.
+  The driver keeps every interrupted sub-result, works the checkpoint's out
+  first, and then starts each interrupted one again, innermost first.  A
+  restart emits no gate twice, since every sub-result and split product
+  made before the interruption is memoized.
 """
 from __future__ import annotations
 
@@ -213,11 +219,26 @@ class CircuitProductResult:
     memo_size: int
 
 
+# the most add/mul gates the circuit product's call stack holds at once (see
+# ``hadamard_circuit_abp_detailed``)
+CHECKPOINT_STEP = 64
+
+
+class _Unwind(Exception):
+    """Raised by the circuit product on a checkpoint sub-result that is not
+    yet worked out, so its driver works it out first.  ``keys`` holds that
+    sub-result, then each interrupted sub-result from the innermost out."""
+
+    def __init__(self, key):
+        self.keys = [key]
+
+
 def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     """Circuit computing (polynomial of c) Hadamard (polynomial of p)."""
     _check_pair(c.n_vars, c.field, p.n_vars, p.field)
     field = c.field
     builder = CircuitBuilder(c.n_vars, field)
+    mul = builder.mul
     parts = homogeneous_parts(p)
     gates = c.gates
     degrees = c.formal_degrees()
@@ -226,6 +247,23 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     rights = [getattr(g, "right", None) for g in gates]
     # interval length a leaf's sub-result needs to be nonzero; None for add/mul gates
     leaf_length = [0 if t is ConstGate else 1 if t is InputGate else None for t in kind]
+    # a checkpoint's sub-results are worked out by the driver, not by their
+    # caller.  run[g] counts the add/mul gates, g included, on the longest
+    # chain of reads down from g that meets no checkpoint, and a gate whose
+    # run reaches CHECKPOINT_STEP is a checkpoint; a read that is not of a
+    # checkpoint has a shorter run than its reader, so the call stack holds
+    # at most CHECKPOINT_STEP gates' frames.  A gate that reads a checkpoint,
+    # itself or through the gates its run covers, may be interrupted and
+    # started again.
+    step = CHECKPOINT_STEP
+    run = [0] * len(gates)
+    restartable = [False] * len(gates)
+    for g, need in enumerate(leaf_length):
+        if need is None:
+            left, right = lefts[g], rights[g]
+            run[g] = 1 + max(run[left] % step, run[right] % step)
+            restartable[g] = run[left] == step or run[right] == step or restartable[left] or restartable[right]
+    checkpoint = [n == step for n in run]
 
     # degree 0: the constant terms multiply
     zero = field.zero()
@@ -249,6 +287,9 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
         # left factors on split layers m < j whose right factor may be nonzero,
         # and whether layer j is a split layer
         left_factors: dict = {}
+        # (restartable mul gate, i, a, j, b, m, t) -> gate id of the split
+        # product on node t of layer m, so a restart does not emit it again
+        splits: dict = {}
 
         def leaf(gi, i, a, j, b):
             """The gate id for (constant or input gate gi) o (sub-program
@@ -264,20 +305,46 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             else:
                 coeff = coeff_at.get((i, a, b, gate.var))
                 if coeff:
-                    out = builder.mul(builder.const(coeff), builder.input(gate.var))
+                    out = mul(builder.const(coeff), builder.input(gate.var))
             memo[gi, i, a, j, b] = out
+            return out
+
+        def get(gi, i, a, j, b):
+            """The gate id for gate gi o (sub-program (i,a)->(j,b)): memoized,
+            a leaf, or worked out here unless gi is a checkpoint."""
+            key = gi, i, a, j, b
+            if key in memo:
+                return memo[key]
+            if leaf_length[gi] is not None:
+                return leaf(gi, i, a, j, b)
+            if checkpoint[gi]:
+                raise _Unwind(key)
+            try:
+                out = memo[key] = expand(gi, i, a, j, b)
+            except _Unwind as stop:
+                stop.keys.append(key)
+                raise
+            return out
+
+        def split(gi, i, a, j, b, m, t, lhs, rhs):
+            """The split product lhs * rhs at node t of layer m, emitted once
+            per sub-result of a restartable gate."""
+            key = gi, i, a, j, b, m, t
+            out = splits.get(key)
+            if out is None:
+                out = splits[key] = mul(lhs, rhs)
             return out
 
         def expand(gi, i, a, j, b):
             """The gate id for (add or mul gate gi) o (sub-program
-            (i,a)->(j,b)).  Each sub-result is fetched by yielding its key
-            and is sent back."""
+            (i,a)->(j,b)), fetching each sub-result with ``get``."""
             if kind[gi] is AddGate:
-                return builder.add((yield lefts[gi], i, a, j, b), (yield rights[gi], i, a, j, b))
+                return builder.add(get(lefts[gi], i, a, j, b), get(rights[gi], i, a, j, b))
             # MulGate: split the interval at every node of every split layer
             # m the factors' degrees allow, the left factor on i..m
             left, right = lefts[gi], rights[gi]
             right_need = leaf_length[right]
+            again = restartable[gi]
             pieces = []
             head = (gi, i, a, j)
             found = left_factors.get(head)
@@ -293,53 +360,45 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                     # the left factor is built even where the right one is zero
                     right_zero = right_need is not None and right_need != j - m
                     for t in [a] if m == i else range(sizes[m]):
-                        lhs = yield left, i, a, m, t
+                        lhs = get(left, i, a, m, t)
                         if lhs is None or right_zero:
                             continue
                         kept.append((m, t, lhs))
-                        rhs = yield right, m, t, j, b
+                        rhs = get(right, m, t, j, b)
                         if rhs is not None:
-                            pieces.append(builder.mul(lhs, rhs))
+                            pieces.append(split(gi, i, a, j, b, m, t, lhs, rhs) if again else mul(lhs, rhs))
                 found = left_factors[head] = kept, lo <= hi == j
             else:
                 for m, t, lhs in found[0]:
-                    rhs = yield right, m, t, j, b
+                    rhs = get(right, m, t, j, b)
                     if rhs is not None:
-                        pieces.append(builder.mul(lhs, rhs))
+                        pieces.append(split(gi, i, a, j, b, m, t, lhs, rhs) if again else mul(lhs, rhs))
             if found[1]:  # layer j is a split layer: its left factor ends at b
                 t = a if i == j else b
-                lhs = yield left, i, a, j, t
+                lhs = get(left, i, a, j, t)
                 if lhs is not None and right_need in (None, 0):
-                    rhs = yield right, j, t, j, b
+                    rhs = get(right, j, t, j, b)
                     if rhs is not None:
-                        pieces.append(builder.mul(lhs, rhs))
+                        pieces.append(split(gi, i, a, j, b, j, t, lhs, rhs) if again else mul(lhs, rhs))
             return builder.add_many(pieces)
 
         root = (c.output, 0, 0, k, 0)
         if leaf_length[c.output] is not None:
             out = leaf(*root)
         else:
-            # depth first on an explicit stack of generators: a yielded key
-            # is sent back its memoized or leaf value, or else its own
-            # generator is pushed, and a finished generator's value is
-            # memoized and sent to the one below it
-            stack = [(root, expand(*root))]
-            out = None
-            while stack:
-                key, pending = stack[-1]
+            # the driver works out the newest pending key; a checkpoint met
+            # on the way is pushed above the sub-results it interrupted, so it
+            # is worked out first and they start again innermost first, each
+            # finding memoized everything it emitted before
+            pending = [root]
+            while pending:
                 try:
-                    need = pending.send(out)
-                except StopIteration as done:
-                    stack.pop()
-                    out = memo[key] = done.value
-                    continue
-                if need in memo:
-                    out = memo[need]
-                elif leaf_length[need[0]] is not None:
-                    out = leaf(*need)
+                    out = memo[pending[-1]] = expand(*pending[-1])
+                except _Unwind as stop:
+                    pending += reversed(stop.keys)
                 else:
-                    stack.append((need, expand(*need)))
-                    out = None
+                    pending.pop()
+        del get  # breaks the get <-> expand reference cycle
         per_degree.append((k, out))
         memo_size += len(memo)
 

@@ -168,6 +168,33 @@ def tall_circuit(rng, field, n_vars=2, n_gates=60, max_degree=4):
     return Circuit.build(n_vars, field, gates, len(gates) - 1)
 
 
+def skipping_circuit(rng, field, height, skipped, n_vars=2, max_degree=4):
+    """Two chains of the given height.  The first, A, has a gate at every
+    height h: A_h = A_{h-1} op an input.  The second, B, has B_h = B' op
+    A_{h-1} for every h not in ``skipped``, where B' is the B gate below it,
+    so B_h is h tall and B holds no gate of a skipped height.  Each op is a
+    product while the degree allows, at random, else a sum.  The output is
+    the top B gate."""
+    gates: list = [InputGate(v) for v in range(n_vars)]
+    degs = [1] * n_vars
+    a = b = 0
+
+    def emit(l, r):
+        if rng.random() < 0.3 and degs[l] + degs[r] <= max_degree:
+            gates.append(MulGate(l, r))
+            degs.append(degs[l] + degs[r])
+        else:
+            gates.append(AddGate(l, r))
+            degs.append(max(degs[l], degs[r]))
+        return len(gates) - 1
+
+    for h in range(1, height + 1):
+        below, a = a, emit(a, rng.randrange(n_vars))
+        if h not in skipped:
+            b = emit(b, below)
+    return Circuit.build(n_vars, field, gates, b)
+
+
 def random_monotone_circuit(rng, n_vars=3, n_gates=8, max_degree=4):
     from hadamard.fields import RationalField
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from hadamard.abp import ABP, LinearForm, homogeneous_parts, normalize_edges
@@ -15,6 +18,7 @@ from hadamard.circuits import Circuit, InputGate, MulGate, AddGate, ConstGate
 from hadamard.errors import ArityMismatchError, FieldMismatchError
 from hadamard.fields import PrimeField, RationalField, parse_field_spec
 from hadamard.grammars import build_mirror_suffix_grammar, cfg_to_circuit
+from hadamard import products
 from hadamard.polynomials import NCPoly
 from hadamard.products import (
     hadamard_abp_detailed,
@@ -266,31 +270,75 @@ def test_a_top_degree_that_prunes_to_nothing_keeps_the_sum_depth():
     assert r.to_json() == helpers.naive_hadamard_abp(p, q)[0].to_json()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    field=st.sampled_from(ORACLE_FIELDS),
-    seed=st.integers(0, 2**32),
-    depth=st.integers(0, 5),
-    cancelling=st.booleans(),
-    shape=st.sampled_from(("random", "tall", "grammar")),
-)
-def test_circuit_product_matches_the_recursion(field, seed, depth, cancelling, shape):
-    # tall circuits put many sub-results on the explicit stack at once;
-    # grammar circuits, homogeneous of degree 3n with an add chain per
-    # alternative, meet a program of that depth, as in the benchmark's
-    # grammar jobs
-    rng = random.Random(seed)
+@st.composite
+def _circuit_cases(draw):
+    """A circuit and a program over one field.  Tall circuits put many
+    sub-results on the call stack at once and cross checkpoints; skipping
+    circuits read gates two or more levels below, so their reads jump over
+    heights; grammar circuits, homogeneous of degree 3n with an add chain per
+    alternative, meet a program of that depth, as in the benchmark's grammar
+    jobs."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    depth, cancelling = draw(st.integers(0, 5)), draw(st.booleans())
+    shape = draw(st.sampled_from(("random", "tall", "skipping", "grammar")))
     if shape == "grammar":
         n = rng.randint(1, 2)
         c = cfg_to_circuit(build_mirror_suffix_grammar(n, rng.randint(2, 3)))
-        p = _program(rng, Q, 3 * n, cancelling, n_vars=c.n_vars)
-    elif shape == "tall":
-        p = _program(rng, field, depth, cancelling)
-        c = helpers.tall_circuit(rng, field, n_gates=rng.randint(36, 80))
-    else:
-        p = _program(rng, field, depth, cancelling)
-        c = helpers.random_circuit(rng, field, n_vars=2, n_gates=rng.randint(1, 14), max_degree=5)
-    assert hadamard_circuit_abp_detailed(c, p).circuit.to_json() == helpers.recursive_hadamard_circuit_abp(c, p).to_json()
+        return c, _program(rng, Q, 3 * n, cancelling, n_vars=c.n_vars)
+    p = _program(rng, field, depth, cancelling)
+    if shape == "tall":
+        return helpers.tall_circuit(rng, field, n_gates=rng.randint(36, 80)), p
+    if shape == "skipping":
+        height = rng.randint(10, 40)
+        skipped = {h for h in range(1, height + 1) if rng.random() < 0.4}
+        return helpers.skipping_circuit(rng, field, height, skipped), p
+    return helpers.random_circuit(rng, field, n_vars=2, n_gates=rng.randint(1, 14), max_degree=5), p
+
+
+# at step 3, gate 4 is a checkpoint; the product gate 6 reads it only
+# through gate 5, so it is interrupted after some of its split products
+# are emitted
+_INDIRECT_RESTART = (
+    Circuit.build(
+        2, Q, [InputGate(0), InputGate(1), AddGate(0, 1), AddGate(2, 0), AddGate(3, 1), AddGate(4, 0), MulGate(0, 5)], 6
+    ),
+    helpers.random_abp(random.Random(4), Q, n_vars=2, depth=2, width=2, density=1.0),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_circuit_cases(), st.sampled_from([1, 2, 3]))
+@example(_INDIRECT_RESTART, 3)
+def test_circuit_product_matches_the_recursion(case, step):
+    # with checkpoints at runs of `step` gates instead, sub-results are
+    # interrupted and started again; a restart emits no gate twice and
+    # memoizes nothing new
+    c, p = case
+    expect = helpers.recursive_hadamard_circuit_abp(c, p).json_text()
+    default = hadamard_circuit_abp_detailed(c, p)
+    with mock.patch.object(products, "CHECKPOINT_STEP", step):
+        restarted = hadamard_circuit_abp_detailed(c, p)
+    assert default.circuit.json_text() == expect
+    assert restarted.circuit.json_text() == expect
+    assert restarted.memo_size == default.memo_size
+
+
+def test_circuit_product_leaves_no_garbage_cycle():
+    # a 200-gate tall circuit crosses checkpoints, so sub-results are
+    # interrupted and restarted; nothing the product made is left to the
+    # cycle collector
+    rng = random.Random(7)
+    c = helpers.tall_circuit(rng, F5, n_gates=200)
+    p = helpers.random_abp(rng, F5, n_vars=2, depth=3, width=2, density=0.7)
+    gc.collect()
+    gc.disable()
+    try:
+        hadamard_circuit_abp_detailed(c, p)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_circuit_product_memory_does_not_grow_with_declared_variables():
@@ -318,3 +366,28 @@ def test_circuit_product_of_a_deep_chain():
     c = Circuit.build(2, Q, gates, len(gates) - 1)
     p = ABP.build(2, Q, (1, 1), {(0, 0, 0): lf(Q, const=3, x0=2, x1=-1)})
     assert hadamard_circuit_abp_detailed(c, p).circuit.expand() == c.expand().hadamard(p.expand())
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_circuit_product_stack_is_bounded_by_the_step():
+    # the deep chain again, and a 3,000-gate-tall skipping circuit whose
+    # output chain holds no gate of a height that is a multiple of the step,
+    # with room for only a few hundred more frames: the call stack holds at
+    # most CHECKPOINT_STEP gates' sub-results
+    step = products.CHECKPOINT_STEP
+    c = helpers.skipping_circuit(random.Random(3), Q, 3000, set(range(step, 3001, step)))
+    p = ABP.build(2, Q, (1, 1), {(0, 0, 0): lf(Q, const=3, x0=2, x1=-1)})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 300)
+    try:
+        test_circuit_product_of_a_deep_chain()
+        skipping = hadamard_circuit_abp_detailed(c, p).circuit
+    finally:
+        sys.setrecursionlimit(limit)
+    assert skipping.expand() == c.expand().hadamard(p.expand())
