@@ -212,6 +212,15 @@ CASES = {
         "8381fb3817bdc3ff5166816938e908408bb90fc7ceb17e429d35abb5b4b2344e"),
     "pit-span-f101join6": (["pit", "span", "{f101join6}"], 0,
         "d6d3fe11058c5cda93a5ece1b5cb16560eb072c707073ba557166fc65318d4ee"),
+    "pit-span-f4hom": (["pit", "span", "{f4hom}"], 0,
+        "b1f719423aba114f7a2ef08947e685f1104991cb3e1145f7275616fe7e79ec7a"),
+    "pit-span-qhom8": (["pit", "span", "{qhom8}"], 0,
+        "948b92e1a58a4f0248f2f19450dfa8fffe5ca43b02dd30fc3b7c452a4a56103f"),
+    "pit-det-qhom8": (["pit", "det", "{qhom8}"], 0,
+        "a988b148d80f3f5fe6a8203d4c36b44cec600e816f48aece372f161a52285fbf"),
+    # F_4 is too small for depth 5, so the points come from an extension of it
+    "pit-rand-f4hom": (["pit", "rand", "{f4hom}", "--trials", "5", "--seed", "7"], 0,
+        "3251c596c8610d7a43c36a555022a68b5503ea31c53458d01ac36fddd582d81d"),
     "pit-rand-f2join7": (["pit", "rand", "{f2join7}", "--trials", "5", "--seed", "3"], 0,
         "c0adb19927737223fec9ece9396a3d29c92de9c02942dd2bac61fa3f56c081d6"),
     "pit-rand-f2zero6": (["pit", "rand", "{f2zero6}", "--trials", "3"], 0,
