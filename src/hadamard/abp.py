@@ -33,8 +33,10 @@ Each walk is described where it is defined: ``homogeneous_parts`` splits a
 program into one degree-homogeneous part per degree; ``normalize_edges``
 splits a part's nodes until every node pair carries a single variable, the
 lone pair of a degree-1 part aside, which consumers read variable by
-variable; and ``row_bases`` keeps the word-tagged row bases that the span
-test and ``nisan_ranks`` read, so that neither expands the program.
+variable; and ``word_bases`` walks the ``linear_representation`` (S, f),
+c_w = e₀·S_{w_1}⋯S_{w_L}·f over the program's own nodes, one word length at
+a time, for the span test and ``nisan_ranks``, so neither expands the program
+or lays out its homogeneous parts.
 """
 
 from __future__ import annotations
@@ -369,29 +371,18 @@ def constant_value(part: ABP):
 # homogenization
 
 
-def homogeneous_parts(abp: ABP) -> list[ABP]:
-    """Degree-homogeneous programs (one per degree 0..depth) summing to the input.
-
-    The part for degree k has k+1 layers.  A node of its layer w is a pair
-    (original layer, original node) reachable after w variable-carrying
-    steps; an edge bundles a constant-only walk followed by one
-    variable-carrying original edge, and edges into the sink also absorb the
-    trailing constant-only walk.  No part after the first has a constant
-    entry.
-
-    Constant-only walks are propagated sparsely over ``abp.layers``.  One
-    backward pass gives each node's constant weight to the sink.  The steps
-    out of a node (i, a) — a constant walk to layer j-1, then one variable
-    entry into layer j, for every later j — are walked forward from (i, a)
-    once and shared by every degree, as is their sum weighted by the
-    constant walks on to the sink, which labels the edges into a part's sink.
+def constant_walks(abp: ABP) -> tuple[list[dict], object]:
+    """(to_sink, steps).  ``to_sink[j][b]`` sums the constant-only walks from
+    node b of layer j to the sink.  ``steps(i, a)``, cached, sums the steps
+    out of node a of layer i — a constant-only walk, then one variable entry
+    into a later layer j — as ({j: [(b, v, coefficient)]}, [(v, coefficient
+    of the steps weighted by their walks on to the sink)]), zeros dropped.
     """
     field = abp.field
     zero, one = field.zero(), field.one()
     d = abp.depth
     layers = abp.layers
 
-    # to_sink[j][b]: sum over constant-only walks from node b of layer j to the sink
     to_sink: list[dict] = [dict() for _ in range(d + 1)]
     to_sink[d][0] = one
     for j in range(d - 1, -1, -1):
@@ -403,8 +394,6 @@ def homogeneous_parts(abp: ABP) -> list[ABP]:
 
     @cache
     def steps(i: int, a: int) -> tuple[dict, list]:
-        """({j: [(b, v, coefficient)]}, [(v, coefficient)] into the sink) for
-        the steps out of node a of layer i, zero coefficients dropped."""
         by_layer: dict[int, list] = {}
         sink: dict = {}
         reach = {a: one}  # constant-only walks from (i, a) into layer j-1
@@ -431,11 +420,36 @@ def homogeneous_parts(abp: ABP) -> list[ABP]:
                 break
         return by_layer, [(v, x) for v, x in sink.items() if x]
 
-    parts = [constant_abp(abp.n_vars, field, to_sink[0].get(0, zero))]
+    return to_sink, steps
+
+
+def homogeneous_parts(abp: ABP) -> list[ABP]:
+    """Degree-homogeneous programs (one per degree 0..depth) summing to the input.
+
+    The part for degree k has k+1 layers.  A node of its layer w is a pair
+    (original layer, original node) reachable after w variable-carrying
+    steps; an edge bundles a constant-only walk followed by one
+    variable-carrying original edge, and edges into the sink also absorb the
+    trailing constant-only walk.  No part after the first has a constant
+    entry.  The edges are the ``constant_walks`` steps, shared by every part.
+    The node count, cubic in the depth, is worked out from the layer sizes
+    first: past ``DEFAULT_MAX_TERMS`` nothing is walked.
+    """
+    field = abp.field
+    d = abp.depth
+    layers = abp.layers
     # layer w (0 < w < k) of part k lays out original layers w..d-(k-w) end to
-    # end, so node (i, a) sits at start[i] - start[w] + a; only the nodes that
-    # some entry leaves are walked, in node order
+    # end, so node (i, a) sits at start[i] - start[w] + a and the layer has
+    # start[d-k+w+1] - start[w] nodes; summed over w by prefix sums of start
     start = list(itertools.accumulate(abp.layer_sizes, initial=0))
+    twice = list(itertools.accumulate(start, initial=0))
+    total = 2 + sum(2 + twice[d + 1] - twice[d - k + 2] - twice[k] for k in range(1, d + 1))
+    if total > DEFAULT_MAX_TERMS:
+        raise ResourceCapError(f"the homogeneous parts take {total} nodes, past the cap of {DEFAULT_MAX_TERMS}")
+    to_sink, steps = constant_walks(abp)
+
+    parts = [constant_abp(abp.n_vars, field, to_sink[0].get(0, field.zero()))]
+    # only the nodes that some entry leaves are walked, in node order
     leaving = [sorted({a for a, _, _ in lay.cells()}) for lay in layers]
 
     for k in range(1, d + 1):
@@ -719,94 +733,97 @@ def coefficient_of(abp: ABP, word: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# row bases and Nisan ranks
+# the linear representation, its word bases and Nisan ranks
 
 
-def row_bases(abp: ABP, backward: bool = False) -> Iterator[list[tuple[tuple, list]]]:
-    """Word-tagged row bases of a homogeneous program, one per layer boundary.
-
-    Forward, the basis for boundary j = 0, 1, ..., d spans the vectors
-    e_0 M_{w_1} ... M_{w_j} of the words of length j.  Words grow in
-    length-then-lexicographic order and a vector is kept only when it leaves
-    the span of those before it, so each kept word is the least word whose
-    vector leaves the span of the vectors kept before it.  Backward, the basis for boundary
-    j = d, d-1, ..., 0 spans the vectors M_{w_1} ... M_{w_m} e_0 of the
-    suffixes of length m = d-j.  A basis has at most as many vectors as its
-    layer has nodes.  Vectors hold the field's raw values
-    (``fields.raw_ops``); constant entries are not read.
-
-    A vector at boundary j has one coordinate per node of layer j that some
-    entry touches (the source and the sink always), in node order: every
-    other coordinate is zero in every vector, so dropping it changes no kept
-    word, and both directions index a boundary alike, so ``nisan_ranks``
-    pairs forward and backward vectors coordinate by coordinate.
+def linear_representation(abp: ABP) -> tuple[Layer, list]:
+    """(S, f) with c_w = e₀·S_{w_1}⋯S_{w_L}·f for every word w.  Positions
+    are the source (0) and each (layer, node) that a step from a position
+    enters, in the order first entered.  S is one square ``Layer`` whose
+    entries (p, q, coefficient) of variable v sum the ``constant_walks``
+    steps from p into q on x_v; f[p] is p's constant-walk weight to the sink.
+    Every step enters a later layer, so S is nilpotent.
     """
-    field = abp.field
+    to_sink, steps = constant_walks(abp)
+    positions = [(0, 0)]
+    index = {(0, 0): 0}
+    by_var: dict = {}
+    for p, (i, a) in enumerate(positions):  # grows while it is walked
+        for j, entries in steps(i, a)[0].items():
+            for b, v, x in entries:
+                q = index.setdefault((j, b), len(positions))
+                if q == len(positions):
+                    positions.append((j, b))
+                by_var.setdefault(v, []).append((p, q, x))
+    zero = abp.field.zero()
+    return Layer([], by_var), [to_sink[i].get(a, zero) for i, a in positions]
+
+
+def word_bases(field: Field, matrices: Layer, start: Sequence) -> Iterator[list[tuple[tuple, list]]]:
+    """Word-tagged bases of the vectors start·S_{w_1}⋯S_{w_L}, one per
+    length L = 0, 1, ... while any is nonzero.  Words grow in length-then-
+    lexicographic order and a vector is kept only when it leaves the span of
+    those before it, so every word's vector lies in the span of the kept
+    words not after it.  Vectors are dense over the positions, in the
+    field's raw values (``fields.raw_ops``).  Over the transposed matrices
+    the word (v_1, ..., v_L) tags S_{v_L}⋯S_{v_1}·start.
+    """
     into, reduce, _, _ = raw_ops(field)
-    zero, one = into(field.zero()), into(field.one())
-    d = abp.depth
-    touched = [set() for _ in range(d + 1)]
-    touched[0].add(0)
-    touched[d].add(0)
-    for layer, lay in enumerate(abp.layers):
-        for entries in lay.by_var.values():
-            for a, c, _ in entries:
-                touched[layer].add(a)
-                touched[layer + 1].add(c)
-    index = [{node: i for i, node in enumerate(sorted(nodes))} for nodes in touched]
-    basis: list[tuple[tuple, list]] = [((), [one])]
-    yield basis
-    for layer in reversed(range(d)) if backward else range(d):
-        at, to = index[layer], index[layer + 1]
-        by_var = [
-            (v, [(to[c], at[a], into(x)) if backward else (at[a], to[c], into(x)) for a, c, x in entries])
-            for v, entries in sorted(abp.layers[layer].by_var.items())
-        ]
-        width = len(at if backward else to)
-        grown = []
-        for word, vec in basis:
-            for v, entries in by_var:
-                row = [zero] * width
-                for a, c, x in entries:
-                    y = vec[a]
-                    if y:
-                        row[c] = row[c] + y * x
-                grown.append(((v,) + word if backward else word + (v,), reduce(row)))
-        keep = independent_subset([vec for _, vec in grown], field)
-        basis = [grown[i] for i in keep]
+    zero = into(field.zero())
+    out_of: dict = {}  # row -> [(variable, column, raw coefficient)]
+    for v, entries in matrices.by_var.items():
+        for a, c, x in entries:
+            out_of.setdefault(a, []).append((v, c, into(x)))
+    variables = sorted(matrices.by_var)
+    width = len(start)
+    start = reduce([into(x) for x in start])
+    basis = [((), start)] if any(start) else []
+    while basis:
         yield basis
+        grown, written = [], set()
+        for word, vec in basis:
+            rows = {v: [zero] * width for v in variables}
+            for a, y in enumerate(vec):
+                if y:
+                    for v, c, x in out_of.get(a, ()):
+                        row = rows[v]
+                        row[c] = row[c] + y * x
+                        written.add(c)
+            grown.extend((word + (v,), reduce(rows[v])) for v in variables)
+        # a column no step wrote is zero in every grown vector, so the
+        # elimination keeps the same words without it
+        columns = sorted(written)
+        keep = independent_subset([[vec[c] for c in columns] for _, vec in grown], field)
+        basis = [grown[i] for i in keep]
 
 
 def nisan_ranks(abp: ABP) -> list[int]:
     """Ranks of the Nisan matrices M_0, ..., M_d of the polynomial the
     program computes, or [] when it is zero; one with terms of two degrees
-    has none and raises ``ValidationError``.  Rows of M_k are the words of
-    length k, columns those of length d-k, and an entry is the coefficient
-    of the concatenation.  M_k is the product of the prefixes' vectors at
-    layer k with the suffixes', whose spans ``row_bases`` gives as F_k and
-    B_k; so rank M_k = rank(F_k B_kᵀ), at most the layer's width.
+    has none and raises ``ValidationError``.  M_k[u][w] = c_{uw} =
+    e₀·S_u·S_w·f over |u| = k and |w| = d-k, so rank M_k = rank(F_k·B_{d-k}ᵀ)
+    for the ``word_bases`` F from e₀ and B over the transposed S from f.
     """
     field = abp.field
-    zero = raw_ops(field)[0](field.zero())
-    found = []  # (part, forward bases or None for the constant) per nonzero part
-    for k, part in enumerate(homogeneous_parts(abp)):
-        if k == 0:
-            if constant_value(part):
-                found.append((part, None))
-        else:
-            forward = list(row_bases(part))
-            if forward[-1]:
-                found.append((part, forward))
-        if len(found) > 1:
-            raise ValidationError("Nisan matrices require a homogeneous polynomial")
-    if not found:
+    into = raw_ops(field)[0]
+    zero = into(field.zero())
+
+    def dot(u: list, w: list):
+        return into(sum((x * y for x, y in zip(u, w) if x), zero))
+
+    matrices, final = linear_representation(abp)
+    source = [field.one()] + [field.zero()] * (len(final) - 1)
+    forward = list(word_bases(field, matrices, source))
+    column = [into(x) for x in final]
+    degrees = [k for k, basis in enumerate(forward) if any(dot(vec, column) for _, vec in basis)]
+    if len(degrees) > 1:
+        raise ValidationError("Nisan matrices require a homogeneous polynomial")
+    if not degrees:
         return []
-    part, forward = found[0]
-    if forward is None:
-        return [1]
-    backward = list(row_bases(part, backward=True))[::-1]
-    ranks = []
-    for fs, bs in zip(forward, backward):
-        rows = [[sum((x * y for x, y in zip(f, b)), zero) for _, b in bs] for _, f in fs]
-        ranks.append(len(independent_subset(rows, field)))
-    return ranks
+    (d,) = degrees
+    transposed = Layer([], {v: [(c, a, x) for a, c, x in es] for v, es in matrices.by_var.items()})
+    backward = list(itertools.islice(word_bases(field, transposed, final), d + 1))
+    return [
+        len(independent_subset([[dot(f, b) for _, b in backward[d - k]] for _, f in forward[k]], field))
+        for k in range(d + 1)
+    ]

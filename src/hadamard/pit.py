@@ -4,18 +4,16 @@ Four testers with different contracts:
 
 * ``pit_rational``  — deterministic, rationals only.  The squared-coefficient
   sum of f, which is (f∘f)(1, …, 1) and over the rationals vanishes exactly
-  when f does, comes from a Gram iteration over the homogeneous parts of f:
-  per part, X ← Σ_v M_vᵀ X M_v layer by layer from X = e₀e₀ᵀ, read at the
-  sink.  The product program f∘f is never built.
-* ``pit_span_basis`` — deterministic, any field.  Walks each homogeneous
-  part forward with ``abp.row_bases``, the walk that ``abp.nisan_ranks``
-  also runs: layer by layer it keeps a basis of the row vectors that the
-  words read so far leave at the layer's nodes (at most one vector per
-  node), each tagged with its word.  Words grow in length-then-lexicographic
-  order and a vector is kept only when it leaves the span of those before
-  it, so the first word to reach the sink is the shortest, then
-  lexicographically least, word with a nonzero coefficient: the witness
-  that expanding the program would give.  Only the sink's basis is read.
+  when f does, comes from the Gram iteration X ← Σ_v S_vᵀ X S_v from
+  X = e₀e₀ᵀ over the program's linear representation (S, f), where
+  c_w = e₀·S_{w_1}⋯S_{w_L}·f (``abp.linear_representation``).  The product
+  program f∘f is never built.
+* ``pit_span_basis`` — deterministic, any field.  Walks ``abp.word_bases``
+  over the same (S, f) from the source, the walk that ``abp.nisan_ranks``
+  also runs; the first kept word with a nonzero coefficient is the
+  shortest, then lexicographically least, such word: the witness that
+  expanding the program would give.  Neither walk lays out the program's
+  homogeneous parts.
 * ``pit_randomized`` — finite fields.  Replaces each variable with a fresh
   value per layer, which separates words by position, and evaluates at
   uniform points in an extension large enough for the usual degree-over-
@@ -35,16 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .abp import (
-    ABP,
-    Layer,
-    LinearForm,
-    coefficient_of,
-    constant_abp,
-    constant_value,
-    homogeneous_parts,
-    row_bases,
-)
+from .abp import ABP, Layer, LinearForm, coefficient_of, constant_abp, linear_representation, word_bases
 from .circuits import Circuit
 from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
 from .fields import ExtField, Field, PrimeField, RationalField, json_int, raw_ops
@@ -104,26 +93,25 @@ def _gram_step(x: dict, lay: Layer) -> dict:
 def pit_rational(p: ABP) -> PitVerdict:
     """Zero iff the sum of squared coefficients is zero (rationals only).
 
-    The sum is taken per homogeneous part: the constant part gives its
-    square, and a part of degree k >= 1 with coefficient matrices M_v gives
-    Σ_w c_w² = X[0][0] after X ← Σ_v M_vᵀ X M_v at each of its layers,
-    starting from X = e₀e₀ᵀ.  The product program of p with itself, whose
-    value at all-ones is the same sum, is never built.
+    Over the ``linear_representation`` (S, f), the words of length L give
+    Σ_{|w|=L} c_w² = fᵀ·X_L·f, where X_0 = e₀e₀ᵀ and X_{L+1} = Σ_v S_vᵀ X_L S_v;
+    S is nilpotent, so X vanishes after at most depth + 1 lengths.
     """
     if not isinstance(p.field, RationalField):
         raise ValidationError("squared-coefficient test needs rational coefficients")
-    parts = homogeneous_parts(p)
-    total = constant_value(parts[0]) ** 2
-    for part in parts[1:]:
-        # the iteration runs on integers: each layer's matrices are scaled by
-        # the least common denominator of their entries, and the part's value
-        # is divided by the product of the squared scales at the end
-        x, scale = {0: {0: 1}}, 1
-        for lay in part.layers:
-            den = math.lcm(*(k.denominator for es in lay.by_var.values() for _, _, k in es))
-            x = _gram_step(x, lay.map(lambda k: k.numerator * (den // k.denominator)))
-            scale *= den * den
-        total += Fraction(x.get(0, {}).get(0, 0), scale)
+    matrices, final = linear_representation(p)
+    # the iteration runs on integers: S is scaled by the least common
+    # denominator of its entries and f by that of its own, and each length's
+    # term is divided by the squared scales
+    den = math.lcm(*(k.denominator for es in matrices.by_var.values() for _, _, k in es))
+    steps = matrices.map(lambda k: k.numerator * (den // k.denominator))
+    fden = math.lcm(*(k.denominator for k in final))
+    f = [k.numerator * (fden // k.denominator) for k in final]
+    total, x, scale = Fraction(0), {0: {0: 1}}, fden * fden
+    while x:
+        total += Fraction(sum(f[a] * y * f[b] for a, row in x.items() for b, y in row.items()), scale)
+        x = _gram_step(x, steps)
+        scale *= den * den
     return PitVerdict(
         is_zero=total == 0,
         method="square_sum",
@@ -132,36 +120,28 @@ def pit_rational(p: ABP) -> PitVerdict:
 
 
 def pit_span_basis(p: ABP) -> PitVerdict:
-    """Deterministic: per degree, the forward word-tagged row bases of the
-    homogeneous part (``abp.row_bases``); a word that reaches the sink is
-    the witness.  Only the sink's basis is read."""
+    """Deterministic: the first word of the forward ``word_bases`` of the
+    ``linear_representation`` (S, f) whose vector has a nonzero product with
+    f.  Every word's vector lies in the span of the kept words not after it,
+    so no shorter or lexicographically smaller word has a nonzero one."""
     field = p.field
-    out = raw_ops(field)[3]
-    for k, part in enumerate(homogeneous_parts(p)):
-        if k == 0:
-            c = constant_value(part)
+    into, _, _, out = raw_ops(field)
+    zero = into(field.zero())
+    matrices, final = linear_representation(p)
+    column = [into(x) for x in final]
+    source = [field.one()] + [field.zero()] * (len(final) - 1)
+    for basis in word_bases(field, matrices, source):
+        for word, vec in basis:
+            c = into(sum((x * y for x, y in zip(vec, column) if x), zero))
             if c:
+                c = out(c)
+                if coefficient_of(p, word) != c:
+                    raise RuntimeError(f"span basis witness {list(word)} disagrees with the program's coefficient")
                 return PitVerdict(
                     is_zero=False,
                     method="span_basis",
-                    witness={"word": [], "coeff": field.coeff_to_json(c)},
+                    witness={"word": list(word), "coeff": field.coeff_to_json(c)},
                 )
-            continue
-        for basis in row_bases(part):
-            pass
-        if basis:  # the sink has width 1: one kept word, nonzero coefficient
-            word, (c,) = basis[0]
-            c = out(c)
-            if coefficient_of(p, word) != c:
-                raise RuntimeError(
-                    f"span basis witness {list(word)} disagrees with the "
-                    "program's coefficient"
-                )
-            return PitVerdict(
-                is_zero=False,
-                method="span_basis",
-                witness={"word": list(word), "coeff": field.coeff_to_json(c)},
-            )
     return PitVerdict(is_zero=True, method="span_basis")
 
 
@@ -202,13 +182,7 @@ def _extension_with_embedding(field: Field, min_size: int):
                 break
         assert root is not None, "an irreducible factor always has a root upstairs"
 
-        def embed(x, _root=root, _big=big):
-            acc = _big.zero()
-            for c in reversed(x.coeffs):
-                acc = acc * _root + _big.from_int(c)
-            return acc
-
-        return big, embed
+        return big, lambda x: _poly_eval_in(x.coeffs, root)
     raise ValidationError("randomized evaluation needs a finite field")
 
 

@@ -68,6 +68,19 @@ def random_abp(rng, field, n_vars=3, depth=3, width=3, affine=True, density=0.7)
     return ABP.build(n_vars, field, sizes, edges)
 
 
+def homogeneous_abp(rng, field, depth, width=2, n_vars=2):
+    """A program of fixed width whose every node pair carries a random
+    homogeneous label with a nonzero variable coefficient."""
+    sizes = [1] + [width] * (depth - 1) + [1]
+    edges = {}
+    for layer in range(depth):
+        for a in range(sizes[layer]):
+            for c in range(sizes[layer + 1]):
+                v = rng.randrange(n_vars)
+                edges[(layer, a, c)] = LinearForm.make(field, coeffs={v: rng.choice((-2, -1, 1, 2))})
+    return ABP.build(n_vars, field, sizes, edges)
+
+
 def scale_form(form: LinearForm, c, field) -> LinearForm:
     """c times an edge label."""
     c = field.coerce(c)

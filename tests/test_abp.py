@@ -3,6 +3,7 @@ normalization, sums, coefficient extraction, and rank-sum complexity."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hadamard.abp import (
     ABP,
+    Layer,
     LinearForm,
     abp_sum,
     coefficient_matrices,
@@ -19,14 +21,15 @@ from hadamard.abp import (
     constant_abp,
     homogeneous_parts,
     is_homogeneous_program,
+    linear_representation,
     nisan_ranks,
     normalize_edges,
     prune,
-    row_bases,
     validate,
+    word_bases,
     zero_abp,
 )
-from hadamard.errors import ValidationError
+from hadamard.errors import ResourceCapError, ValidationError
 from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.matrices import Matrix
 from hadamard.pit import Digraph, det_to_abp, pit_span_basis, reach_to_abp
@@ -187,6 +190,26 @@ def test_homogeneous_parts_reassemble_random():
         assert total == p.expand()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 8))
+def test_homogeneous_parts_predict_their_node_count_exactly(rng, depth):
+    """The cap is checked against the node count the parts then have, so a
+    cap of exactly that count builds them and one less refuses."""
+    import hadamard.abp as abp_module
+
+    if depth:
+        p = helpers.random_abp(rng, F5, n_vars=2, depth=depth, width=4)
+    else:
+        p = ABP(2, F5, (1,), [])
+    count = sum(part.node_count() for part in homogeneous_parts(p))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abp_module, "DEFAULT_MAX_TERMS", count)
+        assert sum(part.node_count() for part in homogeneous_parts(p)) == count
+        mp.setattr(abp_module, "DEFAULT_MAX_TERMS", count - 1)
+        with pytest.raises(ResourceCapError, match=f"homogeneous parts take {count} nodes"):
+            homogeneous_parts(p)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.randoms(use_true_random=False),
@@ -344,14 +367,42 @@ def test_nisan_matrix_examples():
     assert nisan_ranks(zero_abp(2, Q)) == []
 
 
-def test_row_bases_index_only_the_nodes_entries_touch():
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, F2, F5, F4]), st.integers(0, 6))
+def test_linear_representation_gives_every_coefficient(rng, field, depth):
+    # affine programs, each inner layer with declared nodes that no entry touches
+    if depth:
+        p = helpers.random_abp(rng, field, n_vars=2, depth=depth, width=2)
+        sizes = (1, *(s + rng.randint(0, 2) for s in p.layer_sizes[1:-1]), 1)
+        p = ABP(p.n_vars, field, sizes, p.layers)
+    else:
+        p = ABP(2, field, (1,), [])
+    matrices, final = linear_representation(p)
+    for length in range(depth + 1):
+        for word in itertools.product(range(2), repeat=length):
+            vec = {0: field.one()}
+            for v in word:
+                nxt: dict = {}
+                for a, c, x in matrices.by_var.get(v, ()):
+                    if a in vec:
+                        nxt[c] = nxt.get(c, field.zero()) + vec[a] * x
+                vec = nxt
+            got = sum((y * final[a] for a, y in vec.items()), field.zero())
+            assert got == coefficient_of(p, word)
+
+
+def test_word_bases_index_only_the_positions_steps_enter():
     # x0*x1 + x1*x0 through two of a thousand declared middle nodes
     x0, x1 = (LinearForm.of_var(Q, v) for v in (0, 1))
     p = ABP.build(2, Q, (1, 1000, 1), {(0, 0, 5): x0, (0, 0, 999): x1, (1, 5, 0): x1, (1, 999, 0): x0})
-    for backward in (False, True):
-        bases = list(row_bases(p, backward=backward))
-        assert [[len(vec) for _, vec in basis] for basis in bases] == [[1], [2, 2], [1]]
-    assert [word for word, _ in bases[1]] == [(0,), (1,)]
+    matrices, final = linear_representation(p)
+    assert len(final) == 4
+    transposed = Layer([], {v: [(c, a, x) for a, c, x in es] for v, es in matrices.by_var.items()})
+    source = [Q.one()] + [Q.zero()] * 3
+    for start, lays in ((source, matrices), (final, transposed)):
+        bases = list(word_bases(Q, lays, start))
+        assert [[len(vec) for _, vec in basis] for basis in bases] == [[4], [4, 4], [4]]
+        assert [word for word, _ in bases[1]] == [(0,), (1,)]
     assert nisan_ranks(p) == [1, 2, 1]
 
 

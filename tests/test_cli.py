@@ -23,7 +23,7 @@ from hadamard.errors import DEFAULT_MAX_TERMS
 from hadamard.grammars import DEFAULT_MAX_WORDS, build_mirror_suffix_grammar
 from hadamard.fields import PRIME_TEST_BOUND, ExtField, PrimeField, RationalField, _poly_mul, find_irreducible
 from hadamard.polynomials import NCPoly
-from helpers import cancelling_abp, random_abp, random_circuit
+from helpers import cancelling_abp, homogeneous_abp, random_abp, random_circuit
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -641,6 +641,24 @@ def test_pit_rand_refuses_a_trial_past_the_cap_before_drawing(tmp_path):
     }
     err = _refused_at_once("pit", "rand", write_json(tmp_path / "many.json", obj))
     assert "200000000 values" in err and str(DEFAULT_MAX_TERMS) in err
+
+
+@pytest.mark.parametrize("shape", ["abp", "circuit-abp"])
+def test_products_refuse_homogeneous_parts_past_the_cap_before_building(shape, tmp_path, monkeypatch):
+    """At depth 200 and width 2 the parts of a program would have 2,667,002
+    nodes; the count is worked out before any part is walked."""
+    import hadamard.abp as abp_module
+
+    def built(*args, **kwargs):
+        raise AssertionError("a homogeneous part was walked")
+
+    monkeypatch.setattr(abp_module, "constant_walks", built)
+    program = write_json(tmp_path / "deep.json", homogeneous_abp(random.Random(7), Q, 200).to_json())
+    left = program
+    if shape == "circuit-abp":
+        left = write_json(tmp_path / "c.json", random_circuit(random.Random(7), Q, n_vars=2, n_gates=6).to_json())
+    err = _refused_at_once("hadamard", shape, left, program)
+    assert "homogeneous parts take 2667002 nodes" in err and str(DEFAULT_MAX_TERMS) in err
 
 
 def test_cfg_intersect_past_the_word_cap_exits_3(tmp_path):

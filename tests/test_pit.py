@@ -4,12 +4,13 @@ with independent oracles, and the two reductions feed them correctly."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hadamard.abp import ABP, coefficient_of, zero_abp
+from hadamard.abp import ABP, abp_sum, coefficient_of, homogeneous_parts, nisan_ranks, zero_abp
 from hadamard.errors import ResourceCapError, ValidationError
 from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.pit import (
@@ -28,6 +29,7 @@ from helpers import (
     cancelling_abp,
     cofactor_det,
     element_span_basis,
+    homogeneous_abp,
     lf,
     random_abp,
     random_digraph,
@@ -143,6 +145,35 @@ def test_span_basis_matches_the_element_span_walk(rng, field, kind, depth):
         depth = depth if kind == "cancelling" else max(depth, 3)
         p = cancel_join(rng, field, depth, width=width, n_vars=n_vars, zero=kind == "cancelling")
     assert pit_span_basis(p).to_json() == element_span_basis(p).to_json()
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+def test_deep_programs_are_tested_without_homogeneous_parts(field, monkeypatch):
+    """Depth 300 would make millions of part nodes; the span test, the Nisan
+    ranks and over the rationals the square sum agree on a nonzero program
+    and on a zero one, with every binding of ``homogeneous_parts`` raising."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("homogeneous parts were built")
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("hadamard")]:
+        for key, value in list(vars(module).items()):
+            if value is homogeneous_parts:
+                monkeypatch.setattr(module, key, built)
+    rng = random.Random(300)
+    p = homogeneous_abp(rng, field, 300)
+    minus_one = field.zero() - field.one()
+    flipped = [lay if w < 299 else lay.map(lambda k: minus_one * k) for w, lay in enumerate(p.layers)]
+    zero = abp_sum([p, ABP(p.n_vars, field, p.layer_sizes, flipped)])
+    for program, is_zero in ((p, False), (zero, True)):
+        span = pit_span_basis(program)
+        ranks = nisan_ranks(program)
+        assert span.is_zero is is_zero and (ranks == []) is is_zero
+        if field == Q:
+            assert pit_rational(program).is_zero is is_zero
+        if not is_zero:
+            assert len(span.witness["word"]) == 300 and len(ranks) == 301
+            assert ranks[0] == ranks[-1] == 1 and max(ranks) <= 2
 
 
 def test_testers_unanimous_on_engineered_cancellations():
