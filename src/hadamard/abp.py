@@ -5,29 +5,32 @@ layer d (the sink).  Every edge goes from a layer to the next and carries an
 affine linear form; the program computes the sum over source-to-sink paths
 of the ordered product of the labels, a noncommutative polynomial of degree
 at most d.  Parallel edges are not represented: ingesting two labels on the
-same node pair means adding them, which ``ABP.build`` does.
+same node pair means adding them, which ``ABP.build`` and ``ABP.from_json``
+do.
 
 A label's coefficients are canonical elements of the program's field, and
-only the converting constructors ``LinearForm.make``, ``constant``,
-``of_var`` and ``from_json`` turn other values (plain integers, JSON) into
-such elements.  ``ABP.build`` merges parallel labels, drops zero ones and
-stores the coefficients it is given as they are, and checks nothing.
-Programs are checked once, where they enter from outside data:
-``ABP.from_json`` runs ``validate``, which checks the layer shape, the entry
-ranges and that every coefficient is canonical, without converting anything.
-Before that it refuses a file that declares more than ``DEFAULT_MAX_TERMS``
-nodes in all, since walks that lay out dense rows size them by the declared
-layer widths.
+only the converting constructors ``LinearForm.make``, ``constant`` and
+``of_var`` turn plain integers into such elements.  ``ABP.build`` merges
+parallel labels, drops zero ones and stores the coefficients it is given as
+they are, and checks nothing.  Programs are checked once, where they enter
+from outside data: ``ABP.from_json`` decodes each label's coefficients
+through the field's ``coeff_from_json``, then runs ``validate``, which
+checks the layer shape, the entry ranges and that every coefficient is
+canonical, without converting anything.  Before that it refuses a file that
+declares more than ``DEFAULT_MAX_TERMS`` nodes in all, since walks that lay
+out dense rows size them by the declared layer widths.
 Programs the library makes from programs it trusts are not checked again.
 
 A program stores its layers: per layer a ``Layer`` holding the sparse
 constant matrix and one sparse coefficient matrix per variable, each a list
 of (from, to, coefficient) entries, at most one per node pair and matrix,
 none zero.  Entry order carries no meaning, and equality ignores it.  Every
-builder writes entries straight into layers.  Labels exist only where a
-program is read or written as labels: ``ABP.build`` turns labels into
-entries once, and ``ABP.edges`` is a read-only view of one ``LinearForm``
-per (layer, from, to), built on first read, which no library path reads.
+builder writes entries straight into layers, ``ABP.from_json`` too, which
+adds the labels of a repeated node pair as ``ABP.build`` adds them and makes
+no ``LinearForm``.  Labels exist only where a program is built from forms
+(``ABP.build``, for the reductions of ``pit``) or written as labels:
+``ABP.edges`` is a read-only view of one ``LinearForm`` per (layer, from,
+to), built on first read, which no library path reads.
 
 Each walk is described where it is defined: ``homogeneous_parts`` splits a
 program into one degree-homogeneous part per degree; ``normalize_edges``
@@ -64,8 +67,8 @@ class LinearForm:
     """An affine form: constant + sum of coefficient * variable.
 
     ``LinearForm(const, coeffs)`` takes elements of the program's field as
-    they are, every coefficient nonzero; ``make``, ``constant``, ``of_var``
-    and ``from_json`` convert plain values and drop zero coefficients.
+    they are, every coefficient nonzero; ``make``, ``constant`` and
+    ``of_var`` convert plain values and drop zero coefficients.
     """
 
     const: object
@@ -99,16 +102,6 @@ class LinearForm:
                 coeffs.pop(v, None)
         return LinearForm(self.const + other.const, coeffs)
 
-    @classmethod
-    def from_json(cls, obj: dict, field: Field) -> "LinearForm":
-        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs", {}), dict):
-            raise TypeError("a label must be an object whose coeffs are an object")
-        return cls.make(
-            field,
-            const=field.coeff_from_json(obj.get("const", field.coeff_to_json(field.zero()))),
-            coeffs={_variable_key(v): field.coeff_from_json(a) for v, a in obj.get("coeffs", {}).items()},
-        )
-
 
 def _variable_key(key: str) -> int:
     """The variable a label's coeffs key names.  Only ``str(v)`` of a
@@ -121,6 +114,24 @@ def _variable_key(key: str) -> int:
     if v < 0 or str(v) != key:
         raise ValidationError(f"label variable key {key!r} is not a nonnegative integer in canonical form")
     return v
+
+
+def _coefficient_decoder(field: Field):
+    """``field.coeff_from_json``, which a program's decode runs once per
+    distinct string: its labels repeat few values, and each string is parsed
+    and made an element only once."""
+    decode = field.coeff_from_json
+    seen: dict = {}
+
+    def coefficient(x):
+        if type(x) is not str:
+            return decode(x)
+        k = seen.get(x)
+        if k is None:
+            k = seen[x] = decode(x)
+        return k
+
+    return coefficient
 
 
 @dataclass
@@ -223,7 +234,7 @@ class ABP:
         """A program from a dict or an iterable of ((layer, from, to), form)
         pairs; parallel labels merge by addition, and the merged labels become
         entries as they are, zeros dropped.  Nothing is checked: callers pass
-        canonical forms that fit the layers, and ``from_json`` validates."""
+        canonical forms that fit the layers."""
         merged: dict = {}
         for key, form in labels.items() if isinstance(labels, dict) else labels:
             if key in merged:  # parallel labels merge by addition
@@ -296,6 +307,12 @@ class ABP:
 
     @classmethod
     def from_json(cls, obj: dict, field: Field | None = None) -> "ABP":
+        """The program a JSON object describes, over its own field or else
+        ``field``.  Each label is decoded straight into cells {-1: constant,
+        variable: coefficient}; the labels of a repeated node pair add, as
+        ``build`` adds them, and the cells become entries in the order
+        ``build`` gives them, zeros dropped.  ``validate`` then checks the
+        result."""
         if field is None:
             if "field" not in obj:
                 raise ValidationError("ABP JSON lacks a field descriptor")
@@ -305,7 +322,8 @@ class ABP:
             raise ResourceCapError(
                 f"the program declares {sum(layers)} nodes, past the cap of {DEFAULT_MAX_TERMS}"
             )
-        labels = []
+        decode, zero = _coefficient_decoder(field), field.zero()
+        merged: dict = {}  # (layer, from, to) -> {-1: constant, variable: coefficient}
         for e in obj["edges"]:
             fl, fn = json_int(e["from"][0]), json_int(e["from"][1])
             tl, tn = json_int(e["to"][0]), json_int(e["to"][1])
@@ -313,8 +331,26 @@ class ABP:
                 raise ValidationError(f"edge {e['from']} -> {e['to']} skips layers")
             if not 0 <= fl < len(layers) - 1:
                 raise ValidationError(f"edge layer {fl} out of range")
-            labels.append(((fl, fn, tn), LinearForm.from_json(e["label"], field)))
-        abp = cls.build(json_int(obj["nvars"]), field, layers, labels)
+            label = e["label"]
+            if not isinstance(label, dict) or not isinstance(label.get("coeffs", {}), dict):
+                raise TypeError("a label must be an object whose coeffs are an object")
+            cells = {-1: decode(label["const"]) if "const" in label else zero}
+            for v, x in label.get("coeffs", {}).items():
+                v, x = _variable_key(v), decode(x)
+                if x:
+                    cells[v] = x
+            old = merged.setdefault((fl, fn, tn), cells)
+            if old is not cells:  # a repeated node pair: add the labels
+                old[-1] = old[-1] + cells.pop(-1)
+                for v, x in cells.items():
+                    x = old[v] + x if v in old else x
+                    if x:
+                        old[v] = x
+                    else:
+                        del old[v]
+        n_vars = json_int(obj["nvars"])
+        items = ((key, (v, x)) for key, cells in merged.items() for v, x in cells.items() if x)
+        abp = cls(n_vars, field, tuple(layers), layers_of(len(layers) - 1, items))
         err = validate(abp)
         if err:
             raise ValidationError(err)
@@ -377,20 +413,28 @@ def constant_walks(abp: ABP) -> tuple[list[dict], object]:
     out of node a of layer i — a constant-only walk, then one variable entry
     into a later layer j — as ({j: [(b, v, coefficient)]}, [(v, coefficient
     of the steps weighted by their walks on to the sink)]), zeros dropped.
-    """
-    field = abp.field
-    zero, one = field.zero(), field.one()
-    d = abp.depth
-    layers = abp.layers
 
-    to_sink: list[dict] = [dict() for _ in range(d + 1)]
+    The sums run on the field's raw values (``fields.raw_ops``): over F_p on
+    residues, reduced and rid of zeros after each layer, and a coefficient
+    becomes an element once, where ``to_sink`` or a step stores it.
+    """
+    into, reduce, _, out = raw_ops(abp.field)
+    zero, one = into(0), into(1)
+    d = abp.depth
+    layers = [lay.map(into) for lay in abp.layers]
+
+    def reduced(acc: dict) -> dict:
+        return {key: x for key, x in zip(acc, reduce(list(acc.values()))) if x}
+
+    to_sink: list[dict] = [dict() for _ in range(d + 1)]  # raw values
     to_sink[d][0] = one
     for j in range(d - 1, -1, -1):
-        here, after = to_sink[j], to_sink[j + 1]
+        here, after = {}, to_sink[j + 1]
         for a, c, k in layers[j].const:
             t = after.get(c)
             if t:
                 here[a] = here.get(a, zero) + k * t
+        to_sink[j] = reduced(here)
 
     @cache
     def steps(i: int, a: int) -> tuple[dict, list]:
@@ -405,22 +449,23 @@ def constant_walks(abp: ABP) -> tuple[list[dict], object]:
                     w = reach.get(m)
                     if w:
                         coeffs[(b, v)] = coeffs.get((b, v), zero) + w * k
-            by_layer[j] = [(b, v, x) for (b, v), x in coeffs.items() if x]
-            for b, v, x in by_layer[j]:
+            coeffs = reduced(coeffs)
+            for (b, v), x in coeffs.items():
                 t = to_sink[j].get(b)
                 if t:
                     sink[v] = sink.get(v, zero) + x * t
+            by_layer[j] = [(b, v, out(x)) for (b, v), x in coeffs.items()]
             nxt: dict = {}
             for m, c, k in lay.const:
                 w = reach.get(m)
                 if w:
                     nxt[c] = nxt.get(c, zero) + w * k
-            reach = nxt
+            reach = reduced(nxt)
             if not reach:
                 break
-        return by_layer, [(v, x) for v, x in sink.items() if x]
+        return by_layer, [(v, out(x)) for v, x in reduced(sink).items()]
 
-    return to_sink, steps
+    return [{b: out(x) for b, x in walks.items()} for walks in to_sink], steps
 
 
 def homogeneous_parts(abp: ABP) -> list[ABP]:

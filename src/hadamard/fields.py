@@ -665,11 +665,13 @@ def json_text(obj) -> str:
 
 
 def coeff_text(field: Field) -> Callable[[object], str]:
-    """x -> ``json_text(field.coeff_to_json(x))``, with one encoder for
-    all the coefficients of one writer's pass."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    to_json = field.coeff_to_json
-    return lambda x: encode(to_json(x))
+    """x -> ``json_text(field.coeff_to_json(x))``, formatted directly: none
+    of these strings needs escaping."""
+    if isinstance(field, PrimeField):
+        return lambda x: '"%d"' % x.value
+    if isinstance(field, RationalField):
+        return lambda x: '"' + str(x) + '"'
+    return lambda x: "[" + ",".join(map(str, x.coeffs)) + "]"
 
 
 def json_int(x) -> int:

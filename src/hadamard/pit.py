@@ -17,7 +17,11 @@ Four testers with different contracts:
 * ``pit_randomized`` — finite fields.  Replaces each variable with a fresh
   value per layer, which separates words by position, and evaluates at
   uniform points in an extension large enough for the usual degree-over-
-  field-size failure bound.
+  field-size failure bound.  Over an extension field F_{p^k} of order at
+  most ``fields.TABLE_MAX_ORDER`` (F_16 for F_2 inputs of depth 5 to 8,
+  F_25 for F_5 inputs of depth 3 to 12) it evaluates on the exponents of
+  the field's log tables; over a prime field of at least 2·depth
+  elements, and over a larger extension, on field elements.
 * ``pit_bruteforce`` — expands the program (or circuit) outright.
 
 ``det_to_abp`` encodes a matrix determinant as a constant-labeled program
@@ -186,6 +190,59 @@ def _extension_with_embedding(field: Field, min_size: int):
     raise ValidationError("randomized evaluation needs a finite field")
 
 
+def _evaluator(big: Field, layers: list[Layer], sizes: Sequence[int], n_vars: int):
+    """rng -> the value of the program with layers ``layers`` (over ``big``)
+    at a point drawn from rng: one ``big.random(rng)`` per layer and
+    variable, layer by layer, then a row vector stepped through the layers.
+
+    Over an extension field with log tables (order at most
+    ``fields.TABLE_MAX_ORDER``) the vector holds exponents of the tables'
+    generator g, zero as 2(q-1): a product adds exponents, a sum takes a
+    Zech logarithm, g^s + g^t = g^(s + zech[t - s]), and a drawn value is
+    looked up by the coefficients ``big.random`` would give it.  Otherwise
+    the vector holds elements and steps through ``Layer.times``.
+    """
+    tables = big._log_tables if isinstance(big, ExtField) else None
+    if tables is None:
+        zero, one = big.zero(), big.one()
+
+        def element_value(rng):
+            points = [[big.random(rng) for _ in range(n_vars)] for _ in layers]
+            vec = [one]
+            for lay, point, width in zip(layers, points, sizes[1:]):
+                vec = lay.times(vec, point, width, zero)
+            return vec[0]
+
+        return element_value
+
+    log, antilog = tables
+    zech, n = big._zech, big.order - 1
+    nil, p, k = 2 * n, big.p, big.k
+    exponents = [lay.map(lambda x: log[x.coeffs]) for lay in layers]
+
+    def exponent_value(rng):
+        points = [[log[tuple(rng.randrange(p) for _ in range(k))] for _ in range(n_vars)] for _ in layers]
+        vec = [0]
+        for lay, point, width in zip(exponents, points, sizes[1:]):
+            out = [nil] * width
+            steps = [(lay.const, 0)] + [(es, point[v]) for v, es in lay.by_var.items() if point[v] != nil]
+            for entries, x in steps:
+                for a, c, e in entries:
+                    y = vec[a]
+                    if y != nil:
+                        t = (y + e + x) % n
+                        s = out[c]
+                        if s == nil:
+                            out[c] = t
+                        else:
+                            z = zech[(t - s) % n]
+                            out[c] = nil if z == nil else (s + z) % n
+            vec = out
+        return antilog[vec[0]]
+
+    return exponent_value
+
+
 def pit_randomized(p: ABP, trials: int = 20, seed: int = 0) -> PitVerdict:
     """Per-layer variable relabeling + random evaluation over a big-enough
     extension.  A nonzero evaluation proves nonzero; all-zero evaluations
@@ -199,26 +256,19 @@ def pit_randomized(p: ABP, trials: int = 20, seed: int = 0) -> PitVerdict:
         raise ResourceCapError(f"a trial draws {d * p.n_vars} values, past the cap of {DEFAULT_MAX_TERMS}")
     big, embed = _extension_with_embedding(p.field, max(2 * d, 2))
     bound = Fraction(d, big.order) if d else Fraction(0)
-    zero, one = big.zero(), big.one()
-    layers = [lay.map(embed) for lay in p.layers]
+    value = _evaluator(big, [lay.map(embed) for lay in p.layers], p.layer_sizes, p.n_vars)
     for trial in range(trials):
         # each trial gets its own stream keyed by (seed, trial), so trial t
         # draws the same points no matter how many trials run before it
-        rng = _random.Random(f"{seed}:{trial}")
-        points = [
-            [big.random(rng) for _ in range(p.n_vars)] for _ in range(d)
-        ]
-        vec = [one]
-        for layer, lay in enumerate(layers):
-            vec = lay.times(vec, points[layer], p.layer_sizes[layer + 1], zero)
-        if vec[0]:
+        x = value(_random.Random(f"{seed}:{trial}"))
+        if x:
             return PitVerdict(
                 is_zero=False,
                 method="randomized",
                 witness={"trial": trial},
                 trials=trial + 1,
                 per_trial_bound=bound,
-                value_json=big.coeff_to_json(vec[0]),
+                value_json=big.coeff_to_json(x),
             )
     return PitVerdict(
         is_zero=True, method="randomized", trials=trials, per_trial_bound=bound

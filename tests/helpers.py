@@ -6,8 +6,9 @@ schoolbook products and repeated powering for extension-field traces, trial
 division for irreducibility, Gaussian elimination and the span walk on
 field element objects, the JSON objects of programs and circuits built one
 dict per edge or gate, the ``lab corr`` report assembled from the sign
-polynomial F and its 0/1 shift as whole polynomials, and homogeneous parts
-laid out over lists of every declared node.
+polynomial F and its 0/1 shift as whole polynomials, homogeneous parts
+laid out over lists of every declared node, programs decoded from JSON one
+``LinearForm`` per label, and ``pit rand`` stepping field elements.
 The library must agree with these on random instances.
 """
 
@@ -22,16 +23,19 @@ from typing import Sequence
 from hadamard.abp import (
     ABP,
     LinearForm,
+    _variable_key,
     abp_sum,
     coefficient_of,
     constant_abp,
     homogeneous_parts,
     normalize_edges,
     prune,
+    validate,
     zero_abp,
 )
 from hadamard.circuits import AddGate, Circuit, CircuitBuilder, ConstGate, InputGate, MulGate
-from hadamard.fields import ExtElement, _poly_mod, _poly_mul
+from hadamard.errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
+from hadamard.fields import ExtElement, _poly_mod, _poly_mul, field_from_json, json_int
 from hadamard.lab import (
     ExplicitParams,
     build_f,
@@ -41,7 +45,7 @@ from hadamard.lab import (
     sum_coeffs,
     zero_one_shift,
 )
-from hadamard.pit import Digraph, PitVerdict
+from hadamard.pit import Digraph, PitVerdict, _extension_with_embedding
 from hadamard.products import DegreeRecord, hadamard_homogeneous
 
 
@@ -704,3 +708,67 @@ def circuit_json(c: Circuit) -> dict:
         else:
             gates.append({"op": "mul", "l": g.left, "r": g.right})
     return {"nvars": c.n_vars, "field": c.field.descriptor(), "gates": gates, "output": c.output}
+
+
+def form_label(obj, field) -> LinearForm:
+    """A JSON label as the ``LinearForm`` it names."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs", {}), dict):
+        raise TypeError("a label must be an object whose coeffs are an object")
+    return LinearForm.make(
+        field,
+        const=field.coeff_from_json(obj.get("const", field.coeff_to_json(field.zero()))),
+        coeffs={_variable_key(v): field.coeff_from_json(a) for v, a in obj.get("coeffs", {}).items()},
+    )
+
+
+def form_decoded_abp(obj: dict, field=None) -> ABP:
+    """``ABP.from_json`` through labels: each edge's label parsed into a
+    ``LinearForm``, the forms merged by ``ABP.build``, then ``validate``."""
+    if field is None:
+        if "field" not in obj:
+            raise ValidationError("ABP JSON lacks a field descriptor")
+        field = field_from_json(obj["field"])
+    layers = [json_int(s) for s in obj["layers"]]
+    if sum(layers) > DEFAULT_MAX_TERMS:
+        raise ResourceCapError(f"the program declares {sum(layers)} nodes, past the cap of {DEFAULT_MAX_TERMS}")
+    labels = []
+    for e in obj["edges"]:
+        fl, fn = json_int(e["from"][0]), json_int(e["from"][1])
+        tl, tn = json_int(e["to"][0]), json_int(e["to"][1])
+        if tl != fl + 1:
+            raise ValidationError(f"edge {e['from']} -> {e['to']} skips layers")
+        if not 0 <= fl < len(layers) - 1:
+            raise ValidationError(f"edge layer {fl} out of range")
+        labels.append(((fl, fn, tn), form_label(e["label"], field)))
+    abp = ABP.build(json_int(obj["nvars"]), field, layers, labels)
+    err = validate(abp)
+    if err:
+        raise ValidationError(err)
+    return abp
+
+
+def element_pit_randomized(p: ABP, trials: int = 20, seed: int = 0) -> PitVerdict:
+    """``pit_randomized`` with element vectors stepped through
+    ``Layer.times`` in every field, drawing ``big.random(rng)`` per layer
+    and variable."""
+    d = p.depth
+    big, embed = _extension_with_embedding(p.field, max(2 * d, 2))
+    bound = Fraction(d, big.order) if d else Fraction(0)
+    zero, one = big.zero(), big.one()
+    layers = [lay.map(embed) for lay in p.layers]
+    for trial in range(trials):
+        rng = random.Random(f"{seed}:{trial}")
+        points = [[big.random(rng) for _ in range(p.n_vars)] for _ in range(d)]
+        vec = [one]
+        for layer, lay in enumerate(layers):
+            vec = lay.times(vec, points[layer], p.layer_sizes[layer + 1], zero)
+        if vec[0]:
+            return PitVerdict(
+                is_zero=False,
+                method="randomized",
+                witness={"trial": trial},
+                trials=trial + 1,
+                per_trial_bound=bound,
+                value_json=big.coeff_to_json(vec[0]),
+            )
+    return PitVerdict(is_zero=True, method="randomized", trials=trials, per_trial_bound=bound)

@@ -448,3 +448,80 @@ def test_entries_and_labels_round_trip(rng, field):
     second = ABP.build(p.n_vars, field, p.layer_sizes, labels)
     assert first == second == p
     assert first.json_text() == second.json_text() == p.json_text()
+
+
+def _field_values(field):
+    if field is Q:
+        return st.sampled_from([Fraction(0)] * 3 + [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2)])
+    return st.sampled_from(list(field.elements()))
+
+
+@st.composite
+def program_files(draw):
+    """A program's JSON object whose edge list may name a node pair again,
+    with a label that cancels an earlier one in whole or in part, and may
+    carry all-zero labels; the constant is sometimes left out when zero."""
+    field = draw(st.sampled_from([Q, F2, F5, F4]))
+    n_vars = draw(st.integers(1, 4))
+    depth = draw(st.integers(1, 3))
+    sizes = [1] + [draw(st.integers(1, 2)) for _ in range(depth - 1)] + [1]
+    pairs = [(w, a, c) for w in range(depth) for a in range(sizes[w]) for c in range(sizes[w + 1])]
+    values = _field_values(field)
+    labels = []
+    for _ in range(draw(st.integers(0, 10))):
+        if labels and draw(st.booleans()):
+            key, const, coeffs = draw(st.sampled_from(labels))
+            # the negated label, some coefficients kept apart
+            keep = draw(st.sets(st.sampled_from(sorted(coeffs)))) if coeffs else set()
+            const, coeffs = -const, {v: x if v in keep else -x for v, x in coeffs.items()}
+        else:
+            key = draw(st.sampled_from(pairs))
+            const = draw(values)
+            coeffs = draw(st.dictionaries(st.integers(0, n_vars - 1), values, max_size=3))
+        labels.append((key, const, coeffs))
+    edges = []
+    for (w, a, c), const, coeffs in labels:
+        label = {"coeffs": {str(v): field.coeff_to_json(x) for v, x in coeffs.items()}}
+        if const or draw(st.booleans()):
+            label["const"] = field.coeff_to_json(const)
+        edges.append({"from": [w, a], "to": [w + 1, c], "label": label})
+    return {"nvars": n_vars, "field": field.descriptor(), "layers": sizes, "edges": edges}
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_files())
+def test_decode_matches_the_label_decode(obj):
+    # labels decoded straight into entries give the program, and the order
+    # of every matrix's entries, that one LinearForm per label and
+    # ABP.build give
+    got, want = ABP.from_json(obj), helpers.form_decoded_abp(obj)
+    assert got == want
+    for lay, ref in zip(got.layers, want.layers):
+        assert lay.const == ref.const
+        assert list(lay.by_var.items()) == list(ref.by_var.items())
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        "x",
+        {"const": "1", "coeffs": 5},
+        {"const": "1/0"},
+        {"const": "x", "coeffs": {"00": "1"}},
+        {"const": "1", "coeffs": {"00": "x"}},
+        {"const": "1", "coeffs": {"0": "x", "00": "1"}},
+        {"const": "1", "coeffs": {"0": 1}},
+        {"const": "1", "coeffs": {"3": "1"}},
+    ],
+)
+def test_decode_errors_match_the_label_decode(label):
+    obj = {"nvars": 2, "field": {"kind": "Q"}, "layers": [1, 1], "edges": [
+        {"from": [0, 0], "to": [1, 0], "label": {"const": "2"}},
+        {"from": [0, 0], "to": [1, 0], "label": label},
+    ]}
+    errors = []
+    for decode in (ABP.from_json, helpers.form_decoded_abp):
+        with pytest.raises(Exception) as info:
+            decode(obj)
+        errors.append((info.type, str(info.value)))
+    assert errors[0] == errors[1]

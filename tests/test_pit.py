@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
+from hadamard import fields
 from hadamard.abp import ABP, abp_sum, coefficient_of, homogeneous_parts, nisan_ranks, zero_abp
 from hadamard.errors import ResourceCapError, ValidationError
 from hadamard.fields import ExtField, PrimeField, RationalField
@@ -344,3 +346,55 @@ def test_reachability_endpoints_coincide():
 def test_digraph_json_round_trip():
     g = random_digraph(random.Random(9), 5, 6)
     assert Digraph.from_json(g.to_json()) == g
+
+
+F13 = PrimeField(13)
+
+
+def nonzero_abp(rng, field, depth):
+    while True:
+        p = random_abp(rng, field, n_vars=3, depth=depth, width=3, density=1.0)
+        if not p.expand().is_zero():
+            return p
+
+
+@pytest.mark.parametrize(
+    "field, depth",
+    [
+        (F2, 6),  # lifts to F_16, evaluated on log-table exponents
+        (F5, 7),  # lifts to F_25
+        (ExtField.make(2, 2), 6),  # F_4 lifts to F_16 through a root of its modulus
+        (F13, 5),  # 13 >= 2 * depth: elements of the input field
+    ],
+)
+def test_randomized_matches_the_element_loop(field, depth):
+    rng = random.Random(f"rand:{field}:{depth}")
+    programs = [cancel_join(rng, field, depth, width=3, n_vars=3)]
+    programs += [nonzero_abp(rng, field, depth) for _ in range(3)]
+    if isinstance(field, ExtField):  # coefficients off the prime subfield too
+        g = field.gen()
+        programs = [ABP(p.n_vars, field, p.layer_sizes, [lay.map(lambda k: k * g) for lay in p.layers]) for p in programs]
+    seen = set()
+    for p in programs:
+        truth = p.expand().is_zero()
+        for seed in (0, 5, 123):
+            got = pit_randomized(p, trials=12, seed=seed).to_json()
+            assert got == helpers.element_pit_randomized(p, trials=12, seed=seed).to_json()
+            assert got["is_zero"] == truth
+            seen.add(truth)
+    assert seen == {True, False}
+
+
+def test_randomized_above_the_table_bound_steps_elements(monkeypatch):
+    # with the bound below 16, F_16 has no log tables, so F_2 inputs of
+    # depth 6 go through Layer.times and draw the same values
+    monkeypatch.setattr(fields, "TABLE_MAX_ORDER", 8)
+    assert ExtField.make(2, 4)._log_tables is None
+    rng = random.Random(41)
+    seen = set()
+    for p in [cancel_join(rng, F2, 6, width=3, n_vars=3), nonzero_abp(rng, F2, 6)]:
+        for seed in (1, 2):
+            got = pit_randomized(p, trials=8, seed=seed).to_json()
+            assert got == helpers.element_pit_randomized(p, trials=8, seed=seed).to_json()
+            seen.add(got["is_zero"])
+    assert seen == {True, False}
