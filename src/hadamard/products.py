@@ -26,8 +26,24 @@ with multiplied coefficients.  Two constructions are provided:
   every node of the layers its factors' degrees allow.  A split's left
   factor does not depend on the interval's end node, so the nonzero ones
   are kept per start node and end layer, and later end nodes pair only
-  those.  An addition or multiplication sub-result fetches each sub-result
-  it needs by a plain call, depth first.  The call stack holds at most
+  those.  A later end node b also passes over a kept split whose right
+  factor lies on a single step (m, t) -> (j, b) that carries none of the
+  variables the right gate reads, itself or through a gate below it.  This
+  changes no output byte, for two reasons.  First, by induction over the
+  gates, a sub-result on (i, a) -> (j, b) is nonzero only along a path from
+  a to b each of whose steps carries a variable its gate reads, so that
+  right factor is zero, and so is the sub-result on that step of every gate
+  below it.  Second, fetching it could then emit only sub-results on the
+  empty interval at (m, t), which do not depend on b; the first end node,
+  whose splits are kept only once it has fetched them all, fetched the same
+  right gate on a single step out of (m, t), and with it every one of
+  those, so they are all memoized.  At the first end node no
+  such fetch need have been made yet, so the first end node fetches every
+  right factor.  A gate's variables are a bitmask over the variables the
+  program's entries carry, OR-ed up from its inputs.
+
+  An addition or multiplication sub-result fetches each sub-result it needs
+  by a plain call, depth first.  The call stack holds at most
   ``CHECKPOINT_STEP`` gates' calls, so a circuit may be any number of gates
   deep: every chain of reads meets a checkpoint gate at least once every
   ``CHECKPOINT_STEP`` addition or multiplication gates, and a checkpoint
@@ -247,6 +263,10 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     rights = [getattr(g, "right", None) for g in gates]
     # interval length a leaf's sub-result needs to be nonzero; None for add/mul gates
     leaf_length = [0 if t is ConstGate else 1 if t is InputGate else None for t in kind]
+    # reads[g] has a bit for each variable that gate g or a gate below it
+    # reads, of those the program's entries carry: bit index[v] for variable
+    # v, so no mask is wider than the program's variable set
+    index = {v: n for n, v in enumerate(dict.fromkeys(v for lay in p.layers for v in lay.by_var))}
     # a checkpoint's sub-results are worked out by the driver, not by their
     # caller.  run[g] counts the add/mul gates, g included, on the longest
     # chain of reads down from g that meets no checkpoint, and a gate whose
@@ -258,11 +278,15 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     step = CHECKPOINT_STEP
     run = [0] * len(gates)
     restartable = [False] * len(gates)
+    reads = [0] * len(gates)
     for g, need in enumerate(leaf_length):
         if need is None:
             left, right = lefts[g], rights[g]
             run[g] = 1 + max(run[left] % step, run[right] % step)
             restartable[g] = run[left] == step or run[right] == step or restartable[left] or restartable[right]
+            reads[g] = reads[left] | reads[right]
+        elif need and gates[g].var in index:
+            reads[g] = 1 << index[gates[g].var]
     checkpoint = [n == step for n in run]
 
     # degree 0: the constant terms multiply
@@ -278,10 +302,16 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             continue
         part = normalize_edges(part)
         sizes = part.layer_sizes
-        # (layer, from, to, variable) -> the part's coefficient there
-        coeff_at = {
-            (i, a, b, v): x for i, lay in enumerate(part.layers) for v, es in lay.by_var.items() for a, b, x in es
-        }
+        # (layer, from, to, variable) -> the part's coefficient there, and
+        # (layer, from, to) -> the bits of the variables its entries carry there
+        coeff_at: dict = {}
+        step_reads: dict = {}
+        for i, lay in enumerate(part.layers):
+            for v, es in lay.by_var.items():
+                v_bit = 1 << index[v]
+                for a, b, x in es:
+                    coeff_at[i, a, b, v] = x
+                    step_reads[i, a, b] = step_reads.get((i, a, b), 0) | v_bit
         memo: dict = {}  # (gate, i, a, j, b) -> gate id of the sub-result
         # (mul gate, i, a, j) -> ([(m, t, left factor)], split at j): the nonzero
         # left factors on split layers m < j whose right factor may be nonzero,
@@ -369,7 +399,14 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                             pieces.append(split(gi, i, a, j, b, m, t, lhs, rhs) if again else mul(lhs, rhs))
                 found = left_factors[head] = kept, lo <= hi == j
             else:
+                # a right factor on the single step (m, t) -> (j, b) is zero,
+                # and fetching it would emit nothing, when the right gate reads
+                # none of the variables the part carries on that step (see
+                # the module docstring)
+                right_reads = reads[right]
                 for m, t, lhs in found[0]:
+                    if m + 1 == j and not right_reads & step_reads.get((m, t, b), 0):
+                        continue
                     rhs = get(right, m, t, j, b)
                     if rhs is not None:
                         pieces.append(split(gi, i, a, j, b, m, t, lhs, rhs) if again else mul(lhs, rhs))

@@ -212,6 +212,39 @@ def skipping_circuit(rng, field, height, skipped, n_vars=2, max_degree=4):
     return Circuit.build(n_vars, field, gates, b)
 
 
+def program_circuit(abp: ABP) -> Circuit:
+    """A circuit that follows the program layer by layer: a node's value is
+    the sum over its incoming edges of (source value) * (label), each label
+    written as const + sum of const * x_v, so the circuit computes the
+    program's polynomial."""
+    field = abp.field
+    gates: list = [InputGate(v) for v in range(abp.n_vars)]
+
+    def emit(gate) -> int:
+        gates.append(gate)
+        return len(gates) - 1
+
+    def add(x, y):
+        return y if x is None else x if y is None else emit(AddGate(x, y))
+
+    by_layer: list[list] = [[] for _ in range(abp.depth)]
+    for (layer, a, c), const, coeffs in abp.labels():
+        by_layer[layer].append((a, c, const, coeffs))
+    values = {0: emit(ConstGate(field.one()))}
+    for edges in by_layer:
+        nxt: dict = {}
+        for a, c, const, coeffs in edges:
+            if a not in values:
+                continue
+            label = emit(ConstGate(const)) if const else None
+            for v, x in sorted(coeffs.items()):
+                label = add(label, emit(MulGate(emit(ConstGate(x)), v)))
+            nxt[c] = add(nxt.get(c), emit(MulGate(values[a], label)))
+        values = nxt
+    output = values[0] if 0 in values else emit(ConstGate(field.zero()))
+    return Circuit.build(abp.n_vars, field, gates, output)
+
+
 def random_monotone_circuit(rng, n_vars=3, n_gates=8, max_degree=4):
     from hadamard.fields import RationalField
 

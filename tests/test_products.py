@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import operator
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -277,16 +279,20 @@ def _circuit_cases(draw):
     circuits read gates two or more levels below, so their reads jump over
     heights; grammar circuits, homogeneous of degree 3n with an add chain per
     alternative, meet a program of that depth, as in the benchmark's grammar
-    jobs."""
+    jobs; program circuits follow another program of the same depth layer by
+    layer, as in the benchmark's other circuit jobs, so most right factors
+    are labels on a single step."""
     field = draw(st.sampled_from(ORACLE_FIELDS))
     rng = random.Random(draw(st.integers(0, 2**32)))
     depth, cancelling = draw(st.integers(0, 5)), draw(st.booleans())
-    shape = draw(st.sampled_from(("random", "tall", "skipping", "grammar")))
+    shape = draw(st.sampled_from(("random", "tall", "skipping", "grammar", "program")))
     if shape == "grammar":
         n = rng.randint(1, 2)
         c = cfg_to_circuit(build_mirror_suffix_grammar(n, rng.randint(2, 3)))
         return c, _program(rng, Q, 3 * n, cancelling, n_vars=c.n_vars)
     p = _program(rng, field, depth, cancelling)
+    if shape == "program":
+        return helpers.program_circuit(_program(rng, field, depth, False)), p
     if shape == "tall":
         return helpers.tall_circuit(rng, field, n_gates=rng.randint(36, 80)), p
     if shape == "skipping":
@@ -307,9 +313,44 @@ _INDIRECT_RESTART = (
 )
 
 
+# ((x1 x1) (3 x0)) x1 against a degree-4 program whose pair (2, 0) -> (3, 0)
+# has no entry.  The split at layer 2 of (x1 x1)(3 x0) on (0, 0) -> (3, 0)
+# fetches 3 x0 on that pair first, which emits the constant 3 and comes out
+# zero; had that right factor been passed over, the constant would be
+# emitted later, at end node (3, 1)
+_FIRST_RIGHT_FACTOR_ON_NO_ENTRY = (
+    Circuit.build(
+        3, Q, [InputGate(0), InputGate(1), ConstGate(Fraction(3)), MulGate(1, 1), MulGate(2, 0), MulGate(3, 4), MulGate(5, 1)], 6
+    ),
+    ABP.build(
+        3, Q, (1, 1, 2, 2, 1),
+        {
+            (0, 0, 0): lf(Q, x1=1),
+            (1, 0, 0): lf(Q, x1=1), (1, 0, 1): lf(Q, x1=2),
+            (2, 0, 1): lf(Q, x0=1), (2, 1, 0): lf(Q, x0=5), (2, 1, 1): lf(Q, x0=7),
+            (3, 0, 0): lf(Q, x1=1), (3, 1, 0): lf(Q, x1=1),
+        },
+    ),
+)
+
+# (x1 + 4) * (2 x0) against the degree-1 label 1 + 2 x0 + 5 x1, which is not
+# normalized, so its one step carries two variables.  At step 1 the product
+# gate is started again after its left factors are kept, and its right
+# factor 2 x0 is looked at on that step: it reads x0 only through its input
+# gate, and x0 is the first of the step's two variables
+_TWO_VARIABLE_STEP = (
+    Circuit.build(
+        2, Q, [InputGate(0), InputGate(1), ConstGate(Fraction(4)), ConstGate(Fraction(2)), AddGate(1, 2), MulGate(3, 0), MulGate(4, 5)], 6
+    ),
+    ABP.build(2, Q, (1, 1), {(0, 0, 0): lf(Q, const=1, x0=2, x1=5)}),
+)
+
+
 @settings(max_examples=120, deadline=None)
 @given(_circuit_cases(), st.sampled_from([1, 2, 3]))
 @example(_INDIRECT_RESTART, 3)
+@example(_FIRST_RIGHT_FACTOR_ON_NO_ENTRY, 1)
+@example(_TWO_VARIABLE_STEP, 1)
 def test_circuit_product_matches_the_recursion(case, step):
     # with checkpoints at runs of `step` gates instead, sub-results are
     # interrupted and started again; a restart emits no gate twice and
@@ -322,6 +363,68 @@ def test_circuit_product_matches_the_recursion(case, step):
     assert default.circuit.json_text() == expect
     assert restarted.circuit.json_text() == expect
     assert restarted.memo_size == default.memo_size
+
+
+def _linear_part(c: Circuit) -> tuple:
+    """(constant, {variable: coefficient}) of a circuit of formal degree at
+    most 1: its value and its gradient at zero, the gradient worked out
+    backward over the gates."""
+    assert c.formal_degree() <= 1
+    field = c.field
+    zero = field.zero()
+    at_zero = c.fold(lambda var: zero, lambda value: value, operator.add, operator.mul)
+    grad = [zero] * len(c.gates)
+    grad[c.output] = field.one()
+    coeffs: dict = {}
+    for g in reversed(range(len(c.gates))):
+        gate, d = c.gates[g], grad[g]
+        if not d:
+            continue
+        if isinstance(gate, InputGate):
+            coeffs[gate.var] = coeffs.get(gate.var, zero) + d
+        elif isinstance(gate, AddGate):
+            grad[gate.left] += d
+            grad[gate.right] += d
+        elif isinstance(gate, MulGate):
+            grad[gate.left] += d * at_zero[gate.right]
+            grad[gate.right] += d * at_zero[gate.left]
+    return at_zero[c.output], {v: x for v, x in coeffs.items() if x}
+
+
+def test_circuit_product_of_a_wide_add_chain():
+    # the sum of 20,000 distinct inputs against one label that carries all
+    # 20,000 variables: each gate's variable mask is one bit wider than the
+    # last, and the product still finishes well inside 5 s
+    n = 20000
+    gates = [InputGate(v) for v in range(n)] + [AddGate(0, 1)]
+    gates += [AddGate(n + v - 2, v) for v in range(2, n)]
+    c = Circuit.build(n, F5, gates, len(gates) - 1)
+    coeffs = {v: 1 + v % 4 for v in range(n)}
+    p = ABP.build(n, F5, (1, 1), {(0, 0, 0): LinearForm.make(F5, coeffs=coeffs)})
+    start = time.perf_counter()
+    result = hadamard_circuit_abp_detailed(c, p)
+    elapsed = time.perf_counter() - start
+    assert _linear_part(result.circuit) == (F5.zero(), {v: F5.coerce(x) for v, x in coeffs.items()})
+    assert elapsed < 5.0
+
+
+def test_circuit_product_masks_do_not_grow_with_declared_variables():
+    # the last of 10^6 declared variables, read through a chain of 40 gates
+    # and carried by the program: each mask is one bit wide, not 10^6
+    n = 10**6
+    gates = [InputGate(n - 1), ConstGate(F5.coerce(2))]
+    for g in range(2, 42):
+        gates.append(AddGate(g - 1, g % 2))
+    c = Circuit.build(n, F5, gates, len(gates) - 1)
+    p = ABP.build(n, F5, (1, 1), {(0, 0, 0): lf(F5, const=1, **{f"x{n - 1}": 3})})
+    tracemalloc.start()
+    try:
+        result = hadamard_circuit_abp_detailed(c, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.circuit.expand() == c.expand().hadamard(p.expand())
+    assert peak < 2**20
 
 
 def test_circuit_product_leaves_no_garbage_cycle():
