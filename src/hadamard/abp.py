@@ -468,8 +468,8 @@ def constant_walks(abp: ABP) -> tuple[list[dict], object]:
     return [{b: out(x) for b, x in walks.items()} for walks in to_sink], steps
 
 
-def homogeneous_parts(abp: ABP) -> list[ABP]:
-    """Degree-homogeneous programs (one per degree 0..depth) summing to the input.
+def homogeneous_parts(abp: ABP, top: int) -> list[ABP]:
+    """Degree-homogeneous programs, one per degree 0..min(top, depth).
 
     The part for degree k has k+1 layers.  A node of its layer w is a pair
     (original layer, original node) reachable after w variable-carrying
@@ -477,18 +477,21 @@ def homogeneous_parts(abp: ABP) -> list[ABP]:
     variable-carrying original edge, and edges into the sink also absorb the
     trailing constant-only walk.  No part after the first has a constant
     entry.  The edges are the ``constant_walks`` steps, shared by every part.
-    The node count, cubic in the depth, is worked out from the layer sizes
-    first: past ``DEFAULT_MAX_TERMS`` nothing is walked.
+    With top >= depth the parts sum to the input; a reader passes the
+    highest degree it reads.  The node count, cubic in the depth when top
+    reaches it, is worked out from the layer sizes first: past
+    ``DEFAULT_MAX_TERMS`` nothing is walked.
     """
     field = abp.field
     d = abp.depth
     layers = abp.layers
+    top = min(top, d)
     # layer w (0 < w < k) of part k lays out original layers w..d-(k-w) end to
     # end, so node (i, a) sits at start[i] - start[w] + a and the layer has
     # start[d-k+w+1] - start[w] nodes; summed over w by prefix sums of start
     start = list(itertools.accumulate(abp.layer_sizes, initial=0))
     twice = list(itertools.accumulate(start, initial=0))
-    total = 2 + sum(2 + twice[d + 1] - twice[d - k + 2] - twice[k] for k in range(1, d + 1))
+    total = 2 + sum(2 + twice[d + 1] - twice[d - k + 2] - twice[k] for k in range(1, top + 1))
     if total > DEFAULT_MAX_TERMS:
         raise ResourceCapError(f"the homogeneous parts take {total} nodes, past the cap of {DEFAULT_MAX_TERMS}")
     to_sink, steps = constant_walks(abp)
@@ -497,7 +500,7 @@ def homogeneous_parts(abp: ABP) -> list[ABP]:
     # only the nodes that some entry leaves are walked, in node order
     leaving = [sorted({a for a, _, _ in lay.cells()}) for lay in layers]
 
-    for k in range(1, d + 1):
+    for k in range(1, top + 1):
         nodes = [[(0, 0, a) for a in leaving[0]]] + [
             [(start[i] - start[w] + a, i, a) for i in range(w, d - k + w + 1) for a in leaving[i]]
             for w in range(1, k)

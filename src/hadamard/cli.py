@@ -59,14 +59,13 @@ def _value_text(value) -> str:
 
 
 def _emit(obj, out: Optional[str]) -> None:
-    """Write obj's JSON text and a newline to ``out`` or stdout.  A program
-    or circuit, the result itself or a value of the top-level object, is
-    written by its own writer.  The whole text is formed before the first
-    byte is written, so a failure while forming it leaves stdout empty and
-    creates no file."""
-    if isinstance(obj, dict) and any(hasattr(v, "json_text") for v in obj.values()):
-        items = ",".join(f"{_value_text(k)}:{_value_text(obj[k])}" for k in sorted(obj))
-        text = "{" + items + "}\n"
+    """Write obj's JSON text and a newline to ``out`` or stdout.  A dict is
+    written key by key in sorted order, which for string keys gives the bytes
+    of ``fields.json_text``; a program or circuit, the result itself or a
+    value of the dict, is written by its own writer.  The whole text is formed
+    first, so a failure while forming it leaves stdout empty and no file."""
+    if isinstance(obj, dict):
+        text = "{" + ",".join(f"{_value_text(k)}:{_value_text(obj[k])}" for k in sorted(obj)) + "}\n"
     else:
         text = _value_text(obj) + "\n"
     if out:

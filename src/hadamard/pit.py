@@ -164,30 +164,20 @@ def _poly_eval_in(coeffs: Sequence[int], x):
 
 def _extension_with_embedding(field: Field, min_size: int):
     """A field of size >= min_size containing ``field``, with the embedding map."""
+    if not isinstance(field, (PrimeField, ExtField)):
+        raise ValidationError("randomized evaluation needs a finite field")
+    if field.order >= min_size:
+        return field, lambda x: x
+    e = 2
+    while field.order**e < min_size:
+        e += 1
     if isinstance(field, PrimeField):
-        if field.p >= min_size:
-            return field, lambda x: x
-        e = 1
-        while field.p**e < min_size:
-            e += 1
         big = ExtField.make(field.p, e)
         return big, lambda x: big.from_int(x.value)
-    if isinstance(field, ExtField):
-        if field.order >= min_size:
-            return field, lambda x: x
-        e = 2
-        while field.order**e < min_size:
-            e += 1
-        big = ExtField.make(field.p, field.k * e)
-        root = None
-        for cand in big.elements():
-            if not _poly_eval_in(field.modulus, cand):
-                root = cand
-                break
-        assert root is not None, "an irreducible factor always has a root upstairs"
-
-        return big, lambda x: _poly_eval_in(x.coeffs, root)
-    raise ValidationError("randomized evaluation needs a finite field")
+    big = ExtField.make(field.p, field.k * e)
+    root = next((cand for cand in big.elements() if not _poly_eval_in(field.modulus, cand)), None)
+    assert root is not None, "an irreducible factor always has a root upstairs"
+    return big, lambda x: _poly_eval_in(x.coeffs, root)
 
 
 def _evaluator(big: Field, layers: list[Layer], sizes: Sequence[int], n_vars: int):

@@ -3,7 +3,8 @@
 The Hadamard product of two polynomials keeps the monomials common to both,
 with multiplied coefficients.  Two constructions are provided:
 
-* branching program x branching program: homogenize both inputs, normalize
+* branching program x branching program: homogenize both inputs up to the
+  other's depth, the highest degree a common monomial can have, normalize
   each degree part, and take a layered Cartesian product.  A product-layer
   node is a pair of factor nodes, and per variable the product's matrix is
   the Kronecker product of the factors' matrices.  Within each degree the
@@ -18,7 +19,9 @@ with multiplied coefficients.  Two constructions are provided:
 
 * circuit x branching program: a circuit for f and a program for g yield a
   circuit for the product, built by running the circuit against every
-  interval of the normalized program, one degree at a time.  Each memoized
+  interval of the normalized program, one degree at a time, for the
+  degrees up to the lower of the output's formal degree and the program's
+  depth, which are the only degree parts laid out.  Each memoized
   sub-result is the product of a gate's polynomial with the sub-program
   between two nodes.  A constant or input gate's is nonzero only on an
   interval of its own length, 0 or 1; an addition gate adds its children's
@@ -40,7 +43,11 @@ with multiplied coefficients.  Two constructions are provided:
   those, so they are all memoized.  At the first end node no
   such fetch need have been made yet, so the first end node fetches every
   right factor.  A gate's variables are a bitmask over the variables the
-  program's entries carry, OR-ed up from its inputs.
+  program's entries carry, OR-ed up from its inputs.  The masks start at
+  degree 2: a degree-1 part has a single end node, so only a restart meets
+  a kept split there, and a mask would save no fetch.  When no part of
+  degree 2 or more is read, every mask is -1, and only steps with no entry
+  are passed over.
 
   An addition or multiplication sub-result fetches each sub-result it needs
   by a plain call, depth first.  The call stack holds at most
@@ -195,14 +202,13 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
     """
     _check_pair(p.n_vars, p.field, q.n_vars, q.field)
     n_vars, field = p.n_vars, p.field
-    p_parts = homogeneous_parts(p)
-    q_parts = p_parts if q is p else homogeneous_parts(q)
+    p_parts = homogeneous_parts(p, q.depth)
+    q_parts = p_parts if q is p else homogeneous_parts(q, p.depth)
     records: list[DegreeRecord] = []
     sizes_of: list[tuple] = []  # layer sizes per summand
     summands: list = []  # the constant program or the normalized factor pair per summand
     live: list[tuple] = []  # per summand with a source-to-sink path: (live layer sizes, live layers)
-    for k in range(min(len(p_parts), len(q_parts))):
-        pk, qk = p_parts[k], q_parts[k]
+    for k, (pk, qk) in enumerate(zip(p_parts, q_parts)):
         if k == 0:
             c = constant_value(pk) * constant_value(qk)
             records.append(DegreeRecord(0, pk.layer_sizes, qk.layer_sizes, (1, 1)))
@@ -255,9 +261,9 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     field = c.field
     builder = CircuitBuilder(c.n_vars, field)
     mul = builder.mul
-    parts = homogeneous_parts(p)
     gates = c.gates
     degrees = c.formal_degrees()
+    parts = homogeneous_parts(p, degrees[c.output])
     kind = [type(g) for g in gates]
     lefts = [getattr(g, "left", None) for g in gates]
     rights = [getattr(g, "right", None) for g in gates]
@@ -265,7 +271,9 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     leaf_length = [0 if t is ConstGate else 1 if t is InputGate else None for t in kind]
     # reads[g] has a bit for each variable that gate g or a gate below it
     # reads, of those the program's entries carry: bit index[v] for variable
-    # v, so no mask is wider than the program's variable set
+    # v, so no mask is wider than the program's variable set.  Every mask is
+    # -1 when no part of degree 2 or more is read (see the module docstring)
+    masked = len(parts) > 2
     index = {v: n for n, v in enumerate(dict.fromkeys(v for lay in p.layers for v in lay.by_var))}
     # a checkpoint's sub-results are worked out by the driver, not by their
     # caller.  run[g] counts the add/mul gates, g included, on the longest
@@ -278,14 +286,14 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     step = CHECKPOINT_STEP
     run = [0] * len(gates)
     restartable = [False] * len(gates)
-    reads = [0] * len(gates)
+    reads = [0 if masked else -1] * len(gates)
     for g, need in enumerate(leaf_length):
         if need is None:
             left, right = lefts[g], rights[g]
             run[g] = 1 + max(run[left] % step, run[right] % step)
             restartable[g] = run[left] == step or run[right] == step or restartable[left] or restartable[right]
             reads[g] = reads[left] | reads[right]
-        elif need and gates[g].var in index:
+        elif need and masked and gates[g].var in index:
             reads[g] = 1 << index[gates[g].var]
     checkpoint = [n == step for n in run]
 
@@ -295,7 +303,7 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     per_degree: list[tuple[int, Optional[int]]] = [(0, builder.const(c0 * constant_value(parts[0])))]
     memo_size = 0
 
-    for k in range(1, min(degrees[c.output], len(parts) - 1) + 1):
+    for k in range(1, len(parts)):
         part = prune(parts[k])
         if part.depth != k:  # degree-k component is identically zero
             per_degree.append((k, None))
@@ -321,6 +329,9 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
         # product on node t of layer m, so a restart does not emit it again
         splits: dict = {}
 
+        # an empty interval (i, a) -> (i, b) always has a == b: the root runs
+        # from (0, 0) to (k, 0) with k >= 1, a split at its start layer i
+        # splits at a, and a split at its end layer j at b
         def leaf(gi, i, a, j, b):
             """The gate id for (constant or input gate gi) o (sub-program
             (i,a)->(j,b)), memoized when the interval has the gate's length
@@ -328,14 +339,11 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             if j - i != leaf_length[gi]:
                 return None
             gate = gates[gi]
-            out = None
             if kind[gi] is ConstGate:
-                if a == b:
-                    out = builder.const(gate.value)
+                out = builder.const(gate.value)
             else:
                 coeff = coeff_at.get((i, a, b, gate.var))
-                if coeff:
-                    out = mul(builder.const(coeff), builder.input(gate.var))
+                out = mul(builder.const(coeff), builder.input(gate.var)) if coeff else None
             memo[gi, i, a, j, b] = out
             return out
 
@@ -411,12 +419,11 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                     if rhs is not None:
                         pieces.append(split(gi, i, a, j, b, m, t, lhs, rhs) if again else mul(lhs, rhs))
             if found[1]:  # layer j is a split layer: its left factor ends at b
-                t = a if i == j else b
-                lhs = get(left, i, a, j, t)
+                lhs = get(left, i, a, j, b)
                 if lhs is not None and right_need in (None, 0):
-                    rhs = get(right, j, t, j, b)
+                    rhs = get(right, j, b, j, b)
                     if rhs is not None:
-                        pieces.append(split(gi, i, a, j, b, j, t, lhs, rhs) if again else mul(lhs, rhs))
+                        pieces.append(split(gi, i, a, j, b, j, b, lhs, rhs) if again else mul(lhs, rhs))
             return builder.add_many(pieces)
 
         root = (c.output, 0, 0, k, 0)

@@ -85,6 +85,17 @@ def homogeneous_abp(rng, field, depth, width=2, n_vars=2):
     return ABP.build(n_vars, field, sizes, edges)
 
 
+def affine_chain(rng, field, depth, n_vars=2):
+    """A width-1 program whose every label has a nonzero constant and a
+    nonzero coefficient for each variable, so every word of length at most
+    the depth can have a nonzero coefficient."""
+    edges = {}
+    for layer in range(depth):
+        coeffs = {v: rng.choice((-2, -1, 1, 2)) for v in range(n_vars)}
+        edges[(layer, 0, 0)] = LinearForm.make(field, const=rng.choice((-2, -1, 1, 2)), coeffs=coeffs)
+    return ABP.build(n_vars, field, (1,) * (depth + 1), edges)
+
+
 def scale_form(form: LinearForm, c, field) -> LinearForm:
     """c times an edge label."""
     c = field.coerce(c)
@@ -456,7 +467,7 @@ def naive_hadamard_abp(p: ABP, q: ABP) -> tuple[ABP, ABP, list]:
     every stage in full: per-degree ``hadamard_homogeneous`` products,
     their ``abp_sum`` and its ``prune``."""
     field = p.field
-    p_parts, q_parts = homogeneous_parts(p), homogeneous_parts(q)
+    p_parts, q_parts = homogeneous_parts(p, p.depth), homogeneous_parts(q, q.depth)
     records, summands = [], []
     for k in range(min(len(p_parts), len(q_parts))):
         pk, qk = p_parts[k], q_parts[k]
@@ -482,7 +493,7 @@ def recursive_hadamard_circuit_abp(c: Circuit, p: ABP) -> Circuit:
     Python's recursion limit."""
     field = c.field
     builder = CircuitBuilder(c.n_vars, field)
-    parts = homogeneous_parts(p)
+    parts = homogeneous_parts(p, p.depth)
     degrees = c.formal_degrees()
     memo: dict = {}
     zeros = [field.zero()] * c.n_vars
@@ -568,7 +579,7 @@ def element_span_basis(p: ABP) -> PitVerdict:
     field = p.field
     zero, one = field.zero(), field.one()
     units = [[one if u == v else zero for u in range(p.n_vars)] for v in range(p.n_vars)]
-    for k, part in enumerate(homogeneous_parts(p)):
+    for k, part in enumerate(homogeneous_parts(p, p.depth)):
         if k == 0:
             form = part.edges.get((0, 0, 0))
             if form is not None and form.const:

@@ -127,7 +127,7 @@ def test_every_stage_returns_canonical_labels(rng, field, cancelling):
     else:
         p = random_abp(rng, field, n_vars=2, depth=3, width=2)
     q = random_abp(rng, field, n_vars=2, depth=3, width=2)
-    parts = homogeneous_parts(p)
+    parts = homogeneous_parts(p, p.depth)
     product = hadamard_abp_detailed(p, q)
     stages = parts + [normalize_edges(part) for part in parts[1:]]
     stages += [product.abp, product.unpruned, abp_sum(parts), prune(p)]
@@ -158,7 +158,8 @@ def test_zero_and_constant_programs():
 
 
 def test_homogeneous_parts_mixed_example():
-    parts = homogeneous_parts(mixed_example())
+    p = mixed_example()
+    parts = homogeneous_parts(p, p.depth)
     assert len(parts) == 3
     assert parts[0].expand() == NCPoly.const(3, Q, 1)
     assert parts[1].expand() == NCPoly.from_terms(3, Q, {(1,): 1})
@@ -174,7 +175,7 @@ def test_homogeneous_parts_reassemble_random():
     for _ in range(40):
         p = random_abp(rng, Q)
         f = p.expand()
-        parts = homogeneous_parts(p)
+        parts = homogeneous_parts(p, p.depth)
         total = NCPoly.zero(p.n_vars, Q)
         for k, part in enumerate(parts):
             g = part.expand()
@@ -183,7 +184,7 @@ def test_homogeneous_parts_reassemble_random():
         assert total == f
     for _ in range(20):
         p = random_abp(rng, F5, n_vars=2, depth=3, width=2)
-        parts = homogeneous_parts(p)
+        parts = homogeneous_parts(p, p.depth)
         total = NCPoly.zero(p.n_vars, F5)
         for part in parts:
             total = total.add(part.expand())
@@ -191,23 +192,24 @@ def test_homogeneous_parts_reassemble_random():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(0, 8))
-def test_homogeneous_parts_predict_their_node_count_exactly(rng, depth):
-    """The cap is checked against the node count the parts then have, so a
-    cap of exactly that count builds them and one less refuses."""
+@given(st.randoms(use_true_random=False), st.integers(0, 8), st.integers(0, 9))
+def test_homogeneous_parts_predict_their_node_count_exactly(rng, depth, top):
+    """The cap is checked against the node count the parts up to ``top``
+    then have, so a cap of exactly that count builds them and one less
+    refuses."""
     import hadamard.abp as abp_module
 
     if depth:
         p = helpers.random_abp(rng, F5, n_vars=2, depth=depth, width=4)
     else:
         p = ABP(2, F5, (1,), [])
-    count = sum(part.node_count() for part in homogeneous_parts(p))
+    count = sum(part.node_count() for part in homogeneous_parts(p, top))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(abp_module, "DEFAULT_MAX_TERMS", count)
-        assert sum(part.node_count() for part in homogeneous_parts(p)) == count
+        assert sum(part.node_count() for part in homogeneous_parts(p, top)) == count
         mp.setattr(abp_module, "DEFAULT_MAX_TERMS", count - 1)
         with pytest.raises(ResourceCapError, match=f"homogeneous parts take {count} nodes"):
-            homogeneous_parts(p)
+            homogeneous_parts(p, top)
 
 
 @settings(max_examples=80, deadline=None)
@@ -216,14 +218,16 @@ def test_homogeneous_parts_predict_their_node_count_exactly(rng, depth):
     st.sampled_from([Q, F2, F5, F4]),
     st.integers(1, 6),
     st.sampled_from([0.2, 0.5, 0.9]),
+    st.integers(0, 7),
 )
-def test_homogeneous_parts_match_the_node_list_layout(rng, field, depth, density):
+def test_homogeneous_parts_match_the_node_list_layout(rng, field, depth, density, top):
+    # the parts up to top are the first min(top, depth) + 1 of the full list
     p = helpers.random_abp(rng, field, n_vars=2, depth=depth, width=3, density=density)
     # declare nodes that no edge touches
     sizes = [1] + [s + rng.randint(0, 2) for s in p.layer_sizes[1:-1]] + [1]
     p = ABP.build(p.n_vars, field, sizes, p.edges)
-    got, want = homogeneous_parts(p), helpers.node_list_homogeneous_parts(p)
-    assert len(got) == len(want)
+    got, want = homogeneous_parts(p, top), helpers.node_list_homogeneous_parts(p)
+    assert len(got) == min(top, depth) + 1 and len(want) == depth + 1
     for g, w in zip(got, want):
         assert g.to_json() == w.to_json()
         assert list(g.edges) == list(w.edges)
@@ -430,7 +434,7 @@ def test_entries_and_labels_round_trip(rng, field):
     # each stage is the same program and writes the same bytes
     p = helpers.random_abp(rng, field, n_vars=2, depth=rng.randint(1, 4), width=2)
     q = helpers.random_abp(rng, field, n_vars=2, depth=rng.randint(1, 4), width=2)
-    parts, q_parts = homogeneous_parts(p), homogeneous_parts(q)
+    parts, q_parts = homogeneous_parts(p, p.depth), homogeneous_parts(q, q.depth)
     normal = [normalize_edges(part) for part in parts[1:]]
     products = [hadamard_homogeneous(a, normalize_edges(b)) for a, b in zip(normal, q_parts[1:])]
     detail = hadamard_abp_detailed(p, q)

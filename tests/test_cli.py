@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from hadamard import cli, fields
 from hadamard.abp import ABP, LinearForm
-from hadamard.circuits import Circuit, CircuitBuilder
+from hadamard.circuits import AddGate, Circuit, CircuitBuilder, InputGate, MulGate
 from hadamard.cli import main
 from hadamard.errors import DEFAULT_MAX_TERMS
 from hadamard.grammars import DEFAULT_MAX_WORDS, build_mirror_suffix_grammar
@@ -646,7 +646,9 @@ def test_pit_rand_refuses_a_trial_past_the_cap_before_drawing(tmp_path):
 @pytest.mark.parametrize("shape", ["abp", "circuit-abp"])
 def test_products_refuse_homogeneous_parts_past_the_cap_before_building(shape, tmp_path, monkeypatch):
     """At depth 200 and width 2 the parts of a program would have 2,667,002
-    nodes; the count is worked out before any part is walked."""
+    nodes; the count is worked out before any part is walked.  The circuit
+    product reads parts only up to its circuit's formal degree, so its
+    circuit, (x0 + x1) squared 8 times, has degree 256."""
     import hadamard.abp as abp_module
 
     def built(*args, **kwargs):
@@ -656,7 +658,8 @@ def test_products_refuse_homogeneous_parts_past_the_cap_before_building(shape, t
     program = write_json(tmp_path / "deep.json", homogeneous_abp(random.Random(7), Q, 200).to_json())
     left = program
     if shape == "circuit-abp":
-        left = write_json(tmp_path / "c.json", random_circuit(random.Random(7), Q, n_vars=2, n_gates=6).to_json())
+        gates = [InputGate(0), InputGate(1), AddGate(0, 1)] + [MulGate(g, g) for g in range(2, 10)]
+        left = write_json(tmp_path / "c.json", Circuit.build(2, Q, gates, len(gates) - 1).to_json())
     err = _refused_at_once("hadamard", shape, left, program)
     assert "homogeneous parts take 2667002 nodes" in err and str(DEFAULT_MAX_TERMS) in err
 

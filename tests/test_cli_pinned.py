@@ -25,7 +25,7 @@ from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
 from hadamard.cli import main
 from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.grammars import build_mirror_suffix_grammar, cfg_to_circuit
-from helpers import cancel_join, cancelling_abp, random_abp, random_circuit, scale_form
+from helpers import affine_chain, cancel_join, cancelling_abp, random_abp, random_circuit, scale_form
 
 FIELDS = {"q": RationalField(), "f5": PrimeField(5)}
 
@@ -153,6 +153,12 @@ def _inputs() -> dict:
     out["f2hom"] = _nonzero("f2:hom", f2, depth=4, width=4, affine=False, density=0.9)
     out["f4hom"] = _twisted("f4:hom", ExtField.make(2, 2), depth=5, width=4, affine=False, density=0.9)
     out["qhom8"] = _nonzero("q:hom8", q, n_vars=2, depth=8, width=6, affine=False, density=0.9)
+    f5 = FIELDS["f5"]
+    # (x0 + x1 + 1)^2 against a depth-200 program whose parts of every degree
+    # would pass the node cap; the product lays out only parts 0-2
+    square = [InputGate(0), InputGate(1), ConstGate(1), AddGate(0, 1), AddGate(3, 2), MulGate(4, 4)]
+    out["f5sq"] = Circuit.build(2, f5, square, 5)
+    out["f5aff200"] = affine_chain(random.Random("f5:aff200"), f5, 200)
     out["zcirc"] = _zero_const_circuit(False)
     out["zcirc0"] = _zero_const_circuit(True)
     return {name: obj.to_json() for name, obj in out.items()}
@@ -182,6 +188,8 @@ CASES = {
         "19157b8bd656d2170e36e3e079f6177eaeb0849aa51693b6bd93eacb9c04e8bf"),
     "circuit-abp-chain400-qaff1": (["hadamard", "circuit-abp", "{chain400}", "{qaff1}"], 0,
         "be6548fc9635e73d57ebda74df055d6f7672da4a9329f8b0f6f3202d9320da99"),
+    "circuit-abp-f5sq-f5aff200": (["hadamard", "circuit-abp", "{f5sq}", "{f5aff200}"], 0,
+        "43dd465f39db9bdfb17241111d46e8c58d435c069225d6da963bfefeb93dca1a"),
     "circuit-abp-mirror-qmirror6": (["hadamard", "circuit-abp", "{mirrorcirc}", "{qmirror6}"], 0,
         "337d257a9d63bcc7ae992be5952886bf7fb58101d6a2e21911657ec4f059e4a5"),
     "pit-det-q3": (["pit", "det", "{q3}"], 0,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import helpers
-from hadamard.abp import ABP, LinearForm, homogeneous_parts, normalize_edges
+from hadamard.abp import ABP, LinearForm, coefficient_of, homogeneous_parts, normalize_edges
 from hadamard.circuits import Circuit, InputGate, MulGate, AddGate, ConstGate
 from hadamard.errors import ArityMismatchError, FieldMismatchError
 from hadamard.fields import PrimeField, RationalField, parse_field_spec
@@ -233,7 +233,7 @@ def _homogeneous_pairs(draw):
     normalized = draw(st.booleans())
 
     def part(depth, cancelling):
-        pk = homogeneous_parts(_program(rng, field, depth, cancelling))[k]
+        pk = homogeneous_parts(_program(rng, field, depth, cancelling), depth)[k]
         return normalize_edges(pk) if normalized else pk
 
     p = part(draw(st.integers(k, 5)), draw(st.booleans()))
@@ -393,8 +393,9 @@ def _linear_part(c: Circuit) -> tuple:
 
 def test_circuit_product_of_a_wide_add_chain():
     # the sum of 20,000 distinct inputs against one label that carries all
-    # 20,000 variables: each gate's variable mask is one bit wider than the
-    # last, and the product still finishes well inside 5 s
+    # 20,000 variables: at degree 1 no gate gets a variable mask, which would
+    # grow one bit per gate (a traced peak of 78 MiB with them, 26 without),
+    # and the product still finishes well inside 5 s
     n = 20000
     gates = [InputGate(v) for v in range(n)] + [AddGate(0, 1)]
     gates += [AddGate(n + v - 2, v) for v in range(2, n)]
@@ -406,6 +407,44 @@ def test_circuit_product_of_a_wide_add_chain():
     elapsed = time.perf_counter() - start
     assert _linear_part(result.circuit) == (F5.zero(), {v: F5.coerce(x) for v, x in coeffs.items()})
     assert elapsed < 5.0
+    del result
+    tracemalloc.start()
+    try:
+        hadamard_circuit_abp_detailed(c, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+def _low_degree_product(c: Circuit, p: ABP) -> NCPoly:
+    """The sum over the words w of c's expansion of c_w times p's
+    coefficient of w, each read off p's layers by ``coefficient_of``."""
+    return NCPoly.from_terms(c.n_vars, c.field, {w: x * coefficient_of(p, w) for w, x in c.expand().terms.items()})
+
+
+def test_a_low_degree_circuit_lays_out_only_the_low_parts_of_a_deep_program():
+    # (x0 + x1)^2 against a depth-100, width-2 homogeneous program: every
+    # part would take 333,502 nodes and most of 2 s, parts 0-2 take a few
+    # milliseconds
+    c = Circuit.build(2, F5, [InputGate(0), InputGate(1), AddGate(0, 1), MulGate(2, 2)], 3)
+    p = helpers.homogeneous_abp(random.Random(100), F5, 100)
+    start = time.perf_counter()
+    result = hadamard_circuit_abp_detailed(c, p)
+    elapsed = time.perf_counter() - start
+    assert result.circuit.expand() == _low_degree_product(c, p)
+    assert elapsed < 0.1
+
+
+def test_a_low_degree_circuit_meets_a_program_whose_parts_pass_the_cap():
+    # (x0 + x1 + 1)^2 against a width-1 affine program of depth 200: every
+    # part would take 1,333,702 nodes, past the cap, parts 0-2 far fewer
+    gates = [InputGate(0), InputGate(1), ConstGate(F5.one()), AddGate(0, 1), AddGate(3, 2), MulGate(4, 4)]
+    c = Circuit.build(2, F5, gates, 5)
+    p = helpers.affine_chain(random.Random(200), F5, 200)
+    got = hadamard_circuit_abp_detailed(c, p).circuit.expand()
+    assert got == _low_degree_product(c, p)
+    assert len(got.terms) == 7
 
 
 def test_circuit_product_masks_do_not_grow_with_declared_variables():
