@@ -202,8 +202,15 @@ class ABP:
         return sum(self.layer_sizes)
 
     def edge_count(self) -> int:
-        """Node pairs that carry a label, over all layers."""
-        return sum(len({(a, c) for a, c, _ in lay.cells()}) for lay in self.layers)
+        """Node pairs that carry a label, over all layers: each layer's
+        distinct (from, to) pairs, read from its entries."""
+        total = 0
+        for lay in self.layers:
+            pairs = {(a, c) for a, c, _ in lay.const}
+            for entries in lay.by_var.values():
+                pairs.update([(a, c) for a, c, _ in entries])
+            total += len(pairs)
+        return total
 
     def labels(self) -> Iterator[tuple[tuple[int, int, int], object, dict]]:
         """((layer, from, to), constant, {variable: coefficient}) of each
@@ -285,13 +292,17 @@ class ABP:
     def json_text(self) -> str:
         """The program's compact sorted-key JSON text, edges in key order,
         each formatted directly from ``labels``, with no form or dict built
-        for it.  A label's coeffs keys sort as strings ("10" before "2"), as
-        ``sort_keys`` sorts them."""
+        for it.  A label with one variable, as every normalized product edge
+        has, is written as it is; the coeffs keys of any other label sort as
+        strings ("10" before "2"), as ``sort_keys`` sorts them."""
         text = coeff_text(self.field)
         parts = []
         for (layer, a, c), const, coeffs in self.labels():
-            keyed = sorted((str(v), x) for v, x in coeffs.items())
-            body = ",".join(f'"{v}":{text(x)}' for v, x in keyed)
+            if len(coeffs) == 1:
+                [(v, x)] = coeffs.items()
+                body = f'"{v}":{text(x)}'
+            else:
+                body = ",".join(f'"{v}":{text(x)}' for v, x in sorted((str(v), x) for v, x in coeffs.items()))
             parts.append(
                 f'{{"from":[{layer},{a}],"label":{{"coeffs":{{{body}}},"const":{text(const)}}},'
                 f'"to":[{layer + 1},{c}]}}'

@@ -11,12 +11,21 @@ evaluation, expansion, ``propagate_zeros`` (which replays the gates through
 a ``CircuitBuilder``) and the grammar translation of ``grammars``.  Passes
 that read gate indices rather than child values (JSON, validation, the
 wire count) walk the gates themselves.
+
+Gates are slotted dataclasses, not frozen ones.  A frozen dataclass sets
+each field through ``object.__setattr__``, which more than doubles the cost
+of building a two-field gate (0.44 against 0.18 µs on Python 3.11), and the
+circuit product emits one gate per sub-result it keeps.  Gates still compare
+by kind and fields, so ``AddGate(0, 1) != MulGate(0, 1)``.  Nothing assigns
+a gate's field once it is made, and nothing hashes a gate: an unfrozen
+dataclass with equality is unhashable.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -31,23 +40,23 @@ from .fields import Field, RationalField, coeff_text, field_from_json, json_int,
 from .polynomials import NCPoly
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class InputGate:
     var: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ConstGate:
     value: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AddGate:
     left: int
     right: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MulGate:
     left: int
     right: int
@@ -78,8 +87,8 @@ class Circuit:
 
     def size(self) -> tuple[int, int]:
         """(gate count, wire count)."""
-        wires = sum(2 for g in self.gates if isinstance(g, (AddGate, MulGate)))
-        return len(self.gates), wires
+        kinds = Counter(map(type, self.gates))
+        return len(self.gates), 2 * (kinds[AddGate] + kinds[MulGate])
 
     def fold(self, input: Callable, const: Callable, add: Callable, mul: Callable) -> list:
         """Each gate's result, in gate order: ``input(var)``, ``const(value)``,

@@ -269,6 +269,9 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
     rights = [getattr(g, "right", None) for g in gates]
     # interval length a leaf's sub-result needs to be nonzero; None for add/mul gates
     leaf_length = [0 if t is ConstGate else 1 if t is InputGate else None for t in kind]
+    # per add/mul gate, the fewest layers its left child's sub-result spans:
+    # the child's length if it is a leaf, else 0
+    left_least = [0 if left is None else leaf_length[left] or 0 for left in lefts]
     # reads[g] has a bit for each variable that gate g or a gate below it
     # reads, of those the program's entries carry: bit index[v] for variable
     # v, so no mask is wider than the program's variable set.  Every mask is
@@ -389,10 +392,7 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             if found is None:
                 # the first end node fetches every left factor before j, in
                 # order; later end nodes pair only the kept ones
-                lo, hi = max(i, j - degrees[right]), min(j, i + degrees[left])
-                left_need = leaf_length[left]
-                if left_need is not None:
-                    lo, hi = max(lo, i + left_need), min(hi, i + left_need)
+                lo, hi = max(i + left_least[gi], j - degrees[right]), min(j, i + degrees[left])
                 kept = []
                 for m in range(lo, min(hi, j - 1) + 1):
                     # the left factor is built even where the right one is zero
@@ -424,7 +424,7 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                     rhs = get(right, j, b, j, b)
                     if rhs is not None:
                         pieces.append(split(gi, i, a, j, b, j, b, lhs, rhs) if again else mul(lhs, rhs))
-            return builder.add_many(pieces)
+            return builder.add_many(pieces) if pieces else None
 
         root = (c.output, 0, 0, k, 0)
         if leaf_length[c.output] is not None:

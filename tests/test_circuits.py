@@ -71,6 +71,15 @@ def test_expand_noncommutative_order():
     assert c.size() == (5, 6)
 
 
+def test_gates_compare_by_kind_and_fields():
+    # gates are slotted records, unfrozen: equality still reads the kind
+    assert AddGate(0, 1) == AddGate(0, 1) and MulGate(0, 1) == MulGate(0, 1)
+    assert AddGate(0, 1) != MulGate(0, 1)
+    assert InputGate(0) != ConstGate(0)
+    assert AddGate(0, 1) != AddGate(1, 0)
+    assert ConstGate(Q.coerce(2)) == ConstGate(Q.coerce(2)) != ConstGate(Q.coerce(3))
+
+
 def test_evaluate_matches_expansion():
     rng = random.Random(15)
     for _ in range(25):

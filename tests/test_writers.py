@@ -1,5 +1,5 @@
 """The JSON writers of programs and circuits, byte for byte against the
-dict builders of ``helpers``."""
+dict builders of ``helpers``, and the size counts the writers' callers read."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from hadamard.abp import ABP, LinearForm, constant_abp, zero_abp
@@ -71,11 +71,72 @@ def circuits(draw):
     return Circuit.build(n_vars, field, gates, draw(st.integers(0, len(gates) - 1)))
 
 
+def one_edge(field, const, coeffs):
+    """A depth-1 program over 12 variables whose one edge is labelled
+    const + sum of coeffs[v] x_v."""
+    return ABP.build(12, field, (1, 1), {(0, 0, 0): LinearForm.make(field, const=const, coeffs=coeffs)})
+
+
+def with_examples(programs_):
+    """The test run on each program as an explicit ``@example`` first."""
+
+    def decorate(test):
+        for p in reversed(programs_):
+            test = example(p)(test)
+        return test
+
+    return decorate
+
+
+# a one-variable label on variable 10 with a zero and a nonzero constant, and
+# a label on variables 2 and 10, whose keys sort as strings ("10" before "2")
+LABEL_EXAMPLES = [
+    one_edge(f, const, coeffs)
+    for f in FIELDS
+    for const, coeffs in [(f.zero(), {10: f.one()}), (-f.one(), {10: -f.one()}), (f.one(), {2: f.one(), 10: f.one()})]
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(programs())
+@with_examples(LABEL_EXAMPLES)
 def test_program_writer_matches_the_dict_reference(p):
     assert written(p) == dumps(helpers.abp_json(p))
     assert p.to_json() == helpers.abp_json(p)
+
+
+def test_label_examples_take_both_coefficient_paths():
+    # no example collapses over F_2: each keeps its constant and variables
+    shapes = [(bool(const), sorted(coeffs)) for p in LABEL_EXAMPLES for _, const, coeffs in p.labels()]
+    assert shapes == [(False, [10]), (True, [10]), (True, [2, 10])] * len(FIELDS)
+    assert all('"coeffs":{"10":' in written(p) for p in LABEL_EXAMPLES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs())
+def test_edge_count_is_the_number_of_labels(p):
+    assert p.edge_count() == sum(1 for _ in p.labels())
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_circuit_size_counts_gates_and_wires(c):
+    binary = sum(1 for g in c.gates if isinstance(g, (AddGate, MulGate)))
+    assert c.size() == (len(c.gates), 2 * binary)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(), st.data())
+def test_circuits_differ_when_one_op_is_flipped(c, data):
+    assert Circuit.from_json(c.to_json()) == c
+    binary = [i for i, g in enumerate(c.gates) if isinstance(g, (AddGate, MulGate))]
+    if not binary:
+        return
+    i = data.draw(st.sampled_from(binary))
+    g = c.gates[i]
+    flipped = (MulGate if isinstance(g, AddGate) else AddGate)(g.left, g.right)
+    other = Circuit(c.n_vars, c.field, c.gates[:i] + (flipped,) + c.gates[i + 1 :], c.output)
+    assert other != c and c != other
 
 
 @settings(max_examples=200, deadline=None)
