@@ -25,6 +25,7 @@ from hadamard.circuits import AddGate, Circuit, ConstGate, InputGate, MulGate
 from hadamard.cli import main
 from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.grammars import build_mirror_suffix_grammar, cfg_to_circuit
+from hadamard.pit import Digraph
 from helpers import affine_chain, cancel_join, cancelling_abp, random_abp, random_circuit, scale_form
 
 FIELDS = {"q": RationalField(), "f5": PrimeField(5)}
@@ -161,7 +162,15 @@ def _inputs() -> dict:
     out["f5aff200"] = affine_chain(random.Random("f5:aff200"), f5, 200)
     out["zcirc"] = _zero_const_circuit(False)
     out["zcirc0"] = _zero_const_circuit(True)
-    return {name: obj.to_json() for name, obj in out.items()}
+    # t is reached over 0 -> 2 -> 4 -> 3 -> 5; with the arc into 5 gone, not at all
+    arcs = ((0, 1), (0, 2), (1, 1), (2, 4), (4, 3), (3, 1), (1, 4), (3, 5))
+    out["reach6"] = Digraph(6, arcs, 0, 5)
+    out["unreach6"] = Digraph(6, arcs[:-1], 0, 5)
+    objs = {name: obj.to_json() for name, obj in out.items()}
+    # for n >= 3 the determinant programs merge repeated node pairs
+    objs["det3"] = [["1/2", 3, -2], [4, "-5/3", 1], [0, 7, "2/5"]]
+    objs["sing4"] = [[2, -1, 3, "1/3"], [1, 4, 0, -2], [3, 3, 3, "-5/3"], ["1/7", 0, 5, 6]]
+    return objs
 
 
 # case name -> (argv with input names in braces, exit code, sha256 of stdout)
@@ -287,6 +296,14 @@ CASES = {
         "cddc6f21397c1be63639f5192190b0b1d90265b62c3cb2c0b60cf8f9de00f814"),
     "lab-corr-t4-p3": (["lab", "corr", "--t", "4", "--p", "3"], 0,
         "dc1143eafcaec82055eadbe7d5bf3c7235f74d5b9b01b8270b0f0fc75a008809"),
+    "reduce-det2abp-det3": (["reduce", "det2abp", "{det3}"], 0,
+        "b0abef52a5fded9dc371262945453d2dadc78a9f703444202a70cef75e5538cc"),
+    "reduce-det2abp-sing4": (["reduce", "det2abp", "{sing4}"], 0,
+        "e54d748872a7877d903e52f91a69d189676f5a2688a531e51a8d3d688a696e18"),
+    "reduce-reach2abp-reach6": (["reduce", "reach2abp", "{reach6}"], 0,
+        "331949f4084f698bceee10a6be18974989164e8e7f82c7f171ce4b05ba6ca608"),
+    "reduce-reach2abp-unreach6": (["reduce", "reach2abp", "{unreach6}"], 0,
+        "79addbe3f936ceb89dabead3fa6697e1ae2fa7e4f5ee7b9a5bf57bdbdfb0a656"),
     "cfg-to-circuit-mirror": (["cfg", "to-circuit", "{mirror}"], 0,
         "b943853d7f83ad4bfc81cb858c5d8d289382b9c7a5be5d065c80e52ffca7dab0"),
     "cfg-from-circuit-zcirc": (["cfg", "from-circuit", "{zcirc}"], 0,
