@@ -5,32 +5,34 @@ layer d (the sink).  Every edge goes from a layer to the next and carries an
 affine linear form; the program computes the sum over source-to-sink paths
 of the ordered product of the labels, a noncommutative polynomial of degree
 at most d.  Parallel edges are not represented: ingesting two labels on the
-same node pair means adding them, which ``ABP.build`` and ``ABP.from_json``
-do.
+same node pair means adding them, which ``merged_layers`` does, the one
+place the rule is written, for ``ABP.from_json``, ``ABP.build``,
+``abp_sum``'s depth-1 join and the determinant reduction of ``pit``.
 
 A label's coefficients are canonical elements of the program's field, and
 only the converting constructors ``LinearForm.make``, ``constant`` and
-``of_var`` turn plain integers into such elements.  ``ABP.build`` merges
-parallel labels, drops zero ones and stores the coefficients it is given as
-they are, and checks nothing.  Programs are checked once, where they enter
-from outside data: ``ABP.from_json`` decodes each label's coefficients
-through the field's ``coeff_from_json``, then runs ``validate``, which
-checks the layer shape, the entry ranges and that every coefficient is
-canonical, without converting anything.  Before that it refuses a file that
-declares more than ``DEFAULT_MAX_TERMS`` nodes in all, since walks that lay
-out dense rows size them by the declared layer widths.
+``of_var`` turn plain integers into such elements.  ``ABP.build`` stores the
+coefficients it is given as they are and checks nothing.  Programs are
+checked once, where they enter from outside data: ``ABP.from_json`` decodes
+each label's coefficients through the field's ``coeff_from_json``, then runs
+``validate``, which checks the layer shape, the entry ranges and that every
+coefficient is canonical, without converting anything.  Before that it
+refuses a file that declares more than ``DEFAULT_MAX_TERMS`` nodes in all,
+since walks that lay out dense rows size them by the declared layer widths.
 Programs the library makes from programs it trusts are not checked again.
 
 A program stores its layers: per layer a ``Layer`` holding the sparse
 constant matrix and one sparse coefficient matrix per variable, each a list
 of (from, to, coefficient) entries, at most one per node pair and matrix,
 none zero.  Entry order carries no meaning, and equality ignores it.  Every
-builder writes entries straight into layers, ``ABP.from_json`` too, which
-adds the labels of a repeated node pair as ``ABP.build`` adds them and makes
-no ``LinearForm``.  Labels exist only where a program is built from forms
-(``ABP.build``, for the reductions of ``pit``) or written as labels:
-``ABP.edges`` is a read-only view of one ``LinearForm`` per (layer, from,
-to), built on first read, which no library path reads.
+builder writes entries straight into layers through ``layers_of``, or
+through ``merged_layers`` where node pairs repeat; ``ABP.from_json`` decodes
+each label into cells {-1: constant, variable: coefficient} and makes no
+``LinearForm``.  Labels exist only at the JSON boundary: ``ABP.labels``
+groups the entries for ``json_text``, ``ABP.build`` lays out forms for
+callers outside the library, and ``ABP.edges`` is a read-only view of one
+``LinearForm`` per (layer, from, to), built on first read, which no library
+path reads.
 
 Each walk is described where it is defined: ``homogeneous_parts`` splits a
 program into one degree-homogeneous part per degree; ``normalize_edges``
@@ -64,7 +66,10 @@ from .polynomials import NCPoly
 
 @dataclass
 class LinearForm:
-    """An affine form: constant + sum of coefficient * variable.
+    """An edge label, the affine form constant + sum of coefficient *
+    variable, as ``ABP.build`` takes it and ``ABP.edges`` shows it.  It is a
+    record with no arithmetic: labels add only as cells, in
+    ``merged_layers``.
 
     ``LinearForm(const, coeffs)`` takes elements of the program's field as
     they are, every coefficient nonzero; ``make``, ``constant`` and
@@ -91,16 +96,6 @@ class LinearForm:
     @classmethod
     def of_var(cls, field: Field, v: int, coeff=1) -> "LinearForm":
         return cls.make(field, coeffs={v: coeff})
-
-    def add(self, other: "LinearForm", field: Field) -> "LinearForm":
-        coeffs = dict(self.coeffs)
-        for v, a in other.coeffs.items():
-            s = coeffs.get(v, field.zero()) + a
-            if s:
-                coeffs[v] = s
-            else:
-                coeffs.pop(v, None)
-        return LinearForm(self.const + other.const, coeffs)
 
 
 def _variable_key(key: str) -> int:
@@ -146,12 +141,14 @@ class Layer:
     def __eq__(self, other) -> bool:
         return isinstance(other, Layer) and self.cells() == other.cells()
 
+    def matrices(self) -> list:
+        """(variable, or -1 for the constant, entries) of each matrix, the
+        constant first."""
+        return [(-1, self.const), *self.by_var.items()]
+
     def cells(self) -> dict:
         """(from, to, variable, or -1 for the constant) -> coefficient."""
-        cells = {(a, c, -1): k for a, c, k in self.const}
-        for v, entries in self.by_var.items():
-            cells.update(((a, c, v), k) for a, c, k in entries)
-        return cells
+        return {(a, c, v): k for v, entries in self.matrices() for a, c, k in entries}
 
     def map(self, fn) -> "Layer":
         """The same layer with every coefficient replaced by fn(coefficient)."""
@@ -187,6 +184,25 @@ def layers_of(depth: int, items: Iterable[tuple[tuple[int, int, int], tuple[int,
     return layers
 
 
+def merged_layers(depth: int, labels: Iterable[tuple[tuple[int, int, int], dict]]) -> list[Layer]:
+    """``depth`` layers holding the labels ((layer, from, to), cells {-1:
+    constant, variable: coefficient}).  The cells of a repeated node pair
+    add into the first cells given for it, a sum that is zero leaves them,
+    and the merged cells become entries in the order given, zeros
+    dropped."""
+    merged: dict = {}
+    for key, cells in labels:
+        old = merged.setdefault(key, cells)
+        if old is not cells:  # a repeated node pair: add the labels
+            for v, x in cells.items():
+                x = old[v] + x if v in old else x
+                if x:
+                    old[v] = x
+                else:
+                    old.pop(v, None)
+    return layers_of(depth, ((key, (v, x)) for key, cells in merged.items() for v, x in cells.items() if x))
+
+
 @dataclass
 class ABP:
     n_vars: int
@@ -204,13 +220,7 @@ class ABP:
     def edge_count(self) -> int:
         """Node pairs that carry a label, over all layers: each layer's
         distinct (from, to) pairs, read from its entries."""
-        total = 0
-        for lay in self.layers:
-            pairs = {(a, c) for a, c, _ in lay.const}
-            for entries in lay.by_var.values():
-                pairs.update([(a, c) for a, c, _ in entries])
-            total += len(pairs)
-        return total
+        return sum(len({(a, c) for _, entries in lay.matrices() for a, c, _ in entries}) for lay in self.layers)
 
     def labels(self) -> Iterator[tuple[tuple[int, int, int], object, dict]]:
         """((layer, from, to), constant, {variable: coefficient}) of each
@@ -239,18 +249,11 @@ class ABP:
         labels: dict | Iterable[tuple[tuple[int, int, int], LinearForm]],
     ) -> "ABP":
         """A program from a dict or an iterable of ((layer, from, to), form)
-        pairs; parallel labels merge by addition, and the merged labels become
-        entries as they are, zeros dropped.  Nothing is checked: callers pass
-        canonical forms that fit the layers."""
-        merged: dict = {}
-        for key, form in labels.items() if isinstance(labels, dict) else labels:
-            if key in merged:  # parallel labels merge by addition
-                form = merged[key].add(form, field)
-            merged[key] = form
-        items = (
-            (key, (v, k)) for key, form in merged.items() for v, k in [(-1, form.const), *form.coeffs.items()] if k
-        )
-        return cls(n_vars, field, tuple(layer_sizes), layers_of(len(layer_sizes) - 1, items))
+        pairs, each form's cells laid out by ``merged_layers``.  Nothing is
+        checked: callers pass canonical forms that fit the layers."""
+        pairs = labels.items() if isinstance(labels, dict) else labels
+        cells = ((key, {-1: form.const, **form.coeffs}) for key, form in pairs)
+        return cls(n_vars, field, tuple(layer_sizes), merged_layers(len(layer_sizes) - 1, cells))
 
     def expand(self, max_terms: int = DEFAULT_MAX_TERMS) -> NCPoly:
         """Path-by-path expansion into an explicit polynomial."""
@@ -320,9 +323,8 @@ class ABP:
     def from_json(cls, obj: dict, field: Field | None = None) -> "ABP":
         """The program a JSON object describes, over its own field or else
         ``field``.  Each label is decoded straight into cells {-1: constant,
-        variable: coefficient}; the labels of a repeated node pair add, as
-        ``build`` adds them, and the cells become entries in the order
-        ``build`` gives them, zeros dropped.  ``validate`` then checks the
+        variable: coefficient}, zero coefficients dropped, and the cells are
+        laid out by ``merged_layers``.  ``validate`` then checks the
         result."""
         if field is None:
             if "field" not in obj:
@@ -334,34 +336,27 @@ class ABP:
                 f"the program declares {sum(layers)} nodes, past the cap of {DEFAULT_MAX_TERMS}"
             )
         decode, zero = _coefficient_decoder(field), field.zero()
-        merged: dict = {}  # (layer, from, to) -> {-1: constant, variable: coefficient}
-        for e in obj["edges"]:
-            fl, fn = json_int(e["from"][0]), json_int(e["from"][1])
-            tl, tn = json_int(e["to"][0]), json_int(e["to"][1])
-            if tl != fl + 1:
-                raise ValidationError(f"edge {e['from']} -> {e['to']} skips layers")
-            if not 0 <= fl < len(layers) - 1:
-                raise ValidationError(f"edge layer {fl} out of range")
-            label = e["label"]
-            if not isinstance(label, dict) or not isinstance(label.get("coeffs", {}), dict):
-                raise TypeError("a label must be an object whose coeffs are an object")
-            cells = {-1: decode(label["const"]) if "const" in label else zero}
-            for v, x in label.get("coeffs", {}).items():
-                v, x = _variable_key(v), decode(x)
-                if x:
-                    cells[v] = x
-            old = merged.setdefault((fl, fn, tn), cells)
-            if old is not cells:  # a repeated node pair: add the labels
-                old[-1] = old[-1] + cells.pop(-1)
-                for v, x in cells.items():
-                    x = old[v] + x if v in old else x
+
+        def labels():
+            for e in obj["edges"]:
+                fl, fn = json_int(e["from"][0]), json_int(e["from"][1])
+                tl, tn = json_int(e["to"][0]), json_int(e["to"][1])
+                if tl != fl + 1:
+                    raise ValidationError(f"edge {e['from']} -> {e['to']} skips layers")
+                if not 0 <= fl < len(layers) - 1:
+                    raise ValidationError(f"edge layer {fl} out of range")
+                label = e["label"]
+                if not isinstance(label, dict) or not isinstance(label.get("coeffs", {}), dict):
+                    raise TypeError("a label must be an object whose coeffs are an object")
+                cells = {-1: decode(label["const"]) if "const" in label else zero}
+                for v, x in label.get("coeffs", {}).items():
+                    v, x = _variable_key(v), decode(x)
                     if x:
-                        old[v] = x
-                    else:
-                        del old[v]
-        n_vars = json_int(obj["nvars"])
-        items = ((key, (v, x)) for key, cells in merged.items() for v, x in cells.items() if x)
-        abp = cls(n_vars, field, tuple(layers), layers_of(len(layers) - 1, items))
+                        cells[v] = x
+                yield (fl, fn, tn), cells
+
+        merged = merged_layers(len(layers) - 1, labels())
+        abp = cls(json_int(obj["nvars"]), field, tuple(layers), merged)
         err = validate(abp)
         if err:
             raise ValidationError(err)
@@ -509,7 +504,7 @@ def homogeneous_parts(abp: ABP, top: int) -> list[ABP]:
 
     parts = [constant_abp(abp.n_vars, field, to_sink[0].get(0, field.zero()))]
     # only the nodes that some entry leaves are walked, in node order
-    leaving = [sorted({a for a, _, _ in lay.cells()}) for lay in layers]
+    leaving = [sorted({a for _, entries in lay.matrices() for a, _, _ in entries}) for lay in layers]
 
     for k in range(1, top + 1):
         nodes = [[(0, 0, a) for a in leaving[0]]] + [
@@ -686,12 +681,8 @@ def abp_sum(parts: Sequence[ABP]) -> ABP:
     if len(flat) > 1:
         # every depth-1 summand joins the chain's end to the sink: add their
         # labels into one summand, which has no inner node to lay out
-        sums: dict = {}  # variable, or -1 for the constant -> coefficient
-        for p in flat:
-            for (_, _, v), k in p.layers[0].cells().items():
-                sums[v] = sums[v] + k if v in sums else k
-        joined = layers_of(1, (((0, 0, 0), (v, k)) for v, k in sums.items() if k))
-        parts = [p for p in parts if p.depth > 1] + [ABP(n_vars, field, (1, 1), joined)]
+        cells = (((0, 0, 0), {v: k for v, es in p.layers[0].matrices() for _, _, k in es}) for p in flat)
+        parts = [p for p in parts if p.depth > 1] + [ABP(n_vars, field, (1, 1), merged_layers(1, cells))]
     return laid_out_sum(n_vars, field, [(p.layer_sizes, p.layers) for p in parts])
 
 
@@ -728,7 +719,7 @@ def prune(abp: ABP) -> ABP:
     d = abp.depth
     if d == 0:
         return abp
-    items = [((w, a, c), (v, k)) for w, lay in enumerate(abp.layers) for (a, c, v), k in lay.cells().items()]
+    items = [((w, a, c), (v, k)) for w, lay in enumerate(abp.layers) for v, es in lay.matrices() for a, c, k in es]
     alive = live_nodes(d, (key for key, _ in items))
     if alive is None:
         return zero_abp(abp.n_vars, abp.field)

@@ -26,7 +26,10 @@ Four testers with different contracts:
 
 ``det_to_abp`` encodes a matrix determinant as a constant-labeled program
 (closed-walk-sequence dynamic programming), and ``reach_to_abp`` encodes
-s-t reachability of a digraph, so both reduce to identity tests.
+s-t reachability of a digraph, so both reduce to identity tests.  Both write
+the program's layer entries directly: the determinant's constants, whose
+repeated node pairs add, through ``abp.merged_layers``, and reachability's
+one entry per edge, each its own variable, through ``abp.layers_of``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .abp import ABP, Layer, LinearForm, coefficient_of, constant_abp, linear_representation, word_bases
+from .abp import ABP, Layer, coefficient_of, constant_abp, layers_of, linear_representation, merged_layers, word_bases
 from .circuits import Circuit
 from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
 from .fields import ExtField, Field, PrimeField, RationalField, json_int, raw_ops
@@ -321,7 +324,7 @@ def det_to_abp(rows: Sequence[Sequence], field: Optional[Field] = None) -> ABP:
     edges = []
 
     def add(key, c):
-        edges.append((key, LinearForm.constant(field, c)))
+        edges.append((key, {-1: c}))
 
     # layer 0: open the first walk at head h, take its first step
     for h in range(n):
@@ -341,7 +344,7 @@ def det_to_abp(rows: Sequence[Sequence], field: Optional[Field] = None) -> ABP:
     for (h, u) in states:
         add((n - 1, index[(h, u)], 0), final_sign * a[u][h])
 
-    return ABP.build(0, field, sizes, edges)
+    return ABP(0, field, tuple(sizes), merged_layers(n, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -416,5 +419,6 @@ def reach_to_abp(g: Digraph, field: Optional[Field] = None) -> ABP:
         for v in targets[u]
         if layer < depth - 1 or v == g.t
     ]
-    labels = {key: LinearForm.of_var(field, var) for var, key in enumerate(keys)}
-    return ABP.build(len(keys), field, [1] + [n] * (depth - 1) + [1], labels)
+    one = field.one()
+    layers = layers_of(depth, ((key, (var, one)) for var, key in enumerate(keys)))
+    return ABP(len(keys), field, (1, *[n] * (depth - 1), 1), layers)

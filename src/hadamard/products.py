@@ -124,19 +124,19 @@ def _check_pair(n1: int, f1: Field, n2: int, f2: Field) -> None:
         raise FieldMismatchError("operands disagree on field")
 
 
-def product_arcs(p: ABP, q: ABP) -> dict:
+def product_arcs(p: ABP, q: ABP) -> list:
     """Arcs of the Cartesian product of two homogeneous programs of equal
     depth out of the pairs reachable from the source pair (0, 0), before
     any coefficient is multiplied.
 
-    Maps (layer, a * q_from + b, c * q_to + e) to the entries (v, x, y) that
-    pair p's entry x on (a, c) with q's entry y on (b, e) for variable v;
-    the product's entry of v on the arc is x * y.  Each layer pairs entries
-    only out of the pairs the layer before reached, so an arc out of an
-    unreachable pair is never made; arcs and entries come in the order of
-    the all-pairs loop over variables, p's entries and q's entries.
+    One item ((layer, a * q_from + b, c * q_to + e), (v, x, y)) pairs p's
+    entry x on (a, c) with q's entry y on (b, e) for variable v; the
+    product's entry of v on the arc is x * y.  Each layer pairs entries only
+    out of the pairs the layer before reached, so an arc out of an
+    unreachable pair is never made; items come in the order of the
+    all-pairs loop over variables, p's entries and q's entries.
     """
-    arcs: dict[tuple[int, int, int], list] = {}
+    arcs: list = []
     reached = {0}
     for layer, (pl, ql) in enumerate(zip(p.layers, q.layers)):
         q_from, q_to = q.layer_sizes[layer], q.layer_sizes[layer + 1]
@@ -157,22 +157,17 @@ def product_arcs(p: ABP, q: ABP) -> dict:
                     ys = mates[a] = [(b, e, y) for b, e, y in q_entries if b in bs]
                 src, dst = a * q_from, c * q_to
                 for b, e, y in ys:
-                    key = (layer, src + b, dst + e)
-                    entries = arcs.get(key)
-                    if entries is None:
-                        arcs[key] = [(v, x, y)]
-                        reached.add(dst + e)
-                    else:
-                        entries.append((v, x, y))
+                    arcs.append(((layer, src + b, dst + e), (v, x, y)))
+                    reached.add(dst + e)
         if not reached:
             break
     return arcs
 
 
 def product_layers(depth: int, arcs) -> list[Layer]:
-    """The layers of product arcs ((layer, from, to), entries (v, x, y)):
+    """The layers of product arc items ((layer, from, to), (v, x, y)):
     entry x * y of variable v on (from, to) for each."""
-    return layers_of(depth, ((key, (v, x * y)) for key, entries in arcs for v, x, y in entries))
+    return layers_of(depth, ((key, (v, x * y)) for key, (v, x, y) in arcs))
 
 
 def hadamard_homogeneous(p: ABP, q: ABP) -> ABP:
@@ -185,7 +180,7 @@ def hadamard_homogeneous(p: ABP, q: ABP) -> ABP:
     if p.depth != q.depth:
         raise ArityMismatchError(f"depth mismatch: {p.depth} vs {q.depth}")
     sizes = tuple(pw * qw for pw, qw in zip(p.layer_sizes, q.layer_sizes))
-    return ABP(p.n_vars, p.field, sizes, product_layers(p.depth, product_arcs(p, q).items()))
+    return ABP(p.n_vars, p.field, sizes, product_layers(p.depth, product_arcs(p, q)))
 
 
 def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
@@ -225,9 +220,9 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
         sizes_of.append(sizes)
         summands.append((pk, qk))
         arcs = product_arcs(pk, qk)
-        alive = live_nodes(k, arcs)
+        alive = live_nodes(k, (key for key, _ in arcs))
         if alive is not None:
-            live.append(([len(nodes) for nodes in alive], product_layers(k, pruned_edges(alive, arcs.items()))))
+            live.append(([len(nodes) for nodes in alive], product_layers(k, pruned_edges(alive, arcs))))
         del arcs  # before the next degree's arcs are grown
     layer_sizes = sum_layout(sizes_of)[0] if sizes_of else [1, 1]
     pruned = laid_out_sum(n_vars, field, live, len(layer_sizes) - 1) if live else zero_abp(n_vars, field)

@@ -8,7 +8,8 @@ field element objects, the JSON objects of programs and circuits built one
 dict per edge or gate, the ``lab corr`` report assembled from the sign
 polynomial F and its 0/1 shift as whole polynomials, homogeneous parts
 laid out over lists of every declared node, programs decoded from JSON one
-``LinearForm`` per label, and ``pit rand`` stepping field elements.
+``LinearForm`` per label with repeated labels added by ``form_sum``, and
+``pit rand`` stepping field elements.
 The library must agree with these on random instances.
 """
 
@@ -96,6 +97,19 @@ def affine_chain(rng, field, depth, n_vars=2):
     return ABP.build(n_vars, field, (1,) * (depth + 1), edges)
 
 
+def form_sum(form: LinearForm, other: LinearForm, field) -> LinearForm:
+    """The sum of two labels, variable by variable; a coefficient whose sum
+    is zero is dropped, and a variable new to ``form`` comes last."""
+    coeffs = dict(form.coeffs)
+    for v, a in other.coeffs.items():
+        s = coeffs.get(v, field.zero()) + a
+        if s:
+            coeffs[v] = s
+        else:
+            coeffs.pop(v, None)
+    return LinearForm(form.const + other.const, coeffs)
+
+
 def scale_form(form: LinearForm, c, field) -> LinearForm:
     """c times an edge label."""
     c = field.coerce(c)
@@ -146,7 +160,7 @@ def cancel_join(rng, field, depth, width=2, n_vars=3, zero=True):
     base = ABP.build(n_vars, field, sizes, edges)
     if not zero:
         key = rng.choice(sorted(k for k in edges if 0 < k[0] < depth - 1))
-        edges[key] = edges[key].add(LinearForm.of_var(field, rng.randrange(n_vars), coeff()), field)
+        edges[key] = form_sum(edges[key], LinearForm.of_var(field, rng.randrange(n_vars), coeff()), field)
     minus_one = field.zero() - field.one()
     copy = {
         key: scale_form(form, minus_one, field) if key[0] == depth - 1 else form
@@ -432,25 +446,25 @@ def random_grammar(rng, n_nonterminals=5, terminals=2, max_prods=3):
     return AcyclicCFG.build(names, terminals, names[-1], prods)
 
 
-def all_pairs_product_arcs(p: ABP, q: ABP) -> dict:
+def all_pairs_product_arcs(p: ABP, q: ABP) -> list:
     """``product_arcs`` of every pair of entries, reachable or not: for
     each layer, variable, entry x of p on (a, c) and entry y of q on (b, e),
-    the entry (v, x, y) of arc (layer, a * q_from + b, c * q_to + e)."""
-    arcs: dict = {}
+    the item ((layer, a * q_from + b, c * q_to + e), (v, x, y))."""
+    arcs = []
     for layer, (pl, ql) in enumerate(zip(p.layers, q.layers)):
         q_from, q_to = q.layer_sizes[layer], q.layer_sizes[layer + 1]
         for v, p_entries in pl.by_var.items():
             for a, c, x in p_entries:
                 for b, e, y in ql.by_var.get(v, ()):
-                    arcs.setdefault((layer, a * q_from + b, c * q_to + e), []).append((v, x, y))
+                    arcs.append(((layer, a * q_from + b, c * q_to + e), (v, x, y)))
     return arcs
 
 
-def reachable_arcs(arcs: dict) -> dict:
-    """The arcs, in order, whose tail is reached from node 0 of layer 0 by
-    a path of arcs, found by a plain graph search."""
+def reachable_arcs(arcs: list) -> list:
+    """The arc items, in order, whose tail is reached from node 0 of layer 0
+    by a path of arcs, found by a plain graph search."""
     succ: dict = {}
-    for layer, a, c in arcs:
+    for (layer, a, c), _ in arcs:
         succ.setdefault((layer, a), []).append((layer + 1, c))
     seen, frontier = {(0, 0)}, [(0, 0)]
     while frontier:
@@ -459,7 +473,7 @@ def reachable_arcs(arcs: dict) -> dict:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return {key: entries for key, entries in arcs.items() if key[:2] in seen}
+    return [(key, entry) for key, entry in arcs if key[:2] in seen]
 
 
 def naive_hadamard_abp(p: ABP, q: ABP) -> tuple[ABP, ABP, list]:
@@ -767,7 +781,8 @@ def form_label(obj, field) -> LinearForm:
 
 def form_decoded_abp(obj: dict, field=None) -> ABP:
     """``ABP.from_json`` through labels: each edge's label parsed into a
-    ``LinearForm``, the forms merged by ``ABP.build``, then ``validate``."""
+    ``LinearForm``, the forms of a repeated node pair added by ``form_sum``,
+    one form per pair laid out by ``ABP.build``, then ``validate``."""
     if field is None:
         if "field" not in obj:
             raise ValidationError("ABP JSON lacks a field descriptor")
@@ -775,7 +790,7 @@ def form_decoded_abp(obj: dict, field=None) -> ABP:
     layers = [json_int(s) for s in obj["layers"]]
     if sum(layers) > DEFAULT_MAX_TERMS:
         raise ResourceCapError(f"the program declares {sum(layers)} nodes, past the cap of {DEFAULT_MAX_TERMS}")
-    labels = []
+    labels: dict = {}
     for e in obj["edges"]:
         fl, fn = json_int(e["from"][0]), json_int(e["from"][1])
         tl, tn = json_int(e["to"][0]), json_int(e["to"][1])
@@ -783,7 +798,8 @@ def form_decoded_abp(obj: dict, field=None) -> ABP:
             raise ValidationError(f"edge {e['from']} -> {e['to']} skips layers")
         if not 0 <= fl < len(layers) - 1:
             raise ValidationError(f"edge layer {fl} out of range")
-        labels.append(((fl, fn, tn), form_label(e["label"], field)))
+        key, form = (fl, fn, tn), form_label(e["label"], field)
+        labels[key] = form_sum(labels[key], form, field) if key in labels else form
     abp = ABP.build(json_int(obj["nvars"]), field, layers, labels)
     err = validate(abp)
     if err:

@@ -365,7 +365,7 @@ def test_nisan_matrix_examples():
     # the same ranks from programs computing f and g, never expanded
     x0, x1 = (LinearForm.of_var(Q, v) for v in (0, 1))
     pf = ABP.build(2, Q, (1, 2, 1), {(0, 0, 0): x0, (0, 0, 1): x1, (1, 0, 0): x1, (1, 1, 0): x0})
-    pg = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): x0.add(x1, Q), (1, 0, 0): x0.add(x1, Q)})
+    pg = ABP.build(2, Q, (1, 1, 1), {(0, 0, 0): lf(Q, x0=1, x1=1), (1, 0, 0): lf(Q, x0=1, x1=1)})
     assert nisan_ranks(pf) == f.nisan_ranks()
     assert nisan_ranks(pg) == g.nisan_ranks()
     assert nisan_ranks(zero_abp(2, Q)) == []

@@ -167,3 +167,14 @@ def test_validators_run_only_at_the_trust_boundary():
     for path in sorted(SRC.glob("*.py")):
         _validator_callers(ast.parse(path.read_text(), filename=str(path)), "", callers, path.name)
     assert callers == TRUST_BOUNDARY
+
+
+def test_only_abp_names_linear_form():
+    """Labels exist only at the JSON boundary: every module but abp.py
+    writes programs as layer entries and never names ``LinearForm``."""
+    naming = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "abp.py" and _references(ast.parse(path.read_text()), strings=True)["LinearForm"]
+    ]
+    assert naming == []

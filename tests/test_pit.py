@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from hadamard import fields
+from hadamard import fields, pit
 from hadamard.abp import ABP, abp_sum, coefficient_of, homogeneous_parts, nisan_ranks, zero_abp
 from hadamard.errors import ResourceCapError, ValidationError
 from hadamard.fields import ExtField, PrimeField, RationalField
@@ -276,19 +276,23 @@ def test_verdict_json_shape():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_reductions_predict_their_edge_count_exactly(n, monkeypatch):
     """Each reduction's cap is checked against the number of edges it then
-    makes, so a cap of exactly that number builds and one less refuses."""
+    hands to the layout, so a cap of exactly that number builds and one
+    less refuses."""
     rng = random.Random(n)
     matrix = [[rng.randint(1, 5) for _ in range(n)] for _ in range(n)]
     graph = Digraph(n + 1, random_digraph(rng, n_vertices=n + 1, n_edges=2 * n).edges, 0, n)
     made = []
 
-    def counting_build(n_vars, field, sizes, edges):
-        edges = list(edges.items() if isinstance(edges, dict) else edges)
-        made.append(len(edges))
-        return real_build(n_vars, field, sizes, edges)
+    def counting(layout):
+        def count(depth, items):
+            items = list(items)
+            made.append(len(items))
+            return layout(depth, items)
 
-    real_build = ABP.build
-    monkeypatch.setattr(ABP, "build", counting_build)
+        return count
+
+    for name in ("layers_of", "merged_layers"):
+        monkeypatch.setattr(pit, name, counting(getattr(pit, name)))
     # a 1 x 1 determinant is a constant program, made without the prediction
     for reduce, arg in ([(det_to_abp, matrix)] if n > 1 else []) + [(reach_to_abp, graph)]:
         monkeypatch.setattr("hadamard.pit.DEFAULT_MAX_TERMS", 1 << 30)
