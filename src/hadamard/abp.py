@@ -39,9 +39,9 @@ program into one degree-homogeneous part per degree; ``normalize_edges``
 splits a part's nodes until every node pair carries a single variable, the
 lone pair of a degree-1 part aside, which consumers read variable by
 variable; and ``word_bases`` walks the ``linear_representation`` (S, f),
-c_w = e₀·S_{w_1}⋯S_{w_L}·f over the program's own nodes, one word length at
-a time, for the span test and ``nisan_ranks``, so neither expands the program
-or lays out its homogeneous parts.
+c_w = e₀·S_{w_1}⋯S_{w_L}·f over the program's own nodes, with one echelon
+over all word lengths for the span test and one per length for
+``nisan_ranks``, so neither expands the program or lays out its parts.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import Field, coeff_text, field_from_json, json_int, json_text, raw_ops
-from .matrices import Matrix, independent_subset
+from .matrices import Echelon, Matrix
 from .polynomials import NCPoly
 
 
@@ -429,9 +429,6 @@ def constant_walks(abp: ABP) -> tuple[list[dict], object]:
     d = abp.depth
     layers = [lay.map(into) for lay in abp.layers]
 
-    def reduced(acc: dict) -> dict:
-        return {key: x for key, x in zip(acc, reduce(list(acc.values()))) if x}
-
     to_sink: list[dict] = [dict() for _ in range(d + 1)]  # raw values
     to_sink[d][0] = one
     for j in range(d - 1, -1, -1):
@@ -440,7 +437,7 @@ def constant_walks(abp: ABP) -> tuple[list[dict], object]:
             t = after.get(c)
             if t:
                 here[a] = here.get(a, zero) + k * t
-        to_sink[j] = reduced(here)
+        to_sink[j] = reduce(here)
 
     @cache
     def steps(i: int, a: int) -> tuple[dict, list]:
@@ -455,7 +452,7 @@ def constant_walks(abp: ABP) -> tuple[list[dict], object]:
                     w = reach.get(m)
                     if w:
                         coeffs[(b, v)] = coeffs.get((b, v), zero) + w * k
-            coeffs = reduced(coeffs)
+            coeffs = reduce(coeffs)
             for (b, v), x in coeffs.items():
                 t = to_sink[j].get(b)
                 if t:
@@ -466,10 +463,10 @@ def constant_walks(abp: ABP) -> tuple[list[dict], object]:
                 w = reach.get(m)
                 if w:
                     nxt[c] = nxt.get(c, zero) + w * k
-            reach = reduced(nxt)
+            reach = reduce(nxt)
             if not reach:
                 break
-        return by_layer, [(v, out(x)) for v, x in reduced(sink).items()]
+        return by_layer, [(v, out(x)) for v, x in reduce(sink).items()]
 
     return [{b: out(x) for b, x in walks.items()} for walks in to_sink], steps
 
@@ -809,42 +806,34 @@ def linear_representation(abp: ABP) -> tuple[Layer, list]:
     return Layer([], by_var), [to_sink[i].get(a, zero) for i, a in positions]
 
 
-def word_bases(field: Field, matrices: Layer, start: Sequence) -> Iterator[list[tuple[tuple, list]]]:
-    """Word-tagged bases of the vectors start·S_{w_1}⋯S_{w_L}, one per
-    length L = 0, 1, ... while any is nonzero.  Words grow in length-then-
-    lexicographic order and a vector is kept only when it leaves the span of
-    those before it, so every word's vector lies in the span of the kept
-    words not after it.  Vectors are dense over the positions, in the
-    field's raw values (``fields.raw_ops``).  Over the transposed matrices
-    the word (v_1, ..., v_L) tags S_{v_L}⋯S_{v_1}·start.
+def word_bases(field: Field, matrices: Layer, start: dict, echelons: Iterable[Echelon]) -> Iterator[list]:
+    """Word-tagged bases [(word, start·S_{w_1}⋯S_{w_L})], sparse in raw values,
+    one per length while the length's echelon, the next of ``echelons``,
+    keeps a word.  Words go in length-then-lexicographic order and only kept
+    ones grow, so every word's vector lies in the span of the kept words not
+    after it.  Over the transposed matrices (v_1, ..., v_L) tags S_{v_L}⋯S_{v_1}·start.
     """
     into, reduce, _, _ = raw_ops(field)
     zero = into(field.zero())
-    out_of: dict = {}  # row -> [(variable, column, raw coefficient)]
+    out_of: dict = {}  # position -> [(variable, position, raw coefficient)]
     for v, entries in matrices.by_var.items():
         for a, c, x in entries:
             out_of.setdefault(a, []).append((v, c, into(x)))
     variables = sorted(matrices.by_var)
-    width = len(start)
-    start = reduce([into(x) for x in start])
-    basis = [((), start)] if any(start) else []
-    while basis:
+    grown = [((), reduce({a: into(x) for a, x in start.items()}))]
+    for kept in echelons:
+        basis = [(word, vec) for word, vec in grown if kept.add(vec)]
+        if not basis:
+            return
         yield basis
-        grown, written = [], set()
+        grown = []
         for word, vec in basis:
-            rows = {v: [zero] * width for v in variables}
-            for a, y in enumerate(vec):
-                if y:
-                    for v, c, x in out_of.get(a, ()):
-                        row = rows[v]
-                        row[c] = row[c] + y * x
-                        written.add(c)
-            grown.extend((word + (v,), reduce(rows[v])) for v in variables)
-        # a column no step wrote is zero in every grown vector, so the
-        # elimination keeps the same words without it
-        columns = sorted(written)
-        keep = independent_subset([[vec[c] for c in columns] for _, vec in grown], field)
-        basis = [grown[i] for i in keep]
+            rows: dict = {v: {} for v in variables}
+            for a, y in vec.items():
+                for v, c, x in out_of.get(a, ()):
+                    row = rows[v]
+                    row[c] = row.get(c, zero) + y * x
+            grown.extend((word + (v,), reduce(row)) for v, row in rows.items())
 
 
 def nisan_ranks(abp: ABP) -> list[int]:
@@ -852,28 +841,28 @@ def nisan_ranks(abp: ABP) -> list[int]:
     program computes, or [] when it is zero; one with terms of two degrees
     has none and raises ``ValidationError``.  M_k[u][w] = c_{uw} =
     e₀·S_u·S_w·f over |u| = k and |w| = d-k, so rank M_k = rank(F_k·B_{d-k}ᵀ)
-    for the ``word_bases`` F from e₀ and B over the transposed S from f.
+    for the ``word_bases`` F from e₀ and B over the transposed S from f, one
+    echelon per length: F_k must span every length-k vector.
     """
     field = abp.field
     into = raw_ops(field)[0]
-    zero = into(field.zero())
 
-    def dot(u: list, w: list):
-        return into(sum((x * y for x, y in zip(u, w) if x), zero))
+    def dot(u: dict, w: dict):
+        return sum(x * w[c] for c, x in u.items() if c in w)
 
+    fresh = map(Echelon, itertools.repeat(field))  # a new echelon per length of either walk
     matrices, final = linear_representation(abp)
-    source = [field.one()] + [field.zero()] * (len(final) - 1)
-    forward = list(word_bases(field, matrices, source))
-    column = [into(x) for x in final]
-    degrees = [k for k, basis in enumerate(forward) if any(dot(vec, column) for _, vec in basis)]
+    forward = list(word_bases(field, matrices, {0: field.one()}, fresh))
+    column = {p: into(x) for p, x in enumerate(final) if x}
+    degrees = [k for k, basis in enumerate(forward) if any(into(dot(vec, column)) for _, vec in basis)]
     if len(degrees) > 1:
         raise ValidationError("Nisan matrices require a homogeneous polynomial")
     if not degrees:
         return []
     (d,) = degrees
     transposed = Layer([], {v: [(c, a, x) for a, c, x in es] for v, es in matrices.by_var.items()})
-    backward = list(itertools.islice(word_bases(field, transposed, final), d + 1))
+    backward = list(itertools.islice(word_bases(field, transposed, dict(enumerate(final)), fresh), d + 1))
     return [
-        len(independent_subset([[dot(f, b) for _, b in backward[d - k]] for _, f in forward[k]], field))
+        sum(map(Echelon(field).add, ({j: dot(f, b) for j, (_, b) in enumerate(backward[d - k])} for _, f in forward[k])))
         for k in range(d + 1)
     ]

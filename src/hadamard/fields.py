@@ -617,10 +617,10 @@ def raw_ops(field: Field) -> tuple:
     field's values.
 
     Over F_p a raw value is an int in [0, p).  ``into`` takes an element or
-    an int to its residue, ``reduce`` takes a list of ints to their
-    residues, ``inverse`` is x^(p-2) mod p and ``out`` makes the element.
-    Rationals and F_{p^k} elements are their own raw values: ``into``
-    coerces, ``reduce`` returns the list and ``out`` the value.
+    an int to its residue, ``reduce`` takes a dict's int values to their
+    residues, zeros dropped, ``inverse`` is x^(p-2) mod p and ``out`` makes
+    the element.  Rationals and F_{p^k} elements are their own raw values:
+    ``into`` coerces, ``reduce`` drops zeros and ``out`` returns the value.
     """
     if isinstance(field, PrimeField):
         p, coerce = field.p, field.coerce
@@ -630,12 +630,12 @@ def raw_ops(field: Field) -> tuple:
 
         return (
             into,
-            lambda xs: [x % p for x in xs],
+            lambda d: {k: y for k, x in d.items() if (y := x % p)},
             lambda x: pow(x, p - 2, p),
             lambda x: FpElement(x, field),
         )
     one = field.one()
-    return field.coerce, lambda xs: xs, lambda x: one / x, lambda x: x
+    return field.coerce, lambda d: {k: x for k, x in d.items() if x}, lambda x: one / x, lambda x: x
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
-"""Exact dense linear algebra over the package's fields.
+"""Exact linear algebra over the package's fields.
 
 ``Matrix`` is the dense form of the per-variable coefficient matrices that
-``abp.coefficient_matrices`` returns, with their product.
-``independent_subset`` is the one Gaussian elimination.  It performs
-first-come greedy selection: scanning the inputs in order, a vector is kept
-exactly when it is outside the span of the vectors kept so far, so the rank
-of a list of rows is the number it keeps.  The elimination runs on the raw
-values of ``fields.raw_ops``, ints mod p over a prime field.
+``abp.coefficient_matrices`` returns, with their product.  ``Echelon``, the
+one Gaussian elimination, keeps a vector exactly when it leaves the span of
+those kept before, on ``fields.raw_ops`` values; ``pit_span_basis`` holds
+one for every word length, ``nisan_ranks`` one per length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .errors import FieldMismatchError, ShapeError
@@ -59,25 +58,39 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
 
-def independent_subset(vectors: Sequence[Sequence], field: Field) -> list[int]:
-    """Indices of a maximal independent subsequence, first come first kept.
-    Entries are field elements or ints.
+class Echelon:
+    """Sparse rows {column: raw value}, each normalized to 1 at its least column, its key."""
 
-    Each vector is reduced by the normalized rows kept so far, at their
-    pivots; a nonzero remainder is normalized at its first nonzero entry
-    and kept."""
-    into, reduce, inverse, _ = raw_ops(field)
-    rows: list[tuple[list, int]] = []  # (normalized row, pivot)
-    kept = []
-    for i, vec in enumerate(vectors):
-        v = [into(x) for x in vec]
-        for row, piv in rows:
-            f = v[piv]
+    def __init__(self, field: Field):
+        self.into, self.reduce, self.inverse, _ = raw_ops(field)
+        self.zero = self.into(0)
+        self.rows: dict[int, dict] = {}  # pivot -> normalized row
+
+    def add(self, vec: dict) -> bool:
+        """Keep vec {column: element or int} when it leaves the span of the
+        rows held.  It is reduced only at the pivots it holds, least first
+        from a heap: a row enters only columns past its pivot."""
+        into, reduce, rows, zero = self.into, self.reduce, self.rows, self.zero
+        v = {c: y for c, x in vec.items() if (y := into(x))}
+        heap = [c for c in v if c in rows]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            f = into(v[c])
             if f:
-                v = reduce([a - f * b for a, b in zip(v, row)])
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is not None:
-            inv = inverse(v[piv])
-            rows.append((reduce([inv * x for x in v]), piv))
-            kept.append(i)
-    return kept
+                for col, b in rows[c].items():
+                    if col not in v and col in rows:
+                        heappush(heap, col)
+                    v[col] = v.get(col, zero) - f * b
+        v = reduce(v)
+        if v:
+            piv = min(v)
+            inv = self.inverse(v[piv])
+            rows[piv] = reduce({c: inv * x for c, x in v.items()})
+        return bool(v)
+
+
+def independent_subset(vectors: Sequence[Sequence], field: Field) -> list[int]:
+    """Indices of the vectors, of elements or ints, an ``Echelon`` keeps."""
+    echelon = Echelon(field)
+    return [i for i, vec in enumerate(vectors) if echelon.add(dict(enumerate(vec)))]

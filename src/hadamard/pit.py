@@ -9,11 +9,11 @@ Four testers with different contracts:
   c_w = e₀·S_{w_1}⋯S_{w_L}·f (``abp.linear_representation``).  The product
   program f∘f is never built.
 * ``pit_span_basis`` — deterministic, any field.  Walks ``abp.word_bases``
-  over the same (S, f) from the source, the walk that ``abp.nisan_ranks``
-  also runs; the first kept word with a nonzero coefficient is the
-  shortest, then lexicographically least, such word: the witness that
-  expanding the program would give.  Neither walk lays out the program's
-  homogeneous parts.
+  over the same (S, f) from the source with one ``matrices.Echelon`` over
+  words of every length, where ``abp.nisan_ranks`` keeps one per length;
+  the first kept word with a nonzero coefficient is the shortest, then
+  lexicographically least, such word: the witness that expanding the
+  program would give.  Neither walk lays out homogeneous parts.
 * ``pit_randomized`` — finite fields.  Replaces each variable with a fresh
   value per layer, which separates words by position, and evaluates at
   uniform points in an extension large enough for the usual degree-over-
@@ -44,6 +44,7 @@ from .abp import ABP, Layer, coefficient_of, constant_abp, layers_of, linear_rep
 from .circuits import Circuit
 from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
 from .fields import ExtField, Field, PrimeField, RationalField, json_int, raw_ops
+from .matrices import Echelon
 
 
 @dataclass
@@ -128,18 +129,16 @@ def pit_rational(p: ABP) -> PitVerdict:
 
 def pit_span_basis(p: ABP) -> PitVerdict:
     """Deterministic: the first word of the forward ``word_bases`` of the
-    ``linear_representation`` (S, f) whose vector has a nonzero product with
-    f.  Every word's vector lies in the span of the kept words not after it,
-    so no shorter or lexicographically smaller word has a nonzero one."""
+    ``linear_representation`` (S, f), one ``Echelon`` for every length,
+    whose vector has a nonzero product with f.  Every word's vector lies in
+    the span of the kept words not after it, so no earlier word has one."""
     field = p.field
     into, _, _, out = raw_ops(field)
-    zero = into(field.zero())
     matrices, final = linear_representation(p)
-    column = [into(x) for x in final]
-    source = [field.one()] + [field.zero()] * (len(final) - 1)
-    for basis in word_bases(field, matrices, source):
+    column = {q: into(x) for q, x in enumerate(final) if x}
+    for basis in word_bases(field, matrices, {0: field.one()}, [Echelon(field)] * (p.depth + 1)):
         for word, vec in basis:
-            c = into(sum((x * y for x, y in zip(vec, column) if x), zero))
+            c = into(sum(x * column[q] for q, x in vec.items() if q in column))
             if c:
                 c = out(c)
                 if coefficient_of(p, word) != c:

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import Field, RationalField, field_from_json, json_int
-from .matrices import independent_subset
+from .matrices import Echelon
 
 
 def _check_compatible(a, b):
@@ -223,20 +223,19 @@ class NCPoly(_TermMap):
         prefixes and suffixes that some word has are laid out: the rows and
         columns of the other words would hold only zeros, so the rank is
         that of the matrix over all words.  ``max_entries`` caps rows times
-        columns, checked before any row is built.
+        columns, checked before any sparse row is filled.
         """
         if not self.is_homogeneous():
             raise ValidationError("Nisan matrices require a homogeneous polynomial")
-        zero, ranks = self.field.zero(), []
+        ranks = []
         for k in range(self.degree() + 1):
-            rows = dict.fromkeys(w[:k] for w in self.terms)
+            rows: dict = {w[:k]: {} for w in self.terms}
             cols = {s: i for i, s in enumerate(dict.fromkeys(w[k:] for w in self.terms))}
             if len(rows) * len(cols) > max_entries:
                 raise ResourceCapError(f"Nisan matrix would hold {len(rows) * len(cols)} entries")
-            grid = {r: [zero] * len(cols) for r in rows}
             for w, c in self.terms.items():
-                grid[w[:k]][cols[w[k:]]] = c
-            ranks.append(len(independent_subset(list(grid.values()), self.field)))
+                rows[w[:k]][cols[w[k:]]] = c
+            ranks.append(sum(map(Echelon(self.field).add, rows.values())))
         return ranks
 
 

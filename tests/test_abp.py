@@ -31,7 +31,7 @@ from hadamard.abp import (
 )
 from hadamard.errors import ResourceCapError, ValidationError
 from hadamard.fields import ExtField, PrimeField, RationalField
-from hadamard.matrices import Matrix
+from hadamard.matrices import Echelon, Matrix
 from hadamard.pit import Digraph, det_to_abp, pit_span_basis, reach_to_abp
 from hadamard.polynomials import NCPoly
 from hadamard.products import hadamard_abp_detailed, hadamard_homogeneous
@@ -402,10 +402,10 @@ def test_word_bases_index_only_the_positions_steps_enter():
     matrices, final = linear_representation(p)
     assert len(final) == 4
     transposed = Layer([], {v: [(c, a, x) for a, c, x in es] for v, es in matrices.by_var.items()})
-    source = [Q.one()] + [Q.zero()] * 3
-    for start, lays in ((source, matrices), (final, transposed)):
-        bases = list(word_bases(Q, lays, start))
-        assert [[len(vec) for _, vec in basis] for basis in bases] == [[4], [4, 4], [4]]
+    for start, lays in (({0: Q.one()}, matrices), (dict(enumerate(final)), transposed)):
+        bases = list(word_bases(Q, lays, start, map(Echelon, itertools.repeat(Q))))
+        # sparse vectors over the 4 positions, not the 1000 declared nodes
+        assert [[set(vec) <= set(range(4)) for _, vec in basis] for basis in bases] == [[True], [True, True], [True]]
         assert [word for word, _ in bases[1]] == [(0,), (1,)]
     assert nisan_ranks(p) == [1, 2, 1]
 

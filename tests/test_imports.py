@@ -178,3 +178,33 @@ def test_only_abp_names_linear_form():
         if path.name != "abp.py" and _references(ast.parse(path.read_text()), strings=True)["LinearForm"]
     ]
     assert naming == []
+
+
+def _takes_inverse(tree: ast.Module) -> bool:
+    """Whether the module takes the ``inverse`` of ``fields.raw_ops``: a
+    call unpacked with a name other than ``_`` third, indexed at 2, or kept
+    whole."""
+    calls = {
+        id(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "raw_ops"
+    }
+    left = set(calls)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and id(node.value) in calls and isinstance(node.targets[0], ast.Tuple):
+            left.discard(id(node.value))
+            third = node.targets[0].elts[2]
+            if not (isinstance(third, ast.Name) and third.id == "_"):
+                return True
+        elif isinstance(node, ast.Subscript) and id(node.value) in calls:
+            left.discard(id(node.value))
+            if not (isinstance(node.slice, ast.Constant) and node.slice.value != 2):
+                return True
+    return bool(left)
+
+
+def test_only_matrices_takes_the_raw_inverse():
+    """Gaussian elimination is written once, in ``matrices.Echelon``: no
+    other module takes the inverse that ``fields.raw_ops`` hands out."""
+    taking = [path.name for path in sorted(SRC.glob("*.py")) if _takes_inverse(ast.parse(path.read_text()))]
+    assert taking == ["matrices.py"]

@@ -5,13 +5,14 @@ import pytest
 
 from hadamard.errors import ShapeError
 from hadamard.fields import ExtField, PrimeField, RationalField
-from hadamard.matrices import Matrix, independent_subset
+from hadamard.matrices import Echelon, Matrix, independent_subset
 from helpers import element_independent_subset
 
 Q = RationalField()
 F2 = PrimeField(2)
 F5 = PrimeField(5)
 F101 = PrimeField(101)
+F4 = ExtField.make(2, 2)
 
 
 def rand_matrix(rng, field, r, c, lo=-3, hi=3):
@@ -96,29 +97,67 @@ def test_basis_spans_every_input():
 
 
 def _dependent_rows(rng, field, n_rows, n_cols):
-    """Random rows over a prime field, about a third of them combinations
-    of the rows before, as lists of elements."""
+    """Random rows, about a third of them combinations of the rows before,
+    as lists of elements."""
+    scalar = (lambda: rng.randrange(field.p)) if isinstance(field, PrimeField) else (lambda: field.random(rng))
     rows = []
     for _ in range(n_rows):
         if rows and rng.random() < 0.35:
-            picks = [(rng.randrange(field.p), row) for row in rows]
+            picks = [(scalar(), row) for row in rows]
             rows.append([sum((c * row[j] for c, row in picks), field.zero()) for j in range(n_cols)])
         else:
             rows.append([field.random(rng) for _ in range(n_cols)])
     return rows
 
 
-@pytest.mark.parametrize("field", [F2, F5, F101], ids=repr)
+def _int_rows(rng, n_rows, n_cols):
+    """Random int rows, some of them int combinations of the rows before."""
+    rows = []
+    for _ in range(n_rows):
+        row = [rng.randint(-3, 3) for _ in range(n_cols)]
+        if rows and rng.random() < 0.35:
+            row = [sum(c * r[j] for c, r in ((rng.randint(-2, 2), r) for r in rows)) for j in range(n_cols)]
+        rows.append(row)
+    return rows
+
+
+def _echelon_kept(rng, field, vecs):
+    """The indices ``Echelon.add`` keeps, each vector given sparse with its
+    nonzero entries inserted in shuffled order; then the zero vector and a
+    repeat of every vector, each of which it must refuse."""
+    echelon = Echelon(field)
+    kept = []
+    for i, vec in enumerate(vecs):
+        cols = [j for j, x in enumerate(vec) if x]
+        rng.shuffle(cols)
+        if echelon.add({j: vec[j] for j in cols}):
+            kept.append(i)
+    assert not echelon.add({}) and not echelon.add({j: field.zero() for j in range(3)})
+    assert not any(echelon.add(dict(enumerate(vec))) for vec in vecs)
+    return kept
+
+
+@pytest.mark.parametrize("field", [Q, F2, F5, F101, F4], ids=repr)
 def test_elimination_matches_element_elimination(field):
-    rng = random.Random(f"echelon:{field.p}")
+    rng = random.Random(f"echelon:{field.p}" if isinstance(field, PrimeField) else f"echelon:{field!r}")
     for _ in range(150):
         n = rng.randint(1, 6)
         m = Matrix.from_rows(field, _dependent_rows(rng, field, n, n))
         rows = [m.row(i) for i in range(n)]
         assert rank(m) == len(element_independent_subset(rows, field))
         vecs = _dependent_rows(rng, field, rng.randint(1, 9), rng.randint(1, 7))
+        vecs.insert(rng.randint(0, len(vecs)), [field.zero()] * len(vecs[0]))
+        vecs.insert(rng.randint(0, len(vecs)), list(rng.choice(vecs)))
         kept = element_independent_subset(vecs, field)
         assert independent_subset(vecs, field) == kept
-        # ints, negative and unreduced ones too, stand for their residues
-        ints = [[x.value + field.p * rng.randint(-2, 2) for x in vec] for vec in vecs]
+        assert _echelon_kept(rng, field, vecs) == kept
+        if isinstance(field, PrimeField):
+            # ints, negative and unreduced ones too, stand for their residues
+            ints = [[x.value + field.p * rng.randint(-2, 2) for x in vec] for vec in vecs]
+            assert independent_subset(ints, field) == kept
+        # ints stand for their images in the field
+        ints = _int_rows(rng, rng.randint(1, 9), rng.randint(1, 7))
+        ints.insert(rng.randint(0, len(ints)), list(rng.choice(ints)))
+        kept = element_independent_subset([[field.coerce(x) for x in vec] for vec in ints], field)
         assert independent_subset(ints, field) == kept
+        assert _echelon_kept(rng, field, ints) == kept

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,35 @@ def test_span_basis_matches_the_element_span_walk(rng, field, kind, depth):
         depth = depth if kind == "cancelling" else max(depth, 3)
         p = cancel_join(rng, field, depth, width=width, n_vars=n_vars, zero=kind == "cancelling")
     assert pit_span_basis(p).to_json() == element_span_basis(p).to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([Q, F2, F5, F4]),
+    st.booleans(),
+    st.integers(1, 12),
+)
+def test_span_basis_matches_the_element_span_walk_on_deep_joins(rng, field, zero, depth):
+    # on affine joins a word of every length reaches every later layer, so
+    # one basis over all lengths and one per length keep the most different words
+    depth = depth if zero else max(depth, 3)
+    p = cancel_join(rng, field, depth, width=rng.randint(1, 2), n_vars=rng.randint(1, 3), zero=zero)
+    assert pit_span_basis(p).to_json() == element_span_basis(p).to_json()
+
+
+def test_span_basis_is_fast_on_a_deep_affine_join():
+    # a basis per word length takes about 85 s on this zero join, one shared
+    # basis a fraction of a second
+    for zero in (True, False):
+        p = cancel_join(random.Random(7), F5, 200, width=2, n_vars=3, zero=zero)
+        start = time.perf_counter()
+        verdict = pit_span_basis(p)
+        assert time.perf_counter() - start < 2.0
+        assert verdict.is_zero is zero
+        if not zero:
+            word, coeff = verdict.witness["word"], verdict.witness["coeff"]
+            assert coefficient_of(p, word) == F5.coeff_from_json(coeff) != F5.zero()
 
 
 @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
