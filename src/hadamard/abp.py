@@ -34,14 +34,15 @@ callers outside the library, and ``ABP.edges`` is a read-only view of one
 ``LinearForm`` per (layer, from, to), built on first read, which no library
 path reads.
 
-Each walk is described where it is defined: ``homogeneous_parts`` splits a
-program into one degree-homogeneous part per degree; ``normalize_edges``
-splits a part's nodes until every node pair carries a single variable, the
-lone pair of a degree-1 part aside, which consumers read variable by
-variable; and ``word_bases`` walks the ``linear_representation`` (S, f),
-c_w = e₀·S_{w_1}⋯S_{w_L}·f over the program's own nodes, with one echelon
-over all word lengths for the span test and one per length for
-``nisan_ranks``, so neither expands the program or lays out its parts.
+Each walk is described where it is defined: ``constant_walks`` sums the
+walks to the sink backward and the steps out of each node forward, for
+``homogeneous_parts``, one degree-homogeneous part per degree, and the
+``linear_representation`` (S, f), c_w = e₀·S_{w_1}⋯S_{w_L}·f over the
+program's own nodes; ``normalize_edges`` splits a part's nodes until every
+node pair carries a single variable, bar the lone pair of a degree-1 part,
+which consumers read variable by variable; and ``word_bases`` walks S with
+one echelon over all lengths for the span test and ``nisan_ranks``' zero
+test, and one per length for its ranks, so none expands the program.
 """
 
 from __future__ import annotations
@@ -414,11 +415,13 @@ def constant_value(part: ABP):
 
 
 def constant_walks(abp: ABP) -> tuple[list[dict], object]:
-    """(to_sink, steps).  ``to_sink[j][b]`` sums the constant-only walks from
-    node b of layer j to the sink.  ``steps(i, a)``, cached, sums the steps
-    out of node a of layer i — a constant-only walk, then one variable entry
-    into a later layer j — as ({j: [(b, v, coefficient)]}, [(v, coefficient
-    of the steps weighted by their walks on to the sink)]), zeros dropped.
+    """(to_sink, steps).  ``to_sink[j][b]`` sums the walks from node b of
+    layer j to the sink as cells {-1: constants only, v: through one entry
+    of x_v}, zeros dropped, in one backward pass: a constant entry carries
+    every cell of the node it enters, an entry of x_v its -1 cell as the
+    cell of v.  ``steps(i, a)``, cached, sums the steps out of node a of
+    layer i — a constant-only walk, then one variable entry into a later
+    layer j — as {j: [(b, v, coefficient)]}, zeros dropped.
 
     The sums run on the field's raw values (``fields.raw_ops``): over F_p on
     residues, reduced and rid of zeros after each layer, and a coefficient
@@ -429,46 +432,39 @@ def constant_walks(abp: ABP) -> tuple[list[dict], object]:
     d = abp.depth
     layers = [lay.map(into) for lay in abp.layers]
 
-    to_sink: list[dict] = [dict() for _ in range(d + 1)]  # raw values
-    to_sink[d][0] = one
+    to_sink: list[dict] = [dict() for _ in range(d + 1)]  # raw cells
+    to_sink[d][0] = {-1: one}
     for j in range(d - 1, -1, -1):
         here, after = {}, to_sink[j + 1]
-        for a, c, k in layers[j].const:
-            t = after.get(c)
-            if t:
-                here[a] = here.get(a, zero) + k * t
-        to_sink[j] = reduce(here)
+        for v, entries in layers[j].matrices():
+            for a, c, k in entries:
+                cells = after.get(c, {})
+                if v >= 0:
+                    cells = {v: cells[-1]} if -1 in cells else {}
+                for u, t in cells.items():
+                    mine = here.setdefault(a, {})
+                    mine[u] = mine.get(u, zero) + k * t
+        to_sink[j] = {a: kept for a, cells in here.items() if (kept := reduce(cells))}
 
     @cache
-    def steps(i: int, a: int) -> tuple[dict, list]:
+    def steps(i: int, a: int) -> dict[int, list]:
         by_layer: dict[int, list] = {}
-        sink: dict = {}
         reach = {a: one}  # constant-only walks from (i, a) into layer j-1
         for j in range(i + 1, d + 1):
-            lay = layers[j - 1]
-            coeffs: dict[tuple[int, int], object] = {}  # (b, v) -> coefficient
-            for v, entries in lay.by_var.items():
+            coeffs: dict[tuple[int, int], object] = {}  # (b, v or -1) -> coefficient
+            for v, entries in layers[j - 1].matrices():
                 for m, b, k in entries:
                     w = reach.get(m)
                     if w:
                         coeffs[(b, v)] = coeffs.get((b, v), zero) + w * k
             coeffs = reduce(coeffs)
-            for (b, v), x in coeffs.items():
-                t = to_sink[j].get(b)
-                if t:
-                    sink[v] = sink.get(v, zero) + x * t
-            by_layer[j] = [(b, v, out(x)) for (b, v), x in coeffs.items()]
-            nxt: dict = {}
-            for m, c, k in lay.const:
-                w = reach.get(m)
-                if w:
-                    nxt[c] = nxt.get(c, zero) + w * k
-            reach = reduce(nxt)
+            by_layer[j] = [(b, v, out(x)) for (b, v), x in coeffs.items() if v >= 0]
+            reach = {b: x for (b, v), x in coeffs.items() if v < 0}
             if not reach:
                 break
-        return by_layer, [(v, out(x)) for v, x in reduce(sink).items()]
+        return by_layer
 
-    return [{b: out(x) for b, x in walks.items()} for walks in to_sink], steps
+    return [{b: {u: out(x) for u, x in cells.items()} for b, cells in walks.items()} for walks in to_sink], steps
 
 
 def homogeneous_parts(abp: ABP, top: int) -> list[ABP]:
@@ -479,11 +475,11 @@ def homogeneous_parts(abp: ABP, top: int) -> list[ABP]:
     steps; an edge bundles a constant-only walk followed by one
     variable-carrying original edge, and edges into the sink also absorb the
     trailing constant-only walk.  No part after the first has a constant
-    entry.  The edges are the ``constant_walks`` steps, shared by every part.
-    With top >= depth the parts sum to the input; a reader passes the
-    highest degree it reads.  The node count, cubic in the depth when top
-    reaches it, is worked out from the layer sizes first: past
-    ``DEFAULT_MAX_TERMS`` nothing is walked.
+    entry.  Inner edges are the ``constant_walks`` steps, edges into the sink
+    and the constant part its backward sums.  With top >= depth the parts sum
+    to the input; a reader passes the highest degree it reads.  The node
+    count, cubic in the depth when top reaches it, is worked out from the
+    layer sizes first: past ``DEFAULT_MAX_TERMS`` nothing is walked.
     """
     field = abp.field
     d = abp.depth
@@ -499,7 +495,7 @@ def homogeneous_parts(abp: ABP, top: int) -> list[ABP]:
         raise ResourceCapError(f"the homogeneous parts take {total} nodes, past the cap of {DEFAULT_MAX_TERMS}")
     to_sink, steps = constant_walks(abp)
 
-    parts = [constant_abp(abp.n_vars, field, to_sink[0].get(0, field.zero()))]
+    parts = [constant_abp(abp.n_vars, field, to_sink[0].get(0, {}).get(-1, field.zero()))]
     # only the nodes that some entry leaves are walked, in node order
     leaving = [sorted({a for _, entries in lay.matrices() for a, _, _ in entries}) for lay in layers]
 
@@ -512,16 +508,17 @@ def homogeneous_parts(abp: ABP, top: int) -> list[ABP]:
         for w in range(k - 1):
             by_var = out[w].by_var
             for src, i, a in nodes[w]:
-                by_layer = steps(i, a)[0]
+                by_layer = steps(i, a)
                 for j in range(i + 1, d - (k - w - 1) + 1):
                     offset = start[j] - start[w + 1]
                     for b, v, x in by_layer.get(j, ()):
                         by_var.setdefault(v, []).append((src, offset + b, x))
-        # final step: variable edge at any remaining position, then constants to the sink
+        # final step: constants, one variable entry, constants to the sink
         by_var = out[k - 1].by_var
         for src, i, a in nodes[k - 1]:
-            for v, x in steps(i, a)[1]:
-                by_var.setdefault(v, []).append((src, 0, x))
+            for v, x in to_sink[i].get(a, {}).items():
+                if v >= 0:
+                    by_var.setdefault(v, []).append((src, 0, x))
 
         layer_sizes = (1, *(start[d - k + w + 1] - start[w] for w in range(1, k)), 1)
         parts.append(ABP(abp.n_vars, field, layer_sizes, out))
@@ -796,14 +793,14 @@ def linear_representation(abp: ABP) -> tuple[Layer, list]:
     index = {(0, 0): 0}
     by_var: dict = {}
     for p, (i, a) in enumerate(positions):  # grows while it is walked
-        for j, entries in steps(i, a)[0].items():
+        for j, entries in steps(i, a).items():
             for b, v, x in entries:
                 q = index.setdefault((j, b), len(positions))
                 if q == len(positions):
                     positions.append((j, b))
                 by_var.setdefault(v, []).append((p, q, x))
     zero = abp.field.zero()
-    return Layer([], by_var), [to_sink[i].get(a, zero) for i, a in positions]
+    return Layer([], by_var), [to_sink[i].get(a, {}).get(-1, zero) for i, a in positions]
 
 
 def word_bases(field: Field, matrices: Layer, start: dict, echelons: Iterable[Echelon]) -> Iterator[list]:
@@ -838,11 +835,12 @@ def word_bases(field: Field, matrices: Layer, start: dict, echelons: Iterable[Ec
 
 def nisan_ranks(abp: ABP) -> list[int]:
     """Ranks of the Nisan matrices M_0, ..., M_d of the polynomial the
-    program computes, or [] when it is zero; one with terms of two degrees
-    has none and raises ``ValidationError``.  M_k[u][w] = c_{uw} =
-    e₀·S_u·S_w·f over |u| = k and |w| = d-k, so rank M_k = rank(F_k·B_{d-k}ᵀ)
-    for the ``word_bases`` F from e₀ and B over the transposed S from f, one
-    echelon per length: F_k must span every length-k vector.
+    program computes, or [] when it is zero, decided first as ``pit span``
+    decides it; one with terms of two degrees has none and raises
+    ``ValidationError``.  M_k[u][w] = c_{uw} = e₀·S_u·S_w·f over |u| = k and
+    |w| = d-k, so rank M_k = rank(F_k·B_{d-k}ᵀ) for the ``word_bases`` F
+    from e₀ and B over the transposed S from f, one echelon per length: F_k
+    must span every length-k vector.
     """
     field = abp.field
     into = raw_ops(field)[0]
@@ -850,15 +848,16 @@ def nisan_ranks(abp: ABP) -> list[int]:
     def dot(u: dict, w: dict):
         return sum(x * w[c] for c, x in u.items() if c in w)
 
-    fresh = map(Echelon, itertools.repeat(field))  # a new echelon per length of either walk
     matrices, final = linear_representation(abp)
-    forward = list(word_bases(field, matrices, {0: field.one()}, fresh))
     column = {p: into(x) for p, x in enumerate(final) if x}
+    shared = word_bases(field, matrices, {0: field.one()}, [Echelon(field)] * (abp.depth + 1))
+    if not any(into(dot(vec, column)) for basis in shared for _, vec in basis):
+        return []
+    fresh = map(Echelon, itertools.repeat(field))  # a new echelon per length of either walk
+    forward = list(word_bases(field, matrices, {0: field.one()}, fresh))
     degrees = [k for k, basis in enumerate(forward) if any(into(dot(vec, column)) for _, vec in basis)]
     if len(degrees) > 1:
         raise ValidationError("Nisan matrices require a homogeneous polynomial")
-    if not degrees:
-        return []
     (d,) = degrees
     transposed = Layer([], {v: [(c, a, x) for a, c, x in es] for v, es in matrices.by_var.items()})
     backward = list(itertools.islice(word_bases(field, transposed, dict(enumerate(final)), fresh), d + 1))

@@ -3,8 +3,8 @@
 ``Matrix`` is the dense form of the per-variable coefficient matrices that
 ``abp.coefficient_matrices`` returns, with their product.  ``Echelon``, the
 one Gaussian elimination, keeps a vector exactly when it leaves the span of
-those kept before, on ``fields.raw_ops`` values; ``pit_span_basis`` holds
-one for every word length, ``nisan_ranks`` one per length.
+those kept before, on ``fields.raw_ops`` values; ``pit_span_basis`` and
+``nisan_ranks``' zero test hold one over all lengths, its ranks one per length.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Four testers with different contracts:
   program f∘f is never built.
 * ``pit_span_basis`` — deterministic, any field.  Walks ``abp.word_bases``
   over the same (S, f) from the source with one ``matrices.Echelon`` over
-  words of every length, where ``abp.nisan_ranks`` keeps one per length;
+  words of every length, where ``abp.nisan_ranks``' ranks keep one per length;
   the first kept word with a nonzero coefficient is the shortest, then
   lexicographically least, such word: the witness that expanding the
   program would give.  Neither walk lays out homogeneous parts.

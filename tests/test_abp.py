@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -104,11 +105,24 @@ def test_validate_catches_bad_shapes():
             "edges": [{"from": [0, 0], "to": [1, c], "label": helpers.label_json(form, Q)} for c, form in edges],
         }
 
+    def edge(source, target):
+        return {"from": source, "to": target, "label": helpers.label_json(lf(Q, const=1), Q)}
+
+    negative = program([1, 1])
+    negative["nvars"] = -1
+    unlabelled = program([1, 1])
+    del unlabelled["field"]
     for obj, message in (
         (program([2, 1]), "source and sink"),
         (program([1, 0, 1]), "empty layer"),
         (program([1, 1], (5, lf(Q, const=1))), "target node 5 out of range"),
         (program([1, 1], (0, lf(Q, x3=1))), "variable out of range"),
+        ({**program([1, 1]), "edges": [edge([0, 3], [1, 0])]}, "source node 3 out of range"),
+        (negative, "negative variable count"),
+        ({**program([1, 1, 1]), "edges": [edge([0, 0], [2, 0])]}, "skips layers"),
+        ({**program([1, 1]), "edges": [edge([1, 0], [2, 0])]}, "edge layer 1 out of range"),
+        (program([]), "no layers"),
+        (unlabelled, "lacks a field descriptor"),
     ):
         with pytest.raises(ValidationError, match=message):
             ABP.from_json(obj)
@@ -212,20 +226,31 @@ def test_homogeneous_parts_predict_their_node_count_exactly(rng, depth, top):
             homogeneous_parts(p, top)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=240, deadline=None)
 @given(
     st.randoms(use_true_random=False),
     st.sampled_from([Q, F2, F5, F4]),
-    st.integers(1, 6),
-    st.sampled_from([0.2, 0.5, 0.9]),
-    st.integers(0, 7),
+    st.sampled_from(["random", "affine_chain", "cancel_join"]),
+    st.data(),
 )
-def test_homogeneous_parts_match_the_node_list_layout(rng, field, depth, density, top):
+def test_homogeneous_parts_match_the_node_list_layout(rng, field, shape, data):
     # the parts up to top are the first min(top, depth) + 1 of the full list
-    p = helpers.random_abp(rng, field, n_vars=2, depth=depth, width=3, density=density)
-    # declare nodes that no edge touches
-    sizes = [1] + [s + rng.randint(0, 2) for s in p.layer_sizes[1:-1]] + [1]
-    p = ABP.build(p.n_vars, field, sizes, p.edges)
+    if shape == "random":
+        depth, top = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 7))
+        density = data.draw(st.sampled_from([0.2, 0.5, 0.9]))
+        p = helpers.random_abp(rng, field, n_vars=2, depth=depth, width=3, density=density)
+        # declare nodes that no edge touches
+        sizes = [1] + [s + rng.randint(0, 2) for s in p.layer_sizes[1:-1]] + [1]
+        p = ABP.build(p.n_vars, field, sizes, p.edges)
+    else:
+        # deeper programs with a constant on every layer, or joins whose
+        # constants die out, read at low degrees and in full
+        depth = data.draw(st.integers(8, 12))
+        top = data.draw(st.sampled_from([1, 2, 3, depth]))
+        if shape == "affine_chain":
+            p = helpers.affine_chain(rng, field, depth)
+        else:
+            p = helpers.cancel_join(rng, field, depth, zero=data.draw(st.booleans()))
     got, want = homogeneous_parts(p, top), helpers.node_list_homogeneous_parts(p)
     assert len(got) == min(top, depth) + 1 and len(want) == depth + 1
     for g, w in zip(got, want):
@@ -408,6 +433,15 @@ def test_word_bases_index_only_the_positions_steps_enter():
         assert [[set(vec) <= set(range(4)) for _, vec in basis] for basis in bases] == [[True], [True, True], [True]]
         assert [word for word, _ in bases[1]] == [(0,), (1,)]
     assert nisan_ranks(p) == [1, 2, 1]
+
+
+def test_nisan_decides_a_deep_zero_join_first():
+    # the forward walk over one echelon for every length finds no word with
+    # a nonzero coefficient, so no per-length walk runs
+    p = helpers.cancel_join(random.Random(7), F5, 100, width=2, n_vars=3)
+    start = time.perf_counter()
+    assert nisan_ranks(p) == []
+    assert time.perf_counter() - start < 0.5
 
 
 def test_nisan_rejects_inhomogeneous():

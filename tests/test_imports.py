@@ -208,3 +208,15 @@ def test_only_matrices_takes_the_raw_inverse():
     other module takes the inverse that ``fields.raw_ops`` hands out."""
     taking = [path.name for path in sorted(SRC.glob("*.py")) if _takes_inverse(ast.parse(path.read_text()))]
     assert taking == ["matrices.py"]
+
+
+def test_no_module_raises_the_recursion_limit():
+    """Circuits of any depth work within Python's default recursion limit:
+    no module names ``sys.setrecursionlimit``, as an attribute, an import, a
+    bare name or a string."""
+    raising = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if _references(ast.parse(path.read_text()), strings=True)["setrecursionlimit"]
+    ]
+    assert raising == []

@@ -417,10 +417,10 @@ def test_circuit_product_of_a_wide_add_chain():
     assert peak < 40 * 2**20
 
 
-def _low_degree_product(c: Circuit, p: ABP) -> NCPoly:
-    """The sum over the words w of c's expansion of c_w times p's
-    coefficient of w, each read off p's layers by ``coefficient_of``."""
-    return NCPoly.from_terms(c.n_vars, c.field, {w: x * coefficient_of(p, w) for w, x in c.expand().terms.items()})
+def _low_degree_product(f: NCPoly, p: ABP) -> NCPoly:
+    """The sum over the words w of f of f_w times p's coefficient of w,
+    each read off p's layers by ``coefficient_of``."""
+    return NCPoly.from_terms(f.n_vars, f.field, {w: x * coefficient_of(p, w) for w, x in f.terms.items()})
 
 
 def test_a_low_degree_circuit_lays_out_only_the_low_parts_of_a_deep_program():
@@ -432,19 +432,38 @@ def test_a_low_degree_circuit_lays_out_only_the_low_parts_of_a_deep_program():
     start = time.perf_counter()
     result = hadamard_circuit_abp_detailed(c, p)
     elapsed = time.perf_counter() - start
-    assert result.circuit.expand() == _low_degree_product(c, p)
+    assert result.circuit.expand() == _low_degree_product(c.expand(), p)
     assert elapsed < 0.1
 
 
 def test_a_low_degree_circuit_meets_a_program_whose_parts_pass_the_cap():
     # (x0 + x1 + 1)^2 against a width-1 affine program of depth 200: every
-    # part would take 1,333,702 nodes, past the cap, parts 0-2 far fewer
+    # part would take 1,333,702 nodes, past the cap, parts 0-2 far fewer.
+    # At depth 1,000 the parts' last layers come from one backward pass, and
+    # only the source's steps are walked
     gates = [InputGate(0), InputGate(1), ConstGate(F5.one()), AddGate(0, 1), AddGate(3, 2), MulGate(4, 4)]
     c = Circuit.build(2, F5, gates, 5)
-    p = helpers.affine_chain(random.Random(200), F5, 200)
-    got = hadamard_circuit_abp_detailed(c, p).circuit.expand()
-    assert got == _low_degree_product(c, p)
-    assert len(got.terms) == 7
+    for depth in (200, 1000):
+        p = helpers.affine_chain(random.Random(depth), F5, depth)
+        start = time.perf_counter()
+        result = hadamard_circuit_abp_detailed(c, p)
+        elapsed = time.perf_counter() - start
+        got = result.circuit.expand()
+        assert got == _low_degree_product(c.expand(), p)
+        assert len(got.terms) == {200: 7, 1000: 6}[depth]  # p has no x1*x1 at depth 1,000
+        assert elapsed < 0.5
+
+
+def test_a_shallow_program_meets_a_deep_affine_chain():
+    # a depth-2 affine chain against one of depth 1,000: the product pairs
+    # parts 0-2 only, and lays out no deeper part of the deep operand
+    q = helpers.affine_chain(random.Random(2), F5, 2)
+    p = helpers.affine_chain(random.Random(1000), F5, 1000)
+    start = time.perf_counter()
+    got = hadamard_abp_detailed(q, p).abp
+    elapsed = time.perf_counter() - start
+    assert got.expand() == _low_degree_product(q.expand(), p)
+    assert elapsed < 0.5
 
 
 def test_circuit_product_masks_do_not_grow_with_declared_variables():
