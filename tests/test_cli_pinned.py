@@ -160,6 +160,11 @@ def _inputs() -> dict:
     square = [InputGate(0), InputGate(1), ConstGate(1), AddGate(0, 1), AddGate(3, 2), MulGate(4, 4)]
     out["f5sq"] = Circuit.build(2, f5, square, 5)
     out["f5aff200"] = affine_chain(random.Random("f5:aff200"), f5, 200)
+    out["qaff60"] = affine_chain(random.Random("q:aff60"), q, 60)
+    # x1 enters node 1 of layer 1, which no entry leaves: a step into a node
+    # with no nonzero walk on to the sink
+    dead = {(0, 0, 0): {0: 1}, (0, 0, 1): {1: 2}, (1, 0, 0): {0: 1, 1: 3}}
+    out["f5dead"] = ABP.build(2, f5, (1, 2, 1), {key: LinearForm.make(f5, coeffs=c) for key, c in dead.items()})
     out["zcirc"] = _zero_const_circuit(False)
     out["zcirc0"] = _zero_const_circuit(True)
     # t is reached over 0 -> 2 -> 4 -> 3 -> 5; with the arc into 5 gone, not at all
@@ -231,6 +236,16 @@ CASES = {
         "d6d3fe11058c5cda93a5ece1b5cb16560eb072c707073ba557166fc65318d4ee"),
     "pit-span-f4hom": (["pit", "span", "{f4hom}"], 0,
         "b1f719423aba114f7a2ef08947e685f1104991cb3e1145f7275616fe7e79ec7a"),
+    "pit-span-f5aff200": (["pit", "span", "{f5aff200}"], 0,
+        "43a2b93f8f173967f8657014ed22aa1ce3bcd948ed51cdb2e3f09d4c3ed2eece"),
+    "pit-det-qaff60": (["pit", "det", "{qaff60}"], 0,
+        "a6450b0bdbe280bc06fa10e95700ddffb9761ed1e0d0d31a82a3c5cd8d7da75a"),
+    "pit-span-qaff60": (["pit", "span", "{qaff60}"], 0,
+        "6affeebc13dce5070592cd041f97fd75cfe5c68ecfe91de00e13c032b930619b"),
+    "pit-span-f5dead": (["pit", "span", "{f5dead}"], 0,
+        "308688f7c16db288eb6ba66baaa1a1c554e91203a9ef7c781f5a84b67e176c27"),
+    "nisan-f5dead": (["nisan", "{f5dead}"], 0,
+        "5885aaeb2f0d09d0c1989dea8f7a77be40199129cb3659a4efc119bb1ef32346"),
     "pit-span-qhom8": (["pit", "span", "{qhom8}"], 0,
         "948b92e1a58a4f0248f2f19450dfa8fffe5ca43b02dd30fc3b7c452a4a56103f"),
     "pit-det-qhom8": (["pit", "det", "{qhom8}"], 0,
