@@ -34,15 +34,20 @@ callers outside the library, and ``ABP.edges`` is a read-only view of one
 ``LinearForm`` per (layer, from, to), built on first read, which no library
 path reads.
 
-Each walk is described where it is defined: ``constant_walks`` sums the
-walks to the sink backward and the steps out of each node forward, for
-``homogeneous_parts``, one degree-homogeneous part per degree, and the
-``linear_representation`` (S, f), c_w = e₀·S_{w_1}⋯S_{w_L}·f over the
-program's own nodes; ``normalize_edges`` splits a part's nodes until every
-node pair carries a single variable, bar the lone pair of a degree-1 part,
-which consumers read variable by variable; and ``word_bases`` walks S with
-one echelon over all lengths for the span test and ``nisan_ranks``' zero
-test, and one per length for its ranks, so none expands the program.
+Each walk is described where it is defined.  Two of them walk the
+constant closure, each the way its readers need it.
+``linear_representation`` builds (S, f), c_w = e₀·S_{w_1}⋯S_{w_L}·f over
+the program's own nodes, in one backward pass that sums each node's row
+once, since the identity tests and ``nisan_ranks`` read all of S.
+``constant_walks`` serves ``homogeneous_parts``, one degree-homogeneous
+part per degree: it sums the walks to the sink backward, but a node's steps
+forward only when a part asks for them, since a product that reads only
+low degrees asks from few nodes, where eager rows would cost time quadratic
+in the depth.  ``normalize_edges`` splits a part's nodes until every node
+pair carries a single variable, bar the lone pair of a degree-1 part, which
+consumers read variable by variable; and ``word_bases`` walks S with one
+echelon over all lengths for the span test and ``nisan_ranks``' zero test,
+and one per length for its ranks, so none expands the program.
 """
 
 from __future__ import annotations
@@ -415,13 +420,18 @@ def constant_value(part: ABP):
 
 
 def constant_walks(abp: ABP) -> tuple[list[dict], object]:
-    """(to_sink, steps).  ``to_sink[j][b]`` sums the walks from node b of
-    layer j to the sink as cells {-1: constants only, v: through one entry
-    of x_v}, zeros dropped, in one backward pass: a constant entry carries
-    every cell of the node it enters, an entry of x_v its -1 cell as the
-    cell of v.  ``steps(i, a)``, cached, sums the steps out of node a of
-    layer i — a constant-only walk, then one variable entry into a later
-    layer j — as {j: [(b, v, coefficient)]}, zeros dropped.
+    """(to_sink, steps), for ``homogeneous_parts``.  ``to_sink[j][b]`` sums
+    the walks from node b of layer j to the sink as cells {-1: constants
+    only, v: through one entry of x_v}, zeros dropped, in one backward pass:
+    a constant entry carries every cell of the node it enters, an entry of
+    x_v its -1 cell as the cell of v.  ``steps(i, a)``, cached, sums the
+    steps out of node a of layer i — a constant-only walk, then one variable
+    entry into a later layer j — as {j: [(b, v, coefficient)]}, zeros
+    dropped.  Steps are walked forward on demand because a part reads them
+    only from the nodes its inner layers hold: against a deep affine chain,
+    a product of degree 2 reads those of the source alone, where summing
+    every node's steps, as ``linear_representation`` does, would take time
+    quadratic in the depth.
 
     The sums run on the field's raw values (``fields.raw_ops``): over F_p on
     residues, reduced and rid of zeros after each layer, and a coefficient
@@ -781,26 +791,62 @@ def coefficient_of(abp: ABP, word: Sequence[int]):
 
 
 def linear_representation(abp: ABP) -> tuple[Layer, list]:
-    """(S, f) with c_w = e₀·S_{w_1}⋯S_{w_L}·f for every word w.  Positions
-    are the source (0) and each (layer, node) that a step from a position
-    enters, in the order first entered.  S is one square ``Layer`` whose
-    entries (p, q, coefficient) of variable v sum the ``constant_walks``
-    steps from p into q on x_v; f[p] is p's constant-walk weight to the sink.
-    Every step enters a later layer, so S is nilpotent.
+    """(S, f) with c_w = e₀·S_{w_1}⋯S_{w_L}·f for every word w, in
+    ``fields.raw_ops`` values, from one backward pass over the program's
+    layers.  The row of node a of layer i holds a's entries of x_v, each a
+    step on x_v to the node it enters, plus k times the row of c for each
+    constant entry (a, c, k); f(a) sums k·f(c) over the same constant
+    entries, from f = 1 at the sink.  An entry of x_v into a node with
+    neither a row nor a nonzero f adds no step, since every word through it
+    has coefficient 0.  Each row is summed once, where its layer is passed.
+
+    Positions are the source and every node that the row of a position
+    enters, indexed in (layer, node) order, which the span test's echelon
+    pivots by.  S is one square ``Layer`` whose entries (p, q, coefficient)
+    of variable v are the steps of p's row into q on x_v, and f[p] is p's
+    weight.  Every step enters a later layer, so S is nilpotent.
     """
-    to_sink, steps = constant_walks(abp)
-    positions = [(0, 0)]
-    index = {(0, 0): 0}
+    into, reduce, _, _ = raw_ops(abp.field)
+    zero, one = into(0), into(1)
+    start = list(itertools.accumulate(abp.layer_sizes, initial=0))
+    n = 1 + max((v for lay in abp.layers for v in lay.by_var), default=0)
+    # keyed by node number start[layer] + node: rows {node * n + variable:
+    # coefficient} and f, zeros dropped
+    rows: dict = {}
+    f: dict = {start[-2]: one}
+    for i in range(abp.depth - 1, -1, -1):
+        here, after, lay = start[i], start[i + 1], abp.layers[i]
+        sums: dict = {}
+        weights: dict = {}
+        for a, c, k in lay.const:
+            row, y = rows.get(after + c), f.get(after + c)
+            if row or y:
+                a, k = here + a, into(k)
+                if row:
+                    acc = sums.setdefault(a, {})
+                    for key, x in row.items():
+                        acc[key] = acc.get(key, zero) + k * x
+                if y:
+                    weights[a] = weights.get(a, zero) + k * y
+        for v, entries in lay.by_var.items():
+            for a, c, k in entries:
+                c += after
+                if c in rows or c in f:
+                    sums.setdefault(here + a, {})[c * n + v] = into(k)
+        rows.update((a, row) for a, acc in sums.items() if (row := reduce(acc)))
+        f.update(reduce(weights))
+
+    entered = {0}
+    for g in sorted(rows):
+        if g in entered:
+            entered.update(key // n for key in rows[g])
+    index = {g: p for p, g in enumerate(sorted(entered))}
     by_var: dict = {}
-    for p, (i, a) in enumerate(positions):  # grows while it is walked
-        for j, entries in steps(i, a).items():
-            for b, v, x in entries:
-                q = index.setdefault((j, b), len(positions))
-                if q == len(positions):
-                    positions.append((j, b))
-                by_var.setdefault(v, []).append((p, q, x))
-    zero = abp.field.zero()
-    return Layer([], by_var), [to_sink[i].get(a, {}).get(-1, zero) for i, a in positions]
+    for g, p in index.items():
+        for key, x in rows.pop(g, {}).items():
+            q, v = divmod(key, n)
+            by_var.setdefault(v, []).append((p, index[q], x))
+    return Layer([], by_var), [f.get(g, zero) for g in index]
 
 
 def word_bases(field: Field, matrices: Layer, start: dict, echelons: Iterable[Echelon]) -> Iterator[list]:
@@ -809,13 +855,14 @@ def word_bases(field: Field, matrices: Layer, start: dict, echelons: Iterable[Ec
     keeps a word.  Words go in length-then-lexicographic order and only kept
     ones grow, so every word's vector lies in the span of the kept words not
     after it.  Over the transposed matrices (v_1, ..., v_L) tags S_{v_L}⋯S_{v_1}·start.
+    The entries of S are raw values, as ``linear_representation`` gives them.
     """
     into, reduce, _, _ = raw_ops(field)
-    zero = into(field.zero())
+    zero = into(0)
     out_of: dict = {}  # position -> [(variable, position, raw coefficient)]
     for v, entries in matrices.by_var.items():
         for a, c, x in entries:
-            out_of.setdefault(a, []).append((v, c, into(x)))
+            out_of.setdefault(a, []).append((v, c, x))
     variables = sorted(matrices.by_var)
     grown = [((), reduce({a: into(x) for a, x in start.items()}))]
     for kept in echelons:
@@ -849,7 +896,7 @@ def nisan_ranks(abp: ABP) -> list[int]:
         return sum(x * w[c] for c, x in u.items() if c in w)
 
     matrices, final = linear_representation(abp)
-    column = {p: into(x) for p, x in enumerate(final) if x}
+    column = {p: x for p, x in enumerate(final) if x}
     shared = word_bases(field, matrices, {0: field.one()}, [Echelon(field)] * (abp.depth + 1))
     if not any(into(dot(vec, column)) for basis in shared for _, vec in basis):
         return []

@@ -5,15 +5,14 @@ Four testers with different contracts:
 * ``pit_rational``  — deterministic, rationals only.  The squared-coefficient
   sum of f, which is (f∘f)(1, …, 1) and over the rationals vanishes exactly
   when f does, comes from the Gram iteration X ← Σ_v S_vᵀ X S_v from
-  X = e₀e₀ᵀ over the program's linear representation (S, f), where
-  c_w = e₀·S_{w_1}⋯S_{w_L}·f (``abp.linear_representation``).  The product
-  program f∘f is never built.
+  X = e₀e₀ᵀ, run on integers: S and f are scaled by their denominators.
+  The product program f∘f is never built.
 * ``pit_span_basis`` — deterministic, any field.  Walks ``abp.word_bases``
-  over the same (S, f) from the source with one ``matrices.Echelon`` over
-  words of every length, where ``abp.nisan_ranks``' ranks keep one per length;
-  the first kept word with a nonzero coefficient is the shortest, then
+  over S from the source with one ``matrices.Echelon`` over words of every
+  length, where ``abp.nisan_ranks``' ranks keep one per length; the first
+  kept word with a nonzero coefficient is the shortest, then
   lexicographically least, such word: the witness that expanding the
-  program would give.  Neither walk lays out homogeneous parts.
+  program would give.
 * ``pit_randomized`` — finite fields.  Replaces each variable with a fresh
   value per layer, which separates words by position, and evaluates at
   uniform points in an extension large enough for the usual degree-over-
@@ -23,6 +22,13 @@ Four testers with different contracts:
   the field's log tables; over a prime field of at least 2·depth
   elements, and over a larger extension, on field elements.
 * ``pit_bruteforce`` — expands the program (or circuit) outright.
+
+The two deterministic testers, like ``abp.nisan_ranks``, read the program's
+linear representation (S, f), c_w = e₀·S_{w_1}⋯S_{w_L}·f, which
+``abp.linear_representation`` builds in one backward pass over the layers,
+in ``fields.raw_ops`` values.  They read every row of S, so they do not use
+the lazy forward steps of ``abp.constant_walks``, which serve the
+homogeneous parts, and neither lays out those parts.
 
 ``det_to_abp`` encodes a matrix determinant as a constant-labeled program
 (closed-walk-sequence dynamic programming), and ``reach_to_abp`` encodes
@@ -135,7 +141,7 @@ def pit_span_basis(p: ABP) -> PitVerdict:
     field = p.field
     into, _, _, out = raw_ops(field)
     matrices, final = linear_representation(p)
-    column = {q: into(x) for q, x in enumerate(final) if x}
+    column = {q: x for q, x in enumerate(final) if x}
     for basis in word_bases(field, matrices, {0: field.one()}, [Echelon(field)] * (p.depth + 1)):
         for word, vec in basis:
             c = into(sum(x * column[q] for q, x in vec.items() if q in column))

@@ -97,6 +97,14 @@ def affine_chain(rng, field, depth, n_vars=2):
     return ABP.build(n_vars, field, (1,) * (depth + 1), edges)
 
 
+def dead_end(field):
+    """x0 * (x0 + 3 x1) on layers [1, 2, 1]: x0 enters node 0 of layer 1 and
+    2 x1 enters node 1, but only node 0 goes on to the sink, so no word
+    through node 1 has a nonzero coefficient."""
+    cells = {(0, 0, 0): {0: 1}, (0, 0, 1): {1: 2}, (1, 0, 0): {0: 1, 1: 3}}
+    return ABP.build(2, field, (1, 2, 1), {key: LinearForm.make(field, coeffs=c) for key, c in cells.items()})
+
+
 def form_sum(form: LinearForm, other: LinearForm, field) -> LinearForm:
     """The sum of two labels, variable by variable; a coefficient whose sum
     is zero is dropped, and a variable new to ``form`` comes last."""

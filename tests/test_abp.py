@@ -20,6 +20,7 @@ from hadamard.abp import (
     coefficient_matrices,
     coefficient_of,
     constant_abp,
+    constant_walks,
     homogeneous_parts,
     is_homogeneous_program,
     linear_representation,
@@ -31,7 +32,7 @@ from hadamard.abp import (
     zero_abp,
 )
 from hadamard.errors import ResourceCapError, ValidationError
-from hadamard.fields import ExtField, PrimeField, RationalField
+from hadamard.fields import ExtField, PrimeField, RationalField, raw_ops
 from hadamard.matrices import Echelon, Matrix
 from hadamard.pit import Digraph, det_to_abp, pit_span_basis, reach_to_abp
 from hadamard.polynomials import NCPoly
@@ -396,28 +397,91 @@ def test_nisan_matrix_examples():
     assert nisan_ranks(zero_abp(2, Q)) == []
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False), st.sampled_from([Q, F2, F5, F4]), st.integers(0, 6))
-def test_linear_representation_gives_every_coefficient(rng, field, depth):
-    # affine programs, each inner layer with declared nodes that no entry touches
-    if depth:
-        p = helpers.random_abp(rng, field, n_vars=2, depth=depth, width=2)
-        sizes = (1, *(s + rng.randint(0, 2) for s in p.layer_sizes[1:-1]), 1)
-        p = ABP(p.n_vars, field, sizes, p.layers)
+def _forward_representation(p: ABP) -> tuple[dict, list]:
+    """(S cells {(variable, p, q): raw coefficient}, f) as the forward steps
+    of ``constant_walks`` give them.  A node is live when its constant-only
+    walks to the sink sum to nonzero or one of its steps enters a live node;
+    the positions are the source and every live node that a step of a
+    position enters, in (layer, node) order."""
+    into = raw_ops(p.field)[0]
+    to_sink, steps = constant_walks(p)
+    nodes = [(i, a) for i, size in enumerate(p.layer_sizes) for a in range(size)]
+    live: set = set()
+    for i, a in reversed(nodes):
+        if -1 in to_sink[i].get(a, {}) or any((j, b) in live for j, es in steps(i, a).items() for b, _, _ in es):
+            live.add((i, a))
+    entered = {(0, 0)}
+    for i, a in nodes:
+        if (i, a) in entered:
+            entered.update((j, b) for j, es in steps(i, a).items() for b, _, _ in es if (j, b) in live)
+    index = {node: q for q, node in enumerate(sorted(entered))}
+    cells = {
+        (v, index[(i, a)], index[(j, b)]): into(x)
+        for i, a in index
+        for j, es in steps(i, a).items()
+        for b, v, x in es
+        if (j, b) in live
+    }
+    return cells, [into(to_sink[i].get(a, {}).get(-1, 0)) for i, a in index]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([Q, F2, F5, F4]),
+    st.sampled_from(["random", "affine_chain", "cancel_join", "dead_end"]),
+    st.data(),
+)
+def test_linear_representation_gives_every_coefficient(rng, field, shape, data):
+    if shape == "random":
+        # affine programs, each inner layer with declared nodes that no entry touches
+        depth = data.draw(st.integers(0, 6))
+        if depth:
+            p = helpers.random_abp(rng, field, n_vars=2, depth=depth, width=2)
+            sizes = (1, *(s + rng.randint(0, 2) for s in p.layer_sizes[1:-1]), 1)
+            p = ABP(p.n_vars, field, sizes, p.layers)
+        else:
+            p = ABP(2, field, (1,), [])
+    elif shape == "affine_chain":
+        p = helpers.affine_chain(rng, field, data.draw(st.integers(1, 6)))
+    elif shape == "cancel_join":
+        depth, zero = data.draw(st.integers(3, 5)), data.draw(st.booleans())
+        p = helpers.cancel_join(rng, field, depth, width=2, n_vars=2, zero=zero)
     else:
-        p = ABP(2, field, (1,), [])
+        p = helpers.dead_end(field)
+    into, reduce, _, out = raw_ops(field)
+    zero = into(0)
     matrices, final = linear_representation(p)
-    for length in range(depth + 1):
-        for word in itertools.product(range(2), repeat=length):
-            vec = {0: field.one()}
+    cells = {(v, a, c): x for v, es in matrices.by_var.items() for a, c, x in es}
+    assert len(cells) == sum(map(len, matrices.by_var.values())) and all(cells.values())
+    # the positions in (layer, node) order, each but the source with a
+    # nonzero weight or a step, as the forward steps find them
+    assert (cells, final) == _forward_representation(p)
+    assert all(final[q] or any(a == q for _, a, _ in cells) for q in range(1, len(final)))
+    if isinstance(field, PrimeField):
+        assert all(type(x) is int and 0 <= x < field.p for x in [*cells.values(), *final])
+    for length in range(p.depth + 1):
+        for word in itertools.product(range(p.n_vars), repeat=length):
+            vec = {0: into(1)}
             for v in word:
                 nxt: dict = {}
                 for a, c, x in matrices.by_var.get(v, ()):
                     if a in vec:
-                        nxt[c] = nxt.get(c, field.zero()) + vec[a] * x
-                vec = nxt
-            got = sum((y * final[a] for a, y in vec.items()), field.zero())
-            assert got == coefficient_of(p, word)
+                        nxt[c] = nxt.get(c, zero) + vec[a] * x
+                vec = reduce(nxt)
+            got = into(sum((y * final[a] for a, y in vec.items()), zero))
+            assert out(got) == coefficient_of(p, word)
+
+
+def test_linear_representation_trims_a_dead_end():
+    # node 1 of layer 1 is entered on x1 but no walk goes on from it: it
+    # takes no position, and the witness and the ranks are those of x0 * (x0 + 3 x1)
+    p = helpers.dead_end(F5)
+    matrices, final = linear_representation(p)
+    assert final == [0, 0, 1]
+    assert matrices.cells() == {(0, 1, 0): 1, (1, 2, 0): 1, (1, 2, 1): 3}
+    assert pit_span_basis(p).witness == {"word": [0, 0], "coeff": "1"}
+    assert nisan_ranks(p) == [1, 1, 1]
 
 
 def test_word_bases_index_only_the_positions_steps_enter():

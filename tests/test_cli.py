@@ -23,7 +23,7 @@ from hadamard.errors import DEFAULT_MAX_TERMS
 from hadamard.grammars import DEFAULT_MAX_WORDS, build_mirror_suffix_grammar
 from hadamard.fields import PRIME_TEST_BOUND, ExtField, PrimeField, RationalField, _poly_mul, find_irreducible
 from hadamard.polynomials import NCPoly
-from helpers import cancelling_abp, homogeneous_abp, random_abp, random_circuit
+from helpers import cancel_join, cancelling_abp, dead_end, homogeneous_abp, random_abp, random_circuit
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -662,6 +662,36 @@ def test_products_refuse_homogeneous_parts_past_the_cap_before_building(shape, t
         left = write_json(tmp_path / "c.json", Circuit.build(2, Q, gates, len(gates) - 1).to_json())
     err = _refused_at_once("hadamard", shape, left, program)
     assert "homogeneous parts take 2667002 nodes" in err and str(DEFAULT_MAX_TERMS) in err
+
+
+@pytest.mark.parametrize(
+    "argv, program",
+    [
+        (["pit", "det"], cancel_join(random.Random(3), Q, 6, zero=False)),
+        (["pit", "det"], cancel_join(random.Random(3), Q, 6)),
+        (["pit", "span"], cancel_join(random.Random(4), F5, 7, width=3, zero=False)),
+        (["pit", "span"], dead_end(F5)),
+        (["nisan"], dead_end(F5)),
+        (["nisan"], homogeneous_abp(random.Random(5), F5, 5, width=3)),
+    ],
+)
+def test_identity_tests_and_nisan_never_walk_constant_walks(argv, program, tmp_path, monkeypatch):
+    """``pit det``, ``pit span`` and ``nisan`` read the linear representation,
+    built by its own backward pass: with ``constant_walks``, which serves the
+    homogeneous parts, made to raise, they still answer as the expansion does."""
+    import hadamard.abp as abp_module
+
+    def walked(*args, **kwargs):
+        raise AssertionError("constant_walks was called")
+
+    monkeypatch.setattr(abp_module, "constant_walks", walked)
+    poly = program.expand()
+    code, out, err = run_main(*argv, write_json(tmp_path / "p.json", program.to_json()))
+    assert code == 0, err
+    if argv[0] == "nisan":
+        assert json.loads(out)["ranks"] == poly.nisan_ranks()
+    else:
+        assert json.loads(out)["is_zero"] is poly.is_zero()
 
 
 def test_cfg_intersect_past_the_word_cap_exits_3(tmp_path):

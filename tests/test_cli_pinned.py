@@ -26,7 +26,7 @@ from hadamard.cli import main
 from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.grammars import build_mirror_suffix_grammar, cfg_to_circuit
 from hadamard.pit import Digraph
-from helpers import affine_chain, cancel_join, cancelling_abp, random_abp, random_circuit, scale_form
+from helpers import affine_chain, cancel_join, cancelling_abp, dead_end, random_abp, random_circuit, scale_form
 
 FIELDS = {"q": RationalField(), "f5": PrimeField(5)}
 
@@ -163,8 +163,7 @@ def _inputs() -> dict:
     out["qaff60"] = affine_chain(random.Random("q:aff60"), q, 60)
     # x1 enters node 1 of layer 1, which no entry leaves: a step into a node
     # with no nonzero walk on to the sink
-    dead = {(0, 0, 0): {0: 1}, (0, 0, 1): {1: 2}, (1, 0, 0): {0: 1, 1: 3}}
-    out["f5dead"] = ABP.build(2, f5, (1, 2, 1), {key: LinearForm.make(f5, coeffs=c) for key, c in dead.items()})
+    out["f5dead"] = dead_end(f5)
     out["zcirc"] = _zero_const_circuit(False)
     out["zcirc0"] = _zero_const_circuit(True)
     # t is reached over 0 -> 2 -> 4 -> 3 -> 5; with the arc into 5 gone, not at all
