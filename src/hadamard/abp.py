@@ -34,28 +34,32 @@ callers outside the library, and ``ABP.edges`` is a read-only view of one
 ``LinearForm`` per (layer, from, to), built on first read, which no library
 path reads.
 
-Each walk is described where it is defined.  Two of them walk the
-constant closure, each the way its readers need it.
-``linear_representation`` builds (S, f), c_w = e₀·S_{w_1}⋯S_{w_L}·f over
-the program's own nodes, in one backward pass that sums each node's row
-once, since the identity tests and ``nisan_ranks`` read all of S.
-``constant_walks`` serves ``homogeneous_parts``, one degree-homogeneous
-part per degree: it sums the walks to the sink backward, but a node's steps
-forward only when a part asks for them, since a product that reads only
-low degrees asks from few nodes, where eager rows would cost time quadratic
-in the depth.  ``normalize_edges`` splits a part's nodes until every node
-pair carries a single variable, bar the lone pair of a degree-1 part, which
-consumers read variable by variable; and ``word_bases`` walks S with one
-echelon over all lengths for the span test and ``nisan_ranks``' zero test,
-and one per length for its ranks, so none expands the program.
+Each walk is described where it is defined.  One of them applies the
+constant closure C* = I + C + C² + ⋯ of the constant entries C: ``Walks``
+closes a sparse vector over node numbers, forward or backward, and steps it
+on one variable entry, so c_w = e₀·C*·V_{w_1}·C*⋯V_{w_L}·C*·e_sink and
+neither C* nor any product with it is laid out.  ``homogeneous_parts``, one
+degree-homogeneous part per degree, closes e_sink and each V_v·f backward
+once, but a node's steps forward only when a part asks for them, since a
+product that reads only low degrees asks from few nodes, where eager rows
+would cost time quadratic in the depth.  ``normalize_edges`` splits a
+part's nodes until every node pair carries a single variable, bar the lone
+pair of a degree-1 part, which consumers read variable by variable; and
+``word_bases`` keeps words by their unclosed vectors with one echelon over
+all lengths for the span test and ``nisan_ranks``' zero test, and one per
+length for its ranks, closing only the kept ones, so none expands the
+program.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -419,62 +423,78 @@ def constant_value(part: ABP):
 # homogenization
 
 
-def constant_walks(abp: ABP) -> tuple[list[dict], object]:
-    """(to_sink, steps), for ``homogeneous_parts``.  ``to_sink[j][b]`` sums
-    the walks from node b of layer j to the sink as cells {-1: constants
-    only, v: through one entry of x_v}, zeros dropped, in one backward pass:
-    a constant entry carries every cell of the node it enters, an entry of
-    x_v its -1 cell as the cell of v.  ``steps(i, a)``, cached, sums the
-    steps out of node a of layer i — a constant-only walk, then one variable
-    entry into a later layer j — as {j: [(b, v, coefficient)]}, zeros
-    dropped.  Steps are walked forward on demand because a part reads them
-    only from the nodes its inner layers hold: against a deep affine chain,
-    a product of degree 2 reads those of the source alone, where summing
-    every node's steps, as ``linear_representation`` does, would take time
-    quadratic in the depth.
+class Walks:
+    """A program's constant closure C* = I + C + C² + ⋯ and its variable
+    steps, applied to sparse vectors {node number: value}, node a of layer
+    i numbered start[i] + a, so c_w = e₀·C*·V_{w_1}·C*⋯V_{w_L}·C*·e_sink
+    for C the constant entries and V_v those of x_v.  Neither C* nor a
+    product C*·V_v is laid out: ``close`` sums a vector's walks over the
+    constant entries it reaches, ``step`` takes one variable entry.
 
-    The sums run on the field's raw values (``fields.raw_ops``): over F_p on
-    residues, reduced and rid of zeros after each layer, and a coefficient
-    becomes an element once, where ``to_sink`` or a step stores it.
-    """
-    into, reduce, _, out = raw_ops(abp.field)
-    zero, one = into(0), into(1)
-    d = abp.depth
-    layers = [lay.map(into) for lay in abp.layers]
+    Values are ``fields.raw_ops`` values, with its ``into``, ``reduce`` and
+    ``out``, or with ``scale``, a common multiple of a ℚ program's
+    denominators, the ints scale·k: a walk over n entries then carries
+    scale^n times its value."""
 
-    to_sink: list[dict] = [dict() for _ in range(d + 1)]  # raw cells
-    to_sink[d][0] = {-1: one}
-    for j in range(d - 1, -1, -1):
-        here, after = {}, to_sink[j + 1]
-        for v, entries in layers[j].matrices():
-            for a, c, k in entries:
-                cells = after.get(c, {})
-                if v >= 0:
-                    cells = {v: cells[-1]} if -1 in cells else {}
-                for u, t in cells.items():
-                    mine = here.setdefault(a, {})
-                    mine[u] = mine.get(u, zero) + k * t
-        to_sink[j] = {a: kept for a, cells in here.items() if (kept := reduce(cells))}
+    def __init__(self, abp: ABP, scale: int = 0):
+        self.into, self.reduce, _, self.out = raw_ops(abp.field)
+        if scale:  # ints are their own values, and their zeros drop as rationals' do
+            self.into = operator.pos
+        self.zero = self.into(0)
+        start = list(itertools.accumulate(abp.layer_sizes, initial=0))
+        self.sink = start[-2]
+        # forward and backward: constant entries [(node, value)] and variable
+        # entries [(variable, node, value)] out of each node
+        self.const: tuple[dict, dict] = ({}, {})
+        self.var: tuple[dict, dict] = ({}, {})
+        for i, lay in enumerate(abp.layers):
+            for v, entries in lay.matrices():
+                for a, c, k in entries:
+                    x = k.numerator * (scale // k.denominator) if scale else self.into(k)
+                    g, h = start[i] + a, start[i + 1] + c
+                    if v < 0:
+                        self.const[0].setdefault(g, []).append((h, x))
+                        self.const[1].setdefault(h, []).append((g, x))
+                    else:
+                        self.var[0].setdefault(g, []).append((v, h, x))
+                        self.var[1].setdefault(h, []).append((v, g, x))
 
-    @cache
-    def steps(i: int, a: int) -> dict[int, list]:
-        by_layer: dict[int, list] = {}
-        reach = {a: one}  # constant-only walks from (i, a) into layer j-1
-        for j in range(i + 1, d + 1):
-            coeffs: dict[tuple[int, int], object] = {}  # (b, v or -1) -> coefficient
-            for v, entries in layers[j - 1].matrices():
-                for m, b, k in entries:
-                    w = reach.get(m)
-                    if w:
-                        coeffs[(b, v)] = coeffs.get((b, v), zero) + w * k
-            coeffs = reduce(coeffs)
-            by_layer[j] = [(b, v, out(x)) for (b, v), x in coeffs.items() if v >= 0]
-            reach = {b: x for (b, v), x in coeffs.items() if v < 0}
-            if not reach:
-                break
-        return by_layer
+    def close(self, vec: dict, backward: bool = False) -> dict:
+        """vec·C*, or C*·vec backward, zeros dropped, in one pass over the
+        nodes that vec's constant walks reach and that a constant entry
+        leaves, least first from a heap (greatest first backward): a node's
+        value is complete when it is popped, since every constant entry
+        enters a later layer."""
+        into, entries = self.into, self.const[backward]
+        sign = -1 if backward else 1
+        out = dict(vec)
+        heap = [sign * g for g in out if g in entries]
+        heapify(heap)
+        while heap:
+            g = sign * heappop(heap)
+            x = out[g] = into(out[g])
+            if x:
+                for h, k in entries[g]:
+                    if h in out:
+                        out[h] += k * x
+                    else:
+                        out[h] = k * x
+                        if h in entries:
+                            heappush(heap, sign * h)
+        return self.reduce(out)
 
-    return [{b: {u: out(x) for u, x in cells.items()} for b, cells in walks.items()} for walks in to_sink], steps
+    def step(self, vec: dict, backward: bool = False) -> dict:
+        """{v: vec·V_v}, or {v: V_v·vec} backward, for each variable whose
+        product is nonzero, in variable order."""
+        zero, entries = self.zero, self.var[backward]
+        rows: dict = {}
+        for g, x in vec.items():
+            for v, h, k in entries.get(g, ()):
+                row = rows.get(v)
+                if row is None:
+                    row = rows[v] = {}
+                row[h] = row.get(h, zero) + k * x
+        return {v: row for v in sorted(rows) if (row := self.reduce(rows[v]))}
 
 
 def homogeneous_parts(abp: ABP, top: int) -> list[ABP]:
@@ -485,53 +505,57 @@ def homogeneous_parts(abp: ABP, top: int) -> list[ABP]:
     steps; an edge bundles a constant-only walk followed by one
     variable-carrying original edge, and edges into the sink also absorb the
     trailing constant-only walk.  No part after the first has a constant
-    entry.  Inner edges are the ``constant_walks`` steps, edges into the sink
-    and the constant part its backward sums.  With top >= depth the parts sum
-    to the input; a reader passes the highest degree it reads.  The node
-    count, cubic in the depth when top reaches it, is worked out from the
-    layer sizes first: past ``DEFAULT_MAX_TERMS`` nothing is walked.
+    entry.  With top >= depth the parts sum to the input; a reader passes
+    the highest degree it reads.  The node count, cubic in the depth when
+    top reaches it, is worked out from the layer sizes first: past
+    ``DEFAULT_MAX_TERMS`` nothing is walked.
+
+    The edges come from ``Walks``.  Those into the sink, and the constant
+    part, read f = C*·e_sink and C*·V_v·f, closed backward once for every
+    node.  An inner edge is a step e_g·C*·V_v, closed forward from node g
+    only when a part holds g, and cached: a product that reads only low
+    degrees asks from few nodes, where every node's steps would cost time
+    quadratic in the depth on a deep affine chain.
     """
     field = abp.field
     d = abp.depth
-    layers = abp.layers
     top = min(top, d)
     # layer w (0 < w < k) of part k lays out original layers w..d-(k-w) end to
-    # end, so node (i, a) sits at start[i] - start[w] + a and the layer has
+    # end, so node g = start[i] + a sits at g - start[w] and the layer has
     # start[d-k+w+1] - start[w] nodes; summed over w by prefix sums of start
     start = list(itertools.accumulate(abp.layer_sizes, initial=0))
     twice = list(itertools.accumulate(start, initial=0))
     total = 2 + sum(2 + twice[d + 1] - twice[d - k + 2] - twice[k] for k in range(1, top + 1))
     if total > DEFAULT_MAX_TERMS:
         raise ResourceCapError(f"the homogeneous parts take {total} nodes, past the cap of {DEFAULT_MAX_TERMS}")
-    to_sink, steps = constant_walks(abp)
+    walks = Walks(abp)
+    f = walks.close({walks.sink: walks.into(1)}, True)
+    to_sink: dict = {}  # node -> [(v, coefficient of its walks to the sink through one entry of x_v)]
+    for v, vec in walks.step(f, True).items():
+        for g, x in walks.close(vec, True).items():
+            to_sink.setdefault(g, []).append((v, walks.out(x)))
 
-    parts = [constant_abp(abp.n_vars, field, to_sink[0].get(0, {}).get(-1, field.zero()))]
-    # only the nodes that some entry leaves are walked, in node order
-    leaving = [sorted({a for _, entries in lay.matrices() for a, _, _ in entries}) for lay in layers]
+    @cache
+    def steps(g: int) -> list:
+        rows = walks.step(walks.close({g: walks.into(1)}))
+        return [(h, v, walks.out(x)) for v, row in rows.items() for h, x in row.items()]
 
+    parts = [constant_abp(abp.n_vars, field, walks.out(f[0]) if 0 in f else field.zero())]
+    leaving = sorted(walks.const[0].keys() | walks.var[0].keys())  # only nodes that an entry leaves are walked
     for k in range(1, top + 1):
-        nodes = [[(0, 0, a) for a in leaving[0]]] + [
-            [(start[i] - start[w] + a, i, a) for i in range(w, d - k + w + 1) for a in leaving[i]]
-            for w in range(1, k)
-        ]
-        out = [Layer([], {}) for _ in range(k)]
-        for w in range(k - 1):
-            by_var = out[w].by_var
-            for src, i, a in nodes[w]:
-                by_layer = steps(i, a)
-                for j in range(i + 1, d - (k - w - 1) + 1):
-                    offset = start[j] - start[w + 1]
-                    for b, v, x in by_layer.get(j, ()):
-                        by_var.setdefault(v, []).append((src, offset + b, x))
-        # final step: constants, one variable entry, constants to the sink
-        by_var = out[k - 1].by_var
-        for src, i, a in nodes[k - 1]:
-            for v, x in to_sink[i].get(a, {}).items():
-                if v >= 0:
-                    by_var.setdefault(v, []).append((src, 0, x))
-
+        layers = [Layer([], {}) for _ in range(k)]
+        for w, lay in enumerate(layers):
+            # part layer w holds original layer 0, or layers w..d-k+w, node g at g - lo
+            lo, hi = start[w], start[d - k + w + 1 if w else 1]
+            for g in leaving[bisect_left(leaving, lo) : bisect_left(leaving, hi)]:
+                if w == k - 1:  # constants, one variable entry, constants to the sink
+                    edges = [(v, 0, x) for v, x in to_sink.get(g, ())]
+                else:  # constants and one variable entry into part layer w + 1
+                    edges = [(v, h - start[w + 1], x) for h, v, x in steps(g) if h < start[d - k + w + 2]]
+                for v, c, x in edges:
+                    lay.by_var.setdefault(v, []).append((g - lo, c, x))
         layer_sizes = (1, *(start[d - k + w + 1] - start[w] for w in range(1, k)), 1)
-        parts.append(ABP(abp.n_vars, field, layer_sizes, out))
+        parts.append(ABP(abp.n_vars, field, layer_sizes, layers))
 
     return parts
 
@@ -787,128 +811,53 @@ def coefficient_of(abp: ABP, word: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# the linear representation, its word bases and Nisan ranks
+# word bases and Nisan ranks
 
 
-def linear_representation(abp: ABP) -> tuple[Layer, list]:
-    """(S, f) with c_w = e₀·S_{w_1}⋯S_{w_L}·f for every word w, in
-    ``fields.raw_ops`` values, from one backward pass over the program's
-    layers.  The row of node a of layer i holds a's entries of x_v, each a
-    step on x_v to the node it enters, plus k times the row of c for each
-    constant entry (a, c, k); f(a) sums k·f(c) over the same constant
-    entries, from f = 1 at the sink.  An entry of x_v into a node with
-    neither a row nor a nonzero f adds no step, since every word through it
-    has coefficient 0.  Each row is summed once, where its layer is passed.
-
-    Positions are the source and every node that the row of a position
-    enters, indexed in (layer, node) order, which the span test's echelon
-    pivots by.  S is one square ``Layer`` whose entries (p, q, coefficient)
-    of variable v are the steps of p's row into q on x_v, and f[p] is p's
-    weight.  Every step enters a later layer, so S is nilpotent.
+def word_bases(walks: Walks, backward: bool, start: dict, echelons: Iterable[Echelon]) -> Iterator[list]:
+    """Word-tagged bases [(word, vector, closed vector)], sparse in raw
+    values, one per length while the length's echelon, the next of
+    ``echelons``, keeps a word.  The vector of w is start·C*·V_{w_1}⋯C*·V_{w_L},
+    unclosed, which the echelon takes; a kept word's vector is closed and
+    grows by a ``Walks.step``.  Words go in length-then-lexicographic order
+    and only kept ones grow, so every word's vector lies in the span of the
+    kept words not after it.  Backward (v_1, ..., v_L) tags
+    V_{v_L}·C*⋯V_{v_1}·C*·start.
     """
-    into, reduce, _, _ = raw_ops(abp.field)
-    zero, one = into(0), into(1)
-    start = list(itertools.accumulate(abp.layer_sizes, initial=0))
-    n = 1 + max((v for lay in abp.layers for v in lay.by_var), default=0)
-    # keyed by node number start[layer] + node: rows {node * n + variable:
-    # coefficient} and f, zeros dropped
-    rows: dict = {}
-    f: dict = {start[-2]: one}
-    for i in range(abp.depth - 1, -1, -1):
-        here, after, lay = start[i], start[i + 1], abp.layers[i]
-        sums: dict = {}
-        weights: dict = {}
-        for a, c, k in lay.const:
-            row, y = rows.get(after + c), f.get(after + c)
-            if row or y:
-                a, k = here + a, into(k)
-                if row:
-                    acc = sums.setdefault(a, {})
-                    for key, x in row.items():
-                        acc[key] = acc.get(key, zero) + k * x
-                if y:
-                    weights[a] = weights.get(a, zero) + k * y
-        for v, entries in lay.by_var.items():
-            for a, c, k in entries:
-                c += after
-                if c in rows or c in f:
-                    sums.setdefault(here + a, {})[c * n + v] = into(k)
-        rows.update((a, row) for a, acc in sums.items() if (row := reduce(acc)))
-        f.update(reduce(weights))
-
-    entered = {0}
-    for g in sorted(rows):
-        if g in entered:
-            entered.update(key // n for key in rows[g])
-    index = {g: p for p, g in enumerate(sorted(entered))}
-    by_var: dict = {}
-    for g, p in index.items():
-        for key, x in rows.pop(g, {}).items():
-            q, v = divmod(key, n)
-            by_var.setdefault(v, []).append((p, index[q], x))
-    return Layer([], by_var), [f.get(g, zero) for g in index]
-
-
-def word_bases(field: Field, matrices: Layer, start: dict, echelons: Iterable[Echelon]) -> Iterator[list]:
-    """Word-tagged bases [(word, start·S_{w_1}⋯S_{w_L})], sparse in raw values,
-    one per length while the length's echelon, the next of ``echelons``,
-    keeps a word.  Words go in length-then-lexicographic order and only kept
-    ones grow, so every word's vector lies in the span of the kept words not
-    after it.  Over the transposed matrices (v_1, ..., v_L) tags S_{v_L}⋯S_{v_1}·start.
-    The entries of S are raw values, as ``linear_representation`` gives them.
-    """
-    into, reduce, _, _ = raw_ops(field)
-    zero = into(0)
-    out_of: dict = {}  # position -> [(variable, position, raw coefficient)]
-    for v, entries in matrices.by_var.items():
-        for a, c, x in entries:
-            out_of.setdefault(a, []).append((v, c, x))
-    variables = sorted(matrices.by_var)
-    grown = [((), reduce({a: into(x) for a, x in start.items()}))]
+    grown = [((), start)]
     for kept in echelons:
-        basis = [(word, vec) for word, vec in grown if kept.add(vec)]
+        basis = [(word, vec, walks.close(vec, backward)) for word, vec in grown if kept.add(vec)]
         if not basis:
             return
         yield basis
-        grown = []
-        for word, vec in basis:
-            rows: dict = {v: {} for v in variables}
-            for a, y in vec.items():
-                for v, c, x in out_of.get(a, ()):
-                    row = rows[v]
-                    row[c] = row.get(c, zero) + y * x
-            grown.extend((word + (v,), reduce(row)) for v, row in rows.items())
+        grown = [(word + (v,), vec) for word, _, closed in basis for v, vec in walks.step(closed, backward).items()]
 
 
 def nisan_ranks(abp: ABP) -> list[int]:
     """Ranks of the Nisan matrices M_0, ..., M_d of the polynomial the
     program computes, or [] when it is zero, decided first as ``pit span``
     decides it; one with terms of two degrees has none and raises
-    ``ValidationError``.  M_k[u][w] = c_{uw} = e₀·S_u·S_w·f over |u| = k and
-    |w| = d-k, so rank M_k = rank(F_k·B_{d-k}ᵀ) for the ``word_bases`` F
-    from e₀ and B over the transposed S from f, one echelon per length: F_k
-    must span every length-k vector.
+    ``ValidationError``.  M_k[u][w] = c_{uw} over |u| = k and |w| = d-k is
+    the closed forward vector of u times the unclosed backward vector of w
+    from e_sink, so rank M_k = rank(F_k·B_{d-k}ᵀ) for the ``word_bases`` F
+    and B, one echelon per length: F_k must span every length-k vector.
     """
     field = abp.field
-    into = raw_ops(field)[0]
+    walks = Walks(abp)
+    one, sink = walks.into(1), walks.sink
 
-    def dot(u: dict, w: dict):
-        return sum(x * w[c] for c, x in u.items() if c in w)
+    def row(f: dict, basis: list) -> dict:
+        """f's row of F_k·B_{d-k}ᵀ: its products with the unclosed vectors of B_{d-k}."""
+        return {j: sum(x * b[c] for c, x in f.items() if c in b) for j, (_, b, _) in enumerate(basis)}
 
-    matrices, final = linear_representation(abp)
-    column = {p: x for p, x in enumerate(final) if x}
-    shared = word_bases(field, matrices, {0: field.one()}, [Echelon(field)] * (abp.depth + 1))
-    if not any(into(dot(vec, column)) for basis in shared for _, vec in basis):
+    shared = word_bases(walks, False, {0: one}, [Echelon(field)] * (abp.depth + 1))
+    if not any(closed.get(sink) for basis in shared for _, _, closed in basis):
         return []
     fresh = map(Echelon, itertools.repeat(field))  # a new echelon per length of either walk
-    forward = list(word_bases(field, matrices, {0: field.one()}, fresh))
-    degrees = [k for k, basis in enumerate(forward) if any(into(dot(vec, column)) for _, vec in basis)]
+    forward = list(word_bases(walks, False, {0: one}, fresh))
+    degrees = [k for k, basis in enumerate(forward) if any(closed.get(sink) for _, _, closed in basis)]
     if len(degrees) > 1:
         raise ValidationError("Nisan matrices require a homogeneous polynomial")
     (d,) = degrees
-    transposed = Layer([], {v: [(c, a, x) for a, c, x in es] for v, es in matrices.by_var.items()})
-    backward = list(itertools.islice(word_bases(field, transposed, dict(enumerate(final)), fresh), d + 1))
-    return [
-        sum(map(Echelon(field).add, ({j: dot(f, b) for j, (_, b) in enumerate(backward[d - k])} for _, f in forward[k])))
-        for k in range(d + 1)
-    ]
+    backward = list(itertools.islice(word_bases(walks, True, {sink: one}, fresh), d + 1))
+    return [sum(map(Echelon(field).add, (row(f, backward[d - k]) for _, _, f in forward[k]))) for k in range(d + 1)]

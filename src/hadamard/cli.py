@@ -128,13 +128,14 @@ def _load_grammar(path: str) -> AcyclicCFG:
 
 
 def _load_rows(path: str, what: str) -> list:
-    """A rational matrix given as a JSON array of rows."""
-    from fractions import Fraction
+    """A rational matrix given as a JSON array of rows, each entry read as a
+    rational coefficient is."""
+    from .fields import RationalField
 
     obj = _read_json(path)
     if not isinstance(obj, list):
         raise ValidationError(f"{what} input must be a JSON array of rows")
-    return _parse(path, lambda: [[Fraction(str(x)) for x in row] for row in obj])
+    return _parse(path, lambda: [[RationalField().coeff_from_json(str(x)) for x in row] for row in obj])
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +345,12 @@ def cmd_lab_expsum(args) -> dict:
 
 
 def cmd_lab_perm(args) -> dict:
+    from .fields import RationalField
     from .lab import permanent_polynomials, permanent_via_hadamard
 
     if args.input is not None:  # argparse takes a matrix file or --n, not both
         rows = _load_rows(args.input, "permanent")
-        return {"n": len(rows), "permanent": str(permanent_via_hadamard(rows))}
+        return {"n": len(rows), "permanent": RationalField().coeff_to_json(permanent_via_hadamard(rows))}
     # no matrix: emit the symbolic product, one monomial per permutation
     r, c = permanent_polynomials(args.n)
     prod = r.hadamard(c)

@@ -54,7 +54,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -215,10 +218,24 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the rational field
 
+# the exponent of a rational written as ``Fraction`` reads it ("1.5e-3")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n > 0, found without writing n."""
+    d = max(int((n.bit_length() - 1) * math.log10(2)) - 1, 0)
+    while n >= 10**d:
+        d += 1
+    return d
+
 
 @dataclass(frozen=True)
 class RationalField:
-    """The field of rational numbers; elements are ``Fraction`` values."""
+    """The field of rational numbers; elements are ``Fraction`` values.  A
+    value is read and written only while its numerator and denominator have
+    at most ``sys.get_int_max_str_digits()`` digits, the most ``str``
+    writes."""
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -240,12 +257,25 @@ class RationalField:
         return Fraction(rng.randint(-3, 3))
 
     def coeff_to_json(self, x) -> str:
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # the numerator or denominator is past the limit
+            digits, limit = _digits(max(abs(x.numerator), x.denominator)), sys.get_int_max_str_digits()
+            raise ResourceCapError(f"a rational value has {digits} digits, past the limit of {limit}") from None
 
     def coeff_from_json(self, obj) -> Fraction:
         if not isinstance(obj, str):
             raise ValidationError(f"rational coefficient must be a string, got {obj!r}")
-        return Fraction(obj)
+        limit, exponent = sys.get_int_max_str_digits(), _EXPONENT.search(obj)
+        # past this exponent a nonzero value has more digits than the limit,
+        # so the value is refused before it is built
+        if limit and exponent and abs(e := int(exponent.group(1))) > limit + len(obj):
+            raise ValidationError(f"a rational coefficient has exponent {e}, past the limit of {limit} digits")
+        x = Fraction(obj)
+        n = max(abs(x.numerator), x.denominator)
+        if limit and n.bit_length() > 3 * limit and n >= 10**limit:  # 2^3 < 10
+            raise ValidationError(f"a rational coefficient has {_digits(n)} digits, past the limit of {limit}")
+        return x
 
     def descriptor(self) -> dict:
         return {"kind": "Q"}
@@ -670,7 +700,7 @@ def coeff_text(field: Field) -> Callable[[object], str]:
     if isinstance(field, PrimeField):
         return lambda x: '"%d"' % x.value
     if isinstance(field, RationalField):
-        return lambda x: '"' + str(x) + '"'
+        return lambda x: '"' + field.coeff_to_json(x) + '"'
     return lambda x: "[" + ",".join(map(str, x.coeffs)) + "]"
 
 

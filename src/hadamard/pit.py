@@ -4,15 +4,15 @@ Four testers with different contracts:
 
 * ``pit_rational``  — deterministic, rationals only.  The squared-coefficient
   sum of f, which is (f∘f)(1, …, 1) and over the rationals vanishes exactly
-  when f does, comes from the Gram iteration X ← Σ_v S_vᵀ X S_v from
-  X = e₀e₀ᵀ, run on integers: S and f are scaled by their denominators.
-  The product program f∘f is never built.
+  when f does, comes from the Gram iteration X ← Σ_v V_vᵀ·(C*ᵀ·X·C*)·V_v
+  from X = e₀e₀ᵀ, run on integers: every entry is scaled by one common
+  denominator.  The product program f∘f is never built.
 * ``pit_span_basis`` — deterministic, any field.  Walks ``abp.word_bases``
-  over S from the source with one ``matrices.Echelon`` over words of every
+  from the source with one ``matrices.Echelon`` over words of every
   length, where ``abp.nisan_ranks``' ranks keep one per length; the first
   kept word with a nonzero coefficient is the shortest, then
   lexicographically least, such word: the witness that expanding the
-  program would give.
+  program would give, whichever spanning words the echelon keeps.
 * ``pit_randomized`` — finite fields.  Replaces each variable with a fresh
   value per layer, which separates words by position, and evaluates at
   uniform points in an extension large enough for the usual degree-over-
@@ -23,12 +23,11 @@ Four testers with different contracts:
   elements, and over a larger extension, on field elements.
 * ``pit_bruteforce`` — expands the program (or circuit) outright.
 
-The two deterministic testers, like ``abp.nisan_ranks``, read the program's
-linear representation (S, f), c_w = e₀·S_{w_1}⋯S_{w_L}·f, which
-``abp.linear_representation`` builds in one backward pass over the layers,
-in ``fields.raw_ops`` values.  They read every row of S, so they do not use
-the lazy forward steps of ``abp.constant_walks``, which serve the
-homogeneous parts, and neither lays out those parts.
+The two deterministic testers, like ``abp.nisan_ranks``, read the program
+through ``abp.Walks``, c_w = e₀·C*·V_{w_1}·C*⋯V_{w_L}·C*·e_sink for C the
+constant entries, V_v those of x_v and C* = I + C + C² + ⋯, applied to
+vectors, in ``fields.raw_ops`` values or scaled integers; neither lays out
+C*, a product with it or the homogeneous parts.
 
 ``det_to_abp`` encodes a matrix determinant as a constant-labeled program
 (closed-walk-sequence dynamic programming), and ``reach_to_abp`` encodes
@@ -46,10 +45,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .abp import ABP, Layer, coefficient_of, constant_abp, layers_of, linear_representation, merged_layers, word_bases
+from .abp import ABP, Layer, Walks, coefficient_of, constant_abp, layers_of, merged_layers, word_bases
 from .circuits import Circuit
 from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
-from .fields import ExtField, Field, PrimeField, RationalField, json_int, raw_ops
+from .fields import ExtField, Field, PrimeField, RationalField, json_int
 from .matrices import Echelon
 
 
@@ -65,7 +64,7 @@ class PitVerdict:
     def to_json(self) -> dict:
         failure = None
         if self.per_trial_bound is not None and self.trials is not None:
-            failure = str(self.per_trial_bound**self.trials)
+            failure = RationalField().coeff_to_json(self.per_trial_bound**self.trials)
         return {
             "is_zero": self.is_zero,
             "method": self.method,
@@ -79,53 +78,44 @@ class PitVerdict:
         }
 
 
-def _gram_step(x: dict, lay: Layer) -> dict:
-    """Σ_v M_vᵀ X M_v over the layer's integer variable matrices, for a
-    sparse X = {row: {col: value}}: per variable the product M_vᵀ X, then
-    its product with M_v.  Constant entries are not read."""
-    out: dict = {}
-    for entries in lay.by_var.values():
-        left: dict = {}  # M_vᵀ X, by row
-        for a, c, k in entries:
-            row = x.get(a)
-            if row:
-                acc = left.setdefault(c, {})
-                for b, y in row.items():
-                    acc[b] = acc.get(b, 0) + k * y
-        by_row: dict = {}
-        for b, d, k in entries:
-            by_row.setdefault(b, []).append((d, k))
-        for c, row in left.items():
-            acc = out.setdefault(c, {})
-            for b, y in row.items():
-                if y:
-                    for d, k in by_row.get(b, ()):
-                        acc[d] = acc.get(d, 0) + y * k
-    return out
-
-
 def pit_rational(p: ABP) -> PitVerdict:
     """Zero iff the sum of squared coefficients is zero (rationals only).
 
-    Over the ``linear_representation`` (S, f), the words of length L give
-    Σ_{|w|=L} c_w² = fᵀ·X_L·f, where X_0 = e₀e₀ᵀ and X_{L+1} = Σ_v S_vᵀ X_L S_v;
-    S is nilpotent, so X vanishes after at most depth + 1 lengths.
+    The words of length L give Σ_{|w|=L} c_w² = Y_L[sink][sink] for
+    Y_L = C*ᵀ·X_L·C*, where X_0 = e₀e₀ᵀ and X_{L+1} = Σ_v V_vᵀ·Y_L·V_v over
+    the program's ``Walks``; every step enters a later layer, so X vanishes
+    after at most depth + 1 lengths.  X is symmetric: closing its rows gives
+    X·C*, whose transpose is C*ᵀ·X, and closing the rows of that gives Y, of
+    which only the sink's row and those that a variable entry leaves are
+    read.  The iteration runs on integers: every entry is scaled by the
+    least common multiple of the denominators, and since every path has
+    depth entries the sum is divided by that scale to the power 2·depth.
     """
     if not isinstance(p.field, RationalField):
         raise ValidationError("squared-coefficient test needs rational coefficients")
-    matrices, final = linear_representation(p)
-    # the iteration runs on integers: S is scaled by the least common
-    # denominator of its entries and f by that of its own, and each length's
-    # term is divided by the squared scales
-    den = math.lcm(*(k.denominator for es in matrices.by_var.values() for _, _, k in es))
-    steps = matrices.map(lambda k: k.numerator * (den // k.denominator))
-    fden = math.lcm(*(k.denominator for k in final))
-    f = [k.numerator * (fden // k.denominator) for k in final]
-    total, x, scale = Fraction(0), {0: {0: 1}}, fden * fden
+    den = math.lcm(*(k.denominator for lay in p.layers for _, es in lay.matrices() for _, _, k in es))
+    walks = Walks(p, den)
+    sink, leaving = walks.sink, walks.var[0]
+    total, x = 0, {0: {0: 1}}
     while x:
-        total += Fraction(sum(f[a] * y * f[b] for a, row in x.items() for b, y in row.items()), scale)
-        x = _gram_step(x, steps)
-        scale *= den * den
+        cols: dict = {}  # the rows of C*ᵀ·X that are read
+        for a, row in x.items():
+            for b, y in walks.close(row).items():
+                if b in leaving or b == sink:
+                    cols.setdefault(b, {})[a] = y
+        out: dict = {}
+        for a, col in cols.items():
+            row = walks.close(col)  # row a of Y
+            if a == sink:
+                total += row.get(sink, 0)
+            right = walks.step(row)  # {v: row a of Y·V_v}
+            for v, c, k in leaving.get(a, ()):
+                if v in right:
+                    acc = out.setdefault(c, {})
+                    for e, y in right[v].items():
+                        acc[e] = acc.get(e, 0) + k * y
+        x = {c: kept for c, acc in out.items() if (kept := walks.reduce(acc))}
+    total = Fraction(total, den ** (2 * p.depth))
     return PitVerdict(
         is_zero=total == 0,
         method="square_sum",
@@ -134,19 +124,17 @@ def pit_rational(p: ABP) -> PitVerdict:
 
 
 def pit_span_basis(p: ABP) -> PitVerdict:
-    """Deterministic: the first word of the forward ``word_bases`` of the
-    ``linear_representation`` (S, f), one ``Echelon`` for every length,
-    whose vector has a nonzero product with f.  Every word's vector lies in
-    the span of the kept words not after it, so no earlier word has one."""
+    """Deterministic: the first word of the forward ``word_bases`` from e₀,
+    one ``Echelon`` for every length, whose closed vector has a nonzero
+    sink entry, its coefficient.  Every word's vector lies in the span of
+    the kept words not after it, so no earlier word has one."""
     field = p.field
-    into, _, _, out = raw_ops(field)
-    matrices, final = linear_representation(p)
-    column = {q: x for q, x in enumerate(final) if x}
-    for basis in word_bases(field, matrices, {0: field.one()}, [Echelon(field)] * (p.depth + 1)):
-        for word, vec in basis:
-            c = into(sum(x * column[q] for q, x in vec.items() if q in column))
+    walks = Walks(p)
+    for basis in word_bases(walks, False, {0: walks.into(1)}, [Echelon(field)] * (p.depth + 1)):
+        for word, _, closed in basis:
+            c = closed.get(walks.sink)
             if c:
-                c = out(c)
+                c = walks.out(c)
                 if coefficient_of(p, word) != c:
                     raise RuntimeError(f"span basis witness {list(word)} disagrees with the program's coefficient")
                 return PitVerdict(

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: cofactor expansion for determinants,
 breadth-first search for reachability, permutation sums for permanents,
-schoolbook products and repeated powering for extension-field traces, trial
-division for irreducibility, Gaussian elimination and the span walk on
+schoolbook products and repeated powering for extension-field traces,
+trial division for irreducibility, a program's constant closure summed
+power by power over dense matrices, Gaussian elimination and the span walk on
 field element objects, the JSON objects of programs and circuits built one
 dict per edge or gate, the ``lab corr`` report assembled from the sign
 polynomial F and its 0/1 shift as whole polynomials, homogeneous parts
@@ -629,6 +630,37 @@ def element_span_basis(p: ABP) -> PitVerdict:
                 witness={"word": list(word), "coeff": field.coeff_to_json(c)},
             )
     return PitVerdict(is_zero=True, method="span_basis")
+
+
+def dense_walks(p: ABP) -> tuple[list, dict]:
+    """(C*, {v: V_v}) of a program as dense matrices of field elements over
+    the node numbers start[i] + a: C holds the constant entries, V_v those
+    of x_v, and C* = I + C + C² + ⋯ is summed power by power until a power
+    is zero."""
+    field = p.field
+    zero, one = field.zero(), field.one()
+    start = list(itertools.accumulate(p.layer_sizes, initial=0))
+    n = start[-1]
+
+    def matrix(entries_by_layer):
+        m = [[zero] * n for _ in range(n)]
+        for i, entries in entries_by_layer:
+            for a, b, k in entries:
+                m[start[i] + a][start[i + 1] + b] = k
+        return m
+
+    def product(x, y):
+        return [[sum((x[i][k] * y[k][j] for k in range(n)), zero) for j in range(n)] for i in range(n)]
+
+    const = matrix(enumerate(lay.const for lay in p.layers))
+    variables = {v for lay in p.layers for v in lay.by_var}
+    steps = {v: matrix((i, lay.by_var.get(v, ())) for i, lay in enumerate(p.layers)) for v in variables}
+    closure = power = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    while True:
+        power = product(power, const)
+        if not any(map(any, power)):
+            return closure, steps
+        closure = [[a + b for a, b in zip(r, s)] for r, s in zip(closure, power)]
 
 
 def node_list_homogeneous_parts(abp: ABP) -> list[ABP]:

@@ -14,16 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from hadamard.abp import (
     ABP,
-    Layer,
     LinearForm,
+    Walks,
     abp_sum,
     coefficient_matrices,
     coefficient_of,
     constant_abp,
-    constant_walks,
     homogeneous_parts,
     is_homogeneous_program,
-    linear_representation,
     nisan_ranks,
     normalize_edges,
     prune,
@@ -397,34 +395,6 @@ def test_nisan_matrix_examples():
     assert nisan_ranks(zero_abp(2, Q)) == []
 
 
-def _forward_representation(p: ABP) -> tuple[dict, list]:
-    """(S cells {(variable, p, q): raw coefficient}, f) as the forward steps
-    of ``constant_walks`` give them.  A node is live when its constant-only
-    walks to the sink sum to nonzero or one of its steps enters a live node;
-    the positions are the source and every live node that a step of a
-    position enters, in (layer, node) order."""
-    into = raw_ops(p.field)[0]
-    to_sink, steps = constant_walks(p)
-    nodes = [(i, a) for i, size in enumerate(p.layer_sizes) for a in range(size)]
-    live: set = set()
-    for i, a in reversed(nodes):
-        if -1 in to_sink[i].get(a, {}) or any((j, b) in live for j, es in steps(i, a).items() for b, _, _ in es):
-            live.add((i, a))
-    entered = {(0, 0)}
-    for i, a in nodes:
-        if (i, a) in entered:
-            entered.update((j, b) for j, es in steps(i, a).items() for b, _, _ in es if (j, b) in live)
-    index = {node: q for q, node in enumerate(sorted(entered))}
-    cells = {
-        (v, index[(i, a)], index[(j, b)]): into(x)
-        for i, a in index
-        for j, es in steps(i, a).items()
-        for b, v, x in es
-        if (j, b) in live
-    }
-    return cells, [into(to_sink[i].get(a, {}).get(-1, 0)) for i, a in index]
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     st.randoms(use_true_random=False),
@@ -433,6 +403,9 @@ def _forward_representation(p: ABP) -> tuple[dict, list]:
     st.data(),
 )
 def test_linear_representation_gives_every_coefficient(rng, field, shape, data):
+    """``Walks.close`` and ``Walks.step``, forward and backward, agree with
+    a dense C* summed power by power, and chained as c_w =
+    e₀·C*·V_{w_1}·C*⋯V_{w_L}·C*·e_sink they give every word's coefficient."""
     if shape == "random":
         # affine programs, each inner layer with declared nodes that no entry touches
         depth = data.draw(st.integers(0, 6))
@@ -449,37 +422,52 @@ def test_linear_representation_gives_every_coefficient(rng, field, shape, data):
         p = helpers.cancel_join(rng, field, depth, width=2, n_vars=2, zero=zero)
     else:
         p = helpers.dead_end(field)
-    into, reduce, _, out = raw_ops(field)
-    zero = into(0)
-    matrices, final = linear_representation(p)
-    cells = {(v, a, c): x for v, es in matrices.by_var.items() for a, c, x in es}
-    assert len(cells) == sum(map(len, matrices.by_var.values())) and all(cells.values())
-    # the positions in (layer, node) order, each but the source with a
-    # nonzero weight or a step, as the forward steps find them
-    assert (cells, final) == _forward_representation(p)
-    assert all(final[q] or any(a == q for _, a, _ in cells) for q in range(1, len(final)))
-    if isinstance(field, PrimeField):
-        assert all(type(x) is int and 0 <= x < field.p for x in [*cells.values(), *final])
+    into, _, _, out = raw_ops(field)
+    walks = Walks(p)
+    closure, steps = helpers.dense_walks(p)
+    n = len(closure)
+    assert walks.sink == n - 1
+    zero = field.zero()
+
+    def raw(vec: list) -> dict:
+        return {h: into(x) for h, x in enumerate(vec) if x}
+
+    for backward in (False, True):
+
+        def times(vec: list, m: list) -> list:
+            """vec·m, or m·vec backward."""
+            return [sum((vec[k] * (m[h][k] if backward else m[k][h]) for k in range(n)), zero) for h in range(n)]
+
+        for g in range(n):
+            # the unit vector of node g closed, then stepped on each variable
+            column = times([field.one() if h == g else zero for h in range(n)], closure)
+            closed = walks.close({g: into(1)}, backward)
+            assert closed == raw(column)
+            stepped = walks.step(closed, backward)
+            assert stepped == {v: row for v, m in sorted(steps.items()) if (row := raw(times(column, m)))}
+            if isinstance(field, PrimeField):
+                values = [*closed.values(), *(x for row in stepped.values() for x in row.values())]
+                assert all(type(x) is int and 0 <= x < field.p for x in values)
     for length in range(p.depth + 1):
         for word in itertools.product(range(p.n_vars), repeat=length):
-            vec = {0: into(1)}
+            forward, backward = {0: into(1)}, {walks.sink: into(1)}
             for v in word:
-                nxt: dict = {}
-                for a, c, x in matrices.by_var.get(v, ()):
-                    if a in vec:
-                        nxt[c] = nxt.get(c, zero) + vec[a] * x
-                vec = reduce(nxt)
-            got = into(sum((y * final[a] for a, y in vec.items()), zero))
-            assert out(got) == coefficient_of(p, word)
+                forward = walks.step(walks.close(forward)).get(v, {})
+            for v in reversed(word):
+                backward = walks.step(walks.close(backward, True), True).get(v, {})
+            assert out(walks.close(forward).get(walks.sink, into(0))) == coefficient_of(p, word)
+            assert out(walks.close(backward, True).get(0, into(0))) == coefficient_of(p, word)
 
 
-def test_linear_representation_trims_a_dead_end():
-    # node 1 of layer 1 is entered on x1 but no walk goes on from it: it
-    # takes no position, and the witness and the ranks are those of x0 * (x0 + 3 x1)
+def test_walks_keep_a_dead_end_out_of_the_witness():
+    # node 1 of layer 1 (node number 2) is entered on x1 but no walk goes on
+    # from it: the walk holds it, but the witness and the ranks are those
+    # of x0 * (x0 + 3 x1)
     p = helpers.dead_end(F5)
-    matrices, final = linear_representation(p)
-    assert final == [0, 0, 1]
-    assert matrices.cells() == {(0, 1, 0): 1, (1, 2, 0): 1, (1, 2, 1): 3}
+    walks = Walks(p)
+    assert walks.close({3: 1}, True) == {3: 1}
+    assert walks.step({0: 1}) == {0: {1: 1}, 1: {2: 2}}
+    assert walks.step({3: 1}, True) == {0: {1: 1}, 1: {1: 3}}
     assert pit_span_basis(p).witness == {"word": [0, 0], "coeff": "1"}
     assert nisan_ranks(p) == [1, 1, 1]
 
@@ -488,14 +476,18 @@ def test_word_bases_index_only_the_positions_steps_enter():
     # x0*x1 + x1*x0 through two of a thousand declared middle nodes
     x0, x1 = (LinearForm.of_var(Q, v) for v in (0, 1))
     p = ABP.build(2, Q, (1, 1000, 1), {(0, 0, 5): x0, (0, 0, 999): x1, (1, 5, 0): x1, (1, 999, 0): x0})
-    matrices, final = linear_representation(p)
-    assert len(final) == 4
-    transposed = Layer([], {v: [(c, a, x) for a, c, x in es] for v, es in matrices.by_var.items()})
-    for start, lays in (({0: Q.one()}, matrices), (dict(enumerate(final)), transposed)):
-        bases = list(word_bases(Q, lays, start, map(Echelon, itertools.repeat(Q))))
-        # sparse vectors over the 4 positions, not the 1000 declared nodes
-        assert [[set(vec) <= set(range(4)) for _, vec in basis] for basis in bases] == [[True], [True, True], [True]]
-        assert [word for word, _ in bases[1]] == [(0,), (1,)]
+    walks = Walks(p)
+    assert walks.sink == 1001
+    touched = {0, 1 + 5, 1 + 999, 1001}
+    for backward, start in ((False, {0: Q.one()}), (True, {1001: Q.one()})):
+        bases = list(word_bases(walks, backward, start, map(Echelon, itertools.repeat(Q))))
+        # sparse vectors over the 4 touched node numbers, not the 1002 declared nodes
+        assert [[set(vec) | set(closed) <= touched for _, vec, closed in basis] for basis in bases] == [
+            [True],
+            [True, True],
+            [True],
+        ]
+        assert [word for word, _, _ in bases[1]] == [(0,), (1,)]
     assert nisan_ranks(p) == [1, 2, 1]
 
 

@@ -613,6 +613,88 @@ def test_a_huge_declared_layer_is_refused_before_anything_is_built(command, tmp_
     assert "3000002 nodes" in err and str(DEFAULT_MAX_TERMS) in err
 
 
+def _one_edge_q_program(coefficient: str) -> dict:
+    return {
+        "nvars": 1,
+        "field": {"kind": "Q"},
+        "layers": [1, 1],
+        "edges": [{"from": [0, 0], "to": [1, 0], "label": {"const": "0", "coeffs": {"0": coefficient}}}],
+    }
+
+
+def _exits_at_once(code: int, *argv) -> str:
+    """Run the command line in this process: it must return ``code``, with
+    no exception, within a second, with nothing on stdout and one line on
+    stderr, which is returned."""
+    start = time.perf_counter()
+    got, out, err = run_main(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert got == code and out == "", err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+# Python writes an int of at most sys.get_int_max_str_digits() (4,300) digits
+PAST_THE_DIGIT_LIMIT = [
+    pytest.param("1e5000", "exponent 5000", id="1e5000"),  # Fraction builds 10^5000 from 6 bytes
+    pytest.param("1e10000000", "exponent 10000000", id="1e10000000"),  # and 10^(10^7) only after seconds
+    pytest.param("1" * 3000 + "." + "1" * 3000, "6000 digits", id="3000.3000"),  # two parts under the limit
+]
+
+
+@pytest.mark.parametrize("text, named", PAST_THE_DIGIT_LIMIT)
+@pytest.mark.parametrize("command", [("pit", "det"), ("pit", "span"), ("nisan",), ("expand",), ("hadamard", "abp")])
+def test_a_rational_coefficient_past_the_digit_limit_is_refused_on_input(command, text, named, tmp_path):
+    path = write_json(tmp_path / "p.json", _one_edge_q_program(text))
+    operands = (path, path) if command == ("hadamard", "abp") else (path,)
+    err = _exits_at_once(2, *command, *operands)
+    assert named in err and "limit of 4300" in err
+
+
+@pytest.mark.parametrize("text, named", PAST_THE_DIGIT_LIMIT)
+@pytest.mark.parametrize("command", [("reduce", "det2abp"), ("lab", "perm")])
+def test_a_matrix_entry_past_the_digit_limit_is_refused_on_input(command, text, named, tmp_path):
+    path = write_json(tmp_path / "m.json", [[text, "1"], ["1", "1"]])
+    err = _exits_at_once(2, *command, path)
+    assert named in err and "limit of 4300" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("pit", "det"), "p.json"), (("hadamard", "abp"), "p.json"), (("lab", "perm"), "m.json")],
+)
+def test_a_rational_value_past_the_digit_limit_is_refused_on_output(argv, name, tmp_path):
+    # 2,201-digit values are read and written, but their squares, of 4,402
+    # digits, are past the limit
+    big = "7" * 2201
+    write_json(tmp_path / "p.json", _one_edge_q_program(big))
+    write_json(tmp_path / "m.json", [[big, "0"], ["0", big]])
+    path = str(tmp_path / name)
+    operands = (path, path) if argv == ("hadamard", "abp") else (path,)
+    err = _exits_at_once(3, *argv, *operands)
+    assert err.startswith("resource cap: ") and "4402 digits" in err and "limit of 4300" in err
+    code, out, _ = run_main("expand", str(tmp_path / "p.json"))
+    assert code == 0 and json.loads(out)["terms"] == [{"coeff": big, "word": [0]}]
+
+
+def test_a_failure_bound_past_the_digit_limit_is_refused_on_output(tmp_path):
+    # a zero program over F_p for a 10-digit p: 500 trials bound the failure
+    # by p^-500, whose denominator has 4,501 digits
+    p = 1_000_000_007
+    obj = {"nvars": 1, "field": {"kind": "Fp", "p": p}, "layers": [1, 1], "edges": []}
+    path = write_json(tmp_path / "zero.json", obj)
+    err = _exits_at_once(3, "pit", "rand", path, "--trials", "500")
+    assert err.startswith("resource cap: ") and "4501 digits" in err and "limit of 4300" in err
+    code, out, _ = run_main("pit", "rand", path, "--trials", "450")
+    assert code == 0 and json.loads(out)["failure_bound"] == str(Fraction(1, p**450))
+
+
+def test_rational_values_at_the_digit_limit_are_read_and_written():
+    for text in ("9" * 4300, "-" + "9" * 4300, "123456e-4301", "1e4299"):
+        x = Q.coeff_from_json(text)
+        assert Q.coeff_from_json(Q.coeff_to_json(x)) == x == Fraction(text)
+
+
 def test_the_reductions_are_refused_before_building(tmp_path, monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("a program was built")
@@ -654,7 +736,7 @@ def test_products_refuse_homogeneous_parts_past_the_cap_before_building(shape, t
     def built(*args, **kwargs):
         raise AssertionError("a homogeneous part was walked")
 
-    monkeypatch.setattr(abp_module, "constant_walks", built)
+    monkeypatch.setattr(abp_module, "Walks", built)
     program = write_json(tmp_path / "deep.json", homogeneous_abp(random.Random(7), Q, 200).to_json())
     left = program
     if shape == "circuit-abp":
@@ -676,15 +758,15 @@ def test_products_refuse_homogeneous_parts_past_the_cap_before_building(shape, t
     ],
 )
 def test_identity_tests_and_nisan_never_walk_constant_walks(argv, program, tmp_path, monkeypatch):
-    """``pit det``, ``pit span`` and ``nisan`` read the linear representation,
-    built by its own backward pass: with ``constant_walks``, which serves the
-    homogeneous parts, made to raise, they still answer as the expansion does."""
+    """``pit det``, ``pit span`` and ``nisan`` walk the constant closure on
+    vectors: with ``homogeneous_parts``, which lays out a program's parts,
+    made to raise, they still answer as the expansion does."""
     import hadamard.abp as abp_module
 
     def walked(*args, **kwargs):
-        raise AssertionError("constant_walks was called")
+        raise AssertionError("homogeneous_parts was called")
 
-    monkeypatch.setattr(abp_module, "constant_walks", walked)
+    monkeypatch.setattr(abp_module, "homogeneous_parts", walked)
     poly = program.expand()
     code, out, err = run_main(*argv, write_json(tmp_path / "p.json", program.to_json()))
     assert code == 0, err

@@ -220,3 +220,16 @@ def test_no_module_raises_the_recursion_limit():
         if _references(ast.parse(path.read_text()), strings=True)["setrecursionlimit"]
     ]
     assert raising == []
+
+
+def test_no_module_raises_the_digit_limit():
+    """Rational values are read and written within Python's limit on the
+    digits of an int written as text: no module names
+    ``sys.set_int_max_str_digits``, as an attribute, an import, a bare name
+    or a string."""
+    raising = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if _references(ast.parse(path.read_text()), strings=True)["set_int_max_str_digits"]
+    ]
+    assert raising == []

@@ -27,6 +27,7 @@ from hadamard.pit import (
 )
 
 from helpers import (
+    affine_chain,
     bfs_reachable,
     cancel_join,
     cancelling_abp,
@@ -80,11 +81,23 @@ def test_square_sum_is_the_expanded_square_sum(rng, kind, fractional):
     assert v.is_zero == f.is_zero()
 
 
-@pytest.mark.parametrize("depth, zero", [(14, True), (16, False)])
-def test_square_sum_agrees_with_span_past_expansion(depth, zero):
-    # 3^depth words: far more than expansion can list
-    p = cancel_join(random.Random(f"deep:{depth}:{zero}"), Q, depth, zero=zero)
+@pytest.mark.parametrize(
+    "shape, depth, zero",
+    [("join", 14, True), ("join", 16, False), ("affine_chain", 100, False)],
+    ids=["14-True", "16-False", "affine_chain-100"],
+)
+def test_square_sum_agrees_with_span_past_expansion(shape, depth, zero):
+    # 3^depth words: far more than expansion can list.  The affine chain has
+    # a constant on every layer, so its words of every length up to the depth
+    # have coefficients, and the square sum runs on integers of thousands of
+    # digits
+    if shape == "join":
+        p = cancel_join(random.Random(f"deep:{depth}:{zero}"), Q, depth, zero=zero)
+    else:
+        p = affine_chain(random.Random(depth), Q, depth)
+    start = time.perf_counter()
     det, span = pit_rational(p), pit_span_basis(p)
+    assert time.perf_counter() - start < 2.5
     assert det.is_zero == span.is_zero == zero
     if not zero:
         word, coeff = tuple(span.witness["word"]), Fraction(span.witness["coeff"])
@@ -177,6 +190,16 @@ def test_span_basis_is_fast_on_a_deep_affine_join():
         if not zero:
             word, coeff = verdict.witness["word"], verdict.witness["coeff"]
             assert coefficient_of(p, word) == F5.coeff_from_json(coeff) != F5.zero()
+
+
+def test_span_basis_reads_the_empty_word_of_a_deep_affine_chain_at_once():
+    # the constants of every layer give the empty word a coefficient: the
+    # closure of e₀ walks the chain once, with no step summed for any node
+    p = affine_chain(random.Random(1000), F5, 1000)
+    start = time.perf_counter()
+    verdict = pit_span_basis(p)
+    assert time.perf_counter() - start < 0.2
+    assert verdict.witness["word"] == [] and F5.coeff_from_json(verdict.witness["coeff"]) == coefficient_of(p, ())
 
 
 @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
