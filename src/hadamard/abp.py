@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -69,7 +68,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .fields import Field, coeff_text, field_from_json, json_int, json_text, raw_ops
+from .fields import Field, coeff_text, count_text, field_from_json, json_int, json_text, raw_ops
 from .matrices import Echelon, Matrix
 from .polynomials import NCPoly
 
@@ -343,7 +342,7 @@ class ABP:
         layers = [json_int(s) for s in obj["layers"]]
         if sum(layers) > DEFAULT_MAX_TERMS:
             raise ResourceCapError(
-                f"the program declares {sum(layers)} nodes, past the cap of {DEFAULT_MAX_TERMS}"
+                f"the program declares {count_text(sum(layers))} nodes, past the cap of {DEFAULT_MAX_TERMS}"
             )
         decode, zero = _coefficient_decoder(field), field.zero()
 
@@ -432,14 +431,10 @@ class Walks:
     constant entries it reaches, ``step`` takes one variable entry.
 
     Values are ``fields.raw_ops`` values, with its ``into``, ``reduce`` and
-    ``out``, or with ``scale``, a common multiple of a ℚ program's
-    denominators, the ints scale·k: a walk over n entries then carries
-    scale^n times its value."""
+    ``out``: over ℚ a program with integer entries is walked on ints."""
 
-    def __init__(self, abp: ABP, scale: int = 0):
+    def __init__(self, abp: ABP):
         self.into, self.reduce, _, self.out = raw_ops(abp.field)
-        if scale:  # ints are their own values, and their zeros drop as rationals' do
-            self.into = operator.pos
         self.zero = self.into(0)
         start = list(itertools.accumulate(abp.layer_sizes, initial=0))
         self.sink = start[-2]
@@ -450,7 +445,7 @@ class Walks:
         for i, lay in enumerate(abp.layers):
             for v, entries in lay.matrices():
                 for a, c, k in entries:
-                    x = k.numerator * (scale // k.denominator) if scale else self.into(k)
+                    x = self.into(k)
                     g, h = start[i] + a, start[i + 1] + c
                     if v < 0:
                         self.const[0].setdefault(g, []).append((h, x))
@@ -814,17 +809,17 @@ def coefficient_of(abp: ABP, word: Sequence[int]):
 # word bases and Nisan ranks
 
 
-def word_bases(walks: Walks, backward: bool, start: dict, echelons: Iterable[Echelon]) -> Iterator[list]:
+def word_bases(walks: Walks, backward: bool, echelons: Iterable[Echelon]) -> Iterator[list]:
     """Word-tagged bases [(word, vector, closed vector)], sparse in raw
     values, one per length while the length's echelon, the next of
-    ``echelons``, keeps a word.  The vector of w is start·C*·V_{w_1}⋯C*·V_{w_L},
+    ``echelons``, keeps a word.  The vector of w is e₀·C*·V_{w_1}⋯C*·V_{w_L},
     unclosed, which the echelon takes; a kept word's vector is closed and
     grows by a ``Walks.step``.  Words go in length-then-lexicographic order
     and only kept ones grow, so every word's vector lies in the span of the
-    kept words not after it.  Backward (v_1, ..., v_L) tags
-    V_{v_L}·C*⋯V_{v_1}·C*·start.
+    kept words not after it.  Backward the walk starts at the sink, and
+    (v_1, ..., v_L) tags V_{v_L}·C*⋯V_{v_1}·C*·e_sink.
     """
-    grown = [((), start)]
+    grown = [((), {walks.sink if backward else 0: walks.into(1)})]
     for kept in echelons:
         basis = [(word, vec, walks.close(vec, backward)) for word, vec in grown if kept.add(vec)]
         if not basis:
@@ -844,20 +839,20 @@ def nisan_ranks(abp: ABP) -> list[int]:
     """
     field = abp.field
     walks = Walks(abp)
-    one, sink = walks.into(1), walks.sink
+    sink = walks.sink
 
     def row(f: dict, basis: list) -> dict:
         """f's row of F_k·B_{d-k}ᵀ: its products with the unclosed vectors of B_{d-k}."""
         return {j: sum(x * b[c] for c, x in f.items() if c in b) for j, (_, b, _) in enumerate(basis)}
 
-    shared = word_bases(walks, False, {0: one}, [Echelon(field)] * (abp.depth + 1))
+    shared = word_bases(walks, False, [Echelon(field)] * (abp.depth + 1))
     if not any(closed.get(sink) for basis in shared for _, _, closed in basis):
         return []
     fresh = map(Echelon, itertools.repeat(field))  # a new echelon per length of either walk
-    forward = list(word_bases(walks, False, {0: one}, fresh))
+    forward = list(word_bases(walks, False, fresh))
     degrees = [k for k, basis in enumerate(forward) if any(closed.get(sink) for _, _, closed in basis)]
     if len(degrees) > 1:
         raise ValidationError("Nisan matrices require a homogeneous polynomial")
     (d,) = degrees
-    backward = list(itertools.islice(word_bases(walks, True, {sink: one}, fresh), d + 1))
+    backward = list(itertools.islice(word_bases(walks, True, fresh), d + 1))
     return [sum(map(Echelon(field).add, (row(f, backward[d - k]) for _, _, f in forward[k]))) for k in range(d + 1)]

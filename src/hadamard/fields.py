@@ -45,9 +45,10 @@ psi is taken of field elements.
 
 Linear algebra that runs many operations per value it reads or returns
 (the span walk of ``pit`` and the elimination of ``matrices``) works on raw
-values through ``raw_ops``: over F_p a raw value is an int in [0, p), and
-elements are made only on the way out.  Rationals and F_{p^k} elements are
-their own raw values.
+values through ``raw_ops``: over F_p a raw value is an int in [0, p), over ℚ
+an integral value is an int and any other a ``Fraction``, and elements are
+made only on the way out, so a walk of a program with integer entries runs
+on ints alone.  F_{p^k} elements are their own raw values.
 """
 
 from __future__ import annotations
@@ -228,6 +229,16 @@ def _digits(n: int) -> int:
     while n >= 10**d:
         d += 1
     return d
+
+
+def count_text(n: int) -> str:
+    """A count as a message writes it: n itself, or, past the
+    ``sys.get_int_max_str_digits()`` digits that ``str`` writes, the power
+    of ten its digit count gives, "at least 10^(digits - 1)"."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 10^{_digits(abs(n)) - 1}"
 
 
 @dataclass(frozen=True)
@@ -649,8 +660,13 @@ def raw_ops(field: Field) -> tuple:
     Over F_p a raw value is an int in [0, p).  ``into`` takes an element or
     an int to its residue, ``reduce`` takes a dict's int values to their
     residues, zeros dropped, ``inverse`` is x^(p-2) mod p and ``out`` makes
-    the element.  Rationals and F_{p^k} elements are their own raw values:
-    ``into`` coerces, ``reduce`` drops zeros and ``out`` returns the value.
+    the element.  Over ℚ an integral value is an int and any other a
+    ``Fraction``: ``into`` takes a rational or an int to that form and
+    refuses anything else as ``coerce`` does, ``reduce`` takes a dict's
+    values to it, zeros dropped, ``inverse`` is the ``Fraction`` 1/x, so
+    elimination stays exact, and ``out`` makes the ``Fraction``.  F_{p^k}
+    elements are their own raw values: ``into`` coerces, ``reduce`` drops
+    zeros and ``out`` returns the value.
     """
     if isinstance(field, PrimeField):
         p, coerce = field.p, field.coerce
@@ -665,6 +681,21 @@ def raw_ops(field: Field) -> tuple:
             lambda x: FpElement(x, field),
         )
     one = field.one()
+    if isinstance(field, RationalField):
+        coerce = field.coerce
+
+        def into_q(x):
+            if type(x) is int:
+                return x
+            x = coerce(x)
+            return x.numerator if x.denominator == 1 else x
+
+        return (
+            into_q,
+            lambda d: {k: x if type(x) is int else into_q(x) for k, x in d.items() if x},
+            lambda x: one / x,
+            lambda x: x if type(x) is Fraction else Fraction(x),
+        )
     return field.coerce, lambda d: {k: x for k, x in d.items() if x}, lambda x: one / x, lambda x: x
 
 

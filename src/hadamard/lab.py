@@ -42,7 +42,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
-from .fields import ExtElement, ExtField, RationalField, is_prime, psi
+from .fields import ExtElement, ExtField, RationalField, count_text, is_prime, psi
 from .polynomials import CPoly, corr, norm_sq, rational_sum
 
 _Q = RationalField()
@@ -102,8 +102,8 @@ def sign_list(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) -> lis
     is set exactly when x_v is in the monomial.  The cap is checked before
     the field is built."""
     n = params.n
-    if 2**n > max_terms:
-        raise ResourceCapError(f"2^{n} terms exceed the cap of {max_terms}")
+    if _power_of_two_past(n, max_terms):
+        raise ResourceCapError(f"2^{count_text(n)} terms exceed the cap of {max_terms}")
     tables = params.field.sign_tables
     if tables is None:
         return [
@@ -159,16 +159,26 @@ def sum_coeffs(f: CPoly) -> Fraction:
     )
 
 
+def _power_of_two_past(e: int, cap: int) -> bool:
+    """Whether 2^e > cap, decided from the cap's bit length without making
+    2^e."""
+    return cap < 1 or e >= cap.bit_length()
+
+
 def _evaluations(count: int, max_terms: int) -> int:
     if count > max_terms:
-        raise ResourceCapError(f"character sum needs {count} evaluations")
+        raise ResourceCapError(f"character sum needs {count_text(count)} evaluations")
     return count
 
 
 def full_sum_count(params: ExplicitParams, max_terms: int = DEFAULT_MAX_TERMS) -> int:
     """(2^p)^t, the evaluations of a character sum over t whole fields;
-    ``ResourceCapError`` past ``max_terms``, before the field is built."""
-    return _evaluations((2**params.p) ** params.t, max_terms)
+    ``ResourceCapError`` past ``max_terms``, before the field is built and
+    before 2^(pt) is made."""
+    e = params.p * params.t
+    if _power_of_two_past(e, max_terms):
+        raise ResourceCapError(f"character sum needs 2^{count_text(e)} evaluations, past the cap of {max_terms}")
+    return 2**e
 
 
 def exp_sum(

@@ -5,8 +5,9 @@ Four testers with different contracts:
 * ``pit_rational``  — deterministic, rationals only.  The squared-coefficient
   sum of f, which is (f∘f)(1, …, 1) and over the rationals vanishes exactly
   when f does, comes from the Gram iteration X ← Σ_v V_vᵀ·(C*ᵀ·X·C*)·V_v
-  from X = e₀e₀ᵀ, run on integers: every entry is scaled by one common
-  denominator.  The product program f∘f is never built.
+  from X = e₀e₀ᵀ, run on integers: a program with fractional entries is
+  scaled once by one common denominator.  The product program f∘f is never
+  built.
 * ``pit_span_basis`` — deterministic, any field.  Walks ``abp.word_bases``
   from the source with one ``matrices.Echelon`` over words of every
   length, where ``abp.nisan_ranks``' ranks keep one per length; the first
@@ -26,8 +27,8 @@ Four testers with different contracts:
 The two deterministic testers, like ``abp.nisan_ranks``, read the program
 through ``abp.Walks``, c_w = e₀·C*·V_{w_1}·C*⋯V_{w_L}·C*·e_sink for C the
 constant entries, V_v those of x_v and C* = I + C + C² + ⋯, applied to
-vectors, in ``fields.raw_ops`` values or scaled integers; neither lays out
-C*, a product with it or the homogeneous parts.
+vectors, in ``fields.raw_ops`` values, ints over ℚ wherever they are
+integral; neither lays out C*, a product with it or the homogeneous parts.
 
 ``det_to_abp`` encodes a matrix determinant as a constant-labeled program
 (closed-walk-sequence dynamic programming), and ``reach_to_abp`` encodes
@@ -48,7 +49,7 @@ from typing import Optional, Sequence, Union
 from .abp import ABP, Layer, Walks, coefficient_of, constant_abp, layers_of, merged_layers, word_bases
 from .circuits import Circuit
 from .errors import DEFAULT_MAX_TERMS, ResourceCapError, ValidationError
-from .fields import ExtField, Field, PrimeField, RationalField, json_int
+from .fields import ExtField, Field, PrimeField, RationalField, count_text, json_int
 from .matrices import Echelon
 
 
@@ -87,14 +88,18 @@ def pit_rational(p: ABP) -> PitVerdict:
     after at most depth + 1 lengths.  X is symmetric: closing its rows gives
     X·C*, whose transpose is C*ᵀ·X, and closing the rows of that gives Y, of
     which only the sink's row and those that a variable entry leaves are
-    read.  The iteration runs on integers: every entry is scaled by the
-    least common multiple of the denominators, and since every path has
-    depth entries the sum is divided by that scale to the power 2·depth.
+    read.  The iteration runs on the ints that ``Walks`` holds integral
+    rationals as: a program with a fractional entry is first scaled once,
+    every entry times the least common multiple of the denominators, and
+    since every path has depth entries the sum is divided by that scale to
+    the power 2·depth.
     """
     if not isinstance(p.field, RationalField):
         raise ValidationError("squared-coefficient test needs rational coefficients")
     den = math.lcm(*(k.denominator for lay in p.layers for _, es in lay.matrices() for _, _, k in es))
-    walks = Walks(p, den)
+    if den > 1:
+        p = ABP(p.n_vars, p.field, p.layer_sizes, [lay.map(lambda k: k * den) for lay in p.layers])
+    walks = Walks(p)
     sink, leaving = walks.sink, walks.var[0]
     total, x = 0, {0: {0: 1}}
     while x:
@@ -130,7 +135,7 @@ def pit_span_basis(p: ABP) -> PitVerdict:
     the kept words not after it, so no earlier word has one."""
     field = p.field
     walks = Walks(p)
-    for basis in word_bases(walks, False, {0: walks.into(1)}, [Echelon(field)] * (p.depth + 1)):
+    for basis in word_bases(walks, False, [Echelon(field)] * (p.depth + 1)):
         for word, _, closed in basis:
             c = closed.get(walks.sink)
             if c:
@@ -239,7 +244,7 @@ def pit_randomized(p: ABP, trials: int = 20, seed: int = 0) -> PitVerdict:
         raise ValidationError("at least one trial required")
     d = p.depth
     if d * p.n_vars > DEFAULT_MAX_TERMS:  # values each trial draws, one per layer and variable
-        raise ResourceCapError(f"a trial draws {d * p.n_vars} values, past the cap of {DEFAULT_MAX_TERMS}")
+        raise ResourceCapError(f"a trial draws {count_text(d * p.n_vars)} values, past the cap of {DEFAULT_MAX_TERMS}")
     big, embed = _extension_with_embedding(p.field, max(2 * d, 2))
     bound = Fraction(d, big.order) if d else Fraction(0)
     value = _evaluator(big, [lay.map(embed) for lay in p.layers], p.layer_sizes, p.n_vars)
@@ -382,28 +387,33 @@ def reach_to_abp(g: Digraph, field: Optional[Field] = None) -> ABP:
     Vertices are copied once per level; every program edge (graph step or
     stay-in-place) carries its own fresh variable, so distinct paths give
     distinct monomials and nothing can cancel.  More than
-    ``DEFAULT_MAX_TERMS`` edges are refused before any is made."""
+    ``DEFAULT_MAX_TERMS`` edges are refused before any is made, counted
+    from the vertex count and the distinct edges alone, so a graph that
+    declares many vertices and few edges costs nothing to refuse."""
     if field is None:
         field = RationalField()
     if g.s == g.t:
         return constant_abp(0, field, 1)
     n = g.n_vertices
     depth = n - 1
-    # one step along any out-edge, or stay in place to pad the path
-    targets = [{u} for u in range(n)]
-    for u, v in g.edges:
-        targets[u].add(v)
-    targets = [sorted(ts) for ts in targets]
-    # out of s, then out of every vertex on each middle layer, then into t
+    steps = {(u, v) for u, v in g.edges if u != v}
+    # out of s, then out of every vertex on each middle layer, then into t;
+    # a vertex steps along each out-edge or stays in place to pad the path
     if depth == 1:
-        n_edges = int(g.t in targets[g.s])
+        n_edges = int((g.s, g.t) in steps)
     else:
-        n_edges = len(targets[g.s]) + (depth - 2) * sum(map(len, targets)) + sum(g.t in ts for ts in targets)
+        out_of_s = 1 + sum(u == g.s for u, _ in steps)
+        into_t = 1 + sum(v == g.t for _, v in steps)
+        n_edges = out_of_s + (depth - 2) * (n + len(steps)) + into_t
     if n_edges > DEFAULT_MAX_TERMS:
         raise ResourceCapError(
-            f"the reachability program of a {n}-vertex graph needs {n_edges} edges, "
+            f"the reachability program of a {n}-vertex graph needs {count_text(n_edges)} edges, "
             f"past the cap of {DEFAULT_MAX_TERMS}"
         )
+    targets = [[u] for u in range(n)]
+    for u, v in steps:
+        targets[u].append(v)
+    targets = [sorted(ts) for ts in targets]
     # edge i carries variable i; the last layer keeps only the steps onto t
     keys = [
         (layer, src, v if layer < depth - 1 else 0)

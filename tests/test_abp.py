@@ -156,6 +156,21 @@ def test_every_stage_returns_canonical_labels(rng, field, cancelling):
         assert ABP.from_json(x.to_json()) == x
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_homogeneous_parts_over_q_hold_canonical_rationals(rng, fractional):
+    """The parts of a ℚ program hold ``Fraction`` coefficients, however the
+    walk held them: none is an int, for integer and fractional programs."""
+    p = random_abp(rng, Q, n_vars=2, depth=rng.randint(1, 5), width=3)
+    if fractional:
+        p = ABP(p.n_vars, Q, p.layer_sizes, [lay.map(lambda k: k / rng.randint(1, 6)) for lay in p.layers])
+    total = NCPoly.zero(p.n_vars, Q)
+    for part in homogeneous_parts(p, p.depth):
+        assert validate(part) is None
+        total = total.add(part.expand())
+    assert total == p.expand()
+
+
 def test_build_merges_parallel_edge_labels():
     # ingesting the same node pair twice adds the labels
     p = ABP.build(2, Q, (1, 1), {(0, 0, 0): lf(Q, x0=1)})
@@ -445,9 +460,11 @@ def test_linear_representation_gives_every_coefficient(rng, field, shape, data):
             assert closed == raw(column)
             stepped = walks.step(closed, backward)
             assert stepped == {v: row for v, m in sorted(steps.items()) if (row := raw(times(column, m)))}
+            values = [*closed.values(), *(x for row in stepped.values() for x in row.values())]
             if isinstance(field, PrimeField):
-                values = [*closed.values(), *(x for row in stepped.values() for x in row.values())]
                 assert all(type(x) is int and 0 <= x < field.p for x in values)
+            elif field == Q:  # an int exactly when integral
+                assert all((type(x) is int) == (Fraction(x).denominator == 1) for x in values)
     for length in range(p.depth + 1):
         for word in itertools.product(range(p.n_vars), repeat=length):
             forward, backward = {0: into(1)}, {walks.sink: into(1)}
@@ -479,8 +496,8 @@ def test_word_bases_index_only_the_positions_steps_enter():
     walks = Walks(p)
     assert walks.sink == 1001
     touched = {0, 1 + 5, 1 + 999, 1001}
-    for backward, start in ((False, {0: Q.one()}), (True, {1001: Q.one()})):
-        bases = list(word_bases(walks, backward, start, map(Echelon, itertools.repeat(Q))))
+    for backward in (False, True):
+        bases = list(word_bases(walks, backward, map(Echelon, itertools.repeat(Q))))
         # sparse vectors over the 4 touched node numbers, not the 1002 declared nodes
         assert [[set(vec) | set(closed) <= touched for _, vec, closed in basis] for basis in bases] == [
             [True],

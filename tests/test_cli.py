@@ -709,6 +709,55 @@ def test_the_reductions_are_refused_before_building(tmp_path, monkeypatch):
     assert "1100-vertex" in err and "1206702 edges" in err
 
 
+_WIDE = "9" * 4300  # the most digits Python reads as an int
+PAST_THE_CAP_AT_ONCE = [
+    # a graph declaring many vertices and no edges: the edge count comes from
+    # the vertex count, before one target set per vertex is made
+    pytest.param(("reduce", "reach2abp", "g.json"), {"vertices": 3_000_000, "edges": [], "s": 0, "t": 1},
+                 "needs 8999991000002 edges", id="reach-3e6"),
+    pytest.param(("reduce", "reach2abp", "g.json"), {"vertices": 10**8, "edges": [], "s": 0, "t": 1},
+                 "needs 9999999700000002 edges", id="reach-1e8"),
+    # 2^n and (2^p)^t are compared with the cap by their exponents, never made
+    pytest.param(("lab", "corr", "--t", "100000000000", "--p", "2"), None, "2^200000000000 terms", id="corr"),
+    pytest.param(("lab", "build-f", "--t", "100000000000", "--p", "2"), None, "2^200000000000 terms", id="build-f"),
+    pytest.param(("lab", "expsum", "--t", "100000000000", "--p", "2"), None, "2^200000000000 evaluations",
+                 id="expsum"),
+    pytest.param(("lab", "expsum", "--t", "1", "--p", "14401"), None, "2^14401 evaluations", id="expsum-p14401"),
+    pytest.param(("lab", "expsum", "--t", "3", "--p", "4801"), None, "2^14403 evaluations", id="expsum-p4801"),
+    # counts past the digits str writes are reported by their digit count
+    pytest.param(("pit", "rand", "p.json"),
+                 '{"nvars":%s,"field":{"kind":"Fp","p":5},"layers":[%s],"edges":[]}' % (_WIDE, ",".join(["1"] * 11)),
+                 "draws at least 10^4300 values", id="rand-nvars"),
+    pytest.param(("pit", "span", "p.json"), '{"nvars":1,"field":{"kind":"Q"},"layers":[1,%s,%s,1],"edges":[]}'
+                 % (_WIDE, _WIDE), "declares at least 10^4300 nodes", id="span-widths"),
+]
+
+
+@pytest.mark.parametrize("argv, content, named", PAST_THE_CAP_AT_ONCE)
+def test_a_cap_is_checked_before_what_it_bounds_is_built(argv, content, named, tmp_path):
+    """Each command exits 3 with one ``resource cap:`` line, nothing on
+    stdout, within a second.  It runs in its own interpreter with half a
+    gigabyte of address space, so one that builds what its cap bounds runs
+    out of memory there and not in the test run."""
+    import resource
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    if content is not None:
+        path = tmp_path / argv[-1]
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        argv = (*argv[:-1], str(path))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hadamard", *argv], capture_output=True, text=True, preexec_fn=limited
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("resource cap: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert named in proc.stderr
+
+
 def test_pit_rand_refuses_a_trial_past_the_cap_before_drawing(tmp_path):
     # two edges over a hundred million declared variables: each trial would
     # draw one value per layer and variable, 2 * 10^8 in all

@@ -21,6 +21,7 @@ from hadamard.fields import (
     is_prime,
     parse_field_spec,
     psi,
+    raw_ops,
     _poly_is_irreducible,
 )
 from helpers import (
@@ -45,6 +46,23 @@ def test_rational_arithmetic():
     assert Q.coerce(3) == Fraction(3)
     assert Q.coeff_from_json("-1/2") == Fraction(-1, 2)
     assert Q.coeff_to_json(Fraction(5, 6)) == "5/6"
+
+
+def test_rational_raw_values_are_ints_where_integral():
+    into, reduce, inverse, out = raw_ops(Q)
+    six = into(Fraction(6))
+    assert type(six) is int and six == 6
+    assert type(into(Fraction(1, 2))) is Fraction and into(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(into(-4)) is int and into(-4) == -4
+    with pytest.raises(FieldMismatchError):
+        into(F5.one())
+    assert type(out(6)) is Fraction and out(6) == Fraction(6)
+    assert out(Fraction(1, 2)) == Fraction(1, 2)
+    # an integral Fraction a product leaves becomes an int, zeros drop
+    reduced = reduce({0: Fraction(1, 2) * 4, 1: Fraction(0), 2: Fraction(2, 3), 3: 5})
+    assert reduced == {0: 2, 2: Fraction(2, 3), 3: 5}
+    assert [type(x) for x in reduced.values()] == [int, Fraction, int]
+    assert type(inverse(3)) is Fraction and inverse(3) == Fraction(1, 3)
 
 
 def test_prime_field_arithmetic():

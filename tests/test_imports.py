@@ -210,6 +210,28 @@ def test_only_matrices_takes_the_raw_inverse():
     assert taking == ["matrices.py"]
 
 
+def _raw_ops_callers(tree: ast.Module) -> list[str]:
+    """The top-level class or function around each call of
+    ``fields.raw_ops`` in the module, by a bare name or an attribute; a call
+    outside both counts as ``<module>``."""
+    return [
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "raw_ops"
+    ]
+
+
+def test_only_walks_and_the_echelon_hold_raw_values():
+    """How a walk or an elimination holds a field's values is decided once,
+    in ``fields.raw_ops``, and only ``abp.Walks`` and ``matrices.Echelon``
+    ask it: no other code picks its own form for a value."""
+    callers = [
+        (path.name, name) for path in sorted(SRC.glob("*.py")) for name in _raw_ops_callers(ast.parse(path.read_text()))
+    ]
+    assert callers == [("abp.py", "Walks"), ("matrices.py", "Echelon")]
+
+
 def test_no_module_raises_the_recursion_limit():
     """Circuits of any depth work within Python's default recursion limit:
     no module names ``sys.setrecursionlimit``, as an attribute, an import, a

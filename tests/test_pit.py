@@ -82,22 +82,33 @@ def test_square_sum_is_the_expanded_square_sum(rng, kind, fractional):
 
 
 @pytest.mark.parametrize(
-    "shape, depth, zero",
-    [("join", 14, True), ("join", 16, False), ("affine_chain", 100, False)],
-    ids=["14-True", "16-False", "affine_chain-100"],
+    "shape, depth, zero, seconds",
+    [
+        ("join", 14, True, 2.5),
+        ("join", 16, False, 2.5),
+        ("affine_chain", 100, False, 2.5),
+        ("fractional_join", 40, True, 1.5),
+    ],
+    ids=["14-True", "16-False", "affine_chain-100", "fractional_join-40"],
 )
-def test_square_sum_agrees_with_span_past_expansion(shape, depth, zero):
+def test_square_sum_agrees_with_span_past_expansion(shape, depth, zero, seconds):
     # 3^depth words: far more than expansion can list.  The affine chain has
     # a constant on every layer, so its words of every length up to the depth
     # have coefficients, and the square sum runs on integers of thousands of
-    # digits
+    # digits.  The fractional join divides layer i by (2, 3, 5)[i % 3]: the
+    # square sum scales it to integers once, where walking its fractions
+    # would take seconds
     if shape == "join":
         p = cancel_join(random.Random(f"deep:{depth}:{zero}"), Q, depth, zero=zero)
+    elif shape == "fractional_join":
+        p = cancel_join(random.Random(5), Q, depth, width=2)
+        layers = [lay.map(lambda k, d=(2, 3, 5)[i % 3]: k / d) for i, lay in enumerate(p.layers)]
+        p = ABP(p.n_vars, Q, p.layer_sizes, layers)
     else:
         p = affine_chain(random.Random(depth), Q, depth)
     start = time.perf_counter()
     det, span = pit_rational(p), pit_span_basis(p)
-    assert time.perf_counter() - start < 2.5
+    assert time.perf_counter() - start < seconds
     assert det.is_zero == span.is_zero == zero
     if not zero:
         word, coeff = tuple(span.witness["word"]), Fraction(span.witness["coeff"])
