@@ -23,7 +23,10 @@ with multiplied coefficients.  Two constructions are provided:
   degrees up to the lower of the output's formal degree and the program's
   depth, which are the only degree parts laid out.  Each memoized
   sub-result is the product of a gate's polynomial with the sub-program
-  between two nodes.  A constant or input gate's is nonzero only on an
+  between two nodes, written below as an interval (i, a) -> (j, b) from
+  node a of layer i.  A part numbers its N nodes across its layers, node a
+  of layer i as u = start[i] + a, and keys a sub-result by the one int
+  (gate * N + u) * N + v.  A constant or input gate's is nonzero only on an
   interval of its own length, 0 or 1; an addition gate adds its children's
   on the same interval, and a multiplication gate splits the interval at
   every node of the layers its factors' degrees allow.  A split's left
@@ -62,6 +65,7 @@ with multiplied coefficients.  Two constructions are provided:
 """
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -244,7 +248,8 @@ CHECKPOINT_STEP = 64
 class _Unwind(Exception):
     """Raised by the circuit product on a checkpoint sub-result that is not
     yet worked out, so its driver works it out first.  ``keys`` holds that
-    sub-result, then each interrupted sub-result from the innermost out."""
+    sub-result, then each interrupted sub-result from the innermost out, each
+    as (gate, from node, to node)."""
 
     def __init__(self, key):
         self.keys = [key]
@@ -307,82 +312,86 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
             per_degree.append((k, None))
             continue
         part = normalize_edges(part)
-        sizes = part.layer_sizes
-        # (layer, from, to, variable) -> the part's coefficient there, and
-        # (layer, from, to) -> the bits of the variables its entries carry there
+        # node a of layer i is node u = start[i] + a of the part's N, and layer[u] == i
+        start = list(itertools.accumulate(part.layer_sizes, initial=0))
+        N = start[-1]
+        layer = [i for i, size in enumerate(part.layer_sizes) for _ in range(size)]
+        # (variable, u * N + v) -> the part's coefficient on the step u -> v,
+        # and u * N + v -> the bits of the variables its entries carry there
         coeff_at: dict = {}
         step_reads: dict = {}
         for i, lay in enumerate(part.layers):
-            for v, es in lay.by_var.items():
-                v_bit = 1 << index[v]
+            for var, es in lay.by_var.items():
+                v_bit = 1 << index[var]
                 for a, b, x in es:
-                    coeff_at[i, a, b, v] = x
-                    step_reads[i, a, b] = step_reads.get((i, a, b), 0) | v_bit
-        memo: dict = {}  # (gate, i, a, j, b) -> gate id of the sub-result
-        # (mul gate, i, a, j) -> ([(m, t, left factor)], split at j): the nonzero
-        # left factors on split layers m < j whose right factor may be nonzero,
-        # and whether layer j is a split layer
+                    uv = (start[i] + a) * N + start[i + 1] + b
+                    coeff_at[var, uv] = x
+                    step_reads[uv] = step_reads.get(uv, 0) | v_bit
+        memo: dict = {}  # (gate * N + u) * N + v -> gate id of the sub-result
+        # (mul gate * N + u) * (k + 1) + j -> ([(w, left factor)], split at j):
+        # the nonzero left factors ending at nodes w of split layers before j
+        # whose right factor may be nonzero, and whether layer j is a split layer
         left_factors: dict = {}
-        # (restartable mul gate, i, a, j, b, m, t) -> gate id of the split
-        # product on node t of layer m, so a restart does not emit it again
+        # ((restartable mul gate * N + u) * N + v) * N + w -> gate id of the
+        # split product at node w, so a restart does not emit it again
         splits: dict = {}
 
-        # an empty interval (i, a) -> (i, b) always has a == b: the root runs
-        # from (0, 0) to (k, 0) with k >= 1, a split at its start layer i
-        # splits at a, and a split at its end layer j at b
-        def leaf(gi, i, a, j, b):
+        # an empty interval u -> v always has u == v: the root runs from the
+        # source to the sink of a part of depth k >= 1, a split at its start
+        # layer splits at u, and a split at its end layer at v
+        def leaf(gi, u, v):
             """The gate id for (constant or input gate gi) o (sub-program
-            (i,a)->(j,b)), memoized when the interval has the gate's length
-            (0 for a constant, 1 for an input); None, unmemoized, when not."""
-            if j - i != leaf_length[gi]:
+            u->v), memoized when the interval has the gate's length (0 for a
+            constant, 1 for an input); None, unmemoized, when not."""
+            if layer[v] - layer[u] != leaf_length[gi]:
                 return None
             gate = gates[gi]
             if kind[gi] is ConstGate:
                 out = builder.const(gate.value)
             else:
-                coeff = coeff_at.get((i, a, b, gate.var))
+                coeff = coeff_at.get((gate.var, u * N + v))
                 out = mul(builder.const(coeff), builder.input(gate.var)) if coeff else None
-            memo[gi, i, a, j, b] = out
+            memo[(gi * N + u) * N + v] = out
             return out
 
-        def get(gi, i, a, j, b):
-            """The gate id for gate gi o (sub-program (i,a)->(j,b)): memoized,
-            a leaf, or worked out here unless gi is a checkpoint."""
-            key = gi, i, a, j, b
+        def get(gi, u, v):
+            """The gate id for gate gi o (sub-program u->v): memoized, a leaf,
+            or worked out here unless gi is a checkpoint."""
+            key = (gi * N + u) * N + v
             if key in memo:
                 return memo[key]
             if leaf_length[gi] is not None:
-                return leaf(gi, i, a, j, b)
+                return leaf(gi, u, v)
             if checkpoint[gi]:
-                raise _Unwind(key)
+                raise _Unwind((gi, u, v))
             try:
-                out = memo[key] = expand(gi, i, a, j, b)
+                out = memo[key] = expand(gi, u, v)
             except _Unwind as stop:
-                stop.keys.append(key)
+                stop.keys.append((gi, u, v))
                 raise
             return out
 
-        def split(gi, i, a, j, b, m, t, lhs, rhs):
-            """The split product lhs * rhs at node t of layer m, emitted once
-            per sub-result of a restartable gate."""
-            key = gi, i, a, j, b, m, t
+        def split(key, lhs, rhs):
+            """The split product lhs * rhs keyed ``key`` in ``splits``,
+            emitted once per sub-result of a restartable gate."""
             out = splits.get(key)
             if out is None:
                 out = splits[key] = mul(lhs, rhs)
             return out
 
-        def expand(gi, i, a, j, b):
-            """The gate id for (add or mul gate gi) o (sub-program
-            (i,a)->(j,b)), fetching each sub-result with ``get``."""
+        def expand(gi, u, v):
+            """The gate id for (add or mul gate gi) o (sub-program u->v),
+            fetching each sub-result with ``get``."""
             if kind[gi] is AddGate:
-                return builder.add(get(lefts[gi], i, a, j, b), get(rights[gi], i, a, j, b))
-            # MulGate: split the interval at every node of every split layer
-            # m the factors' degrees allow, the left factor on i..m
+                return builder.add(get(lefts[gi], u, v), get(rights[gi], u, v))
+            # MulGate: split the interval at every node w of every split layer
+            # m the factors' degrees allow, the left factor on u..w
             left, right = lefts[gi], rights[gi]
             right_need = leaf_length[right]
-            again = restartable[gi]
+            i, j = layer[u], layer[v]
+            again, at = restartable[gi], ((gi * N + u) * N + v) * N
             pieces = []
-            head = (gi, i, a, j)
+            head = (gi * N + u) * (k + 1) + j
             found = left_factors.get(head)
             if found is None:
                 # the first end node fetches every left factor before j, in
@@ -392,47 +401,47 @@ def hadamard_circuit_abp_detailed(c: Circuit, p: ABP) -> CircuitProductResult:
                 for m in range(lo, min(hi, j - 1) + 1):
                     # the left factor is built even where the right one is zero
                     right_zero = right_need is not None and right_need != j - m
-                    for t in [a] if m == i else range(sizes[m]):
-                        lhs = get(left, i, a, m, t)
+                    for w in [u] if m == i else range(start[m], start[m + 1]):
+                        lhs = get(left, u, w)
                         if lhs is None or right_zero:
                             continue
-                        kept.append((m, t, lhs))
-                        rhs = get(right, m, t, j, b)
+                        kept.append((w, lhs))
+                        rhs = get(right, w, v)
                         if rhs is not None:
-                            pieces.append(split(gi, i, a, j, b, m, t, lhs, rhs) if again else mul(lhs, rhs))
+                            pieces.append(split(at + w, lhs, rhs) if again else mul(lhs, rhs))
                 found = left_factors[head] = kept, lo <= hi == j
             else:
-                # a right factor on the single step (m, t) -> (j, b) is zero,
-                # and fetching it would emit nothing, when the right gate reads
-                # none of the variables the part carries on that step (see
-                # the module docstring)
-                right_reads = reads[right]
-                for m, t, lhs in found[0]:
-                    if m + 1 == j and not right_reads & step_reads.get((m, t, b), 0):
+                # a right factor on the single step w -> v, from layer j - 1,
+                # is zero, and fetching it would emit nothing, when the right
+                # gate reads none of the variables the part carries on that
+                # step (see the module docstring)
+                right_reads, last = reads[right], start[j - 1]
+                for w, lhs in found[0]:
+                    if w >= last and not right_reads & step_reads.get(w * N + v, 0):
                         continue
-                    rhs = get(right, m, t, j, b)
+                    rhs = get(right, w, v)
                     if rhs is not None:
-                        pieces.append(split(gi, i, a, j, b, m, t, lhs, rhs) if again else mul(lhs, rhs))
-            if found[1]:  # layer j is a split layer: its left factor ends at b
-                lhs = get(left, i, a, j, b)
+                        pieces.append(split(at + w, lhs, rhs) if again else mul(lhs, rhs))
+            if found[1]:  # layer j is a split layer: its left factor ends at v
+                lhs = get(left, u, v)
                 if lhs is not None and right_need in (None, 0):
-                    rhs = get(right, j, b, j, b)
+                    rhs = get(right, v, v)
                     if rhs is not None:
-                        pieces.append(split(gi, i, a, j, b, j, b, lhs, rhs) if again else mul(lhs, rhs))
+                        pieces.append(split(at + v, lhs, rhs) if again else mul(lhs, rhs))
             return builder.add_many(pieces) if pieces else None
 
-        root = (c.output, 0, 0, k, 0)
         if leaf_length[c.output] is not None:
-            out = leaf(*root)
+            out = leaf(c.output, 0, start[k])
         else:
-            # the driver works out the newest pending key; a checkpoint met
-            # on the way is pushed above the sub-results it interrupted, so it
-            # is worked out first and they start again innermost first, each
-            # finding memoized everything it emitted before
-            pending = [root]
+            # the driver works out the newest pending sub-result; a checkpoint
+            # met on the way is pushed above the sub-results it interrupted,
+            # so it is worked out first and they start again innermost first,
+            # each finding memoized everything it emitted before
+            pending = [(c.output, 0, start[k])]
             while pending:
+                gi, u, v = pending[-1]
                 try:
-                    out = memo[pending[-1]] = expand(*pending[-1])
+                    out = memo[(gi * N + u) * N + v] = expand(gi, u, v)
                 except _Unwind as stop:
                     pending += reversed(stop.keys)
                 else:

@@ -255,3 +255,18 @@ def test_no_module_raises_the_digit_limit():
         if _references(ast.parse(path.read_text()), strings=True)["set_int_max_str_digits"]
     ]
     assert raising == []
+
+
+def test_no_module_pauses_the_cycle_collector():
+    """The package allocates less rather than switching Python's cycle
+    collector off or down, which would change interpreter-wide state for
+    every caller: no module names ``gc.disable``, ``gc.freeze`` or
+    ``gc.set_threshold``, as an attribute, an import, a bare name or a
+    string."""
+    pausing = [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in ("disable", "freeze", "set_threshold")
+        if _references(ast.parse(path.read_text()), strings=True)[name]
+    ]
+    assert pausing == []

@@ -346,11 +346,29 @@ _TWO_VARIABLE_STEP = (
 )
 
 
+# a sub-result's key packs (gate, from node, to node) with the part's node
+# count N as the radix.  A one-variable width-1 affine chain's top part has
+# N = k + 1 nodes, fewer than the circuit has gates
+_CHAIN_UNDER_MANY_GATES = (
+    helpers.tall_circuit(random.Random(11), Q, n_vars=1, n_gates=40),
+    helpers.affine_chain(random.Random(12), Q, 4, n_vars=1),
+)
+
+# x1^3 against a width-5 program: the degree-3 part has 12 nodes, more than
+# the circuit has gates
+_WIDE_PROGRAM_UNDER_FEW_GATES = (
+    Circuit.build(2, Q, [InputGate(1), MulGate(0, 0), MulGate(1, 0)], 2),
+    helpers.homogeneous_abp(random.Random(5), Q, 3, width=5),
+)
+
+
 @settings(max_examples=120, deadline=None)
 @given(_circuit_cases(), st.sampled_from([1, 2, 3]))
 @example(_INDIRECT_RESTART, 3)
 @example(_FIRST_RIGHT_FACTOR_ON_NO_ENTRY, 1)
 @example(_TWO_VARIABLE_STEP, 1)
+@example(_CHAIN_UNDER_MANY_GATES, 2)
+@example(_WIDE_PROGRAM_UNDER_FEW_GATES, 1)
 def test_circuit_product_matches_the_recursion(case, step):
     # with checkpoints at runs of `step` gates instead, sub-results are
     # interrupted and started again; a restart emits no gate twice and
@@ -363,6 +381,36 @@ def test_circuit_product_matches_the_recursion(case, step):
     assert default.circuit.json_text() == expect
     assert restarted.circuit.json_text() == expect
     assert restarted.memo_size == default.memo_size
+
+
+_GRAMMAR_CIRCUIT = cfg_to_circuit(build_mirror_suffix_grammar(2, 3))
+
+
+@pytest.mark.parametrize(
+    "c, p, size",
+    [
+        (
+            helpers.program_circuit(helpers.random_abp(random.Random(3), F5, n_vars=2, depth=4, width=3, density=1.0)),
+            helpers.random_abp(random.Random(13), F5, n_vars=2, depth=4, width=3, density=1.0),
+            137,
+        ),
+        (
+            helpers.tall_circuit(random.Random(1), Q, n_gates=80),
+            helpers.random_abp(random.Random(11), Q, n_vars=2, depth=4, width=3, density=1.0),
+            910,
+        ),
+        (
+            _GRAMMAR_CIRCUIT,
+            helpers.random_abp(random.Random(6), Q, n_vars=_GRAMMAR_CIRCUIT.n_vars, depth=6, width=2, density=1.0),
+            978,
+        ),
+    ],
+    ids=["program", "tall", "grammar"],
+)
+def test_circuit_product_memo_size_is_pinned(c, p, size):
+    # one memo entry per (gate, from node, to node) fetched: the way a
+    # sub-result is keyed neither merges two of them nor splits one
+    assert hadamard_circuit_abp_detailed(c, p).memo_size == size
 
 
 def _linear_part(c: Circuit) -> tuple:
