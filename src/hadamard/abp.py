@@ -25,14 +25,14 @@ A program stores its layers: per layer a ``Layer`` holding the sparse
 constant matrix and one sparse coefficient matrix per variable, each a list
 of (from, to, coefficient) entries, at most one per node pair and matrix,
 none zero.  Entry order carries no meaning, and equality ignores it.  Every
-builder writes entries straight into layers through ``layers_of``, or
-through ``merged_layers`` where node pairs repeat; ``ABP.from_json`` decodes
-each label into cells {-1: constant, variable: coefficient} and makes no
-``LinearForm``.  Labels exist only at the JSON boundary: ``ABP.labels``
-groups the entries for ``json_text``, ``ABP.build`` lays out forms for
-callers outside the library, and ``ABP.edges`` is a read-only view of one
-``LinearForm`` per (layer, from, to), built on first read, which no library
-path reads.
+builder writes entries straight into layers, through ``merged_layers`` where
+node pairs repeat; ``prune`` and the program product renumber the live
+entries as they write them.  ``ABP.from_json`` decodes each label into cells
+{-1: constant, variable: coefficient} and makes no ``LinearForm``.  Labels
+exist only at the JSON boundary: ``ABP.labels`` groups the entries for
+``json_text``, ``ABP.build`` lays out forms for callers outside the library,
+and ``ABP.edges`` is a read-only view of one ``LinearForm`` per (layer,
+from, to), built on first read, which no library path reads.
 
 Each walk is described where it is defined.  One of them applies the
 constant closure C* = I + C + C² + ⋯ of the constant entries C: ``Walks``
@@ -233,15 +233,24 @@ class ABP:
 
     def labels(self) -> Iterator[tuple[tuple[int, int, int], object, dict]]:
         """((layer, from, to), constant, {variable: coefficient}) of each
-        labelled node pair in key order, grouped from the entries."""
+        labelled node pair in key order: one sort per layer of its rows (from,
+        to, variable or -1 for the constant, coefficient), equal (from, to)
+        runs grouped.  The sort never compares coefficients, since a layer
+        holds at most one entry per node pair and matrix."""
         zero = self.field.zero()
         for layer, lay in enumerate(self.layers):
-            grouped = {(a, c): (k, {}) for a, c, k in lay.const}
-            for v, entries in lay.by_var.items():
-                for a, c, k in entries:
-                    grouped.setdefault((a, c), (zero, {}))[1][v] = k
-            for a, c in sorted(grouped):
-                yield (layer, a, c), *grouped[(a, c)]
+            rows = [(a, c, v, k) for v, entries in lay.matrices() for a, c, k in entries]
+            rows.sort()
+            pa = pc = label = None
+            for a, c, v, k in rows:
+                if a != pa or c != pc:  # a new pair; its constant, if any, sorts first
+                    if label:
+                        yield label  # the pair before is complete
+                    pa, pc, label = a, c, ((layer, a, c), k if v < 0 else zero, {})
+                if v >= 0:
+                    label[2][v] = k
+            if label:
+                yield label
 
     @cached_property
     def edges(self) -> dict:
@@ -578,8 +587,7 @@ def normalize_edges(abp: ABP) -> ABP:
     if d == 1:
         return abp
     layers = abp.layers
-    cells = [lay.cells() for lay in layers]
-    if all(len(cs) == len({(a, c) for a, c, _ in cs}) for cs in cells):  # no pair carries two variables
+    if sum(len(es) for lay in layers for es in lay.by_var.values()) == abp.edge_count():  # one entry per labelled pair
         return abp
 
     # arriving variables per internal node; departing variables at layer d-1
@@ -709,44 +717,36 @@ def abp_sum(parts: Sequence[ABP]) -> ABP:
     return laid_out_sum(n_vars, field, [(p.layer_sizes, p.layers) for p in parts])
 
 
-def live_nodes(depth: int, keys: Iterable[tuple[int, int, int]]) -> Optional[list[list[int]]]:
-    """Per layer, the sorted nodes on some source-to-sink path of the arcs,
-    given by their (layer, from, to) keys; None if no such path exists."""
-    by_layer: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-    for layer, a, c in keys:
-        by_layer[layer].append((a, c))
-    fwd = [set() for _ in range(depth + 1)]
-    fwd[0].add(0)
-    for layer in range(depth):
-        fwd[layer + 1].update(c for a, c in by_layer[layer] if a in fwd[layer])
-    bwd = [set() for _ in range(depth + 1)]
-    bwd[depth].add(0)
-    for layer in range(depth - 1, -1, -1):
-        bwd[layer].update(a for a, c in by_layer[layer] if c in bwd[layer + 1])
-    alive = [sorted(fwd[w] & bwd[w]) for w in range(depth + 1)]
-    return None if any(not nodes for nodes in alive) else alive
-
-
-def pruned_edges(alive: Sequence[Sequence[int]], items: Iterable[tuple[tuple[int, int, int], object]]):
-    """(key, value) for each item whose two nodes are alive, in order, its
-    nodes renumbered by their rank in ``alive`` (from ``live_nodes``)."""
-    remap = [{node: i for i, node in enumerate(nodes)} for nodes in alive]
-    for (layer, a, c), value in items:
-        src, dst = remap[layer].get(a), remap[layer + 1].get(c)
-        if src is not None and dst is not None:
-            yield (layer, src, dst), value
+def live_nodes(depth: int, by_layer: Sequence[Sequence[tuple]]) -> Optional[list[dict[int, int]]]:
+    """Per layer, {node: rank in sorted order} of the nodes on a source-to-sink
+    path of the arcs, given as one list per layer of records (from, to, ...);
+    None if no such path exists, as when fewer than ``depth`` lists are."""
+    if len(by_layer) < depth:
+        return None
+    fwd, bwd = [{0}], [{0}]
+    for records in by_layer:
+        fwd.append({r[1] for r in records if r[0] in fwd[-1]})
+    for records in reversed(by_layer):
+        bwd.append({r[0] for r in records if r[1] in bwd[-1]})
+    ranks = [{node: i for i, node in enumerate(sorted(f & b))} for f, b in zip(fwd, reversed(bwd))]
+    return None if any(not rank for rank in ranks) else ranks
 
 
 def prune(abp: ABP) -> ABP:
-    """Drop nodes not on any source-to-sink edge path; canonical zero if none."""
+    """Drop nodes not on any source-to-sink edge path, renumbering each
+    kept entry's nodes by their rank among the live ones; canonical zero if
+    none."""
     d = abp.depth
     if d == 0:
         return abp
-    items = [((w, a, c), (v, k)) for w, lay in enumerate(abp.layers) for v, es in lay.matrices() for a, c, k in es]
-    alive = live_nodes(d, (key for key, _ in items))
-    if alive is None:
+    ranks = live_nodes(d, [[e for _, es in lay.matrices() for e in es] for lay in abp.layers])
+    if ranks is None:
         return zero_abp(abp.n_vars, abp.field)
-    return ABP(abp.n_vars, abp.field, tuple(len(nodes) for nodes in alive), layers_of(d, pruned_edges(alive, items)))
+    layers = []
+    for lay, ra, rc in zip(abp.layers, ranks, ranks[1:]):
+        kept = {v: [(ra[a], rc[c], k) for a, c, k in es if a in ra and c in rc] for v, es in lay.matrices()}
+        layers.append(Layer(kept[-1], {v: es for v, es in kept.items() if v >= 0 and es}))
+    return ABP(abp.n_vars, abp.field, tuple(map(len, ranks)), layers)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ with multiplied coefficients.  Two constructions are provided:
   the Kronecker product of the factors' matrices.  Within each degree the
   product layer sizes are exactly the products of the factor layer sizes,
   but arcs are grown forward from the source pair only out of pairs already
-  reached, holding the factors' entries x and y unmultiplied.  Each degree
-  is then pruned backward, only its live arcs become entries x * y, and the
-  rest are dropped before the next degree is paired, so one degree's
-  unpruned arcs are held at a time.  The pruned parts are summed as
-  ``abp_sum`` does, at the depth of the deepest degree paired, which is
-  what pruning the sum of the unpruned parts gives.
+  reached, as one list per layer of flat records (from, to, v, x, y) with
+  the factors' entries x and y unmultiplied.  Each degree is then pruned
+  backward, its live arcs are written straight into the pruned layers as
+  entries x * y, and the rest are dropped before the next degree is paired,
+  so one degree's unpruned arcs are held at a time.  The pruned parts are
+  summed as ``abp_sum`` does, at the depth of the deepest degree paired,
+  which is what pruning the sum of the unpruned parts gives.
 
 * circuit x branching program: a circuit for f and a program for g yield a
   circuit for the product, built by running the circuit against every
@@ -79,11 +80,9 @@ from .abp import (
     constant_value,
     homogeneous_parts,
     laid_out_sum,
-    layers_of,
     live_nodes,
     normalize_edges,
     prune,
-    pruned_edges,
     sum_layout,
     zero_abp,
 )
@@ -128,17 +127,16 @@ def _check_pair(n1: int, f1: Field, n2: int, f2: Field) -> None:
         raise FieldMismatchError("operands disagree on field")
 
 
-def product_arcs(p: ABP, q: ABP) -> list:
+def product_arcs(p: ABP, q: ABP) -> list[list]:
     """Arcs of the Cartesian product of two homogeneous programs of equal
     depth out of the pairs reachable from the source pair (0, 0), before
-    any coefficient is multiplied.
-
-    One item ((layer, a * q_from + b, c * q_to + e), (v, x, y)) pairs p's
-    entry x on (a, c) with q's entry y on (b, e) for variable v; the
+    any coefficient is multiplied: one list per layer, stopping after the
+    first layer that reaches no pair, so fewer lists than the depth means
+    no path exists.  A record (a * q_from + b, c * q_to + e, v, x, y) pairs
+    p's entry x on (a, c) with q's entry y on (b, e) for variable v; the
     product's entry of v on the arc is x * y.  Each layer pairs entries only
-    out of the pairs the layer before reached, so an arc out of an
-    unreachable pair is never made; items come in the order of the
-    all-pairs loop over variables, p's entries and q's entries.
+    out of the pairs the layer before reached, finding q's by from node, in
+    the all-pairs loop's order over variables, p's entries and q's entries.
     """
     arcs: list = []
     reached = {0}
@@ -148,30 +146,42 @@ def product_arcs(p: ABP, q: ABP) -> list:
         for node in reached:
             a, b = divmod(node, q_from)
             partners.setdefault(a, set()).add(b)
-        reached = set()
+        reached, records = set(), []
+        arcs.append(records)
         for v, p_entries in pl.by_var.items():
             q_entries = ql.by_var.get(v)
             if not q_entries:
                 continue
-            mates: dict[int, list] = {}  # p node -> q's entries out of its partners
+            out_of: dict[int, list] = {}  # q node -> the positions of q's entries out of it
+            for i, entry in enumerate(q_entries):
+                out_of.setdefault(entry[0], []).append(i)
+            mates: dict[int, list] = {}  # p node -> q's entries out of its partners, in q's order
             for a, c, x in p_entries:
                 ys = mates.get(a)
                 if ys is None:
-                    bs = partners.get(a, ())
-                    ys = mates[a] = [(b, e, y) for b, e, y in q_entries if b in bs]
+                    at = sorted(i for b in partners.get(a, ()) for i in out_of.get(b, ()))
+                    ys = mates[a] = [q_entries[i] for i in at]
                 src, dst = a * q_from, c * q_to
                 for b, e, y in ys:
-                    arcs.append(((layer, src + b, dst + e), (v, x, y)))
+                    records.append((src + b, dst + e, v, x, y))
                     reached.add(dst + e)
         if not reached:
             break
     return arcs
 
 
-def product_layers(depth: int, arcs) -> list[Layer]:
-    """The layers of product arc items ((layer, from, to), (v, x, y)):
-    entry x * y of variable v on (from, to) for each."""
-    return layers_of(depth, ((key, (v, x * y)) for key, (v, x, y) in arcs))
+def product_layers(depth: int, arcs: list[list], ranks: list) -> list[Layer]:
+    """``depth`` layers holding entry x * y of variable v for each arc
+    (from, to, v, x, y) in order whose two nodes are in ``ranks``, its
+    nodes renumbered through them (per layer, node -> new node; a range
+    keeps every node as it is)."""
+    layers = [Layer([], {}) for _ in range(depth)]
+    for records, lay, ra, rc in zip(arcs, layers, ranks, ranks[1:]):
+        by_var = lay.by_var
+        for a, c, v, x, y in records:
+            if a in ra and c in rc:
+                by_var.setdefault(v, []).append((ra[a], rc[c], x * y))
+    return layers
 
 
 def hadamard_homogeneous(p: ABP, q: ABP) -> ABP:
@@ -184,7 +194,7 @@ def hadamard_homogeneous(p: ABP, q: ABP) -> ABP:
     if p.depth != q.depth:
         raise ArityMismatchError(f"depth mismatch: {p.depth} vs {q.depth}")
     sizes = tuple(pw * qw for pw, qw in zip(p.layer_sizes, q.layer_sizes))
-    return ABP(p.n_vars, p.field, sizes, product_layers(p.depth, product_arcs(p, q)))
+    return ABP(p.n_vars, p.field, sizes, product_layers(p.depth, product_arcs(p, q), list(map(range, sizes))))
 
 
 def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
@@ -224,9 +234,9 @@ def hadamard_abp_detailed(p: ABP, q: ABP) -> ABPProductResult:
         sizes_of.append(sizes)
         summands.append((pk, qk))
         arcs = product_arcs(pk, qk)
-        alive = live_nodes(k, (key for key, _ in arcs))
-        if alive is not None:
-            live.append(([len(nodes) for nodes in alive], product_layers(k, pruned_edges(alive, arcs))))
+        ranks = live_nodes(k, arcs)  # per layer, live node -> its rank
+        if ranks is not None:
+            live.append(([len(rank) for rank in ranks], product_layers(k, arcs, ranks)))
         del arcs  # before the next degree's arcs are grown
     layer_sizes = sum_layout(sizes_of)[0] if sizes_of else [1, 1]
     pruned = laid_out_sum(n_vars, field, live, len(layer_sizes) - 1) if live else zero_abp(n_vars, field)

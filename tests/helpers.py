@@ -456,25 +456,29 @@ def random_grammar(rng, n_nonterminals=5, terminals=2, max_prods=3):
 
 
 def all_pairs_product_arcs(p: ABP, q: ABP) -> list:
-    """``product_arcs`` of every pair of entries, reachable or not: for
-    each layer, variable, entry x of p on (a, c) and entry y of q on (b, e),
-    the item ((layer, a * q_from + b, c * q_to + e), (v, x, y))."""
+    """``product_arcs`` of every pair of entries, reachable or not, one list
+    per layer: for each variable, entry x of p on (a, c) and entry y of q on
+    (b, e), the record (a * q_from + b, c * q_to + e, v, x, y)."""
     arcs = []
     for layer, (pl, ql) in enumerate(zip(p.layers, q.layers)):
         q_from, q_to = q.layer_sizes[layer], q.layer_sizes[layer + 1]
+        records = []
         for v, p_entries in pl.by_var.items():
             for a, c, x in p_entries:
                 for b, e, y in ql.by_var.get(v, ()):
-                    arcs.append(((layer, a * q_from + b, c * q_to + e), (v, x, y)))
+                    records.append((a * q_from + b, c * q_to + e, v, x, y))
+        arcs.append(records)
     return arcs
 
 
 def reachable_arcs(arcs: list) -> list:
-    """The arc items, in order, whose tail is reached from node 0 of layer 0
-    by a path of arcs, found by a plain graph search."""
+    """The records of per-layer arc lists, in order, whose tail is reached
+    from node 0 of layer 0 by a path of records, found by a plain graph
+    search; the lists end with the first one left empty."""
     succ: dict = {}
-    for (layer, a, c), _ in arcs:
-        succ.setdefault((layer, a), []).append((layer + 1, c))
+    for layer, records in enumerate(arcs):
+        for a, c, *_ in records:
+            succ.setdefault((layer, a), []).append((layer + 1, c))
     seen, frontier = {(0, 0)}, [(0, 0)]
     while frontier:
         node = frontier.pop()
@@ -482,7 +486,12 @@ def reachable_arcs(arcs: list) -> list:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return [(key, entry) for key, entry in arcs if key[:2] in seen]
+    out = []
+    for layer, records in enumerate(arcs):
+        out.append([r for r in records if (layer, r[0]) in seen])
+        if not out[-1]:
+            break
+    return out
 
 
 def naive_hadamard_abp(p: ABP, q: ABP) -> tuple[ABP, ABP, list]:
@@ -778,18 +787,20 @@ def label_json(form: LinearForm, field) -> dict:
 
 
 def abp_json(p: ABP) -> dict:
-    """A program's JSON object with one dict per edge: the reference that
-    ``ABP.json_text`` must match byte for byte under
+    """A program's JSON object with one dict per edge, each label grouped
+    from the cells of its layer's ``Layer.cells()``, not from ``ABP.labels``:
+    the reference that ``ABP.json_text`` must match byte for byte under
     ``json.dumps(..., sort_keys=True, separators=(",", ":"))``."""
-    return {
-        "nvars": p.n_vars,
-        "field": p.field.descriptor(),
-        "layers": list(p.layer_sizes),
-        "edges": [
-            {"from": [layer, a], "to": [layer + 1, c], "label": label_json(p.edges[(layer, a, c)], p.field)}
-            for layer, a, c in sorted(p.edges)
-        ],
-    }
+    grouped: dict = {}  # (layer, from, to) -> {variable, or -1 for the constant: coefficient}
+    for layer, lay in enumerate(p.layers):
+        for (a, c, v), k in lay.cells().items():
+            grouped.setdefault((layer, a, c), {})[v] = k
+    zero = p.field.zero()
+    edges = []
+    for (layer, a, c), cells in sorted(grouped.items()):
+        form = LinearForm(cells.pop(-1, zero), cells)
+        edges.append({"from": [layer, a], "to": [layer + 1, c], "label": label_json(form, p.field)})
+    return {"nvars": p.n_vars, "field": p.field.descriptor(), "layers": list(p.layer_sizes), "edges": edges}
 
 
 def circuit_json(c: Circuit) -> dict:

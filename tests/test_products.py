@@ -245,8 +245,9 @@ def _homogeneous_pairs(draw):
 @settings(max_examples=80, deadline=None)
 @given(_homogeneous_pairs())
 def test_product_arcs_are_the_reachable_all_pairs_arcs(pair):
-    # grown forward from the source pair: exactly the all-pairs arc items out
-    # of reachable pairs, with the same entries, in the same order
+    # grown forward from the source pair: exactly the all-pairs arc records
+    # out of reachable pairs, per layer, with the same entries, in the same
+    # order, up to the first layer that reaches no pair
     p, q = pair
     expect = helpers.reachable_arcs(helpers.all_pairs_product_arcs(p, q))
     assert product_arcs(p, q) == expect
@@ -257,8 +258,42 @@ def test_product_arcs_skip_unreachable_pairs():
     # out of the pairs (0, 1), (1, 0) and (1, 1) are never made
     p = ABP.build(1, Q, (1, 2, 1), {(0, 0, 0): lf(Q, x0=2), (1, 0, 0): lf(Q, x0=3), (1, 1, 0): lf(Q, x0=5)})
     two, three = Fraction(2), Fraction(3)
-    assert len(helpers.all_pairs_product_arcs(p, p)) == 5
-    assert product_arcs(p, p) == [((0, 0, 0), (0, two, two)), ((1, 0, 0), (0, three, three))]
+    assert sum(map(len, helpers.all_pairs_product_arcs(p, p))) == 5
+    assert product_arcs(p, p) == [[(0, 0, 0, two, two)], [(0, 0, 0, three, three)]]
+
+
+_WIDE_SPARSE_PRODUCT = """
+from hadamard.abp import ABP, LinearForm
+from hadamard.fields import RationalField
+from hadamard.products import hadamard_abp_detailed
+Q, W = RationalField(), 20_000
+x0, x1 = LinearForm.of_var(Q, 0), LinearForm.of_var(Q, 1)
+p = ABP.build(2, Q, (1, W, 1), {**{(0, 0, i): x0 for i in range(W)}, **{(1, i, 0): x0 for i in range(W)}})
+q = ABP.build(2, Q, (1, W, 1), {**{(0, 0, j): x1 for j in range(1, W)}, (0, 0, 0): x0,
+                                **{(1, j, 0): x0 for j in range(W)}})
+r = hadamard_abp_detailed(p, q)
+print(r.abp.layer_sizes, r.per_degree[-1].product_sizes)
+"""
+
+
+def test_a_wide_sparsely_reached_product_holds_only_its_reached_pairs():
+    """Two normal programs of width W = 20,000, f = W x0 x0 and g = x0 x0 +
+    (W - 1) x1 x0: the product reaches W of the W^2 pairs of its middle
+    layer, and W of them are live.  It runs in its own interpreter with half
+    a gigabyte of address space, so work sized by the W^2 pairs (one list
+    slot each is 3.2 GB) runs out of memory there and not in the test run."""
+    import resource
+    import subprocess
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _WIDE_SPARSE_PRODUCT],
+        capture_output=True, text=True, preexec_fn=limited
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(1, 20000, 1) (1, 400000000, 1)\n"
 
 
 def test_a_top_degree_that_prunes_to_nothing_keeps_the_sum_depth():

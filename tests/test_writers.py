@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import helpers
-from hadamard.abp import ABP, LinearForm, constant_abp, zero_abp
+from hadamard.abp import ABP, Layer, LinearForm, constant_abp, zero_abp
 from hadamard.circuits import AddGate, Circuit, CircuitBuilder, ConstGate, InputGate, MulGate
 from hadamard.fields import ExtField, PrimeField, RationalField
 from hadamard.grammars import cfg_to_circuit
@@ -97,9 +97,27 @@ LABEL_EXAMPLES = [
 ]
 
 
+def reversed_entries(field):
+    """A depth-2 program over 12 variables whose entries are given in
+    reverse node order: in layer 0 the pair (0, 1) carries a constant and
+    variables 10 and 2, the pair (0, 0) only a constant; in layer 1 the
+    pair (1, 0) carries variable 2 and the pair (0, 0) a constant."""
+    one = field.one()
+    layers = [
+        Layer([(0, 1, one), (0, 0, -one)], {10: [(0, 1, -one)], 2: [(0, 1, one)]}),
+        Layer([(0, 0, one)], {2: [(1, 0, one)]}),
+    ]
+    return ABP(12, field, (1, 2, 1), layers)
+
+
+# node pairs given out of key order, one with a constant and two variables
+# and one with a constant alone
+GROUPING_EXAMPLES = [reversed_entries(f) for f in (Q, F2)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(programs())
-@with_examples(LABEL_EXAMPLES)
+@with_examples(LABEL_EXAMPLES + GROUPING_EXAMPLES)
 def test_program_writer_matches_the_dict_reference(p):
     assert written(p) == dumps(helpers.abp_json(p))
     assert p.to_json() == helpers.abp_json(p)
